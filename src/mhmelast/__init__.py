@@ -5,9 +5,11 @@ verification harness."""
 from .fem_core import (InverseConstant, QuadratureRule, ReferenceElement,
                        estimate_inverse_constant, inverse_constant, quad_rule,
                        reference_element)
-from .local_solver import (LocalBasisCache, MaterialField, RigidModes,
-                           assemble_local_galerkin, assemble_local_gals,
-                           build_local_cache, compute_alpha, project_rm,
+from .local_solver import (LocalBasisCache, LocalOperator, MaterialField,
+                           RigidModes, assemble_local_galerkin,
+                           assemble_local_gals, build_class_caches,
+                           build_local_cache, compute_alpha,
+                           congruence_classes, element_load, project_rm,
                            solve_local_basis)
 from .mesh import (GlobalPartition, LocalMesh, SkeletonMesh, TriMesh,
                    build_matching_local_mesh, build_structured_triangulation,
@@ -26,15 +28,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BrennerProblem", "ErrorRecord", "GlobalPartition", "InverseConstant",
-    "LinearProblem", "LocalBasisCache", "LocalMesh", "MHMConfig",
+    "LinearProblem", "LocalBasisCache", "LocalMesh", "LocalOperator",
+    "MHMConfig",
     "MHMSolution", "MaterialField", "QuadratureRule", "ReferenceElement",
     "RigidModes", "SaddleSystem", "SingleLevelSolution", "SkeletonMesh",
     "TriMesh", "assemble_global_saddle", "assemble_local_galerkin",
-    "assemble_local_gals", "build_local_cache", "build_matching_local_mesh",
-    "build_structured_triangulation", "check_refinement_conditions",
-    "compressibility_residual", "compute_alpha", "compute_errors",
-    "convergence_orders", "default_depth", "estimate_inverse_constant",
-    "exact_brenner",
+    "assemble_local_gals", "build_class_caches", "build_local_cache",
+    "build_matching_local_mesh", "build_structured_triangulation",
+    "check_refinement_conditions", "compressibility_residual",
+    "compute_alpha", "compute_errors", "congruence_classes",
+    "convergence_orders", "default_depth", "element_load",
+    "estimate_inverse_constant", "exact_brenner",
     "inverse_constant", "postprocess_solution", "project_rm", "quad_rule",
     "read_partition", "reference_element", "refine_skeleton",
     "solve_galerkin_dirichlet", "solve_gals_dirichlet", "solve_global",

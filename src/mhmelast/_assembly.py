@@ -3,6 +3,8 @@ single-level methods: continuous P_k dof handling, affine-map geometry, and
 the element kernels of the displacement-pressure and displacement forms.
 """
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -88,6 +90,14 @@ class DofHandler:
             coords[loc2glob[t]] = phys[t]
         self.dof_coords = coords
 
+    def translated(self, mesh, shift):
+        """This numbering on `mesh`, a copy of the handler's mesh translated
+        by `shift`: shares the connectivity, with shifted dof coordinates."""
+        out = copy.copy(self)
+        out.mesh = mesh
+        out.dof_coords = self.dof_coords + shift
+        return out
+
     def vector_loc2glob(self):
         """Interleaved vector dof map of shape (nt, 2 * n_basis)."""
         nb = self.ref.n_basis
@@ -123,7 +133,7 @@ class Tabulation:
         self.vals = vals                                    # (nq, nb)
         self.grads = np.einsum("tji,qbi->tqbj", self.geo.jinv_t, grads)
         hs = np.einsum("tji,qbim,tml->tqbjl", self.geo.jinv_t, hess,
-                       self.geo.jinv)
+                       self.geo.jinv, optimize=True)
         self.hess = hs
         self.lap = hs[..., 0, 0] + hs[..., 1, 1]
         self.wdet = self.rule.weights[None, :] * self.geo.detj[:, None]

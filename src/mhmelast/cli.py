@@ -163,13 +163,17 @@ def cmd_convergence(args):
                "levels": levels, "csv": csv_path}
     failed = False
     if method in ("mhm-gals", "gals") and len(levels) > 1:
-        bands = [b - BAND_MARGIN for b in ORDER_BANDS[args.k]]
         measured = [float(o[-1]) for o in orders]
-        checks = [m >= b for m, b in zip(measured, bands)]
         summary["orders_last_step"] = measured
-        summary["order_bands"] = bands
-        summary["bands_pass"] = checks
-        failed = not all(checks)
+        if args.k in ORDER_BANDS:
+            bands = [b - BAND_MARGIN for b in ORDER_BANDS[args.k]]
+            checks = [m >= b for m, b in zip(measured, bands)]
+            summary["order_bands"] = bands
+            summary["bands_pass"] = checks
+            failed = not all(checks)
+        else:
+            summary["order_bands"] = None
+            summary["bands_note"] = f"no order bands exist for k={args.k}"
     with open(os.path.join(args.out, f"summary_{method}_k{args.k}.json"),
               "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)

@@ -202,7 +202,8 @@ def estimate_inverse_constant(k, sample_mesh, safety=0.9):
     rule = quad_rule("triangle", max(0, 2 * k))
     vals, grads, hess = ref.tabulate(rule.points)
     g = np.einsum("tji,qbi->tqbj", geo.jinv_t, grads)
-    h = np.einsum("tji,qbim,tml->tqbjl", geo.jinv_t, hess, geo.jinv)
+    h = np.einsum("tji,qbim,tml->tqbjl", geo.jinv_t, hess, geo.jinv,
+                  optimize=True)
     lap = h[..., 0, 0] + h[..., 1, 1]
     w = rule.weights[None, :] * geo.detj[:, None]
 

@@ -1,9 +1,16 @@
 """Local Neumann solvers producing the multiscale basis on each coarse
 element: the stabilized displacement-pressure operators, the plain Galerkin
 variant, the rigid-body projection, and the stabilization parameter.
+
+The basis is built per congruence class of coarse elements.  With constant
+material data, translated elements with the same boundary segment layout
+share one local operator: it is assembled, factored and solved for the
+trace right-hand sides once, and each member element adds only its own load
+column to that solve.  With a variable material every element is a class of
+one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,13 +23,22 @@ __all__ = [
     "MaterialField",
     "RigidModes",
     "LocalBasisCache",
+    "LocalOperator",
     "compute_alpha",
     "project_rm",
     "assemble_local_gals",
     "assemble_local_galerkin",
+    "element_load",
     "solve_local_basis",
+    "congruence_classes",
+    "build_class_caches",
     "build_local_cache",
 ]
+
+# Coarse vertices relative to the centroid are compared on a grid of this
+# size relative to the element diameter: coordinates such as k/n are not
+# exact in binary, so translated copies agree only to round-off.
+CONGRUENCE_RTOL = 1e-10
 
 
 class LocalSolverError(RuntimeError):
@@ -41,6 +57,12 @@ class MaterialField:
     def __init__(self, G, nu):
         self._G = G
         self._nu = nu
+
+    @property
+    def is_uniform(self):
+        """True when G and nu are constants, so translated elements have the
+        same local operator."""
+        return not callable(self._G) and not callable(self._nu)
 
     def _eval(self, f, x):
         x = np.asarray(x, dtype=float)
@@ -121,10 +143,12 @@ class RigidModes:
 class LocalBasisCache:
     """Condensed multiscale basis of one coarse element.
 
-    Columns of `Uu`/`Up` hold the displacement/pressure solutions for every
-    trace basis function supported on the element boundary, with the load
-    solution in the last column.  The pairing blocks close the global
-    saddle-point problem.
+    Columns of `trace_u`/`trace_p` hold the displacement/pressure solutions
+    for every trace basis function supported on the element boundary;
+    `load_u`/`load_p` hold the element's load solution.  The trace blocks,
+    `pairing` and `rm_pairing` are shared by reference across the element's
+    congruence class.  The pairing blocks close the global saddle-point
+    problem.
     """
     element_id: int
     kind: str                       # "gals" | "galerkin"
@@ -133,41 +157,92 @@ class LocalBasisCache:
     seg_ids: list                   # skeleton segments on the boundary, ordered
     dof_signs: np.ndarray           # orientation sign n_F . n^K per trace dof
     trace_dofs: np.ndarray          # global trace dof indices, cache order
-    Uu: np.ndarray                  # (2*nsd, ntr + 1)
-    Up: np.ndarray                  # (nsd, ntr + 1); None for "galerkin"
-    pairing: np.ndarray             # (ntr, ntr), <mu_i, T_h(mu_j)>
-    rm_pairing: np.ndarray          # (ntr, 3), <mu_i, v_rm>
+    trace_u: np.ndarray             # (2*nsd, ntr), shared within the class
+    trace_p: np.ndarray             # (nsd, ntr), shared; None for "galerkin"
+    load_u: np.ndarray              # (2*nsd,)
+    load_p: np.ndarray              # (nsd,); None for "galerkin"
+    pairing: np.ndarray             # (ntr, ntr), <mu_i, T_h(mu_j)>, shared
+    rm_pairing: np.ndarray          # (ntr, 3), <mu_i, v_rm>, shared
     load_pairing: np.ndarray        # (ntr,), <mu_i, That(f)>
     rm_load: np.ndarray             # (3,), int f . v_rm + Neumann part
     rigid_modes: RigidModes
     alpha: float
     degree: int
     material: MaterialField = None
-    multipliers: np.ndarray = None
 
     @property
     def n_trace(self):
         return len(self.trace_dofs)
 
+    @property
+    def Uu(self):
+        """(2*nsd, ntr + 1): the trace solutions, then the load solution."""
+        return np.column_stack([self.trace_u, self.load_u])
+
+    @property
+    def Up(self):
+        """(nsd, ntr + 1) pressure counterpart of `Uu`; None for
+        "galerkin"."""
+        if self.trace_p is None:
+            return None
+        return np.column_stack([self.trace_p, self.load_p])
+
 
 @dataclass
-class _LocalSystem:
-    matrix: sp.csc_matrix
-    rhs: np.ndarray                # (ndof_total, ntr + 1)
-    meta: dict = field(default_factory=dict)
+class LocalOperator:
+    """The part of a coarse element's local problem that depends on neither
+    its load nor its position: the factorable matrix and the boundary
+    pairings, shared by the element's congruence class."""
+    kind: str                       # "gals" | "galerkin"
+    degree: int
+    material: MaterialField
+    matrix: sp.csc_matrix           # [u; (p;) 3 rigid multipliers]
+    dofh: object
+    tab: object
+    alpha: float
+    l2g: np.ndarray                 # element map of the [u (; p)] unknowns
+    Dall: np.ndarray                # least-squares rows; None for "galerkin"
+    R: np.ndarray                   # (ntr, 2*nsd) trace/displacement pairing
+    Grm: np.ndarray                 # (ntr, 3) trace/rigid-mode pairing
+    neumann_edges: list             # (points, weights, shape values, l2g)
+    centroid: np.ndarray            # of the element it was assembled on
+
+    @property
+    def n_u(self):
+        return 2 * self.dofh.n_dofs
+
+    @property
+    def n_trace(self):
+        return self.R.shape[0]
+
+
+@dataclass
+class _ElementLoad:
+    local_mesh: object
+    rhs: np.ndarray                 # (n_total,) load column
+    rm_load: np.ndarray             # (3,)
+    rigid_modes: RigidModes
+    shift: np.ndarray               # element centroid - operator centroid
+
+
+def _centroid(partition, element_id):
+    return partition.vertices[list(partition.elements[element_id])].mean(axis=0)
 
 
 def _element_boundary_setup(partition, local_mesh, skeleton):
-    """Ordered skeleton segments on the element boundary with signs."""
+    """Ordered skeleton segments on the element boundary, the orientation
+    sign of each trace dof, and the global trace dof indices."""
     K = local_mesh.element_id
-    fids = partition.elem_face_ids[K]
-    signs = partition.elem_face_signs[K]
     seg_ids, seg_signs = [], []
-    for fid, sg in zip(fids, signs):
+    for fid, sg in zip(partition.elem_face_ids[K], partition.elem_face_signs[K]):
         for sid in skeleton.face_segments[fid]:
             seg_ids.append(sid)
             seg_signs.append(sg)
-    return seg_ids, np.array(seg_signs, dtype=int)
+    if not seg_ids:
+        return seg_ids, np.empty(0, dtype=int), np.empty(0, dtype=int)
+    dof_signs = np.repeat(seg_signs, skeleton.dofs_per_segment)
+    trace_dofs = np.concatenate([skeleton.segment_dofs(s) for s in seg_ids])
+    return seg_ids, dof_signs, trace_dofs
 
 
 def _edge_quad_data(local_mesh, geo, ref, exactness):
@@ -206,50 +281,36 @@ def _vec_l2g(dofh, triangle, nb):
     return out
 
 
-class _BoundaryBlocks:
+def _boundary_blocks(partition, local_mesh, skeleton, dofh, geo, ref, rm):
     """Boundary pairings of one element: trace-vs-displacement matrix R,
-    trace-vs-rigid-mode block, and the Neumann load contribution."""
-
-    def __init__(self, partition, local_mesh, skeleton, dofh, geo, ref, rm, g):
-        self.seg_ids, seg_signs = _element_boundary_setup(
-            partition, local_mesh, skeleton)
-        dps = skeleton.dofs_per_segment
-        self.ntr = len(self.seg_ids) * dps
-        self.dof_signs = (np.repeat(seg_signs, dps)
-                          if self.seg_ids else np.empty(0, dtype=int))
-        seg_pos = {sid: i for i, sid in enumerate(self.seg_ids)}
-        nu = 2 * dofh.n_dofs
-        nb = ref.n_basis
-        self.R = np.zeros((self.ntr, nu))
-        self.Grm = np.zeros((self.ntr, 3))
-        self.neumann_load = np.zeros(nu)
-        self.neumann_rm = np.zeros(3)
-        edges = _edge_quad_data(local_mesh, geo, ref,
-                                ref.degree + skeleton.degree + 1)
-        for be, pts, w, vals in edges:
-            vl2g = _vec_l2g(dofh, be.triangle, nb)
-            if be.segment >= 0:
-                seg = skeleton.segments[be.segment]
-                mu = _trace_values(skeleton, seg, pts)
-                base = seg_pos[be.segment] * dps
-                contrib = np.einsum("q,iqc,qb->ibc", w, mu, vals)
-                block = np.empty((dps, 2 * nb))
-                block[:, 0::2] = contrib[..., 0]
-                block[:, 1::2] = contrib[..., 1]
-                for i in range(dps):
-                    np.add.at(self.R[base + i], vl2g, block[i])
-                rmv = rm.evaluate(pts)
-                self.Grm[base:base + dps] += np.einsum(
-                    "q,iqc,mqc->im", w, mu, rmv)
-            if be.on_neumann and g is not None:
-                gq = np.asarray(g(pts), dtype=float)
-                contrib = np.einsum("q,qc,qb->bc", w, gq, vals)
-                vec = np.empty(2 * nb)
-                vec[0::2] = contrib[:, 0]
-                vec[1::2] = contrib[:, 1]
-                np.add.at(self.neumann_load, vl2g, vec)
-                self.neumann_rm += np.einsum(
-                    "q,qc,mqc->m", w, gq, rm.evaluate(pts))
+    trace-vs-rigid-mode block, and the quadrature data of the fine Neumann
+    edges, which carry the element's Neumann load."""
+    seg_ids, _, _ = _element_boundary_setup(partition, local_mesh, skeleton)
+    dps = skeleton.dofs_per_segment
+    seg_pos = {sid: i for i, sid in enumerate(seg_ids)}
+    nb = ref.n_basis
+    R = np.zeros((len(seg_ids) * dps, 2 * dofh.n_dofs))
+    Grm = np.zeros((len(seg_ids) * dps, 3))
+    neumann_edges = []
+    edges = _edge_quad_data(local_mesh, geo, ref,
+                            ref.degree + skeleton.degree + 1)
+    for be, pts, w, vals in edges:
+        vl2g = _vec_l2g(dofh, be.triangle, nb)
+        if be.segment >= 0:
+            seg = skeleton.segments[be.segment]
+            mu = _trace_values(skeleton, seg, pts)
+            base = seg_pos[be.segment] * dps
+            contrib = np.einsum("q,iqc,qb->ibc", w, mu, vals)
+            block = np.empty((dps, 2 * nb))
+            block[:, 0::2] = contrib[..., 0]
+            block[:, 1::2] = contrib[..., 1]
+            for i in range(dps):
+                np.add.at(R[base + i], vl2g, block[i])
+            Grm[base:base + dps] += np.einsum("q,iqc,mqc->im", w, mu,
+                                              rm.evaluate(pts))
+        if be.on_neumann:
+            neumann_edges.append((pts, w, vals, vl2g))
+    return R, Grm, neumann_edges
 
 
 def _constraint_rows(dofh, tab, rm):
@@ -265,173 +326,205 @@ def _constraint_rows(dofh, tab, rm):
     return C
 
 
-def _rigid_load(tab, rm, f):
-    fq = np.asarray(f(tab.points), dtype=float)
-    return np.einsum("tq,tqc,mtqc->m", tab.wdet, fq, rm.evaluate(tab.points))
+def _local_operator(partition, local_mesh, skeleton, material, k, kind,
+                    alpha, c_inverse):
+    """Assemble the local operator of `kind` on one coarse element."""
+    ref = reference_element(k)
+    mesh = local_mesh.mesh
+    dofh = asm.DofHandler(mesh, ref)
+    tab = asm.Tabulation(mesh, ref, 2 * k + 2)
+    Gq = material.G_at(tab.points)
+    epsq = material.eps_at(tab.points)
+    nu = 2 * dofh.n_dofs
+    if kind == "gals":
+        if c_inverse is not None:
+            bound = admissible_alpha_bound(material, tab.points, c_inverse)
+            if not 0 < alpha < bound:
+                raise LocalSolverError(f"alpha={alpha} outside the admissible "
+                                       f"interval (0, {bound})")
+        A_el, Dall = asm.gals_element_matrices(tab, Gq, epsq, alpha)
+        l2g = np.concatenate([dofh.vector_loc2glob(), nu + dofh.loc2glob],
+                             axis=1)
+        nfield = nu + dofh.n_dofs
+    else:
+        A_el, Dall = asm.galerkin_element_matrices(tab, Gq, epsq), None
+        l2g = dofh.vector_loc2glob()
+        nfield = nu
+    ntot = nfield + 3
+    A = asm.scatter(A_el, l2g, (ntot, ntot)).tolil()
+
+    centroid = _centroid(partition, local_mesh.element_id)
+    rm = RigidModes(centroid)
+    C = _constraint_rows(dofh, tab, rm)
+    A[nfield:, :nu] = C
+    A[:nu, nfield:] = C.T
+
+    R, Grm, neumann_edges = _boundary_blocks(partition, local_mesh, skeleton,
+                                             dofh, tab.geo, ref, rm)
+    return LocalOperator(kind, k, material, A.tocsc(), dofh, tab, alpha, l2g,
+                         Dall, R, Grm, neumann_edges, centroid)
 
 
 def assemble_local_gals(partition, local_mesh, skeleton, material, alpha, k,
-                        c_inverse=None, f=None, g=None):
-    """Assemble the stabilized displacement-pressure local system of one
+                        c_inverse=None):
+    """Assemble the stabilized displacement-pressure local operator of one
     coarse element.
 
     Unknowns: [u (interleaved vector P_k); p (P_k); 3 rigid multipliers].
-    Right-hand sides: one per boundary trace basis function, plus the load.
+    With `c_inverse` given, `alpha` is checked against its admissible
+    interval.
     """
-    ref = reference_element(k)
-    mesh = local_mesh.mesh
-    dofh = asm.DofHandler(mesh, ref)
-    tab = asm.Tabulation(mesh, ref, 2 * k + 2)
-    Gq = material.G_at(tab.points)
-    epsq = material.eps_at(tab.points)
-    if c_inverse is not None:
-        bound = admissible_alpha_bound(material, tab.points, c_inverse)
-        if not 0 < alpha < bound:
-            raise LocalSolverError(
-                f"alpha={alpha} outside the admissible interval (0, {bound})")
-
-    nsd = dofh.n_dofs
-    nu = 2 * nsd
-    ntot = nu + nsd + 3
-
-    A_el, Dall = asm.gals_element_matrices(tab, Gq, epsq, alpha)
-    l2g = np.concatenate([dofh.vector_loc2glob(), nu + dofh.loc2glob], axis=1)
-    A = asm.scatter(A_el, l2g, (ntot, ntot)).tolil()
-
-    e = partition.elements[local_mesh.element_id]
-    rm = RigidModes(partition.vertices[list(e)].mean(axis=0))
-    C = _constraint_rows(dofh, tab, rm)
-    A[nu + nsd:, :nu] = C
-    A[:nu, nu + nsd:] = C.T
-    A = A.tocsc()
-
-    bb = _BoundaryBlocks(partition, local_mesh, skeleton, dofh, tab.geo,
-                         ref, rm, g)
-    ntr = bb.ntr
-    rhs = np.zeros((ntot, ntr + 1))
-    rhs[:nu, :ntr] = bb.R.T
-    rhs[:nu, ntr] += bb.neumann_load
-    d_rm = bb.neumann_rm.copy()
-    if f is not None:
-        fq = np.asarray(f(tab.points), dtype=float)
-        F_el = asm.load_vector(tab, fq, Dall=Dall, alpha=alpha)
-        rhs[:nu + nsd, ntr] += asm.scatter_vector(F_el, l2g, nu + nsd)
-        d_rm += _rigid_load(tab, rm, f)
-
-    meta = dict(dofh=dofh, tab=tab, bb=bb, d_rm=d_rm, rm=rm, nu=nu,
-                nsd=nsd, alpha=alpha, kind="gals")
-    return _LocalSystem(A, rhs, meta)
+    return _local_operator(partition, local_mesh, skeleton, material, k,
+                           "gals", alpha, c_inverse)
 
 
-def assemble_local_galerkin(partition, local_mesh, skeleton, material, k,
-                            f=None, g=None):
-    """Displacement-only local system (no pressure unknown, no
+def assemble_local_galerkin(partition, local_mesh, skeleton, material, k):
+    """Displacement-only local operator (no pressure unknown, no
     stabilization) used by the MHM-Ga variant."""
-    ref = reference_element(k)
-    mesh = local_mesh.mesh
-    dofh = asm.DofHandler(mesh, ref)
-    tab = asm.Tabulation(mesh, ref, 2 * k + 2)
-    Gq = material.G_at(tab.points)
-    epsq = material.eps_at(tab.points)
+    return _local_operator(partition, local_mesh, skeleton, material, k,
+                           "galerkin", 0.0, None)
 
-    nsd = dofh.n_dofs
-    nu = 2 * nsd
-    ntot = nu + 3
-    A_el = asm.galerkin_element_matrices(tab, Gq, epsq)
-    l2g = dofh.vector_loc2glob()
-    A = asm.scatter(A_el, l2g, (ntot, ntot)).tolil()
 
-    e = partition.elements[local_mesh.element_id]
-    rm = RigidModes(partition.vertices[list(e)].mean(axis=0))
-    C = _constraint_rows(dofh, tab, rm)
-    A[nu:, :nu] = C
-    A[:nu, nu:] = C.T
-    A = A.tocsc()
+def element_load(op, partition, local_mesh, f=None, g=None):
+    """Load column and rigid-mode load of one element of `op`'s class.
 
-    bb = _BoundaryBlocks(partition, local_mesh, skeleton, dofh, tab.geo,
-                         ref, rm, g)
-    ntr = bb.ntr
-    rhs = np.zeros((ntot, ntr + 1))
-    rhs[:nu, :ntr] = bb.R.T
-    rhs[:nu, ntr] += bb.neumann_load
-    d_rm = bb.neumann_rm.copy()
+    The load `f` and the Neumann data `g` are evaluated at the operator's
+    quadrature points translated onto the element; the rigid modes are
+    taken about the element's own centroid.
+    """
+    centroid = _centroid(partition, local_mesh.element_id)
+    shift = centroid - op.centroid
+    rm = RigidModes(centroid)
+    nu = op.n_u
+    rhs = np.zeros(op.matrix.shape[0])
+    d_rm = np.zeros(3)
+    if g is not None:
+        for pts, w, vals, vl2g in op.neumann_edges:
+            x = pts + shift
+            gq = np.asarray(g(x), dtype=float)
+            contrib = np.einsum("q,qc,qb->bc", w, gq, vals)
+            vec = np.empty(vl2g.size)
+            vec[0::2] = contrib[:, 0]
+            vec[1::2] = contrib[:, 1]
+            np.add.at(rhs[:nu], vl2g, vec)
+            d_rm += np.einsum("q,qc,mqc->m", w, gq, rm.evaluate(x))
     if f is not None:
-        fq = np.asarray(f(tab.points), dtype=float)
-        rhs[:nu, ntr] += asm.scatter_vector(asm.load_vector(tab, fq), l2g, nu)
-        d_rm += _rigid_load(tab, rm, f)
+        x = op.tab.points + shift
+        fq = np.asarray(f(x), dtype=float)
+        F_el = asm.load_vector(op.tab, fq, Dall=op.Dall, alpha=op.alpha)
+        rhs += asm.scatter_vector(F_el, op.l2g, rhs.size)
+        d_rm += np.einsum("tq,tqc,mtqc->m", op.tab.wdet, fq, rm.evaluate(x))
+    return _ElementLoad(local_mesh, rhs, d_rm, rm, shift)
 
-    meta = dict(dofh=dofh, tab=tab, bb=bb, d_rm=d_rm, rm=rm, nu=nu,
-                nsd=nsd, alpha=0.0, kind="galerkin")
-    return _LocalSystem(A, rhs, meta)
 
-
-def solve_local_basis(local_mesh, skeleton, system, k):
-    """Factorize the local system once and solve for every right-hand side,
-    producing the element's condensed basis cache."""
-    m = system.meta
+def solve_local_basis(op, partition, skeleton, loads):
+    """Factorize the class operator once and solve, in one multi-RHS call,
+    for every trace basis function and every member's load, producing one
+    basis cache per member element."""
     try:
-        lu = splu(system.matrix)
+        lu = splu(op.matrix)
     except RuntimeError as exc:
         raise LocalSolverError(
             "singular local system; run check_refinement_conditions") from exc
-    X = lu.solve(system.rhs)
+    nu, nsd, ntr = op.n_u, op.dofh.n_dofs, op.n_trace
+    rhs = np.zeros((op.matrix.shape[0], ntr + len(loads)))
+    rhs[:nu, :ntr] = op.R.T
+    for j, load in enumerate(loads):
+        rhs[:, ntr + j] = load.rhs
+    X = lu.solve(rhs)
     if not np.all(np.isfinite(X)):
         raise LocalSolverError(
             "local solve produced non-finite values; the local mesh may be "
             "too coarse for the trace space")
-    nu, nsd = m["nu"], m["nsd"]
-    bb = m["bb"]
-    ntr = bb.ntr
-    Uu = X[:nu]
-    if m["kind"] == "gals":
-        Up = X[nu:nu + nsd]
-        mult = X[nu + nsd:]
+    has_p = op.kind == "gals"
+    trace_u = X[:nu, :ntr]
+    trace_p = X[nu:nu + nsd, :ntr] if has_p else None
+    pairing = op.R @ trace_u
+    caches = []
+    for j, load in enumerate(loads):
+        lm = load.local_mesh
+        seg_ids, dof_signs, trace_dofs = _element_boundary_setup(
+            partition, lm, skeleton)
+        load_u = X[:nu, ntr + j]
+        caches.append(LocalBasisCache(
+            element_id=lm.element_id,
+            kind=op.kind,
+            local_mesh=lm,
+            dofh=op.dofh.translated(lm.mesh, load.shift),
+            seg_ids=seg_ids,
+            dof_signs=dof_signs,
+            trace_dofs=trace_dofs,
+            trace_u=trace_u,
+            trace_p=trace_p,
+            load_u=load_u,
+            load_p=X[nu:nu + nsd, ntr + j] if has_p else None,
+            pairing=pairing,
+            rm_pairing=op.Grm,
+            load_pairing=op.R @ load_u,
+            rm_load=load.rm_load,
+            rigid_modes=load.rigid_modes,
+            alpha=op.alpha,
+            degree=op.degree,
+            material=op.material,
+        ))
+    return caches
+
+
+def _congruence_key(partition, local_mesh, skeleton):
+    """Elements with equal keys are translates of each other with the same
+    local lattice and boundary segment layout, so their local operators
+    coincide.  The layout records, per local edge, the number of segments
+    (0 on Neumann faces) and whether the face runs against the local edge,
+    which fixes the segment order and the sign of the odd trace modes."""
+    eid = local_mesh.element_id
+    e = partition.elements[eid]
+    p = partition.vertices[list(e)]
+    grid = CONGRUENCE_RTOL * partition.element_diameters[eid]
+    shape = tuple(np.round((p - p.mean(axis=0)) / grid).astype(np.int64).ravel())
+    layout = tuple((len(skeleton.face_segments[fid]),
+                    partition.faces[fid].v0 != e[le])
+                   for le, fid in enumerate(partition.elem_face_ids[eid]))
+    return shape, layout, local_mesh.depth
+
+
+def congruence_classes(partition, local_meshes, skeleton, material):
+    """Group local meshes into classes sharing one local operator; the first
+    member of each class is its representative.  With a non-constant
+    material every element is its own class."""
+    if not material.is_uniform:
+        return [[lm] for lm in local_meshes]
+    classes = {}
+    for lm in local_meshes:
+        key = _congruence_key(partition, lm, skeleton)
+        classes.setdefault(key, []).append(lm)
+    return list(classes.values())
+
+
+def build_class_caches(partition, local_meshes, skeleton, material, k,
+                       kind="gals", theta=0.5, f=None, g=None):
+    """Basis caches of one congruence class: alpha and the operator on the
+    first member, one load per member, and one factorization and solve."""
+    rep = local_meshes[0]
+    if kind == "gals":
+        ci = inverse_constant(k)
+        rule = quad_rule("triangle", 2 * k + 2)
+        points = asm.Geometry(rep.mesh).physical_points(rule.points)
+        alpha = compute_alpha(material, points, ci, theta=theta)
+        op = assemble_local_gals(partition, rep, skeleton, material, alpha, k,
+                                 c_inverse=ci)
+    elif kind == "galerkin":
+        op = assemble_local_galerkin(partition, rep, skeleton, material, k)
     else:
-        Up = None
-        mult = X[nu:]
-    pairing = bb.R @ Uu[:, :ntr]
-    load_pairing = bb.R @ Uu[:, ntr]
-    trace_dofs = (np.concatenate([skeleton.segment_dofs(s) for s in bb.seg_ids])
-                  if bb.seg_ids else np.empty(0, dtype=int))
-    return LocalBasisCache(
-        element_id=local_mesh.element_id,
-        kind=m["kind"],
-        local_mesh=local_mesh,
-        dofh=m["dofh"],
-        seg_ids=bb.seg_ids,
-        dof_signs=bb.dof_signs,
-        trace_dofs=trace_dofs,
-        Uu=Uu,
-        Up=Up,
-        pairing=pairing,
-        rm_pairing=bb.Grm,
-        load_pairing=load_pairing,
-        rm_load=m["d_rm"],
-        rigid_modes=m["rm"],
-        alpha=m["alpha"],
-        degree=k,
-        multipliers=mult,
-    )
+        raise ValueError(f"unknown local solver kind {kind!r}")
+    loads = [element_load(op, partition, lm, f=f, g=g) for lm in local_meshes]
+    return solve_local_basis(op, partition, skeleton, loads)
 
 
 def build_local_cache(partition, local_mesh, skeleton, material, k,
                       kind="gals", theta=0.5, f=None, g=None):
-    """Convenience pipeline: alpha, assembly and solve for one element."""
-    if kind == "gals":
-        ref = reference_element(k)
-        tab = asm.Tabulation(local_mesh.mesh, ref, 2 * k + 2)
-        ci = inverse_constant(k)
-        alpha = compute_alpha(material, tab.points, ci, theta=theta)
-        system = assemble_local_gals(partition, local_mesh, skeleton, material,
-                                     alpha, k, c_inverse=ci, f=f, g=g)
-    elif kind == "galerkin":
-        system = assemble_local_galerkin(partition, local_mesh, skeleton,
-                                         material, k, f=f, g=g)
-    else:
-        raise ValueError(f"unknown local solver kind {kind!r}")
-    cache = solve_local_basis(local_mesh, skeleton, system, k)
-    cache.material = material
-    return cache
+    """Convenience pipeline for one element: a class of one."""
+    return build_class_caches(partition, [local_mesh], skeleton, material, k,
+                              kind=kind, theta=theta, f=f, g=g)[0]
 
 
 def project_rm(rigid_modes, dofh, tab, coeffs):

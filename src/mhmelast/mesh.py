@@ -384,7 +384,10 @@ def build_matching_local_mesh(partition, element_id, skeleton, depth):
         for i in range(N):
             v0, v1 = chain[i], chain[i + 1]
             tri = edge_adj[(min(v0, v1), max(v0, v1))]
-            assert len(tri) == 1
+            if len(tri) != 1:
+                raise ValueError(
+                    f"element {element_id}: fine edge {i} of local edge {le} "
+                    f"lies on {len(tri)} fine triangles, not on the boundary")
             t0, t1 = i / N, (i + 1) / N
             if reversed_face:
                 fs0, fs1 = 1 - t1, 1 - t0
@@ -436,9 +439,11 @@ def check_refinement_conditions(k, ell, local_meshes, skeleton):
         min_interior = min((len(c[1]) for c in counts.values()), default=0)
         if k >= ell + 1 >= 2 and min_closure >= 1:
             status, reason = True, "case 1: k >= ell+1 and >= 1 node per segment"
+        elif k < ell:
+            reason = f"both cases require k >= ell, found k={k} < ell={ell}"
         else:
             s = min(k, ell, 3)
-            if k >= ell and min_interior >= 4 - s:
+            if min_interior >= 4 - s:
                 status, reason = True, f"case 2 with s={s}"
             else:
                 needed = 4 - s

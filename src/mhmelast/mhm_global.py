@@ -151,10 +151,10 @@ def postprocess_solution(caches, skeleton, lam, rho):
     u = sum_i sign_i lambda_i T(mu_i) + That(f) + rigid part."""
     fields = {}
     for j, cache in enumerate(sorted(caches, key=lambda c: c.element_id)):
-        coef = np.append(cache.dof_signs * lam[cache.trace_dofs], 1.0)
-        u = cache.Uu @ coef
+        coef = cache.dof_signs * lam[cache.trace_dofs]
         rm_nodal = cache.rigid_modes.nodal_coefficients(cache.dofh.dof_coords)
-        u = u + rm_nodal @ rho[j]
-        p = cache.Up @ coef if cache.Up is not None else None
+        u = cache.trace_u @ coef + cache.load_u + rm_nodal @ rho[j]
+        p = (cache.trace_p @ coef + cache.load_p
+             if cache.trace_p is not None else None)
         fields[cache.element_id] = ElementFields(cache, u, p)
     return MHMSolution(skeleton, lam, rho, fields)

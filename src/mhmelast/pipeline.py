@@ -6,7 +6,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .local_solver import MaterialField, build_local_cache
+from .local_solver import MaterialField, build_class_caches, congruence_classes
 from .mesh import (build_matching_local_mesh, build_structured_triangulation,
                    check_refinement_conditions, refine_skeleton)
 from .mhm_global import assemble_global_saddle, postprocess_solution, solve_global
@@ -88,18 +88,21 @@ def solve_mhm(config, problem, g=None):
             f"(set override_wellposedness to force): {bad}")
 
     material = MaterialField(config.G, config.nu)
+    classes = congruence_classes(part, local_meshes, skeleton, material)
 
-    def one_element(lm):
-        return build_local_cache(part, lm, skeleton, material, config.k,
-                                 kind=config.kind, theta=config.theta,
-                                 f=problem.f, g=g)
+    def one_class(members):
+        return build_class_caches(part, members, skeleton, material, config.k,
+                                  kind=config.kind, theta=config.theta,
+                                  f=problem.f, g=g)
 
     threads = config.threads or default_threads()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            caches = list(pool.map(one_element, local_meshes))
+            per_class = list(pool.map(one_class, classes))
     else:
-        caches = [one_element(lm) for lm in local_meshes]
+        per_class = [one_class(members) for members in classes]
+    caches = sorted((c for cs in per_class for c in cs),
+                    key=lambda c: c.element_id)
 
     system = assemble_global_saddle(caches, skeleton, u_dirichlet=problem.u)
     lam, rho = solve_global(system)

@@ -9,6 +9,7 @@ import pytest
 from mhmelast import (build_matching_local_mesh, build_structured_triangulation,
                       check_refinement_conditions, quad_rule, read_partition,
                       refine_skeleton, unit_square_mesh, write_partition)
+from mhmelast import mesh as mesh_module
 from mhmelast.mesh import TriMesh, partition_from_string, partition_to_string
 
 
@@ -195,6 +196,24 @@ def test_local_mesh_rejects_negative_depth():
         build_matching_local_mesh(part, 0, sk, -1)
 
 
+def test_local_mesh_rejects_interior_edge_on_boundary_chain(monkeypatch):
+    # a lattice whose first boundary chain cuts through the interior must be
+    # refused with a ValueError naming the element and the edge
+    lattice = mesh_module._lattice_triangulation
+
+    def broken(corners, depth):
+        mesh, idx, chains = lattice(corners, depth)
+        chains[0] = [idx[(0, 1)], idx[(1, 0)], idx[(2, 0)]]
+        return mesh, idx, chains
+
+    monkeypatch.setattr(mesh_module, "_lattice_triangulation", broken)
+    part = build_structured_triangulation(1)
+    sk = refine_skeleton(part, 0, 1)
+    with pytest.raises(ValueError, match="element 0: fine edge 0 of local "
+                                         "edge 0"):
+        build_matching_local_mesh(part, 0, sk, 1)
+
+
 # ---------------------------------------------------------------------------
 # Refinement conditions
 # ---------------------------------------------------------------------------
@@ -237,6 +256,15 @@ def test_refinement_conditions_higher_degree():
     assert rep.ok
     status, reason = rep.element_status[0]
     assert status and reason.startswith("case 1")
+
+
+def test_refinement_conditions_report_k_below_ell():
+    sk, lms = _meshes(1, 0, 2, 3)
+    rep = check_refinement_conditions(1, 2, lms, sk)
+    assert not rep.ok
+    status, reason = rep.element_status[0]
+    assert not status
+    assert reason == "both cases require k >= ell, found k=1 < ell=2"
 
 
 def test_refinement_conditions_monotone_in_depth():

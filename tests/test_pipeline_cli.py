@@ -123,6 +123,18 @@ def test_convergence_command_writes_artifacts(tmp_path):
     assert summary["levels"] == [0, 1]
 
 
+def test_convergence_command_without_order_bands(tmp_path):
+    # no reference orders exist above k = 3: the study runs and says so
+    out = tmp_path / "conv"
+    rc = main(["convergence", "--k", "4", "--levels", "0:1", "--out",
+               str(out)])
+    assert rc == 0
+    summary = json.loads((out / "summary_mhm-gals_k4.json").read_text())
+    assert summary["order_bands"] is None
+    assert summary["bands_note"] == "no order bands exist for k=4"
+    assert len(summary["orders_last_step"]) == 4
+
+
 def test_diagnose_command(tmp_path, capsys):
     rc = main(["diagnose", "--n", "2", "--nu", "0.3", "--out",
                str(tmp_path)])
