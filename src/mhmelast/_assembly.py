@@ -34,9 +34,22 @@ class Geometry:
         return self.origin[:, None, :] + np.einsum(
             "tij,qj->tqi", self.j, np.asarray(ref_pts))
 
+    def push_gradients(self, ref_grads):
+        """Physical gradients of shape functions, from reference gradients
+        (nq, nb, 2) to every triangle: (nt, nq, nb, 2)."""
+        return np.einsum("tji,qbi->tqbj", self.jinv_t, ref_grads)
+
     def reference_coords(self, t, x):
         """Pull physical points back to the reference triangle of triangle t."""
         return (np.asarray(x) - self.origin[t]) @ self.jinv[t].T
+
+
+def vector_dofs(scalar_dofs):
+    """Interleaved vector dofs of scalar dofs along the last axis: component
+    c of scalar dof s is vector dof 2*s + c, so an (..., n, 2) array of
+    components is the interleaved (..., 2n) array."""
+    s = np.asarray(scalar_dofs)
+    return (2 * s[..., None] + np.arange(2)).reshape(s.shape[:-1] + (-1,))
 
 
 class DofHandler:
@@ -44,50 +57,32 @@ class DofHandler:
 
     Layout: vertex dofs, then (k-1) dofs per mesh edge (ordered from the
     lower- to the higher-indexed vertex), then interior dofs per triangle.
-    Vector fields use interleaved components: dof 2*s + c.
+    Vector fields use interleaved components (see `vector_dofs`).
     """
 
     def __init__(self, mesh, ref):
         self.mesh = mesh
         self.ref = ref
-        k = ref.degree
-        nv = mesh.n_vertices
-        edge_ids = {}
-        edge_tris = {}
-        for t, tri in enumerate(mesh.triangles):
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                if key not in edge_ids:
-                    edge_ids[key] = len(edge_ids)
-                edge_tris.setdefault(key, []).append(t)
-        self.edge_ids = edge_ids
-        self.edge_tris = edge_tris
-        ne = len(edge_ids)
-        npe = k - 1
-        nint = ref.n_interior_nodes
-        self.n_dofs = nv + ne * npe + mesh.n_triangles * nint
+        tri = mesh.triangles
+        nv, nt = mesh.n_vertices, mesh.n_triangles
+        npe, nint = ref.n_edge_nodes, ref.n_interior_nodes
+        edges = mesh.edge_table
+        ne = len(edges.counts)
+        self.n_dofs = nv + ne * npe + nt * nint
 
-        loc2glob = np.empty((mesh.n_triangles, ref.n_basis), dtype=int)
-        for t, tri in enumerate(mesh.triangles):
-            loc2glob[t, 0:3] = tri
-            for le, (a, b) in enumerate(((tri[0], tri[1]), (tri[1], tri[2]),
-                                         (tri[2], tri[0]))):
-                eid = edge_ids[(min(a, b), max(a, b))]
-                base = nv + eid * npe
-                sl = slice(3 + le * npe, 3 + (le + 1) * npe)
-                if a < b:
-                    loc2glob[t, sl] = np.arange(base, base + npe)
-                else:
-                    loc2glob[t, sl] = np.arange(base + npe - 1, base - 1, -1)
-            ibase = nv + ne * npe + t * nint
-            loc2glob[t, 3 + 3 * npe:] = np.arange(ibase, ibase + nint)
-        self.loc2glob = loc2glob
+        # local edge le runs tri[le] -> tri[le + 1]; against the edge's
+        # orientation its dofs are taken in reverse
+        step = np.arange(npe)
+        forward = tri < np.roll(tri, -1, axis=1)
+        edge_dofs = nv + edges.ids[..., None] * npe + np.where(
+            forward[..., None], step, npe - 1 - step)
+        interior = nv + ne * npe + np.arange(nt * nint).reshape(nt, nint)
+        self.loc2glob = np.concatenate(
+            [tri, edge_dofs.reshape(nt, 3 * npe), interior], axis=1)
 
-        geo = Geometry(mesh)
+        phys = Geometry(mesh).physical_points(ref.nodes)
         coords = np.empty((self.n_dofs, 2))
-        phys = geo.physical_points(ref.nodes)
-        for t in range(mesh.n_triangles):
-            coords[loc2glob[t]] = phys[t]
+        coords[self.loc2glob.ravel()] = phys.reshape(-1, 2)
         self.dof_coords = coords
 
     def translated(self, mesh, shift):
@@ -100,25 +95,39 @@ class DofHandler:
 
     def vector_loc2glob(self):
         """Interleaved vector dof map of shape (nt, 2 * n_basis)."""
-        nb = self.ref.n_basis
-        out = np.empty((self.mesh.n_triangles, 2 * nb), dtype=int)
-        out[:, 0::2] = 2 * self.loc2glob
-        out[:, 1::2] = 2 * self.loc2glob + 1
-        return out
+        return vector_dofs(self.loc2glob)
 
     def boundary_scalar_dofs(self):
         """Scalar dofs lying on edges adjacent to a single triangle."""
-        k = self.ref.degree
-        nv = self.mesh.n_vertices
-        npe = k - 1
-        out = set()
-        for key, tris in self.edge_tris.items():
-            if len(tris) != 1:
-                continue
-            out.update(key)
-            eid = self.edge_ids[key]
-            out.update(range(nv + eid * npe, nv + (eid + 1) * npe))
-        return np.array(sorted(out), dtype=int)
+        edges = self.mesh.edge_table
+        npe = self.ref.n_edge_nodes
+        bnd = np.flatnonzero(edges.counts == 1)
+        inner = self.mesh.n_vertices + bnd[:, None] * npe + np.arange(npe)
+        return np.unique(np.concatenate([edges.vertices[bnd].ravel(),
+                                         inner.ravel()]))
+
+
+class RigidModes:
+    """The three rigid-body displacement fields on an element: two
+    translations and the infinitesimal rotation about the centroid."""
+
+    def __init__(self, centroid):
+        self.centroid = np.asarray(centroid, dtype=float)
+
+    def evaluate(self, x):
+        """Values of the 3 modes at points (..., 2): shape (3, ..., 2)."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros((3,) + x.shape)
+        out[0, ..., 0] = 1.0
+        out[1, ..., 1] = 1.0
+        out[2, ..., 0] = -(x[..., 1] - self.centroid[1])
+        out[2, ..., 1] = x[..., 0] - self.centroid[0]
+        return out
+
+    def nodal_coefficients(self, dof_coords):
+        """Vector-dof coefficient columns of the modes (2*nsd, 3); exact
+        since the modes are affine."""
+        return np.moveaxis(self.evaluate(dof_coords), 0, -1).reshape(-1, 3)
 
 
 class Tabulation:
@@ -131,7 +140,7 @@ class Tabulation:
         self.geo = Geometry(mesh)
         vals, grads, hess = ref.tabulate(self.rule.points)
         self.vals = vals                                    # (nq, nb)
-        self.grads = np.einsum("tji,qbi->tqbj", self.geo.jinv_t, grads)
+        self.grads = self.geo.push_gradients(grads)
         hs = np.einsum("tji,qbim,tml->tqbjl", self.geo.jinv_t, hess,
                        self.geo.jinv, optimize=True)
         self.hess = hs
@@ -144,37 +153,29 @@ def strain_product_blocks(tab, factor):
     """(nt, 2nb, 2nb) blocks of int factor * eps(phi_I) : eps(phi_J)."""
     g = tab.grads
     w = tab.wdet * factor
-    nb = tab.ref.n_basis
+    nt, _, nb, _ = g.shape
     gg = np.einsum("tq,tqbi,tqci->tbc", w, g, g)
     gcross = np.einsum("tq,tqbi,tqcj->tbicj", w, g, g)
-    E = np.empty((g.shape[0], 2 * nb, 2 * nb))
-    for c in range(2):
-        for d in range(2):
-            blk = 0.5 * gcross[:, :, d, :, c]
-            if c == d:
-                blk = blk + 0.5 * gg
-            E[:, c::2, d::2] = blk
-    return E
+    # block (b, c; b', d) = 0.5 (gcross[b, d, b', c] + delta_cd gg[b, b'])
+    E = 0.5 * (np.swapaxes(gcross, 2, 4)
+               + gg[:, :, None, :, None] * np.eye(2)[:, None, :])
+    return E.reshape(nt, 2 * nb, 2 * nb)
 
 
 def divergence_rows(tab):
     """div of vector basis functions: (nt, nq, 2nb)."""
     nt, nq, nb, _ = tab.grads.shape
-    d = np.empty((nt, nq, 2 * nb))
-    d[:, :, 0::2] = tab.grads[..., 0]
-    d[:, :, 1::2] = tab.grads[..., 1]
-    return d
+    return tab.grads.reshape(nt, nq, 2 * nb)
 
 
 def stress_divergence_rows(tab, twoG):
     """div(2G eps(phi_I)) for vector basis functions, with G treated as
     constant per triangle at quadrature points: (nt, nq, 2nb, 2)."""
     nt, nq, nb, _, _ = tab.hess.shape
-    D = np.empty((nt, nq, 2 * nb, 2))
-    for c in range(2):
-        D[:, :, c::2, :] = 0.5 * tab.hess[..., c]
-        D[:, :, c::2, c] += 0.5 * tab.lap
-    return D * twoG[..., None, None]
+    # component i of div eps(N_b e_c) is 0.5 (H_b[i, c] + delta_ic lap_b)
+    D = 0.5 * (np.swapaxes(tab.hess, -1, -2)
+               + tab.lap[..., None, None] * np.eye(2))
+    return D.reshape(nt, nq, 2 * nb, 2) * twoG[..., None, None]
 
 
 def gals_element_matrices(tab, Gq, epsq, alpha):
@@ -232,18 +233,30 @@ def load_vector(tab, fq, Dall=None, alpha=None):
     displacement load."""
     nb = tab.ref.n_basis
     w = tab.wdet
-    Fu = np.einsum("tq,tqc,qb->tbc", w, fq, tab.vals)
     nt = w.shape[0]
-    Fu_il = np.empty((nt, 2 * nb))
-    Fu_il[:, 0::2] = Fu[..., 0]
-    Fu_il[:, 1::2] = Fu[..., 1]
+    Fu = np.einsum("tq,tqc,qb->tbc", w, fq, tab.vals).reshape(nt, 2 * nb)
     if Dall is None:
-        return Fu_il
+        return Fu
     F = np.zeros((nt, 3 * nb))
-    F[:, :2 * nb] = Fu_il
+    F[:, :2 * nb] = Fu
     ls_w = np.asarray(alpha) * tab.geo.diameters ** 2
     F += np.einsum("t,tq,tqi,tqai->ta", ls_w, w, fq, Dall)
     return F
+
+
+def field_values(vals, grads, loc2glob, u, p, eps):
+    """A discrete field at tabulated points: u_h (nt, nq, 2), grad u_h
+    (nt, nq, 2, 2) and p_h (nt, nq), from shape values (nq, nb), physical
+    gradients (nt, nq, nb, 2) and the interleaved coefficients `u`.  With
+    pressure coefficients `p` None, p_h is the implied -div u_h / eps."""
+    un = u.reshape(-1, 2)[loc2glob]                     # (nt, nb, 2)
+    uh = np.einsum("qb,tbc->tqc", vals, un)
+    guh = np.einsum("tqbj,tbc->tqcj", grads, un)
+    if p is not None:
+        ph = np.einsum("qb,tb->tq", vals, p[loc2glob])
+    else:
+        ph = -(guh[..., 0, 0] + guh[..., 1, 1]) / eps
+    return uh, guh, ph
 
 
 def scatter(matrices, loc2glob, shape):

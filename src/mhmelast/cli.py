@@ -273,19 +273,11 @@ def cmd_export_fields(args):
         fld = sol.fields[eid]
         cache = fld.cache
         mesh = cache.local_mesh.mesh
-        ref = cache.dofh.ref
-        vals, rgrads, _ = ref.tabulate(corners)
+        vals, rgrads, _ = cache.dofh.ref.tabulate(corners)
         geo = asm.Geometry(mesh)
-        grads = np.einsum("tji,qbi->tqbj", geo.jinv_t, rgrads)
         pts = geo.physical_points(corners)
-        un = fld.u.reshape(-1, 2)[cache.dofh.loc2glob]       # (nt, nb, 2)
-        uh = np.einsum("qb,tbc->tqc", vals, un)
-        guh = np.einsum("tqbj,tbc->tqcj", grads, un)
-        div = guh[..., 0, 0] + guh[..., 1, 1]
-        if fld.p is not None:
-            ph = np.einsum("qb,tb->tq", vals, fld.p[cache.dofh.loc2glob])
-        else:
-            ph = -div / eps
+        uh, guh, ph = asm.field_values(vals, geo.push_gradients(rgrads),
+                                       cache.dofh.loc2glob, fld.u, fld.p, eps)
         sh = cfg.G * (guh + np.swapaxes(guh, -1, -2))
         sh[..., 0, 0] -= ph
         sh[..., 1, 1] -= ph

@@ -120,10 +120,6 @@ def reference_element(k):
     return ReferenceElement(k)
 
 
-def shape_eval(element, point):
-    return element.shape_eval(point)
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
@@ -194,60 +190,26 @@ def estimate_inverse_constant(k, sample_mesh, safety=0.9):
     the smallest generalized Rayleigh quotient of the two quadratic forms on
     the complement of the rigid-body modes (where both forms vanish).
     """
-    from ._assembly import DofHandler, Geometry
+    from . import _assembly as asm
 
     ref = reference_element(k)
-    dofh = DofHandler(sample_mesh, ref)
-    geo = Geometry(sample_mesh)
-    rule = quad_rule("triangle", max(0, 2 * k))
-    vals, grads, hess = ref.tabulate(rule.points)
-    g = np.einsum("tji,qbi->tqbj", geo.jinv_t, grads)
-    h = np.einsum("tji,qbim,tml->tqbjl", geo.jinv_t, hess, geo.jinv,
-                  optimize=True)
-    lap = h[..., 0, 0] + h[..., 1, 1]
-    w = rule.weights[None, :] * geo.detj[:, None]
-
-    nt = sample_mesh.n_triangles
-    nb = ref.n_basis
-    nd = 2 * dofh.n_dofs
-    h_tau = geo.diameters
+    dofh = asm.DofHandler(sample_mesh, ref)
+    tab = asm.Tabulation(sample_mesh, ref, max(0, 2 * k))
+    h_tau = tab.geo.diameters
     h_K = sample_mesh.h_max
+    nd = 2 * dofh.n_dofs
 
-    # strain inner product per triangle: eps(N_b e_c) : eps(N_b' e_c')
-    gg = np.einsum("tq,tqbi,tqci->tbc", w, g, g)
-    gcross = np.einsum("tq,tqbi,tqcj->tbicj", w, g, g)
-    E = np.zeros((nt, 2 * nb, 2 * nb))
-    for c in range(2):
-        for d in range(2):
-            blk = 0.5 * gcross[:, :, d, :, c]
-            if c == d:
-                blk = blk + 0.5 * gg
-            E[:, c::2, d::2] = blk
+    E = asm.strain_product_blocks(tab, 1.0)
+    D = asm.stress_divergence_rows(tab, np.ones(tab.wdet.shape))
+    DD = np.einsum("tq,tqai,tqbi->tab", tab.wdet, D, D)
+    l2g = dofh.vector_loc2glob()
+    M = asm.scatter(E, l2g, (nd, nd)).toarray()
+    Q = asm.scatter(h_tau[:, None, None] ** 2 * (E / h_K**2 + DD), l2g,
+                    (nd, nd)).toarray()
 
-    # div eps(N_b e_c) has components 0.5 * (H_b[i, c] + lap_b * delta_ic)
-    D = np.zeros((nt, rule.points.shape[0], 2 * nb, 2))
-    for c in range(2):
-        D[:, :, c::2, :] = 0.5 * h[..., c]
-        D[:, :, c::2, c] += 0.5 * lap
-    DD = np.einsum("tq,tqai,tqbi->tab", w, D, D)
-
-    M = np.zeros((nd, nd))
-    Q = np.zeros((nd, nd))
-    for t in range(nt):
-        idx = np.empty(2 * nb, dtype=int)
-        idx[0::2] = 2 * dofh.loc2glob[t]
-        idx[1::2] = 2 * dofh.loc2glob[t] + 1
-        M[np.ix_(idx, idx)] += E[t]
-        Q[np.ix_(idx, idx)] += h_tau[t] ** 2 * (E[t] / h_K**2 + DD[t])
-
-    # rigid modes in nodal coordinates
+    # both forms vanish on the rigid modes
     xy = dofh.dof_coords
-    xc, yc = xy.mean(axis=0)
-    R = np.zeros((nd, 3))
-    R[0::2, 0] = 1.0
-    R[1::2, 1] = 1.0
-    R[0::2, 2] = -(xy[:, 1] - yc)
-    R[1::2, 2] = xy[:, 0] - xc
+    R = asm.RigidModes(xy.mean(axis=0)).nodal_coefficients(xy)
     Z = null_space(R.T)
     Mz = Z.T @ M @ Z
     Qz = Z.T @ Q @ Z

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import _assembly as asm
+from ._assembly import RigidModes
 from .fem_core import inverse_constant, quad_rule, reference_element
 
 __all__ = [
@@ -108,35 +109,6 @@ def compute_alpha(material, sample_points, c_inverse, theta=0.5):
 def admissible_alpha_bound(material, sample_points, c_inverse):
     g0, gnorm = material.stats(sample_points)
     return g0 * c_inverse.value / (2 * gnorm**2)
-
-
-class RigidModes:
-    """The three rigid-body displacement fields on an element: two
-    translations and the infinitesimal rotation about the centroid."""
-
-    def __init__(self, centroid):
-        self.centroid = np.asarray(centroid, dtype=float)
-
-    def evaluate(self, x):
-        """Values of the 3 modes at points (..., 2): shape (3, ..., 2)."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((3,) + x.shape)
-        out[0, ..., 0] = 1.0
-        out[1, ..., 1] = 1.0
-        out[2, ..., 0] = -(x[..., 1] - self.centroid[1])
-        out[2, ..., 1] = x[..., 0] - self.centroid[0]
-        return out
-
-    def nodal_coefficients(self, dof_coords):
-        """Vector-dof coefficient columns of the modes (2*nsd, 3); exact
-        since the modes are affine."""
-        vals = self.evaluate(dof_coords)      # (3, nsd, 2)
-        n = dof_coords.shape[0]
-        out = np.empty((2 * n, 3))
-        for m in range(3):
-            out[0::2, m] = vals[m, :, 0]
-            out[1::2, m] = vals[m, :, 1]
-        return out
 
 
 @dataclass
@@ -274,13 +246,6 @@ def _trace_values(skeleton, seg, pts):
     return skeleton.basis_values(seg, s_loc)     # (dps, nq, 2)
 
 
-def _vec_l2g(dofh, triangle, nb):
-    out = np.empty(2 * nb, dtype=int)
-    out[0::2] = 2 * dofh.loc2glob[triangle]
-    out[1::2] = 2 * dofh.loc2glob[triangle] + 1
-    return out
-
-
 def _boundary_blocks(partition, local_mesh, skeleton, dofh, geo, ref, rm):
     """Boundary pairings of one element: trace-vs-displacement matrix R,
     trace-vs-rigid-mode block, and the quadrature data of the fine Neumann
@@ -288,42 +253,33 @@ def _boundary_blocks(partition, local_mesh, skeleton, dofh, geo, ref, rm):
     seg_ids, _, _ = _element_boundary_setup(partition, local_mesh, skeleton)
     dps = skeleton.dofs_per_segment
     seg_pos = {sid: i for i, sid in enumerate(seg_ids)}
-    nb = ref.n_basis
+    vl2g = dofh.vector_loc2glob()
     R = np.zeros((len(seg_ids) * dps, 2 * dofh.n_dofs))
     Grm = np.zeros((len(seg_ids) * dps, 3))
     neumann_edges = []
     edges = _edge_quad_data(local_mesh, geo, ref,
                             ref.degree + skeleton.degree + 1)
     for be, pts, w, vals in edges:
-        vl2g = _vec_l2g(dofh, be.triangle, nb)
+        dofs = vl2g[be.triangle]
         if be.segment >= 0:
             seg = skeleton.segments[be.segment]
             mu = _trace_values(skeleton, seg, pts)
-            base = seg_pos[be.segment] * dps
-            contrib = np.einsum("q,iqc,qb->ibc", w, mu, vals)
-            block = np.empty((dps, 2 * nb))
-            block[:, 0::2] = contrib[..., 0]
-            block[:, 1::2] = contrib[..., 1]
-            for i in range(dps):
-                np.add.at(R[base + i], vl2g, block[i])
-            Grm[base:base + dps] += np.einsum("q,iqc,mqc->im", w, mu,
-                                              rm.evaluate(pts))
+            rows = slice(seg_pos[be.segment] * dps,
+                         (seg_pos[be.segment] + 1) * dps)
+            R[rows, dofs] += np.einsum("q,iqc,qb->ibc", w, mu,
+                                       vals).reshape(dps, -1)
+            Grm[rows] += np.einsum("q,iqc,mqc->im", w, mu, rm.evaluate(pts))
         if be.on_neumann:
-            neumann_edges.append((pts, w, vals, vl2g))
+            neumann_edges.append((pts, w, vals, dofs))
     return R, Grm, neumann_edges
 
 
 def _constraint_rows(dofh, tab, rm):
     """Rows enforcing L2-orthogonality to the rigid modes: (3, 2*nsd)."""
-    rmq = rm.evaluate(tab.points)
-    Cel = np.einsum("tq,qb,mtqc->tmbc", tab.wdet, tab.vals, rmq)
-    nu = 2 * dofh.n_dofs
-    C = np.zeros((3, nu))
-    for m in range(3):
-        for c in range(2):
-            np.add.at(C[m], 2 * dofh.loc2glob.ravel() + c,
-                      Cel[:, m, :, c].ravel())
-    return C
+    l2g = dofh.vector_loc2glob()
+    return np.stack([asm.scatter_vector(asm.load_vector(tab, mode), l2g,
+                                        2 * dofh.n_dofs)
+                     for mode in rm.evaluate(tab.points)])
 
 
 def _local_operator(partition, local_mesh, skeleton, material, k, kind,
@@ -350,18 +306,17 @@ def _local_operator(partition, local_mesh, skeleton, material, k, kind,
         A_el, Dall = asm.galerkin_element_matrices(tab, Gq, epsq), None
         l2g = dofh.vector_loc2glob()
         nfield = nu
-    ntot = nfield + 3
-    A = asm.scatter(A_el, l2g, (ntot, ntot)).tolil()
+    K = asm.scatter(A_el, l2g, (nfield, nfield))
 
     centroid = _centroid(partition, local_mesh.element_id)
     rm = RigidModes(centroid)
-    C = _constraint_rows(dofh, tab, rm)
-    A[nfield:, :nu] = C
-    A[:nu, nfield:] = C.T
+    C = np.zeros((3, nfield))
+    C[:, :nu] = _constraint_rows(dofh, tab, rm)
+    A = sp.bmat([[K, C.T], [C, None]], format="csc")
 
     R, Grm, neumann_edges = _boundary_blocks(partition, local_mesh, skeleton,
                                              dofh, tab.geo, ref, rm)
-    return LocalOperator(kind, k, material, A.tocsc(), dofh, tab, alpha, l2g,
+    return LocalOperator(kind, k, material, A, dofh, tab, alpha, l2g,
                          Dall, R, Grm, neumann_edges, centroid)
 
 
@@ -395,18 +350,13 @@ def element_load(op, partition, local_mesh, f=None, g=None):
     centroid = _centroid(partition, local_mesh.element_id)
     shift = centroid - op.centroid
     rm = RigidModes(centroid)
-    nu = op.n_u
     rhs = np.zeros(op.matrix.shape[0])
     d_rm = np.zeros(3)
     if g is not None:
         for pts, w, vals, vl2g in op.neumann_edges:
             x = pts + shift
             gq = np.asarray(g(x), dtype=float)
-            contrib = np.einsum("q,qc,qb->bc", w, gq, vals)
-            vec = np.empty(vl2g.size)
-            vec[0::2] = contrib[:, 0]
-            vec[1::2] = contrib[:, 1]
-            np.add.at(rhs[:nu], vl2g, vec)
+            rhs[vl2g] += np.einsum("q,qc,qb->bc", w, gq, vals).ravel()
             d_rm += np.einsum("q,qc,mqc->m", w, gq, rm.evaluate(x))
     if f is not None:
         x = op.tab.points + shift

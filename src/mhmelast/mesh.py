@@ -9,6 +9,7 @@ red-refined local mesh that matches the skeleton segments.
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,14 @@ __all__ = [
     "write_partition",
     "read_partition",
 ]
+
+
+@dataclass(frozen=True)
+class EdgeTable:
+    """Edges of a TriMesh."""
+    ids: np.ndarray            # (nt, 3) edge id of each local edge
+    vertices: np.ndarray       # (ne, 2) sorted vertex pair of each edge
+    counts: np.ndarray         # (ne,) number of triangles on each edge
 
 
 class TriMesh:
@@ -66,14 +75,19 @@ class TriMesh:
     def h_max(self):
         return float(self.diameters.max())
 
-    def edges(self):
-        """Dict mapping sorted vertex pair -> list of adjacent triangle ids."""
-        adj = {}
-        for t, tri in enumerate(self.triangles):
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                adj.setdefault(key, []).append(t)
-        return adj
+    @cached_property
+    def edge_table(self):
+        """The mesh edges, numbered by first appearance over the triangles'
+        local edges (v0, v1), (v1, v2), (v2, v0)."""
+        local = self.triangles[:, [[0, 1], [1, 2], [2, 0]]]
+        pairs, first, inverse, counts = np.unique(
+            np.sort(local.reshape(-1, 2), axis=1), axis=0,
+            return_index=True, return_inverse=True, return_counts=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return EdgeTable(rank[inverse].reshape(-1, 3), pairs[order],
+                         counts[order])
 
 
 @dataclass
@@ -370,24 +384,27 @@ def build_matching_local_mesh(partition, element_id, skeleton, depth):
 
     mesh, _, chains = _lattice_triangulation(corners, need)
     N = 2 ** need
-    edge_adj = mesh.edges()
+    edges = mesh.edge_table
+    t_bnd, le_bnd = np.nonzero(edges.counts[edges.ids] == 1)
+    boundary_tri = dict(zip(
+        map(tuple, edges.vertices[edges.ids[t_bnd, le_bnd]].tolist()),
+        t_bnd.tolist()))
 
     boundary_edges = []
     for le, fid in enumerate(fids):
         face = partition.faces[fid]
-        a, b = e[le], e[(le + 1) % 3]
-        reversed_face = face.v0 != a  # local edge runs v1 -> v0 of the face
+        # the local edge runs v1 -> v0 of the face
+        reversed_face = face.v0 != e[le]
         segs = skeleton.face_segments[fid]
         on_neumann = face.tag == "neumann"
         chain = chains[le]
-        per_seg = N // len(segs) if segs else 0
         for i in range(N):
             v0, v1 = chain[i], chain[i + 1]
-            tri = edge_adj[(min(v0, v1), max(v0, v1))]
-            if len(tri) != 1:
+            tri = boundary_tri.get((min(v0, v1), max(v0, v1)))
+            if tri is None:
                 raise ValueError(
                     f"element {element_id}: fine edge {i} of local edge {le} "
-                    f"lies on {len(tri)} fine triangles, not on the boundary")
+                    f"is not a boundary edge of the fine mesh")
             t0, t1 = i / N, (i + 1) / N
             if reversed_face:
                 fs0, fs1 = 1 - t1, 1 - t0
@@ -400,7 +417,7 @@ def build_matching_local_mesh(partition, element_id, skeleton, depth):
                 seg = skeleton.segments[seg_id]
                 if fs0 < seg.s0 - GEOM_TOL or fs1 > seg.s1 + GEOM_TOL:
                     raise ValueError("fine boundary edge not contained in one segment")
-            boundary_edges.append(BoundaryEdge(v0, v1, tri[0], le, seg_id,
+            boundary_edges.append(BoundaryEdge(v0, v1, tri, le, seg_id,
                                                fs0, fs1, on_neumann))
     return LocalMesh(element_id, mesh, need, boundary_edges)
 
@@ -494,30 +511,47 @@ def read_partition(stream_or_path):
     own = isinstance(stream_or_path, (str, bytes))
     f = open(stream_or_path) if own else stream_or_path
     try:
-        tokens = [ln.split() for ln in f if ln.strip() and not ln.startswith("#")]
+        lines = [(no, ln.split()) for no, ln in enumerate(f, 1)
+                 if ln.strip() and not ln.startswith("#")]
     finally:
         if own:
             f.close()
-    it = iter(tokens)
-    head = next(it)
-    if head[0] != "vertices":
-        raise ValueError("malformed partition file")
-    nv = int(head[1])
-    verts = []
-    for _ in range(nv):
-        x, y = next(it)
-        verts.append((float(x), float(y)))
-    head = next(it)
-    ne = int(head[1])
-    elements = []
-    for _ in range(ne):
-        elements.append(tuple(int(v) for v in next(it)))
-    head = next(it)
-    nb = int(head[1])
-    tags = {}
-    for _ in range(nb):
-        a, b, tag = next(it)
-        tags[(min(int(a), int(b)), max(int(a), int(b)))] = tag
+    it = iter(lines)
+    last = lines[-1][0] if lines else 0
+
+    def section(name, types):
+        """The rows of section `name`, each parsed with `types`."""
+        no, head = next(it, (None, None))
+        if head is None:
+            raise ValueError(f"partition file ends at line {last}, before "
+                             f"the {name!r} section")
+        if len(head) != 2 or head[0] != name or not head[1].isdigit():
+            raise ValueError(f"line {no}: expected '{name} <count>', found "
+                             f"{' '.join(head)!r}")
+        rows = []
+        for _ in range(int(head[1])):
+            no, row = next(it, (None, None))
+            if row is None:
+                raise ValueError(f"partition file ends at line {last}, after "
+                                 f"{len(rows)} of {head[1]} rows of the "
+                                 f"{name!r} section")
+            try:
+                rows.append(tuple(t(v) for t, v in
+                                  zip(types, row, strict=True)))
+            except ValueError:
+                raise ValueError(f"line {no}: expected {len(types)} values in "
+                                 f"the {name!r} section, found "
+                                 f"{' '.join(row)!r}") from None
+        return rows
+
+    verts = section("vertices", (float, float))
+    elements = section("elements", (int, int, int))
+    tags = {(min(a, b), max(a, b)): tag
+            for a, b, tag in section("boundary_faces", (int, int, str))}
+    extra = next(it, None)
+    if extra is not None:
+        raise ValueError(f"line {extra[0]}: unexpected content after the "
+                         f"'boundary_faces' section")
     verts = np.array(verts)
 
     def boundary_tag(mid):

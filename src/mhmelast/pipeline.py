@@ -2,9 +2,10 @@
 parallel local solves, global solve, and reconstruction.
 """
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .local_solver import MaterialField, build_class_caches, congruence_classes
 from .mesh import (build_matching_local_mesh, build_structured_triangulation,
@@ -47,6 +48,16 @@ class MHMConfig:
     boundary_tag: object = None
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        if self.level < 0:
+            raise ValueError(f"level must be >= 0, got {self.level!r}")
+        if self.depth is not None and self.depth < 0:
+            raise ValueError(f"depth must be >= 0 or None, got {self.depth!r}")
+        if not 0 < self.theta < 1:
+            raise ValueError(f"theta must lie in (0, 1), got {self.theta!r}")
+        if not callable(self.G) and not self.G > 0:
+            raise ValueError(f"shear modulus must be positive, got {self.G!r}")
         if self.k < 1 or self.ell < 1:
             raise ValueError("polynomial degrees must be >= 1")
         if not 0 < self.nu < 0.5:
@@ -65,7 +76,6 @@ class RunData:
     system: object
     refinement: object
     config: MHMConfig
-    extras: dict = field(default_factory=dict)
 
 
 def solve_mhm(config, problem, g=None):

@@ -33,15 +33,11 @@ class SingleLevelSolution:
 def _dirichlet_values(dofh, u_dirichlet):
     """Constrained vector dofs and their interpolated values."""
     bdofs = dofh.boundary_scalar_dofs()
-    vdofs = np.empty(2 * len(bdofs), dtype=int)
-    vdofs[0::2] = 2 * bdofs
-    vdofs[1::2] = 2 * bdofs + 1
-    vals = np.zeros(2 * len(bdofs))
-    if u_dirichlet is not None:
-        ud = np.asarray(u_dirichlet(dofh.dof_coords[bdofs]), dtype=float)
-        vals[0::2] = ud[:, 0]
-        vals[1::2] = ud[:, 1]
-    return vdofs, vals
+    vdofs = asm.vector_dofs(bdofs)
+    if u_dirichlet is None:
+        return vdofs, np.zeros(vdofs.size)
+    ud = np.asarray(u_dirichlet(dofh.dof_coords[bdofs]), dtype=float)
+    return vdofs, ud.ravel()
 
 
 def _solve_constrained(K, F, fixed, fixed_vals):

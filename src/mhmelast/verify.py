@@ -169,18 +169,14 @@ class _Accumulator:
         ref = reference_element(degree)
         tab = asm.Tabulation(mesh, ref, 2 * degree + 4)
         l2g = dofh.loc2glob
-        un = ucoef.reshape(-1, 2)[l2g]                  # (nt, nb, 2)
-        uh = np.einsum("qb,tbc->tqc", tab.vals, un)
-        guh = np.einsum("tqbj,tbc->tqcj", tab.grads, un)
         eps = problem.epsilon
+        uh, guh, ph = asm.field_values(tab.vals, tab.grads, l2g, ucoef, pcoef,
+                                       eps)
         if pcoef is not None:
-            pn = pcoef[l2g]
-            ph = np.einsum("qb,tb->tq", tab.vals, pn)
-            gph = np.einsum("tqbj,tb->tqj", tab.grads, pn)
+            gph = np.einsum("tqbj,tb->tqj", tab.grads, pcoef[l2g])
         else:
-            # implied pressure -(1/eps) div u_h and its elementwise gradient
-            div = guh[..., 0, 0] + guh[..., 1, 1]
-            ph = -div / eps
+            # elementwise gradient of the implied pressure -(1/eps) div u_h
+            un = ucoef.reshape(-1, 2)[l2g]
             gph = -np.einsum("tqbcj,tbc->tqj", tab.hess, un) / eps
         w = tab.wdet
         pts = tab.points
@@ -276,14 +272,10 @@ def compressibility_residual(solution, material):
         k = cache.degree
         ref = reference_element(k)
         tab = asm.Tabulation(cache.local_mesh.mesh, ref, 2 * k + 2)
-        un = f.u.reshape(-1, 2)[cache.dofh.loc2glob]
-        guh = np.einsum("tqbj,tbc->tqcj", tab.grads, un)
-        div = guh[..., 0, 0] + guh[..., 1, 1]
         epsq = material.eps_at(tab.points)
-        if f.p is not None:
-            ph = np.einsum("qb,tb->tq", tab.vals, f.p[cache.dofh.loc2glob])
-        else:
-            ph = -div / epsq
+        _, guh, ph = asm.field_values(tab.vals, tab.grads, cache.dofh.loc2glob,
+                                      f.u, f.p, epsq)
+        div = guh[..., 0, 0] + guh[..., 1, 1]
         out[eid] = float(np.einsum("tq,tq->", tab.wdet, div + epsq * ph))
     return out
 

@@ -322,3 +322,26 @@ def test_partition_string_roundtrip():
 def test_read_partition_rejects_garbage():
     with pytest.raises(ValueError):
         read_partition(io.StringIO("nonsense 3\n"))
+
+
+PARTITION_TEXT = partition_to_string(build_structured_triangulation(1))
+FACES_AT = PARTITION_TEXT.index("boundary_faces")
+
+
+@pytest.mark.parametrize("text, match", [
+    ("vertices 3\n0 0\n1 0\n",
+     r"ends at line 3, after 2 of 3 rows of the 'vertices' section"),
+    ("vertices 1\n0 0\n", r"ends at line 2, before the 'elements' section"),
+    ("vertices 2\n0 0\n1\n", r"line 3: expected 2 values in the 'vertices'"),
+    ("vertices 1\n0 0\nelement 0\n", r"line 3: expected 'elements <count>'"),
+    (PARTITION_TEXT[:FACES_AT], r"before the 'boundary_faces' section"),
+    (PARTITION_TEXT.replace("boundary_faces", "boundary_face"),
+     r"line \d+: expected 'boundary_faces <count>'"),
+    (PARTITION_TEXT.replace(" dirichlet\n", "\n", 1),
+     r"line \d+: expected 3 values in the 'boundary_faces' section"),
+    (PARTITION_TEXT + "vertices 0\n",
+     r"line \d+: unexpected content after the 'boundary_faces' section"),
+])
+def test_read_partition_names_section_and_line(text, match):
+    with pytest.raises(ValueError, match=match):
+        partition_from_string(text)

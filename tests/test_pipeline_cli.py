@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from mhmelast import LinearProblem, MHMConfig, default_depth, solve_mhm
+from mhmelast import (BrennerProblem, LinearProblem, MHMConfig, default_depth,
+                      solve_mhm)
 from mhmelast.cli import (_apply_config_file, _parse_levels, _read_config_file,
                           main)
 
@@ -35,6 +36,11 @@ def test_config_validation():
         MHMConfig(nu=0.5)
     with pytest.raises(ValueError):
         MHMConfig(kind="mystery")
+    for bad in ({"n": 2.5}, {"n": 0}, {"level": -1}, {"depth": -1},
+                {"theta": 0.0}, {"theta": 1.0}, {"G": 0.0}, {"G": -1.0}):
+        with pytest.raises(ValueError):
+            MHMConfig(**bad)
+    MHMConfig(n=np.int64(3), depth=None, G=lambda x: 1.0 + x[..., 0])
 
 
 def test_run_data_contents():
@@ -156,6 +162,31 @@ def test_export_fields_command(tmp_path):
     assert traction[0] == "segment,component,mode,coefficient"
     # one row per trace dof: 16 faces on the n=2 grid, 4 dofs each
     assert len(traction) == 1 + 4 * 16
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_export_fields_corner_values_are_vertex_coefficients(tmp_path, k):
+    # at a triangle corner every P_k basis function but the vertex's own
+    # vanishes, so the exported fields are the vertex dof coefficients
+    out = tmp_path / "fields"
+    rc = main(["export-fields", "--n", "2", "--nu", "0.3", "--k", str(k),
+               "--threads", "1", "--out", str(out)])
+    assert rc == 0
+    rows = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
+    cfg = MHMConfig(n=2, k=k, nu=0.3, threads=1)
+    sol, _ = solve_mhm(cfg, BrennerProblem(0.3))
+    expected = []
+    for eid in sorted(sol.fields):
+        fld = sol.fields[eid]
+        vertex_dofs = fld.cache.dofh.loc2glob[:, :3].ravel()
+        u = fld.u.reshape(-1, 2)[vertex_dofs]
+        expected.append(np.column_stack([
+            np.full(len(vertex_dofs), eid),
+            fld.cache.dofh.dof_coords[vertex_dofs], u, fld.p[vertex_dofs]]))
+    expected = np.concatenate(expected)
+    assert rows.shape[0] == expected.shape[0]
+    scale = np.abs(expected).max()
+    assert np.abs(rows[:, :6] - expected).max() < 1e-12 * scale
 
 
 def test_cli_requires_command():
