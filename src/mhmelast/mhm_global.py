@@ -6,6 +6,8 @@ modes, its solution, and the reconstruction of the element-wise fields.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import norm as sparse_norm, splu
 
 from .fem_core import quad_rule
 
@@ -25,28 +27,26 @@ class GlobalSolverError(RuntimeError):
 
 @dataclass
 class SaddleSystem:
-    """Dense symmetric saddle-point system
+    """Sparse symmetric saddle-point system
 
         [A  B] [lambda]   [c]
         [B' 0] [rho   ] = [d]
 
-    with A the trace/trace pairing, B the trace/rigid-mode pairing, and the
-    right-hand side built from the load solutions and the boundary data.
+    with A the trace/trace pairing and B the trace/rigid-mode pairing (both
+    CSR: each element couples only its own trace dofs and its three rigid
+    modes), and the right-hand side built from the load solutions and the
+    boundary data.
     """
-    A: np.ndarray
-    B: np.ndarray
+    A: sp.csr_matrix
+    B: sp.csr_matrix
     rhs_lambda: np.ndarray
     rhs_rm: np.ndarray
     n_lambda: int
     n_rm: int
 
     def full_matrix(self):
-        n, m = self.n_lambda, self.n_rm
-        M = np.zeros((n + m, n + m))
-        M[:n, :n] = self.A
-        M[:n, n:] = self.B
-        M[n:, :n] = self.B.T
-        return M
+        """The saddle matrix in CSC form, ready for `splu`."""
+        return sp.bmat([[self.A, self.B], [self.B.T, None]], format="csc")
 
     def full_rhs(self):
         return np.concatenate([self.rhs_lambda, self.rhs_rm])
@@ -77,43 +77,57 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
     The trace unknown is single-valued per skeleton segment; each element
     contributes through its orientation signs.  On Dirichlet faces the
     continuity equation is driven by the boundary displacement data.
+    The element blocks are gathered as COO triplets; duplicates sum when
+    each block matrix is built.
     """
     n_lambda = skeleton.n_dofs
     n_rm = 3 * len(caches)
-    A = np.zeros((n_lambda, n_lambda))
-    B = np.zeros((n_lambda, n_rm))
+    a_rows, a_cols, a_vals = [], [], []
+    b_rows, b_cols, b_vals = [], [], []
     c = np.zeros(n_lambda)
     d = np.zeros(n_rm)
     for j, cache in enumerate(sorted(caches, key=lambda c: c.element_id)):
         idx = cache.trace_dofs
         s = cache.dof_signs
-        A[np.ix_(idx, idx)] += s[:, None] * cache.pairing * s[None, :]
-        B[idx, 3 * j:3 * j + 3] += s[:, None] * cache.rm_pairing
+        rm = np.arange(3 * j, 3 * j + 3)
+        a_rows.append(np.repeat(idx, len(idx)))
+        a_cols.append(np.tile(idx, len(idx)))
+        a_vals.append((s[:, None] * cache.pairing * s[None, :]).ravel())
+        b_rows.append(np.repeat(idx, 3))
+        b_cols.append(np.tile(rm, len(idx)))
+        b_vals.append((s[:, None] * cache.rm_pairing).ravel())
         c[idx] -= s * cache.load_pairing
-        d[3 * j:3 * j + 3] = -cache.rm_load
+        d[rm] = -cache.rm_load
     if u_dirichlet is not None:
         deg = max(cache.degree for cache in caches)
         c += _dirichlet_data_vector(skeleton, u_dirichlet,
                                     deg + skeleton.degree + 2)
-    asym = np.abs(A - A.T).max()
-    scale = max(np.abs(A).max(), 1.0)
+    A = sp.csr_matrix((np.concatenate(a_vals),
+                       (np.concatenate(a_rows), np.concatenate(a_cols))),
+                      shape=(n_lambda, n_lambda))
+    B = sp.csr_matrix((np.concatenate(b_vals),
+                       (np.concatenate(b_rows), np.concatenate(b_cols))),
+                      shape=(n_lambda, n_rm))
+    asym = abs(A - A.T).max()
+    scale = max(abs(A).max(), 1.0)
     if asym > 1e-10 * scale:
         raise GlobalSolverError(f"pairing block not symmetric (|A-A'|={asym})")
     return SaddleSystem(0.5 * (A + A.T), B, c, d, n_lambda, n_rm)
 
 
 def solve_global(system, rtol=1e-10):
-    """Solve the dense saddle-point system and verify the residual."""
+    """Solve the saddle-point system with one sparse LU factorization
+    (SuperLU, default COLAMD ordering) and verify the residual."""
     M = system.full_matrix()
     b = system.full_rhs()
     try:
-        x = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
+        x = splu(M).solve(b)
+    except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
         raise GlobalSolverError(
             "singular global system; the local meshes may be too coarse for "
             "the trace space (see check_refinement_conditions)") from exc
     res = np.linalg.norm(M @ x - b)
-    ref = np.linalg.norm(b) + np.linalg.norm(M, ord=np.inf) * np.linalg.norm(x)
+    ref = np.linalg.norm(b) + sparse_norm(M, np.inf) * np.linalg.norm(x)
     if not np.isfinite(res) or res > rtol * max(ref, 1e-300):
         raise GlobalSolverError(
             f"global solve residual {res:.3e} exceeds tolerance; the system "

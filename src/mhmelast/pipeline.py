@@ -60,7 +60,7 @@ class MHMConfig:
             raise ValueError(f"shear modulus must be positive, got {self.G!r}")
         if self.k < 1 or self.ell < 1:
             raise ValueError("polynomial degrees must be >= 1")
-        if not 0 < self.nu < 0.5:
+        if not callable(self.nu) and not 0 < self.nu < 0.5:
             raise ValueError("Poisson ratio must lie in (0, 1/2)")
         if self.kind not in ("gals", "galerkin"):
             raise ValueError(f"unknown solver kind {self.kind!r}")

@@ -312,6 +312,9 @@ def _projected_min_eig(A, Z):
     return float(eigh(0.5 * (Az + Az.T), eigvals_only=True)[0])
 
 
+SPECTRAL_MAX_UNKNOWNS = 6000
+
+
 def spectral_diagnostics(system, skeleton=None, threshold=1e-12):
     """Eigenprobe of the saddle-point blocks: positivity of the trace
     pairing on the kernel of the rigid-mode coupling, and the smallest
@@ -323,10 +326,20 @@ def spectral_diagnostics(system, skeleton=None, threshold=1e-12):
     skeleton provided, the report also carries the smallest eigenvalue with
     that single direction projected out, which is the quantity that stays
     bounded away from zero for all Poisson ratios.
+
+    The probe works on dense copies of A and B, so it refuses systems with
+    more than SPECTRAL_MAX_UNKNOWNS = 6000 global unknowns (trace dofs plus
+    rigid modes) with a ValueError instead of exhausting memory.
     """
     A, B = system.A, system.B
-    if A.size == 0:
+    if A.shape[0] == 0:
         return SpectralReport(0.0, 0.0, 0.0, 0.0, True)
+    n = A.shape[0] + B.shape[1]
+    if n > SPECTRAL_MAX_UNKNOWNS:
+        raise ValueError(
+            f"spectral_diagnostics densifies the saddle system: {n} global "
+            f"unknowns exceed the limit of {SPECTRAL_MAX_UNKNOWNS}")
+    A, B = A.toarray(), B.toarray()
     norm_A = float(np.linalg.norm(A, 2))
     Z = null_space(B.T)
     lam_min = _projected_min_eig(A, Z)

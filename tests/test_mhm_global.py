@@ -2,24 +2,43 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mhmelast import (LinearProblem, MHMConfig, MaterialField,
-                      assemble_global_saddle, build_local_cache,
+from mhmelast import (BrennerProblem, LinearProblem, MHMConfig, MaterialField,
+                      SaddleSystem, assemble_global_saddle, build_local_cache,
                       build_matching_local_mesh, build_structured_triangulation,
                       compute_errors, postprocess_solution, refine_skeleton,
                       solve_global, solve_mhm, spectral_diagnostics)
-from mhmelast.mhm_global import GlobalSolverError
+from mhmelast.mhm_global import GlobalSolverError, _dirichlet_data_vector
 
 
-def _caches(n=2, level=0, ell=1, k=1, depth=2, nu=0.3, f=None):
-    part = build_structured_triangulation(n)
+def _caches(n=2, level=0, ell=1, k=1, depth=2, nu=0.3, f=None, g=None,
+            boundary_tag=None):
+    part = build_structured_triangulation(n, boundary_tag=boundary_tag)
     sk = refine_skeleton(part, level, ell)
     mat = MaterialField(1.0, nu)
     caches = []
     for eid in range(part.n_elements):
         lm = build_matching_local_mesh(part, eid, sk, depth)
-        caches.append(build_local_cache(part, lm, sk, mat, k, f=f))
+        caches.append(build_local_cache(part, lm, sk, mat, k, f=f, g=g))
     return part, sk, caches
+
+
+def _dense_saddle(caches, sk, u_dirichlet, exactness):
+    """Dense reference assembly of the saddle blocks and right-hand side."""
+    n_lambda, n_rm = sk.n_dofs, 3 * len(caches)
+    A = np.zeros((n_lambda, n_lambda))
+    B = np.zeros((n_lambda, n_rm))
+    c = np.zeros(n_lambda)
+    d = np.zeros(n_rm)
+    for j, cache in enumerate(sorted(caches, key=lambda c: c.element_id)):
+        idx, s = cache.trace_dofs, cache.dof_signs
+        A[np.ix_(idx, idx)] += s[:, None] * cache.pairing * s[None, :]
+        B[idx, 3 * j:3 * j + 3] += s[:, None] * cache.rm_pairing
+        c[idx] -= s * cache.load_pairing
+        d[3 * j:3 * j + 3] = -cache.rm_load
+    c += _dirichlet_data_vector(sk, u_dirichlet, exactness)
+    return 0.5 * (A + A.T), B, c, d
 
 
 def test_zero_data_gives_zero_solution():
@@ -39,11 +58,50 @@ def test_system_block_structure_and_symmetry():
     system = assemble_global_saddle(caches, sk)
     assert system.n_lambda == sk.n_dofs
     assert system.n_rm == 3 * part.n_elements
-    assert np.abs(system.A - system.A.T).max() == 0.0
-    M = system.full_matrix()
+    A = system.A.toarray()
+    assert np.abs(A - A.T).max() == 0.0
+    M = system.full_matrix().toarray()
     n = system.n_lambda
     assert np.abs(M[n:, n:]).max() == 0.0
-    assert np.allclose(M[:n, n:], system.B)
+    assert np.allclose(M[:n, n:], system.B.toarray())
+
+
+def test_sparse_assembly_matches_dense_oracle():
+    problem = BrennerProblem(0.3)
+
+    def tag(mid):
+        return "neumann" if mid[0] > 1 - 1e-12 else "dirichlet"
+
+    def traction(x):                   # sigma n on the face x = 1
+        return problem.sigma(x)[..., :, 0]
+
+    k = 2
+    part, sk, caches = _caches(level=1, k=k, f=problem.f, g=traction,
+                               boundary_tag=tag)
+    system = assemble_global_saddle(caches, sk, u_dirichlet=problem.u)
+    assert sp.issparse(system.A) and sp.issparse(system.B)
+    assert system.A.nnz <= sum(len(c.trace_dofs) ** 2 for c in caches)
+
+    A, B, c, d = _dense_saddle(caches, sk, problem.u, k + sk.degree + 2)
+    assert np.abs(c).max() > 0 and np.abs(d).max() > 0
+    for got, want in ((system.A.toarray(), A), (system.B.toarray(), B),
+                      (system.rhs_lambda, c), (system.rhs_rm, d)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    lam, rho = solve_global(system)
+    x = np.linalg.solve(system.full_matrix().toarray(), system.full_rhs())
+    got = np.concatenate([lam, rho.ravel()])
+    assert np.abs(got - x).max() <= 1e-10 * np.abs(x).max()
+
+
+def test_singular_system_raises_global_solver_error():
+    # the second rigid mode couples to no trace dof: an all-zero column of B
+    B = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+    system = SaddleSystem(sp.identity(3, format="csr"), B, np.ones(3),
+                          np.ones(2), 3, 2)
+    with pytest.raises(GlobalSolverError, match="singular global system"):
+        solve_global(system)
 
 
 def test_interior_segments_seen_with_opposite_signs():

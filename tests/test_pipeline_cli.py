@@ -37,10 +37,26 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MHMConfig(kind="mystery")
     for bad in ({"n": 2.5}, {"n": 0}, {"level": -1}, {"depth": -1},
-                {"theta": 0.0}, {"theta": 1.0}, {"G": 0.0}, {"G": -1.0}):
+                {"theta": 0.0}, {"theta": 1.0}, {"G": 0.0}, {"G": -1.0},
+                {"nu": 0.0}):
         with pytest.raises(ValueError):
             MHMConfig(**bad)
     MHMConfig(n=np.int64(3), depth=None, G=lambda x: 1.0 + x[..., 0])
+
+
+def test_callable_nu_runs():
+    problem = BrennerProblem(0.3)
+    runs = {}
+    for name, nu in (("number", 0.3),
+                     ("constant", lambda x: np.full(np.shape(x)[:-1], 0.3)),
+                     ("varying", lambda x: 0.3 + 0.1 * x[..., 0])):
+        cfg = MHMConfig(n=2, level=0, k=1, ell=1, nu=nu)
+        runs[name], _ = solve_mhm(cfg, problem)
+    assert np.all(np.isfinite(runs["varying"].lam))
+    assert np.abs(runs["varying"].lam - runs["number"].lam).max() > 1e-6
+    scale = np.abs(runs["number"].lam).max()
+    assert np.abs(runs["constant"].lam - runs["number"].lam).max() \
+        <= 1e-9 * scale
 
 
 def test_run_data_contents():

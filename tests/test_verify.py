@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mhmelast import (BrennerProblem, LinearProblem, MaterialField,
                       compute_errors, convergence_orders, exact_brenner,
@@ -9,7 +10,7 @@ from mhmelast import (BrennerProblem, LinearProblem, MaterialField,
 from mhmelast import _assembly as asm
 from mhmelast.fem_core import reference_element
 from mhmelast.singlelevel import SingleLevelSolution
-from mhmelast.verify import _hydrostatic_trace_vector
+from mhmelast.verify import SPECTRAL_MAX_UNKNOWNS, _hydrostatic_trace_vector
 
 
 def _interior_points(rng, n):
@@ -217,3 +218,14 @@ def test_spectral_diagnostics_empty_system():
                          np.zeros(0), 0, 0)
     rep = spectral_diagnostics(empty)
     assert rep.ok
+
+
+def test_spectral_diagnostics_refuses_large_system():
+    from mhmelast import SaddleSystem
+
+    n = SPECTRAL_MAX_UNKNOWNS
+    big = SaddleSystem(sp.csr_matrix((n, n)), sp.csr_matrix((n, 3)),
+                       np.zeros(n), np.zeros(3), n, 3)
+    with pytest.raises(ValueError, match=f"{n + 3} global unknowns exceed "
+                                         f"the limit of {n}"):
+        spectral_diagnostics(big)
