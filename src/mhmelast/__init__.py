@@ -2,9 +2,9 @@
 incompressible materials, with stabilized locking-free local solvers and a
 verification harness."""
 
-from .fem_core import (InverseConstant, QuadratureRule, ReferenceElement,
-                       estimate_inverse_constant, inverse_constant, quad_rule,
-                       reference_element)
+from .fem_core import (InverseConstant, MHMError, QuadratureRule,
+                       ReferenceElement, estimate_inverse_constant,
+                       inverse_constant, quad_rule, reference_element)
 from .local_solver import (LocalBasisCache, LocalOperator, MaterialField,
                            RigidModes, assemble_local_galerkin,
                            assemble_local_gals, build_class_caches,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BrennerProblem", "ErrorRecord", "GlobalPartition", "InverseConstant",
     "LinearProblem", "LocalBasisCache", "LocalMesh", "LocalOperator",
-    "MHMConfig",
+    "MHMConfig", "MHMError",
     "MHMSolution", "MaterialField", "QuadratureRule", "ReferenceElement",
     "RigidModes", "SaddleSystem", "SingleLevelSolution", "SkeletonMesh",
     "TriMesh", "assemble_global_saddle", "assemble_local_galerkin",

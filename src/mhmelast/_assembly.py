@@ -40,8 +40,9 @@ class Geometry:
         return np.einsum("tji,qbi->tqbj", self.jinv_t, ref_grads)
 
     def reference_coords(self, t, x):
-        """Pull physical points back to the reference triangle of triangle t."""
-        return (np.asarray(x) - self.origin[t]) @ self.jinv[t].T
+        """Pull physical points x (n, nq, 2) back to the reference triangles
+        of the triangles t (n,)."""
+        return (np.asarray(x) - self.origin[t][:, None]) @ self.jinv_t[t]
 
 
 def vector_dofs(scalar_dofs):

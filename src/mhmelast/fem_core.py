@@ -11,6 +11,7 @@ import numpy as np
 from scipy.linalg import eigh, null_space
 
 __all__ = [
+    "MHMError",
     "ReferenceElement",
     "QuadratureRule",
     "InverseConstant",
@@ -19,6 +20,10 @@ __all__ = [
     "estimate_inverse_constant",
     "inverse_constant",
 ]
+
+
+class MHMError(RuntimeError):
+    """Base class of the failures that stop a solve."""
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +223,10 @@ def estimate_inverse_constant(k, sample_mesh, safety=0.9):
     try:
         vals = eigh(Mz, Qz, eigvals_only=True)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError("singular mass form (degenerate mesh)") from exc
+        raise MHMError("singular mass form (degenerate mesh)") from exc
     c_i = float(vals[0])
     if c_i <= 0:
-        raise RuntimeError("non-positive inverse-constant estimate")
+        raise MHMError("non-positive inverse-constant estimate")
     return InverseConstant(k, c_i, safety * c_i)
 
 

@@ -18,7 +18,8 @@ from scipy.sparse.linalg import splu
 
 from . import _assembly as asm
 from ._assembly import RigidModes
-from .fem_core import inverse_constant, quad_rule, reference_element
+from .fem_core import (MHMError, inverse_constant, quad_rule,
+                       reference_element)
 
 __all__ = [
     "MaterialField",
@@ -42,7 +43,7 @@ __all__ = [
 CONGRUENCE_RTOL = 1e-10
 
 
-class LocalSolverError(RuntimeError):
+class LocalSolverError(MHMError):
     pass
 
 
@@ -176,7 +177,7 @@ class LocalOperator:
     Dall: np.ndarray                # least-squares rows; None for "galerkin"
     R: np.ndarray                   # (ntr, 2*nsd) trace/displacement pairing
     Grm: np.ndarray                 # (ntr, 3) trace/rigid-mode pairing
-    neumann_edges: list             # (points, weights, shape values, l2g)
+    neumann_edges: tuple            # Neumann rows of _boundary_blocks
     centroid: np.ndarray            # of the element it was assembled on
 
     @property
@@ -217,61 +218,43 @@ def _element_boundary_setup(partition, local_mesh, skeleton):
     return seg_ids, dof_signs, trace_dofs
 
 
-def _edge_quad_data(local_mesh, geo, ref, exactness):
-    """Per fine boundary edge: quad points, ds-weights and test shape
-    values on the adjacent triangle."""
-    rule = quad_rule("segment", exactness)
-    out = []
-    for be in local_mesh.boundary_edges:
-        x0 = local_mesh.mesh.vertices[be.v0]
-        x1 = local_mesh.mesh.vertices[be.v1]
-        length = np.linalg.norm(x1 - x0)
-        pts = x0[None, :] + rule.points[:, None] * (x1 - x0)[None, :]
-        w = rule.weights * length
-        refc = geo.reference_coords(be.triangle, pts)
-        vals, _, _ = ref.tabulate(refc)
-        out.append((be, pts, w, vals))
-    return out
-
-
-def _trace_values(skeleton, seg, pts):
-    """Trace basis values at physical points lying on a segment."""
-    part = skeleton.partition
-    face = part.faces[seg.face_id]
-    a = part.vertices[face.v0]
-    b = part.vertices[face.v1]
-    t = b - a
-    s_face = (pts - a) @ t / np.dot(t, t)
-    s_loc = (s_face - seg.s0) / (seg.s1 - seg.s0)
-    return skeleton.basis_values(seg, s_loc)     # (dps, nq, 2)
-
-
 def _boundary_blocks(partition, local_mesh, skeleton, dofh, geo, ref, rm):
     """Boundary pairings of one element: trace-vs-displacement matrix R,
-    trace-vs-rigid-mode block, and the quadrature data of the fine Neumann
-    edges, which carry the element's Neumann load."""
+    trace-vs-rigid-mode block, and the quadrature of the fine Neumann edges
+    (points, ds-weights, shape values and vector dofs of the owning
+    triangles, one row per edge), which carry the element's Neumann load."""
+    be = local_mesh.boundary_edges
+    x0 = local_mesh.mesh.vertices[be.v0]
+    x1 = local_mesh.mesh.vertices[be.v1]
+    rule = quad_rule("segment", ref.degree + skeleton.degree + 1)
+    pts = x0[:, None] + rule.points[:, None] * (x1 - x0)[:, None]
+    w = rule.weights * np.linalg.norm(x1 - x0, axis=1)[:, None]
+    vals, _, _ = ref.tabulate(
+        geo.reference_coords(be.triangle, pts).reshape(-1, 2))
+    quad = (pts, w, vals.reshape(pts.shape[:2] + (-1,)),
+            dofh.vector_loc2glob()[be.triangle])
+    on = be.segment >= 0                        # the rows on segments
+    pts, w, vals, dofs = (a[on] for a in quad)
+    sid = be.segment[on]
+    # face parameter of the quadrature points, then segment parameter
+    fs0, fs1 = be.face_s0[on, None], be.face_s1[on, None]
+    fs = fs0 + rule.points * (fs1 - fs0)
+    s0, s1 = skeleton.segment_bounds[sid].T[..., None]
+    mu = skeleton.basis_values(sid[:, None], (fs - s0) / (s1 - s0))
+
     seg_ids, _, _ = _element_boundary_setup(partition, local_mesh, skeleton)
     dps = skeleton.dofs_per_segment
-    seg_pos = {sid: i for i, sid in enumerate(seg_ids)}
-    vl2g = dofh.vector_loc2glob()
+    row_of = np.empty(len(skeleton.segments), dtype=int)
+    row_of[seg_ids] = np.arange(len(seg_ids))
+    rows = (dps * row_of[sid])[:, None] + np.arange(dps)     # (ne, dps)
     R = np.zeros((len(seg_ids) * dps, 2 * dofh.n_dofs))
+    np.add.at(R, (rows[:, :, None], dofs[:, None, :]),
+              np.einsum("eq,ieqc,eqb->eibc", w, mu, vals).reshape(
+                  rows.shape + (-1,)))
     Grm = np.zeros((len(seg_ids) * dps, 3))
-    neumann_edges = []
-    edges = _edge_quad_data(local_mesh, geo, ref,
-                            ref.degree + skeleton.degree + 1)
-    for be, pts, w, vals in edges:
-        dofs = vl2g[be.triangle]
-        if be.segment >= 0:
-            seg = skeleton.segments[be.segment]
-            mu = _trace_values(skeleton, seg, pts)
-            rows = slice(seg_pos[be.segment] * dps,
-                         (seg_pos[be.segment] + 1) * dps)
-            R[rows, dofs] += np.einsum("q,iqc,qb->ibc", w, mu,
-                                       vals).reshape(dps, -1)
-            Grm[rows] += np.einsum("q,iqc,mqc->im", w, mu, rm.evaluate(pts))
-        if be.on_neumann:
-            neumann_edges.append((pts, w, vals, dofs))
-    return R, Grm, neumann_edges
+    np.add.at(Grm, rows, np.einsum("eq,ieqc,meqc->eim", w, mu,
+                                   rm.evaluate(pts)))
+    return R, Grm, tuple(a[be.neumann] for a in quad)
 
 
 def _constraint_rows(dofh, tab, rm):
@@ -352,12 +335,13 @@ def element_load(op, partition, local_mesh, f=None, g=None):
     rm = RigidModes(centroid)
     rhs = np.zeros(op.matrix.shape[0])
     d_rm = np.zeros(3)
-    if g is not None:
-        for pts, w, vals, vl2g in op.neumann_edges:
-            x = pts + shift
-            gq = np.asarray(g(x), dtype=float)
-            rhs[vl2g] += np.einsum("q,qc,qb->bc", w, gq, vals).ravel()
-            d_rm += np.einsum("q,qc,mqc->m", w, gq, rm.evaluate(x))
+    pts, w, vals, dofs = op.neumann_edges
+    if g is not None and len(w):
+        x = pts + shift
+        gq = np.asarray(g(x), dtype=float)
+        F = np.einsum("eq,eqc,eqb->ebc", w, gq, vals).reshape(len(w), -1)
+        rhs += asm.scatter_vector(F, dofs, rhs.size)
+        d_rm += np.einsum("eq,eqc,meqc->m", w, gq, rm.evaluate(x))
     if f is not None:
         x = op.tab.points + shift
         fq = np.asarray(f(x), dtype=float)

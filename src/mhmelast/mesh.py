@@ -117,79 +117,62 @@ class GlobalPartition:
     def __init__(self, vertices, elements, boundary_tag=None, domain_area=1.0):
         self.vertices = np.asarray(vertices, dtype=float)
         self.elements = [tuple(int(v) for v in e) for e in elements]
-        for e in self.elements:
-            if len(e) != 3:
-                raise ValueError("only triangular coarse elements are supported")
-        areas = []
-        for e in self.elements:
-            p = self.vertices[list(e)]
-            a = 0.5 * _cross2(p[1] - p[0], p[2] - p[0])
-            if a <= 0:
-                raise ValueError("coarse element is degenerate or not CCW")
-            areas.append(a)
-        self.element_areas = np.array(areas)
+        if any(len(e) != 3 for e in self.elements):
+            raise ValueError("only triangular coarse elements are supported")
+        try:
+            mesh = TriMesh(self.vertices, np.reshape(self.elements, (-1, 3)))
+        except ValueError:
+            raise ValueError("coarse element is degenerate or not CCW") from None
+        self.element_areas = mesh.areas
         if abs(self.element_areas.sum() - domain_area) > 1e-12 * max(domain_area, 1.0):
             raise ValueError("element areas do not sum to the domain area")
-
-        diam = []
-        for e in self.elements:
-            p = self.vertices[list(e)]
-            diam.append(max(np.linalg.norm(p[i] - p[j]) for i in range(3) for j in range(i)))
-        self.element_diameters = np.array(diam)
+        self.element_diameters = mesh.diameters
         self.h_coarse = float(self.element_diameters.max())
 
-        self._build_faces(boundary_tag)
+        self._build_faces(mesh, boundary_tag)
         if not any(f.tag == "dirichlet" for f in self.faces):
             raise ValueError("the Dirichlet boundary must be nonempty")
 
-    def _build_faces(self, boundary_tag):
-        adj = {}
-        for k, e in enumerate(self.elements):
-            for a, b in ((e[0], e[1]), (e[1], e[2]), (e[2], e[0])):
-                adj.setdefault((min(a, b), max(a, b)), []).append(k)
+    def _build_faces(self, mesh, boundary_tag):
+        """Faces from the edge table of the coarse mesh, numbered by sorted
+        vertex pair, with their adjacent elements in increasing order."""
+        edges = mesh.edge_table
+        if np.any(edges.counts > 2):
+            raise ValueError("a face is shared by more than two elements")
+        order = np.lexsort(edges.vertices.T[::-1])
+        ids = np.argsort(order)[edges.ids]              # (nt, 3) face ids
+        # local edges t * 3 + le grouped by face, elements increasing
+        by_face = np.argsort(ids.ravel(), kind="stable")
+        counts = edges.counts[order]
+        starts = np.cumsum(counts) - counts
+        low = by_face[starts]               # local edge of the lower element
+        pairs = edges.vertices[order]
+        x0, x1 = self.vertices[pairs[:, 0]], self.vertices[pairs[:, 1]]
+        t = x1 - x0
+        normals = np.column_stack([t[:, 1], -t[:, 0]])
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        # outward from the lower element: flip where its local edge runs
+        # v1 -> v0 of the face
+        normals[mesh.triangles.ravel()[low] != pairs[:, 0]] *= -1
+
         self.faces = []
-        face_of_pair = {}
-        for pair, ks in sorted(adj.items()):
-            if len(ks) > 2:
-                raise ValueError("a face is shared by more than two elements")
-            ks = sorted(ks)
-            v0, v1 = pair
-            t = self.vertices[v1] - self.vertices[v0]
-            # outward normal of the lower-indexed element along this edge
-            n = np.array([t[1], -t[0]])
-            n /= np.linalg.norm(n)
-            klow = ks[0]
-            e = self.elements[klow]
-            # orient n outward w.r.t. klow: check against the centroid
-            cen = self.vertices[list(e)].mean(axis=0)
-            mid = 0.5 * (self.vertices[v0] + self.vertices[v1])
-            if np.dot(n, mid - cen) < 0:
-                n = -n
+        adjacent = np.split(by_face // 3, starts[1:])
+        for fid, ((v0, v1), ks) in enumerate(zip(pairs.tolist(), adjacent)):
+            tag = "interior"
             if len(ks) == 1:
-                tag = boundary_tag(mid) if boundary_tag is not None else "dirichlet"
+                tag = ("dirichlet" if boundary_tag is None
+                       else boundary_tag(0.5 * (x0[fid] + x1[fid])))
                 if tag not in ("dirichlet", "neumann"):
                     raise ValueError(f"invalid boundary tag {tag!r}")
-            else:
-                tag = "interior"
-            fid = len(self.faces)
-            self.faces.append(Face(fid, v0, v1, n, tuple(ks), tag))
-            face_of_pair[pair] = fid
+            self.faces.append(Face(fid, v0, v1, normals[fid],
+                                   tuple(ks.tolist()), tag))
 
         # per element: face ids in local edge order and orientation signs
-        self.elem_face_ids = []
-        self.elem_face_signs = []
-        for k, e in enumerate(self.elements):
-            fids, signs = [], []
-            for a, b in ((e[0], e[1]), (e[1], e[2]), (e[2], e[0])):
-                fid = face_of_pair[(min(a, b), max(a, b))]
-                f = self.faces[fid]
-                t = self.vertices[b] - self.vertices[a]
-                n_out = np.array([t[1], -t[0]])
-                n_out /= np.linalg.norm(n_out)
-                signs.append(1 if np.dot(n_out, f.normal) > 0 else -1)
-                fids.append(fid)
-            self.elem_face_ids.append(fids)
-            self.elem_face_signs.append(signs)
+        # (+1 where the face normal is the element's outward normal)
+        lower = np.zeros(ids.size, dtype=bool)
+        lower[low] = True
+        self.elem_face_ids = ids.tolist()
+        self.elem_face_signs = np.where(lower, 1, -1).reshape(-1, 3).tolist()
 
     @property
     def n_elements(self):
@@ -267,6 +250,10 @@ class SkeletonMesh:
                 ids.append(seg.id)
             self.face_segments[f.id] = ids
         self.h_skeleton = max((s.length for s in self.segments), default=0.0)
+        # per segment id: length and face parameter interval (s0, s1)
+        self.segment_lengths = np.array([s.length for s in self.segments])
+        self.segment_bounds = np.array(
+            [(s.s0, s.s1) for s in self.segments]).reshape(-1, 2)
         self.dofs_per_segment = 2 * (degree + 1)
         self.n_dofs = len(self.segments) * self.dofs_per_segment
 
@@ -275,20 +262,23 @@ class SkeletonMesh:
         return np.arange(base, base + self.dofs_per_segment)
 
     def basis_values(self, seg, s):
-        """Trace basis values on a segment at parameters s in [0, 1] (local
-        arclength fraction).  Returns (n_local_dofs, len(s), 2); local dof
-        c * (degree + 1) + m is component c times Legendre mode m,
-        orthonormal in L2 of the segment."""
+        """Trace basis values at parameters s in [0, 1] (local arclength
+        fraction) of a segment: `seg` is a Segment, or an array of segment
+        ids broadcasting against `s`.  Returns (n_local_dofs, *s.shape, 2);
+        local dof c * (degree + 1) + m is component c times Legendre mode
+        m, orthonormal in L2 of the segment."""
         s = np.asarray(s, dtype=float)
+        length = (seg.length if isinstance(seg, Segment)
+                  else self.segment_lengths[seg])
         ell = self.degree
-        out = np.zeros((self.dofs_per_segment, len(s), 2))
+        out = np.zeros((self.dofs_per_segment,) + s.shape + (2,))
         x = 2 * s - 1
         for m in range(ell + 1):
             cm = np.zeros(m + 1)
             cm[m] = 1.0
-            phi = np.polynomial.legendre.legval(x, cm) * np.sqrt((2 * m + 1) / seg.length)
-            out[m, :, 0] = phi
-            out[(ell + 1) + m, :, 1] = phi
+            phi = np.polynomial.legendre.legval(x, cm) * np.sqrt((2 * m + 1) / length)
+            out[m, ..., 0] = phi
+            out[(ell + 1) + m, ..., 1] = phi
         return out
 
 
@@ -300,17 +290,21 @@ def refine_skeleton(partition, level, degree):
 # Local meshes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundaryEdge:
-    """A fine edge of a local mesh lying on the coarse element boundary."""
-    v0: int
-    v1: int
-    triangle: int
-    coarse_edge: int        # local edge index of the coarse triangle (0..2)
-    segment: int            # global skeleton segment id (-1 on Neumann faces)
-    face_s0: float          # parameter interval along the coarse face
-    face_s1: float
-    on_neumann: bool
+@dataclass(frozen=True)
+class BoundaryEdges:
+    """The fine edges of a local mesh on the coarse element boundary, as
+    parallel arrays: the edges of local edge 0, 1, 2 of the coarse triangle
+    in turn, each local edge walked from its first to its second vertex."""
+    v0: np.ndarray              # (ne,) fine vertices, in walking order
+    v1: np.ndarray
+    triangle: np.ndarray        # the fine triangle owning the edge
+    segment: np.ndarray         # global skeleton segment id (-1 on Neumann faces)
+    face_s0: np.ndarray         # parameter of v0 along the coarse face
+    face_s1: np.ndarray         # (from its v0 to its v1), and of v1
+    neumann: np.ndarray         # True on Neumann faces
+
+    def __len__(self):
+        return len(self.v0)
 
 
 class LocalMesh:
@@ -384,47 +378,63 @@ def build_matching_local_mesh(partition, element_id, skeleton, depth):
 
     mesh, _, chains = _lattice_triangulation(corners, need)
     N = 2 ** need
+    chain = np.asarray(chains)                          # (3, N + 1)
+    v0, v1 = chain[:, :-1].ravel(), chain[:, 1:].ravel()
+
+    # the owning triangle of each chain edge, by sorted vertex pair
     edges = mesh.edge_table
     t_bnd, le_bnd = np.nonzero(edges.counts[edges.ids] == 1)
-    boundary_tri = dict(zip(
-        map(tuple, edges.vertices[edges.ids[t_bnd, le_bnd]].tolist()),
-        t_bnd.tolist()))
+    pairs = edges.vertices[edges.ids[t_bnd, le_bnd]]
+    nv = mesh.n_vertices
+    keys = pairs[:, 0] * nv + pairs[:, 1]
+    order = np.argsort(keys)
+    want = np.minimum(v0, v1) * nv + np.maximum(v0, v1)
+    hit = order[np.searchsorted(keys, want, sorter=order).clip(
+        max=len(keys) - 1)]
+    missing = np.flatnonzero(keys[hit] != want)
+    if missing.size:
+        le, i = divmod(int(missing[0]), N)
+        raise ValueError(
+            f"element {element_id}: fine edge {i} of local edge {le} "
+            f"is not a boundary edge of the fine mesh")
 
-    boundary_edges = []
+    faces = [partition.faces[fid] for fid in fids]
+    # face parameters of the chain nodes; a local edge may run v1 -> v0 of
+    # its face
+    t = np.arange(N + 1) / N
+    s = np.where([[f.v0 != v] for f, v in zip(faces, e)], 1 - t, t)
+    face_s0, face_s1 = s[:, :-1].ravel(), s[:, 1:].ravel()
+    lo, hi = np.minimum(face_s0, face_s1), np.maximum(face_s0, face_s1)
+    segment = np.full(3 * N, -1)
     for le, fid in enumerate(fids):
-        face = partition.faces[fid]
-        # the local edge runs v1 -> v0 of the face
-        reversed_face = face.v0 != e[le]
-        segs = skeleton.face_segments[fid]
-        on_neumann = face.tag == "neumann"
-        chain = chains[le]
-        for i in range(N):
-            v0, v1 = chain[i], chain[i + 1]
-            tri = boundary_tri.get((min(v0, v1), max(v0, v1)))
-            if tri is None:
-                raise ValueError(
-                    f"element {element_id}: fine edge {i} of local edge {le} "
-                    f"is not a boundary edge of the fine mesh")
-            t0, t1 = i / N, (i + 1) / N
-            if reversed_face:
-                fs0, fs1 = 1 - t1, 1 - t0
-            else:
-                fs0, fs1 = t0, t1
-            if on_neumann:
-                seg_id = -1
-            else:
-                seg_id = segs[int(min(fs0, fs1) * len(segs) + 0.5 / N)]
-                seg = skeleton.segments[seg_id]
-                if fs0 < seg.s0 - GEOM_TOL or fs1 > seg.s1 + GEOM_TOL:
-                    raise ValueError("fine boundary edge not contained in one segment")
-            boundary_edges.append(BoundaryEdge(v0, v1, tri, le, seg_id,
-                                               fs0, fs1, on_neumann))
-    return LocalMesh(element_id, mesh, need, boundary_edges)
+        segs = np.asarray(skeleton.face_segments[fid], dtype=int)
+        if segs.size:
+            rows = slice(le * N, (le + 1) * N)
+            segment[rows] = segs[(lo[rows] * len(segs) + 0.5 / N).astype(int)]
+    on = segment >= 0
+    bounds = skeleton.segment_bounds[segment[on]]
+    if (np.any(lo[on] < bounds[:, 0] - GEOM_TOL)
+            or np.any(hi[on] > bounds[:, 1] + GEOM_TOL)):
+        raise ValueError("fine boundary edge not contained in one segment")
+    neumann = np.repeat([f.tag == "neumann" for f in faces], N)
+    boundary = BoundaryEdges(v0, v1, t_bnd[hit], segment, face_s0, face_s1,
+                             neumann)
+    return LocalMesh(element_id, mesh, need, boundary)
 
 
 # ---------------------------------------------------------------------------
 # Refinement (well-posedness) conditions
 # ---------------------------------------------------------------------------
+
+def _segment_node_counts(local_mesh):
+    """The skeleton segments on a local mesh's boundary (sorted ids), and
+    per segment the number of fine nodes on its closure and in its
+    interior.  The fine edges in a segment form one chain, so m of them
+    carry m + 1 nodes on the closure and m - 1 inside."""
+    segment = local_mesh.boundary_edges.segment
+    ids, m = np.unique(segment[segment >= 0], return_counts=True)
+    return ids, m + 1, m - 1
+
 
 @dataclass
 class RefinementReport:
@@ -441,19 +451,10 @@ def check_refinement_conditions(k, ell, local_meshes, skeleton):
         raise ValueError("degrees must be >= 1")
     report = RefinementReport(ok=True)
     for lm in local_meshes:
-        counts = {}
-        for be in lm.boundary_edges:
-            if be.segment < 0:
-                continue
-            closure, interior = counts.setdefault(be.segment, [set(), set()])
-            seg = skeleton.segments[be.segment]
-            for v, s in ((be.v0, be.face_s0), (be.v1, be.face_s1)):
-                closure.add(round(s, 12))
-                if seg.s0 + GEOM_TOL < s < seg.s1 - GEOM_TOL:
-                    interior.add(round(s, 12))
+        _, closure, interior = _segment_node_counts(lm)
+        min_closure = min(closure.tolist(), default=0)
+        min_interior = min(interior.tolist(), default=0)
         status, reason = False, ""
-        min_closure = min((len(c[0]) for c in counts.values()), default=0)
-        min_interior = min((len(c[1]) for c in counts.values()), default=0)
         if k >= ell + 1 >= 2 and min_closure >= 1:
             status, reason = True, "case 1: k >= ell+1 and >= 1 node per segment"
         elif k < ell:

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sparse_norm, splu
 
-from .fem_core import quad_rule
+from .fem_core import MHMError, quad_rule
 
 __all__ = [
     "SaddleSystem",
@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 
-class GlobalSolverError(RuntimeError):
+class GlobalSolverError(MHMError):
     pass
 
 

@@ -7,6 +7,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .fem_core import MHMError
 from .local_solver import MaterialField, build_class_caches, congruence_classes
 from .mesh import (build_matching_local_mesh, build_structured_triangulation,
                    check_refinement_conditions, refine_skeleton)
@@ -18,10 +19,12 @@ THREADS_ENV = "MHMELAST_THREADS"
 
 
 def default_threads():
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
+    """Threads of the local-solve pool: $MHMELAST_THREADS, default 1."""
+    value = os.environ.get(THREADS_ENV, "1")
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got "
+                         f"{value!r}")
+    return int(value)
 
 
 def default_depth(k, level):
@@ -48,18 +51,20 @@ class MHMConfig:
     boundary_tag: object = None
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level!r}")
-        if self.depth is not None and self.depth < 0:
-            raise ValueError(f"depth must be >= 0 or None, got {self.depth!r}")
+        for name, low, optional in (("n", 1, False), ("level", 0, False),
+                                    ("k", 1, False), ("ell", 1, False),
+                                    ("depth", 0, True), ("threads", 1, True)):
+            value = getattr(self, name)
+            if optional and value is None:
+                continue
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}"
+                                 f"{' or None' if optional else ''}, got "
+                                 f"{value!r}")
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta!r}")
         if not callable(self.G) and not self.G > 0:
             raise ValueError(f"shear modulus must be positive, got {self.G!r}")
-        if self.k < 1 or self.ell < 1:
-            raise ValueError("polynomial degrees must be >= 1")
         if not callable(self.nu) and not 0 < self.nu < 0.5:
             raise ValueError("Poisson ratio must lie in (0, 1/2)")
         if self.kind not in ("gals", "galerkin"):
@@ -93,7 +98,7 @@ def solve_mhm(config, problem, g=None):
                                          skeleton)
     if not report.ok and not config.override_wellposedness:
         bad = {e: r for e, (s, r) in report.element_status.items() if not s}
-        raise RuntimeError(
+        raise MHMError(
             "local meshes fail the refinement conditions for well-posedness "
             f"(set override_wellposedness to force): {bad}")
 

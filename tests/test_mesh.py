@@ -6,7 +6,8 @@ import io
 import numpy as np
 import pytest
 
-from mhmelast import (build_matching_local_mesh, build_structured_triangulation,
+from mhmelast import (GlobalPartition, build_matching_local_mesh,
+                      build_structured_triangulation,
                       check_refinement_conditions, quad_rule, read_partition,
                       refine_skeleton, unit_square_mesh, write_partition)
 from mhmelast import mesh as mesh_module
@@ -93,6 +94,82 @@ def test_boundary_tag_callable():
     assert tags == {"dirichlet", "neumann"}
 
 
+def _faces_oracle(part, boundary_tag):
+    """Faces by an adjacency dict over the elements' vertex pairs, in
+    sorted pair order; normals outward from the lower element by a centroid
+    test; signs from the outward normal of each local edge."""
+    adj = {}
+    for k, e in enumerate(part.elements):
+        for a, b in ((e[0], e[1]), (e[1], e[2]), (e[2], e[0])):
+            adj.setdefault((min(a, b), max(a, b)), []).append(k)
+    faces, fid_of = [], {}
+    for (v0, v1), ks in sorted(adj.items()):
+        t = part.vertices[v1] - part.vertices[v0]
+        n = np.array([t[1], -t[0]]) / np.linalg.norm(t)
+        cen = part.vertices[list(part.elements[ks[0]])].mean(axis=0)
+        mid = 0.5 * (part.vertices[v0] + part.vertices[v1])
+        if np.dot(n, mid - cen) < 0:
+            n = -n
+        tag = ("interior" if len(ks) == 2 else
+               boundary_tag(mid) if boundary_tag else "dirichlet")
+        fid_of[(v0, v1)] = len(faces)
+        faces.append((v0, v1, n, tuple(sorted(ks)), tag))
+    ids, signs = [], []
+    for e in part.elements:
+        ids.append([]), signs.append([])
+        for a, b in ((e[0], e[1]), (e[1], e[2]), (e[2], e[0])):
+            fid = fid_of[(min(a, b), max(a, b))]
+            t = part.vertices[b] - part.vertices[a]
+            ids[-1].append(fid)
+            signs[-1].append(1 if np.dot([t[1], -t[0]], faces[fid][2]) > 0
+                             else -1)
+    return faces, ids, signs
+
+
+def _neumann_right(mid):
+    return "neumann" if mid[0] > 1 - 1e-12 else "dirichlet"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("renumbered", [False, True])
+def test_faces_match_adjacency_dict_oracle(n, renumbered):
+    part = build_structured_triangulation(n, boundary_tag=_neumann_right)
+    tag = _neumann_right
+    if renumbered:
+        # permuted vertices, rotated and permuted elements, through the
+        # partition file format
+        rng = np.random.default_rng(n)
+        perm = rng.permutation(len(part.vertices))
+        new_id = np.argsort(perm)
+        elements = [tuple(int(new_id[v]) for v in e) for e in part.elements]
+        elements = [e[r:] + e[:r] for e, r in
+                    zip(elements, rng.integers(0, 3, len(elements)))]
+        elements = [elements[i] for i in rng.permutation(len(elements))]
+        text = partition_to_string(GlobalPartition(
+            part.vertices[perm], elements, boundary_tag=tag))
+        part = read_partition(io.StringIO(text))
+        assert part.elements == elements
+    faces, ids, signs = _faces_oracle(part, tag)
+    assert len(part.faces) == len(faces)
+    for f, (v0, v1, normal, ks, tg) in zip(part.faces, faces):
+        assert (f.v0, f.v1, f.elements, f.tag) == (v0, v1, ks, tg)
+        assert np.abs(f.normal - normal).max() <= 2e-16
+    assert part.elem_face_ids == ids
+    assert part.elem_face_signs == signs
+
+
+def test_partition_rejects_face_of_three_elements():
+    verts = [(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.6, 0.5)]
+    with pytest.raises(ValueError, match="more than two elements"):
+        GlobalPartition(verts, [(0, 1, 2), (0, 3, 1), (0, 1, 4)],
+                        domain_area=1.25)
+
+
+def test_partition_rejects_unknown_boundary_tag():
+    with pytest.raises(ValueError, match="invalid boundary tag 'robin'"):
+        build_structured_triangulation(1, boundary_tag=lambda mid: "robin")
+
+
 # ---------------------------------------------------------------------------
 # Skeleton mesh
 # ---------------------------------------------------------------------------
@@ -165,28 +242,29 @@ def test_local_mesh_matches_skeleton_refinement():
     lm = build_matching_local_mesh(part, 1, sk, 0)
     assert lm.depth == 2
     # every fine boundary edge sits inside exactly one skeleton segment
-    for be in lm.boundary_edges:
-        assert be.segment >= 0
-        seg = sk.segments[be.segment]
-        assert seg.s0 - 1e-12 <= min(be.face_s0, be.face_s1)
-        assert max(be.face_s0, be.face_s1) <= seg.s1 + 1e-12
+    be = lm.boundary_edges
+    assert np.all(be.segment >= 0)
+    bounds = sk.segment_bounds[be.segment]
+    assert np.all(bounds[:, 0] - 1e-12 <= np.minimum(be.face_s0, be.face_s1))
+    assert np.all(np.maximum(be.face_s0, be.face_s1) <= bounds[:, 1] + 1e-12)
 
 
 def test_local_mesh_boundary_edges_lie_on_segments():
     part = build_structured_triangulation(2)
     sk = refine_skeleton(part, 1, 1)
     lm = build_matching_local_mesh(part, 2, sk, 2)
-    for be in lm.boundary_edges:
-        seg = sk.segments[be.segment]
-        face = part.faces[seg.face_id]
-        a = part.vertices[face.v0]
-        b = part.vertices[face.v1]
-        # face_s0 < face_s1 follow the face orientation; the local chain
-        # may traverse the face backwards, so match endpoints as a set
-        targets = [a + s * (b - a) for s in (be.face_s0, be.face_s1)]
-        for v in (be.v0, be.v1):
-            x = lm.mesh.vertices[v]
-            assert min(np.linalg.norm(x - t) for t in targets) < 1e-12
+    be = lm.boundary_edges
+    faces = [part.faces[sk.segments[s].face_id] for s in be.segment]
+    a = part.vertices[[f.v0 for f in faces]]
+    b = part.vertices[[f.v1 for f in faces]]
+    # the local chain may traverse the face backwards, so match endpoints
+    # as a set
+    targets = np.stack([a + s[:, None] * (b - a)
+                        for s in (be.face_s0, be.face_s1)], axis=1)
+    for v in (be.v0, be.v1):
+        x = lm.mesh.vertices[v]
+        dist = np.linalg.norm(x[:, None] - targets, axis=-1).min(axis=1)
+        assert np.all(dist < 1e-12)
 
 
 def test_local_mesh_rejects_negative_depth():

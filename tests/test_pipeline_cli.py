@@ -6,11 +6,20 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mhmelast import (BrennerProblem, LinearProblem, MHMConfig, default_depth,
-                      solve_mhm)
+from mhmelast import (BrennerProblem, LinearProblem, MHMConfig, MHMError,
+                      MaterialField, SaddleSystem, assemble_local_gals,
+                      build_matching_local_mesh,
+                      build_structured_triangulation, default_depth,
+                      estimate_inverse_constant, fem_core, inverse_constant,
+                      refine_skeleton, solve_global, solve_mhm,
+                      unit_square_mesh)
+from mhmelast.local_solver import LocalSolverError
+from mhmelast.mhm_global import GlobalSolverError
 from mhmelast.cli import (_apply_config_file, _parse_levels, _read_config_file,
                           main)
+from mhmelast.pipeline import THREADS_ENV, default_threads
 
 
 PATCH = LinearProblem([[0.3, 0.1], [-0.2, 0.4]], [0.05, -0.02], nu=0.3)
@@ -38,10 +47,58 @@ def test_config_validation():
         MHMConfig(kind="mystery")
     for bad in ({"n": 2.5}, {"n": 0}, {"level": -1}, {"depth": -1},
                 {"theta": 0.0}, {"theta": 1.0}, {"G": 0.0}, {"G": -1.0},
-                {"nu": 0.0}):
+                {"nu": 0.0}, {"level": 1.5}, {"k": 1.5}, {"ell": 1.5},
+                {"depth": 1.5}, {"threads": 0}, {"threads": -2},
+                {"threads": 1.5}):
         with pytest.raises(ValueError):
             MHMConfig(**bad)
     MHMConfig(n=np.int64(3), depth=None, G=lambda x: 1.0 + x[..., 0])
+    MHMConfig(level=np.int64(1), k=2, ell=np.int32(1), depth=3, threads=2)
+    MHMConfig(threads=None)
+
+
+def test_threads_environment_variable(monkeypatch):
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    assert default_threads() == 1
+    monkeypatch.setenv(THREADS_ENV, "3")
+    assert default_threads() == 3
+    for bad in ("abc", "-4", "0", "1.5", ""):
+        monkeypatch.setenv(THREADS_ENV, bad)
+        with pytest.raises(ValueError, match=f"MHMELAST_THREADS .*{bad!r}"):
+            default_threads()
+
+
+def test_solver_failures_are_mhm_errors(monkeypatch):
+    # local: alpha outside its admissible interval
+    part = build_structured_triangulation(1)
+    sk = refine_skeleton(part, 0, 1)
+    lm = build_matching_local_mesh(part, 0, sk, 2)
+    with pytest.raises(MHMError, match="outside the admissible interval"):
+        assemble_local_gals(part, lm, sk, MaterialField(1.0, 0.3), -1.0, 1,
+                            c_inverse=inverse_constant(1))
+    # global: a rigid mode coupled to no trace dof
+    B = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(MHMError, match="singular global system"):
+        solve_global(SaddleSystem(sp.identity(2, format="csr"), B,
+                                  np.ones(2), np.ones(2), 2, 2))
+    # pipeline: local meshes failing the refinement conditions
+    with pytest.raises(MHMError, match="refinement conditions"):
+        solve_mhm(MHMConfig(n=1, level=0, k=1, ell=1, depth=0), PATCH)
+    # inverse constant: a failed or non-positive eigenvalue estimate
+    mesh = unit_square_mesh(1)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(fem_core, "eigh", singular)
+    with pytest.raises(MHMError, match="singular mass form"):
+        estimate_inverse_constant(1, mesh)
+    monkeypatch.setattr(fem_core, "eigh", lambda *a, **k: np.array([-1.0]))
+    with pytest.raises(MHMError, match="non-positive"):
+        estimate_inverse_constant(1, mesh)
+    assert issubclass(LocalSolverError, MHMError)
+    assert issubclass(GlobalSolverError, MHMError)
+    assert issubclass(MHMError, RuntimeError)
 
 
 def test_callable_nu_runs():
