@@ -3,8 +3,6 @@ single-level methods: continuous P_k dof handling, affine-map geometry, and
 the element kernels of the displacement-pressure and displacement forms.
 """
 
-import copy
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -85,14 +83,6 @@ class DofHandler:
         coords = np.empty((self.n_dofs, 2))
         coords[self.loc2glob.ravel()] = phys.reshape(-1, 2)
         self.dof_coords = coords
-
-    def translated(self, mesh, shift):
-        """This numbering on `mesh`, a copy of the handler's mesh translated
-        by `shift`: shares the connectivity, with shifted dof coordinates."""
-        out = copy.copy(self)
-        out.mesh = mesh
-        out.dof_coords = self.dof_coords + shift
-        return out
 
     def vector_loc2glob(self):
         """Interleaved vector dof map of shape (nt, 2 * n_basis)."""
@@ -228,20 +218,20 @@ def galerkin_element_matrices(tab, Gq, epsq):
 
 
 def load_vector(tab, fq, Dall=None, alpha=None):
-    """Element load vectors.  `fq` has shape (nt, nq, 2).  When `Dall` is
-    given, adds the least-squares load term + alpha h_tau^2 (f, div(...))
-    over the combined [u; p] unknowns; otherwise returns the plain (2nb,)
-    displacement load."""
+    """Element load vectors of loads `fq` (..., nt, nq, 2), one per leading
+    index.  When `Dall` is given, adds the least-squares load term
+    + alpha h_tau^2 (f, div(...)) over the combined [u; p] unknowns,
+    (..., nt, 3nb); otherwise returns the plain displacement load
+    (..., nt, 2nb)."""
     nb = tab.ref.n_basis
     w = tab.wdet
-    nt = w.shape[0]
-    Fu = np.einsum("tq,tqc,qb->tbc", w, fq, tab.vals).reshape(nt, 2 * nb)
+    Fu = np.einsum("tq,...tqc,qb->...tbc", w, fq, tab.vals)
+    Fu = Fu.reshape(Fu.shape[:-2] + (2 * nb,))
     if Dall is None:
         return Fu
-    F = np.zeros((nt, 3 * nb))
-    F[:, :2 * nb] = Fu
     ls_w = np.asarray(alpha) * tab.geo.diameters ** 2
-    F += np.einsum("t,tq,tqi,tqai->ta", ls_w, w, fq, Dall)
+    F = np.einsum("t,tq,...tqi,tqai->...ta", ls_w, w, fq, Dall)
+    F[..., :2 * nb] += Fu
     return F
 
 
@@ -260,15 +250,22 @@ def field_values(vals, grads, loc2glob, u, p, eps):
     return uh, guh, ph
 
 
+def block_triplets(matrices, loc2glob):
+    """COO rows, columns and values of per-triangle dense blocks."""
+    nt, nl, _ = matrices.shape
+    return (np.repeat(loc2glob, nl, axis=1).ravel(),
+            np.tile(loc2glob, (1, nl)).ravel(), matrices.ravel())
+
+
 def scatter(matrices, loc2glob, shape):
     """Accumulate per-triangle dense blocks into a CSR matrix."""
-    nt, nl, _ = matrices.shape
-    rows = np.repeat(loc2glob, nl, axis=1).ravel()
-    cols = np.tile(loc2glob, (1, nl)).ravel()
-    return sp.coo_matrix((matrices.ravel(), (rows, cols)), shape=shape).tocsr()
+    rows, cols, vals = block_triplets(matrices, loc2glob)
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 def scatter_vector(vectors, loc2glob, n):
-    out = np.zeros(n)
-    np.add.at(out, loc2glob.ravel(), vectors.ravel())
-    return out
+    """Accumulate per-triangle vectors (..., nt, nl) into vectors (..., n)."""
+    v = np.asarray(vectors)
+    out = [np.bincount(loc2glob.ravel(), weights=w, minlength=n)
+           for w in v.reshape(-1, loc2glob.size)]
+    return np.reshape(out, v.shape[:-2] + (n,))

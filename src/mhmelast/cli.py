@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _assembly as asm
 from .mesh import unit_square_mesh
-from .pipeline import MHMConfig, default_threads, solve_mhm
+from .pipeline import THREADS_ENV, MHMConfig, default_threads, solve_mhm
 from .singlelevel import solve_galerkin_dirichlet, solve_gals_dirichlet
 from .verify import (BrennerProblem, LinearProblem, compressibility_residual,
                      compute_errors, convergence_orders, spectral_diagnostics)
@@ -57,24 +57,23 @@ def _read_config_file(path):
     return out
 
 
+def _flag(text):
+    return text.lower() in ("1", "true", "yes", "on")
+
+
 def _apply_config_file(args):
-    """File values fill in only options the command line left at default."""
+    """File values fill in only options the command line left at default,
+    each converted as its command-line option converts it."""
     if not getattr(args, "config", None):
         return args
     file_vals = _read_config_file(args.config)
+    convert = {a.dest: _flag if a.nargs == 0 else a.type or str
+               for a in _build_parser()._get_all_actions()}
     for key, val in file_vals.items():
         if not hasattr(args, key):
             raise SystemExit(f"unknown config key: {key}")
-        if key in args._explicit:
-            continue
-        cur = getattr(args, key)
-        if isinstance(cur, bool):
-            val = val.lower() in ("1", "true", "yes", "on")
-        elif isinstance(cur, int):
-            val = int(val)
-        elif isinstance(cur, float):
-            val = float(val)
-        setattr(args, key, val)
+        if key not in args._explicit:
+            setattr(args, key, convert.get(key, str)(val))
     return args
 
 
@@ -268,28 +267,28 @@ def cmd_export_fields(args):
     sol, data = solve_mhm(cfg, problem)
     eps = (1 - 2 * cfg.nu) / (2 * cfg.G * cfg.nu)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    rows = ["element,x,y,u1,u2,p,s11,s12,s22"]
-    for eid in sorted(sol.fields):
-        fld = sol.fields[eid]
-        cache = fld.cache
-        mesh = cache.local_mesh.mesh
+    rows = {}
+    for cache in sol.caches:
+        # one geometry per class; members are its translates
+        geo = asm.Geometry(cache.dofh.mesh)
         vals, rgrads, _ = cache.dofh.ref.tabulate(corners)
-        geo = asm.Geometry(mesh)
-        pts = geo.physical_points(corners)
-        uh, guh, ph = asm.field_values(vals, geo.push_gradients(rgrads),
-                                       cache.dofh.loc2glob, fld.u, fld.p, eps)
-        sh = cfg.G * (guh + np.swapaxes(guh, -1, -2))
-        sh[..., 0, 0] -= ph
-        sh[..., 1, 1] -= ph
-        for t in range(mesh.n_triangles):
-            for q in range(3):
-                rows.append(",".join(
-                    [str(eid)] + [_fmt(v) for v in (
-                        pts[t, q, 0], pts[t, q, 1], uh[t, q, 0], uh[t, q, 1],
-                        ph[t, q], sh[t, q, 0, 0], sh[t, q, 0, 1],
-                        sh[t, q, 1, 1])]))
+        grads = geo.push_gradients(rgrads)
+        for eid in cache.element_ids.tolist():
+            fld = sol.fields[eid]
+            uh, guh, ph = asm.field_values(vals, grads, cache.dofh.loc2glob,
+                                           fld.u, fld.p, eps)
+            sh = cfg.G * (guh + np.swapaxes(guh, -1, -2))
+            sh[..., 0, 0] -= ph
+            sh[..., 1, 1] -= ph
+            table = np.column_stack([
+                (geo.physical_points(corners) + fld.shift).reshape(-1, 2),
+                uh.reshape(-1, 2), ph.ravel(),
+                sh.reshape(-1, 4)[:, [0, 1, 3]]])
+            rows[eid] = [",".join([str(eid)] + [_fmt(v) for v in r])
+                         for r in table]
     with open(os.path.join(args.out, "fields.csv"), "w") as f:
-        f.write("\n".join(rows) + "\n")
+        f.write("\n".join(["element,x,y,u1,u2,p,s11,s12,s22"] + [
+            r for eid in sorted(rows) for r in rows[eid]]) + "\n")
     lam_rows = ["segment,component,mode,coefficient"]
     dps = data.skeleton.dofs_per_segment
     ell1 = data.skeleton.degree + 1
@@ -306,7 +305,7 @@ def cmd_export_fields(args):
 def _add_common(p):
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--threads", type=int, default=default_threads())
+    p.add_argument("--threads", type=int, help=f"default ${THREADS_ENV} or 1")
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--override-wellposedness", action="store_true",
                    dest="override_wellposedness")
@@ -317,7 +316,7 @@ def _add_common(p):
     p.add_argument("--level", type=int, default=0)
 
 
-def main(argv=None):
+def _build_parser():
     parser = _TrackingParser(prog="mhmelast")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -346,8 +345,19 @@ def main(argv=None):
     _add_common(p)
     p.set_defaults(func=cmd_export_fields)
 
-    args = parser.parse_args(argv)
-    args = _apply_config_file(args)
+    return parser
+
+
+def _parse_args(argv=None):
+    """Command line, then config file; only then the environment's threads."""
+    args = _apply_config_file(_build_parser().parse_args(argv))
+    if args.threads is None:
+        args.threads = default_threads()
+    return args
+
+
+def main(argv=None):
+    args = _parse_args(argv)
     return args.func(args)
 
 

@@ -4,22 +4,24 @@ variant, the rigid-body projection, and the stabilization parameter.
 
 The basis is built per congruence class of coarse elements.  With constant
 material data, translated elements with the same boundary segment layout
-share one local operator: it is assembled, factored and solved for the
-trace right-hand sides once, and each member element adds only its own load
-column to that solve.  With a variable material every element is a class of
-one.
+share one local mesh and one local operator: it is assembled, factored and
+solved for the trace right-hand sides once, and each member element adds
+only its own load column to that solve.  The result is one record per
+class, with the members as arrays.  With a variable material every element
+is a class of one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import norm as sparse_norm, splu
 
 from . import _assembly as asm
 from ._assembly import RigidModes
 from .fem_core import (MHMError, inverse_constant, quad_rule,
                        reference_element)
+from .mesh import local_depth
 
 __all__ = [
     "MaterialField",
@@ -114,51 +116,37 @@ def admissible_alpha_bound(material, sample_points, c_inverse):
 
 @dataclass
 class LocalBasisCache:
-    """Condensed multiscale basis of one coarse element.
+    """Condensed multiscale basis of one congruence class of coarse elements,
+    solved once on the mesh of `dofh`.
 
     Columns of `trace_u`/`trace_p` hold the displacement/pressure solutions
-    for every trace basis function supported on the element boundary;
-    `load_u`/`load_p` hold the element's load solution.  The trace blocks,
-    `pairing` and `rm_pairing` are shared by reference across the element's
-    congruence class.  The pairing blocks close the global saddle-point
-    problem.
+    for every trace basis function on the element boundary; `pairing` and
+    `rm_pairing` close the global saddle-point problem.  The members are
+    translates of that mesh by `shifts`, and row i of every member array
+    belongs to element `element_ids[i]`.
     """
-    element_id: int
     kind: str                       # "gals" | "galerkin"
-    local_mesh: object
-    dofh: object
-    seg_ids: list                   # skeleton segments on the boundary, ordered
-    dof_signs: np.ndarray           # orientation sign n_F . n^K per trace dof
-    trace_dofs: np.ndarray          # global trace dof indices, cache order
-    trace_u: np.ndarray             # (2*nsd, ntr), shared within the class
-    trace_p: np.ndarray             # (nsd, ntr), shared; None for "galerkin"
-    load_u: np.ndarray              # (2*nsd,)
-    load_p: np.ndarray              # (nsd,); None for "galerkin"
-    pairing: np.ndarray             # (ntr, ntr), <mu_i, T_h(mu_j)>, shared
-    rm_pairing: np.ndarray          # (ntr, 3), <mu_i, v_rm>, shared
-    load_pairing: np.ndarray        # (ntr,), <mu_i, That(f)>
-    rm_load: np.ndarray             # (3,), int f . v_rm + Neumann part
-    rigid_modes: RigidModes
-    alpha: float
     degree: int
-    material: MaterialField = None
+    alpha: float
+    material: MaterialField
+    dofh: object                    # numbering of the class's local mesh
+    rigid_modes: RigidModes         # about that mesh's element centroid
+    trace_u: np.ndarray             # (2*nsd, ntr)
+    trace_p: np.ndarray             # (nsd, ntr); None for "galerkin"
+    pairing: np.ndarray             # (ntr, ntr), <mu_i, T_h(mu_j)>
+    rm_pairing: np.ndarray          # (ntr, 3), <mu_i, v_rm>
+    element_ids: np.ndarray         # (m,) members
+    shifts: np.ndarray              # (m, 2) member centroid - mesh centroid
+    trace_dofs: np.ndarray          # (m, ntr) global trace dof indices
+    dof_signs: np.ndarray           # (m, ntr) orientation sign n_F . n^K
+    load_u: np.ndarray              # (m, 2*nsd) load solutions
+    load_p: np.ndarray              # (m, nsd); None for "galerkin"
+    load_pairing: np.ndarray        # (m, ntr), <mu_i, That(f)>
+    rm_load: np.ndarray             # (m, 3), int f . v_rm + Neumann part
 
     @property
     def n_trace(self):
-        return len(self.trace_dofs)
-
-    @property
-    def Uu(self):
-        """(2*nsd, ntr + 1): the trace solutions, then the load solution."""
-        return np.column_stack([self.trace_u, self.load_u])
-
-    @property
-    def Up(self):
-        """(nsd, ntr + 1) pressure counterpart of `Uu`; None for
-        "galerkin"."""
-        if self.trace_p is None:
-            return None
-        return np.column_stack([self.trace_p, self.load_p])
+        return self.trace_u.shape[1]
 
 
 @dataclass
@@ -178,44 +166,22 @@ class LocalOperator:
     R: np.ndarray                   # (ntr, 2*nsd) trace/displacement pairing
     Grm: np.ndarray                 # (ntr, 3) trace/rigid-mode pairing
     neumann_edges: tuple            # Neumann rows of _boundary_blocks
-    centroid: np.ndarray            # of the element it was assembled on
-
-    @property
-    def n_u(self):
-        return 2 * self.dofh.n_dofs
-
-    @property
-    def n_trace(self):
-        return self.R.shape[0]
-
-
-@dataclass
-class _ElementLoad:
-    local_mesh: object
-    rhs: np.ndarray                 # (n_total,) load column
-    rm_load: np.ndarray             # (3,)
-    rigid_modes: RigidModes
-    shift: np.ndarray               # element centroid - operator centroid
+    rigid_modes: RigidModes         # about the element it was assembled on
 
 
 def _centroid(partition, element_id):
     return partition.vertices[list(partition.elements[element_id])].mean(axis=0)
 
 
-def _element_boundary_setup(partition, local_mesh, skeleton):
-    """Ordered skeleton segments on the element boundary, the orientation
-    sign of each trace dof, and the global trace dof indices."""
-    K = local_mesh.element_id
-    seg_ids, seg_signs = [], []
-    for fid, sg in zip(partition.elem_face_ids[K], partition.elem_face_signs[K]):
-        for sid in skeleton.face_segments[fid]:
-            seg_ids.append(sid)
-            seg_signs.append(sg)
-    if not seg_ids:
-        return seg_ids, np.empty(0, dtype=int), np.empty(0, dtype=int)
-    dof_signs = np.repeat(seg_signs, skeleton.dofs_per_segment)
-    trace_dofs = np.concatenate([skeleton.segment_dofs(s) for s in seg_ids])
-    return seg_ids, dof_signs, trace_dofs
+def _member_segments(partition, skeleton, element_ids):
+    """Skeleton segments on each element's boundary in local edge order,
+    and their orientation signs: (m, nseg) each, for one segment layout."""
+    segs = np.array([[(sid, sg) for fid, sg in zip(partition.elem_face_ids[e],
+                                                   partition.elem_face_signs[e])
+                      for sid in skeleton.face_segments[fid]]
+                     for e in element_ids], dtype=int)
+    segs = segs.reshape(len(element_ids), -1, 2)
+    return segs[..., 0], segs[..., 1]
 
 
 def _boundary_blocks(partition, local_mesh, skeleton, dofh, geo, ref, rm):
@@ -242,7 +208,8 @@ def _boundary_blocks(partition, local_mesh, skeleton, dofh, geo, ref, rm):
     s0, s1 = skeleton.segment_bounds[sid].T[..., None]
     mu = skeleton.basis_values(sid[:, None], (fs - s0) / (s1 - s0))
 
-    seg_ids, _, _ = _element_boundary_setup(partition, local_mesh, skeleton)
+    seg_ids = _member_segments(partition, skeleton,
+                               [local_mesh.element_id])[0][0]
     dps = skeleton.dofs_per_segment
     row_of = np.empty(len(skeleton.segments), dtype=int)
     row_of[seg_ids] = np.arange(len(seg_ids))
@@ -259,10 +226,8 @@ def _boundary_blocks(partition, local_mesh, skeleton, dofh, geo, ref, rm):
 
 def _constraint_rows(dofh, tab, rm):
     """Rows enforcing L2-orthogonality to the rigid modes: (3, 2*nsd)."""
-    l2g = dofh.vector_loc2glob()
-    return np.stack([asm.scatter_vector(asm.load_vector(tab, mode), l2g,
-                                        2 * dofh.n_dofs)
-                     for mode in rm.evaluate(tab.points)])
+    return asm.scatter_vector(asm.load_vector(tab, rm.evaluate(tab.points)),
+                              dofh.vector_loc2glob(), 2 * dofh.n_dofs)
 
 
 def _local_operator(partition, local_mesh, skeleton, material, k, kind,
@@ -289,18 +254,25 @@ def _local_operator(partition, local_mesh, skeleton, material, k, kind,
         A_el, Dall = asm.galerkin_element_matrices(tab, Gq, epsq), None
         l2g = dofh.vector_loc2glob()
         nfield = nu
-    K = asm.scatter(A_el, l2g, (nfield, nfield))
 
-    centroid = _centroid(partition, local_mesh.element_id)
-    rm = RigidModes(centroid)
-    C = np.zeros((3, nfield))
-    C[:, :nu] = _constraint_rows(dofh, tab, rm)
-    A = sp.bmat([[K, C.T], [C, None]], format="csc")
+    # the three rigid-mode constraint rows and columns enter the same COO
+    # triplets as the element blocks: each triangle's moments of the modes,
+    # without the structural zeros (a translation misses one component)
+    rm = RigidModes(_centroid(partition, local_mesh.element_id))
+    moments = asm.load_vector(tab, rm.evaluate(tab.points))   # (3, nt, 2nb)
+    mode, t, b = np.nonzero(moments)
+    crow, ccol, cval = nfield + mode, dofh.vector_loc2glob()[t, b], \
+        moments[mode, t, b]
+    rows, cols, vals = asm.block_triplets(A_el, l2g)
+    A = sp.coo_matrix((np.concatenate([vals, cval, cval]),
+                       (np.concatenate([rows, crow, ccol]),
+                        np.concatenate([cols, ccol, crow]))),
+                      shape=(nfield + 3, nfield + 3)).tocsc()
 
     R, Grm, neumann_edges = _boundary_blocks(partition, local_mesh, skeleton,
                                              dofh, tab.geo, ref, rm)
     return LocalOperator(kind, k, material, A, dofh, tab, alpha, l2g,
-                         Dall, R, Grm, neumann_edges, centroid)
+                         Dall, R, Grm, neumann_edges, rm)
 
 
 def assemble_local_gals(partition, local_mesh, skeleton, material, alpha, k,
@@ -323,94 +295,97 @@ def assemble_local_galerkin(partition, local_mesh, skeleton, material, k):
                            "galerkin", 0.0, None)
 
 
-def element_load(op, partition, local_mesh, f=None, g=None):
-    """Load column and rigid-mode load of one element of `op`'s class.
-
-    The load `f` and the Neumann data `g` are evaluated at the operator's
-    quadrature points translated onto the element; the rigid modes are
-    taken about the element's own centroid.
-    """
-    centroid = _centroid(partition, local_mesh.element_id)
-    shift = centroid - op.centroid
-    rm = RigidModes(centroid)
-    rhs = np.zeros(op.matrix.shape[0])
-    d_rm = np.zeros(3)
+def element_load(op, shifts, f=None, g=None):
+    """Load columns (n, m) and rigid-mode loads (m, 3) of the members of
+    `op`'s class, translates of its element by `shifts` (m, 2): `f` and `g`
+    are each called once, at the operator's points translated onto every
+    member, whose rigid modes take the operator's values."""
+    shifts = np.asarray(shifts, dtype=float)[:, None, None]
+    rhs = np.zeros((len(shifts), op.matrix.shape[0]))
+    d_rm = np.zeros((len(shifts), 3))
     pts, w, vals, dofs = op.neumann_edges
     if g is not None and len(w):
-        x = pts + shift
-        gq = np.asarray(g(x), dtype=float)
-        F = np.einsum("eq,eqc,eqb->ebc", w, gq, vals).reshape(len(w), -1)
-        rhs += asm.scatter_vector(F, dofs, rhs.size)
-        d_rm += np.einsum("eq,eqc,meqc->m", w, gq, rm.evaluate(x))
+        gq = np.asarray(g(pts + shifts), dtype=float)         # (m, ne, nq, 2)
+        F = np.einsum("eq,meqc,eqb->mebc", w, gq, vals)
+        rhs += asm.scatter_vector(F.reshape(F.shape[:2] + (-1,)), dofs,
+                                  rhs.shape[1])
+        d_rm += np.einsum("eq,meqc,keqc->mk", w, gq,
+                          op.rigid_modes.evaluate(pts))
     if f is not None:
-        x = op.tab.points + shift
-        fq = np.asarray(f(x), dtype=float)
+        fq = np.asarray(f(op.tab.points + shifts), dtype=float)
         F_el = asm.load_vector(op.tab, fq, Dall=op.Dall, alpha=op.alpha)
-        rhs += asm.scatter_vector(F_el, op.l2g, rhs.size)
-        d_rm += np.einsum("tq,tqc,mtqc->m", op.tab.wdet, fq, rm.evaluate(x))
-    return _ElementLoad(local_mesh, rhs, d_rm, rm, shift)
+        rhs += asm.scatter_vector(F_el, op.l2g, rhs.shape[1])
+        d_rm += np.einsum("tq,mtqc,ktqc->mk", op.tab.wdet, fq,
+                          op.rigid_modes.evaluate(op.tab.points))
+    return rhs.T, d_rm
 
 
-def solve_local_basis(op, partition, skeleton, loads):
+def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     """Factorize the class operator once and solve, in one multi-RHS call,
-    for every trace basis function and every member's load, producing one
-    basis cache per member element."""
+    for every trace basis function and the load of every member: the basis
+    record of the class whose members are `element_ids`, translates of the
+    element `op` was assembled on."""
+    element_ids = np.asarray(element_ids, dtype=int)
+    shifts = np.array([_centroid(partition, e) for e in element_ids]
+                      ) - op.rigid_modes.centroid
+    loads, rm_load = element_load(op, shifts, f=f, g=g)
     try:
         lu = splu(op.matrix)
     except RuntimeError as exc:
         raise LocalSolverError(
             "singular local system; run check_refinement_conditions") from exc
-    nu, nsd, ntr = op.n_u, op.dofh.n_dofs, op.n_trace
-    rhs = np.zeros((op.matrix.shape[0], ntr + len(loads)))
+    nsd, ntr = op.dofh.n_dofs, op.R.shape[0]
+    nu = 2 * nsd
+    rhs = np.zeros((op.matrix.shape[0], ntr + len(element_ids)))
     rhs[:nu, :ntr] = op.R.T
-    for j, load in enumerate(loads):
-        rhs[:, ntr + j] = load.rhs
+    rhs[:, ntr:] = loads
     X = lu.solve(rhs)
     if not np.all(np.isfinite(X)):
         raise LocalSolverError(
             "local solve produced non-finite values; the local mesh may be "
             "too coarse for the trace space")
+    # relative residual of every column, bounded as in solve_global; one
+    # column at a time, which keeps the memory of the solve
+    res = np.array([np.linalg.norm(op.matrix @ x - b)
+                    for x, b in zip(X.T, rhs.T)])
+    ref = (np.linalg.norm(rhs, axis=0)
+           + sparse_norm(op.matrix, np.inf) * np.linalg.norm(X, axis=0))
+    if np.any(res > 1e-10 * np.maximum(ref, 1e-300)):
+        raise LocalSolverError(
+            f"local solve residual {res.max():.3e} exceeds tolerance")
     has_p = op.kind == "gals"
     trace_u = X[:nu, :ntr]
-    trace_p = X[nu:nu + nsd, :ntr] if has_p else None
-    pairing = op.R @ trace_u
-    caches = []
-    for j, load in enumerate(loads):
-        lm = load.local_mesh
-        seg_ids, dof_signs, trace_dofs = _element_boundary_setup(
-            partition, lm, skeleton)
-        load_u = X[:nu, ntr + j]
-        caches.append(LocalBasisCache(
-            element_id=lm.element_id,
-            kind=op.kind,
-            local_mesh=lm,
-            dofh=op.dofh.translated(lm.mesh, load.shift),
-            seg_ids=seg_ids,
-            dof_signs=dof_signs,
-            trace_dofs=trace_dofs,
-            trace_u=trace_u,
-            trace_p=trace_p,
-            load_u=load_u,
-            load_p=X[nu:nu + nsd, ntr + j] if has_p else None,
-            pairing=pairing,
-            rm_pairing=op.Grm,
-            load_pairing=op.R @ load_u,
-            rm_load=load.rm_load,
-            rigid_modes=load.rigid_modes,
-            alpha=op.alpha,
-            degree=op.degree,
-            material=op.material,
-        ))
-    return caches
+    load_u = X[:nu, ntr:].T
+    seg_ids, seg_signs = _member_segments(partition, skeleton, element_ids)
+    return LocalBasisCache(
+        kind=op.kind,
+        degree=op.degree,
+        alpha=op.alpha,
+        material=op.material,
+        dofh=op.dofh,
+        rigid_modes=op.rigid_modes,
+        trace_u=trace_u,
+        trace_p=X[nu:nu + nsd, :ntr] if has_p else None,
+        pairing=op.R @ trace_u,
+        rm_pairing=op.Grm,
+        element_ids=element_ids,
+        shifts=shifts,
+        trace_dofs=skeleton.segment_dofs(seg_ids).reshape(len(element_ids),
+                                                          -1),
+        dof_signs=np.repeat(seg_signs, skeleton.dofs_per_segment, axis=1),
+        load_u=load_u,
+        load_p=X[nu:nu + nsd, ntr:].T if has_p else None,
+        load_pairing=load_u @ op.R.T,
+        rm_load=rm_load,
+    )
 
 
-def _congruence_key(partition, local_mesh, skeleton):
+def _congruence_key(partition, eid, skeleton, depth):
     """Elements with equal keys are translates of each other with the same
     local lattice and boundary segment layout, so their local operators
     coincide.  The layout records, per local edge, the number of segments
     (0 on Neumann faces) and whether the face runs against the local edge,
     which fixes the segment order and the sign of the odd trace modes."""
-    eid = local_mesh.element_id
     e = partition.elements[eid]
     p = partition.vertices[list(e)]
     grid = CONGRUENCE_RTOL * partition.element_diameters[eid]
@@ -418,47 +393,47 @@ def _congruence_key(partition, local_mesh, skeleton):
     layout = tuple((len(skeleton.face_segments[fid]),
                     partition.faces[fid].v0 != e[le])
                    for le, fid in enumerate(partition.elem_face_ids[eid]))
-    return shape, layout, local_mesh.depth
+    return shape, layout, local_depth(partition, eid, skeleton, depth)
 
 
-def congruence_classes(partition, local_meshes, skeleton, material):
-    """Group local meshes into classes sharing one local operator; the first
-    member of each class is its representative.  With a non-constant
-    material every element is its own class."""
+def congruence_classes(partition, skeleton, depth, material):
+    """Group the element ids, in increasing order, into classes sharing one
+    local mesh and operator at `depth`, before any local mesh is built.
+    With a non-constant material every element is its own class."""
     if not material.is_uniform:
-        return [[lm] for lm in local_meshes]
+        return [[eid] for eid in range(partition.n_elements)]
     classes = {}
-    for lm in local_meshes:
-        key = _congruence_key(partition, lm, skeleton)
-        classes.setdefault(key, []).append(lm)
+    for eid in range(partition.n_elements):
+        key = _congruence_key(partition, eid, skeleton, depth)
+        classes.setdefault(key, []).append(eid)
     return list(classes.values())
 
 
-def build_class_caches(partition, local_meshes, skeleton, material, k,
-                       kind="gals", theta=0.5, f=None, g=None):
-    """Basis caches of one congruence class: alpha and the operator on the
-    first member, one load per member, and one factorization and solve."""
-    rep = local_meshes[0]
+def build_class_caches(partition, local_mesh, element_ids, skeleton,
+                       material, k, kind="gals", theta=0.5, f=None, g=None):
+    """Basis record of the congruence class `element_ids`: alpha and the
+    operator on `local_mesh` (of one member), one factorization and solve."""
     if kind == "gals":
         ci = inverse_constant(k)
         rule = quad_rule("triangle", 2 * k + 2)
-        points = asm.Geometry(rep.mesh).physical_points(rule.points)
+        points = asm.Geometry(local_mesh.mesh).physical_points(rule.points)
         alpha = compute_alpha(material, points, ci, theta=theta)
-        op = assemble_local_gals(partition, rep, skeleton, material, alpha, k,
-                                 c_inverse=ci)
+        op = assemble_local_gals(partition, local_mesh, skeleton, material,
+                                 alpha, k, c_inverse=ci)
     elif kind == "galerkin":
-        op = assemble_local_galerkin(partition, rep, skeleton, material, k)
+        op = assemble_local_galerkin(partition, local_mesh, skeleton,
+                                     material, k)
     else:
         raise ValueError(f"unknown local solver kind {kind!r}")
-    loads = [element_load(op, partition, lm, f=f, g=g) for lm in local_meshes]
-    return solve_local_basis(op, partition, skeleton, loads)
+    return solve_local_basis(op, partition, skeleton, element_ids, f=f, g=g)
 
 
 def build_local_cache(partition, local_mesh, skeleton, material, k,
                       kind="gals", theta=0.5, f=None, g=None):
     """Convenience pipeline for one element: a class of one."""
-    return build_class_caches(partition, [local_mesh], skeleton, material, k,
-                              kind=kind, theta=theta, f=f, g=g)[0]
+    return build_class_caches(partition, local_mesh, [local_mesh.element_id],
+                              skeleton, material, k, kind=kind, theta=theta,
+                              f=f, g=g)
 
 
 def project_rm(rigid_modes, dofh, tab, coeffs):

@@ -29,6 +29,7 @@ __all__ = [
     "build_structured_triangulation",
     "refine_skeleton",
     "build_matching_local_mesh",
+    "local_depth",
     "check_refinement_conditions",
     "unit_square_mesh",
     "write_partition",
@@ -258,8 +259,9 @@ class SkeletonMesh:
         self.n_dofs = len(self.segments) * self.dofs_per_segment
 
     def segment_dofs(self, seg_id):
-        base = seg_id * self.dofs_per_segment
-        return np.arange(base, base + self.dofs_per_segment)
+        """Trace dofs of a segment id, or of an array of ids (last axis)."""
+        dps = self.dofs_per_segment
+        return dps * np.asarray(seg_id)[..., None] + np.arange(dps)
 
     def basis_values(self, seg, s):
         """Trace basis values at parameters s in [0, 1] (local arclength
@@ -317,10 +319,6 @@ class LocalMesh:
         self.depth = depth
         self.boundary_edges = boundary_edges
 
-    @property
-    def h_max(self):
-        return self.mesh.h_max
-
 
 def _lattice_triangulation(corners, depth):
     """Uniform barycentric-lattice refinement of a triangle; equivalent to
@@ -352,17 +350,13 @@ def _lattice_triangulation(corners, depth):
     return mesh, idx, edge_chains
 
 
-def build_matching_local_mesh(partition, element_id, skeleton, depth):
-    """Red-refine coarse element `element_id` to `depth`, then refine further
-    until every skeleton segment on its boundary is a union of fine edges."""
+def local_depth(partition, element_id, skeleton, depth):
+    """Depth of an element's matching local mesh: `depth`, raised until
+    every skeleton segment on its boundary is a union of fine edges."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    e = partition.elements[element_id]
-    corners = [partition.vertices[v] for v in e]
-    fids = partition.elem_face_ids[element_id]
-
     need = depth
-    for le, fid in enumerate(fids):
+    for fid in partition.elem_face_ids[element_id]:
         segs = skeleton.face_segments[fid]
         if not segs:
             continue
@@ -375,6 +369,16 @@ def build_matching_local_mesh(partition, element_id, skeleton, depth):
             if abs(seg.s0 - j / len(segs)) > GEOM_TOL or abs(seg.s1 - (j + 1) / len(segs)) > GEOM_TOL:
                 raise ValueError("skeleton segments do not align with a dyadic subdivision")
         need = max(need, int(round(r)))
+    return need
+
+
+def build_matching_local_mesh(partition, element_id, skeleton, depth):
+    """Red-refine coarse element `element_id` to `depth`, then refine further
+    until every skeleton segment on its boundary is a union of fine edges."""
+    need = local_depth(partition, element_id, skeleton, depth)
+    e = partition.elements[element_id]
+    corners = [partition.vertices[v] for v in e]
+    fids = partition.elem_face_ids[element_id]
 
     mesh, _, chains = _lattice_triangulation(corners, need)
     N = 2 ** need
@@ -442,15 +446,19 @@ class RefinementReport:
     element_status: dict = field(default_factory=dict)  # K -> (bool, reason)
 
 
-def check_refinement_conditions(k, ell, local_meshes, skeleton):
+def check_refinement_conditions(k, ell, local_meshes, skeleton,
+                                members=None):
     """Advisory check of the sufficient local-refinement conditions for the
     global problem to be well posed: either (k >= ell+1 >= 2 and each
     boundary segment holds at least one fine node) or (k >= ell >= s and each
-    segment interior holds at least 4 - s fine nodes, s in {1, 2, 3})."""
+    segment interior holds at least 4 - s fine nodes, s in {1, 2, 3}).
+    Each mesh decides the verdict of its own element, or of its congruence
+    class `members[i]`, whose meshes have the same node counts."""
     if k < 1 or ell < 1:
         raise ValueError("degrees must be >= 1")
     report = RefinementReport(ok=True)
-    for lm in local_meshes:
+    for lm, eids in zip(local_meshes, members or
+                        [[lm.element_id] for lm in local_meshes]):
         _, closure, interior = _segment_node_counts(lm)
         min_closure = min(closure.tolist(), default=0)
         min_interior = min(interior.tolist(), default=0)
@@ -469,8 +477,10 @@ def check_refinement_conditions(k, ell, local_meshes, skeleton):
                           f"found {min_interior}")
                 if k >= ell + 1 >= 2:
                     reason = "case 1 requires 1 node per segment; " + reason
-        report.element_status[lm.element_id] = (status, reason)
+        report.element_status.update((int(e), (status, reason))
+                                     for e in eids)
         report.ok = report.ok and status
+    report.element_status = dict(sorted(report.element_status.items()))
     return report
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sparse_norm, splu
 
+from . import _assembly as asm
 from .fem_core import MHMError, quad_rule
 
 __all__ = [
@@ -71,43 +72,43 @@ def _dirichlet_data_vector(skeleton, u_dirichlet, exactness):
     return out
 
 
+def _csr(triplets, shape):
+    """CSR matrix of COO (rows, cols, values) parts; duplicates sum."""
+    rows, cols, vals = map(np.concatenate, zip(*triplets))
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
 def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
-    """Condense the per-element basis caches into the global system.
+    """Condense the class basis records into the global system.
 
     The trace unknown is single-valued per skeleton segment; each element
-    contributes through its orientation signs.  On Dirichlet faces the
-    continuity equation is driven by the boundary displacement data.
-    The element blocks are gathered as COO triplets; duplicates sum when
-    each block matrix is built.
+    contributes through its orientation signs, and element K owns rigid-mode
+    unknowns 3K to 3K + 2.  On Dirichlet faces the continuity equation is
+    driven by the boundary displacement data.  The element blocks are
+    gathered as COO triplets; duplicates sum when each block matrix is
+    built.
     """
     n_lambda = skeleton.n_dofs
-    n_rm = 3 * len(caches)
-    a_rows, a_cols, a_vals = [], [], []
-    b_rows, b_cols, b_vals = [], [], []
+    n_rm = 3 * sum(len(c.element_ids) for c in caches)
+    a, b = [], []                       # COO triplets of A and B
     c = np.zeros(n_lambda)
     d = np.zeros(n_rm)
-    for j, cache in enumerate(sorted(caches, key=lambda c: c.element_id)):
-        idx = cache.trace_dofs
-        s = cache.dof_signs
-        rm = np.arange(3 * j, 3 * j + 3)
-        a_rows.append(np.repeat(idx, len(idx)))
-        a_cols.append(np.tile(idx, len(idx)))
-        a_vals.append((s[:, None] * cache.pairing * s[None, :]).ravel())
-        b_rows.append(np.repeat(idx, 3))
-        b_cols.append(np.tile(rm, len(idx)))
-        b_vals.append((s[:, None] * cache.rm_pairing).ravel())
-        c[idx] -= s * cache.load_pairing
+    for cache in caches:
+        idx, s = cache.trace_dofs, cache.dof_signs       # (m, ntr) each
+        rm = 3 * cache.element_ids[:, None] + np.arange(3)
+        a.append(asm.block_triplets(
+            s[:, :, None] * cache.pairing * s[:, None, :], idx))
+        b.append((np.repeat(idx, 3, axis=1).ravel(),
+                  np.tile(rm, cache.n_trace).ravel(),
+                  (s[:, :, None] * cache.rm_pairing).ravel()))
+        np.add.at(c, idx.ravel(), -(s * cache.load_pairing).ravel())
         d[rm] = -cache.rm_load
     if u_dirichlet is not None:
         deg = max(cache.degree for cache in caches)
         c += _dirichlet_data_vector(skeleton, u_dirichlet,
                                     deg + skeleton.degree + 2)
-    A = sp.csr_matrix((np.concatenate(a_vals),
-                       (np.concatenate(a_rows), np.concatenate(a_cols))),
-                      shape=(n_lambda, n_lambda))
-    B = sp.csr_matrix((np.concatenate(b_vals),
-                       (np.concatenate(b_rows), np.concatenate(b_cols))),
-                      shape=(n_lambda, n_rm))
+    A = _csr(a, (n_lambda, n_lambda))
+    B = _csr(b, (n_lambda, n_rm))
     asym = abs(A - A.T).max()
     scale = max(abs(A).max(), 1.0)
     if asym > 1e-10 * scale:
@@ -139,21 +140,23 @@ def solve_global(system, rtol=1e-10):
 
 @dataclass
 class ElementFields:
-    """Fine-space coefficient vectors of one coarse element."""
+    """Fine-space coefficients of one coarse element: its class mesh + shift."""
     cache: object
     u: np.ndarray          # interleaved vector coefficients (2*nsd,)
     p: np.ndarray          # scalar coefficients (nsd,); None without pressure
+    shift: np.ndarray      # (2,) element centroid - class mesh centroid
 
 
 class MHMSolution:
     """Reconstructed two-level solution: trace coefficients, rigid-body
     coefficients per element, and the fine displacement/pressure fields."""
 
-    def __init__(self, skeleton, lam, rho, fields):
+    def __init__(self, skeleton, lam, rho, fields, caches):
         self.skeleton = skeleton
         self.lam = lam
         self.rho = rho
         self.fields = fields          # element_id -> ElementFields
+        self.caches = caches          # the class records of the fields
 
     @property
     def has_pressure(self):
@@ -162,13 +165,20 @@ class MHMSolution:
 
 def postprocess_solution(caches, skeleton, lam, rho):
     """Recombine the condensed basis: per element,
-    u = sum_i sign_i lambda_i T(mu_i) + That(f) + rigid part."""
+    u = sum_i sign_i lambda_i T(mu_i) + That(f) + rigid part, one matrix
+    product per class.  The members' coordinates relative to their own
+    centroids are the class mesh's, so they share one rigid-mode matrix."""
     fields = {}
-    for j, cache in enumerate(sorted(caches, key=lambda c: c.element_id)):
-        coef = cache.dof_signs * lam[cache.trace_dofs]
+    for cache in caches:
+        coef = cache.dof_signs * lam[cache.trace_dofs]         # (m, ntr)
         rm_nodal = cache.rigid_modes.nodal_coefficients(cache.dofh.dof_coords)
-        u = cache.trace_u @ coef + cache.load_u + rm_nodal @ rho[j]
-        p = (cache.trace_p @ coef + cache.load_p
+        u = (coef @ cache.trace_u.T + cache.load_u
+             + rho[cache.element_ids] @ rm_nodal.T)
+        p = (coef @ cache.trace_p.T + cache.load_p
              if cache.trace_p is not None else None)
-        fields[cache.element_id] = ElementFields(cache, u, p)
-    return MHMSolution(skeleton, lam, rho, fields)
+        for i, eid in enumerate(cache.element_ids.tolist()):
+            fields[eid] = ElementFields(cache, u[i],
+                                        None if p is None else p[i],
+                                        cache.shifts[i])
+    return MHMSolution(skeleton, lam, rho, dict(sorted(fields.items())),
+                       caches)

@@ -76,8 +76,8 @@ class RunData:
     """Everything produced by one run besides the solution itself."""
     partition: object
     skeleton: object
-    local_meshes: list
-    caches: list
+    local_meshes: list           # one per congruence class
+    caches: list                 # the class basis records, aligned
     system: object
     refinement: object
     config: MHMConfig
@@ -91,33 +91,30 @@ def solve_mhm(config, problem, g=None):
     skeleton = refine_skeleton(part, config.level, config.ell)
     depth = config.depth if config.depth is not None else \
         default_depth(config.k, config.level)
-    local_meshes = [build_matching_local_mesh(part, eid, skeleton, depth)
-                    for eid in range(part.n_elements)]
+    material = MaterialField(config.G, config.nu)
+    classes = congruence_classes(part, skeleton, depth, material)
+    local_meshes = [build_matching_local_mesh(part, members[0], skeleton,
+                                              depth) for members in classes]
 
     report = check_refinement_conditions(config.k, config.ell, local_meshes,
-                                         skeleton)
+                                         skeleton, members=classes)
     if not report.ok and not config.override_wellposedness:
         bad = {e: r for e, (s, r) in report.element_status.items() if not s}
         raise MHMError(
             "local meshes fail the refinement conditions for well-posedness "
             f"(set override_wellposedness to force): {bad}")
 
-    material = MaterialField(config.G, config.nu)
-    classes = congruence_classes(part, local_meshes, skeleton, material)
-
-    def one_class(members):
-        return build_class_caches(part, members, skeleton, material, config.k,
-                                  kind=config.kind, theta=config.theta,
-                                  f=problem.f, g=g)
+    def one_class(local_mesh, members):
+        return build_class_caches(part, local_mesh, members, skeleton,
+                                  material, config.k, kind=config.kind,
+                                  theta=config.theta, f=problem.f, g=g)
 
     threads = config.threads or default_threads()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_class = list(pool.map(one_class, classes))
+            caches = list(pool.map(one_class, local_meshes, classes))
     else:
-        per_class = [one_class(members) for members in classes]
-    caches = sorted((c for cs in per_class for c in cs),
-                    key=lambda c: c.element_id)
+        caches = list(map(one_class, local_meshes, classes))
 
     system = assemble_global_saddle(caches, skeleton, u_dirichlet=problem.u)
     lam, rho = solve_global(system)

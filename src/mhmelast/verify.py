@@ -160,52 +160,46 @@ class ErrorRecord:
     p_h: float             # h-weighted broken H1 seminorm of pressure error
 
 
-class _Accumulator:
-    def __init__(self):
-        self.sq = np.zeros(6)
+def _error_squares(tab, l2g, ucoef, pcoef, problem, shift=0.0):
+    """The six squared error norms over one mesh block: the tabulated mesh
+    translated by `shift`."""
+    eps = problem.epsilon
+    uh, guh, ph = asm.field_values(tab.vals, tab.grads, l2g, ucoef, pcoef,
+                                   eps)
+    if pcoef is not None:
+        gph = np.einsum("tqbj,tb->tqj", tab.grads, pcoef[l2g])
+    else:
+        # elementwise gradient of the implied pressure -(1/eps) div u_h
+        un = ucoef.reshape(-1, 2)[l2g]
+        gph = -np.einsum("tqbcj,tbc->tqj", tab.hess, un) / eps
+    w = tab.wdet
+    pts = tab.points + shift
 
-    def add_block(self, mesh, dofh, ucoef, pcoef, problem, degree):
-        """Accumulate squared norms over one mesh block."""
-        ref = reference_element(degree)
-        tab = asm.Tabulation(mesh, ref, 2 * degree + 4)
-        l2g = dofh.loc2glob
-        eps = problem.epsilon
-        uh, guh, ph = asm.field_values(tab.vals, tab.grads, l2g, ucoef, pcoef,
-                                       eps)
-        if pcoef is not None:
-            gph = np.einsum("tqbj,tb->tqj", tab.grads, pcoef[l2g])
-        else:
-            # elementwise gradient of the implied pressure -(1/eps) div u_h
-            un = ucoef.reshape(-1, 2)[l2g]
-            gph = -np.einsum("tqbcj,tbc->tqj", tab.hess, un) / eps
-        w = tab.wdet
-        pts = tab.points
+    ue = problem.u(pts)
+    gue = problem.grad_u(pts)
+    pe = problem.p(pts)
+    gpe = problem.grad_p(pts)
+    se = problem.sigma(pts)
 
-        ue = problem.u(pts)
-        gue = problem.grad_u(pts)
-        pe = problem.p(pts)
-        gpe = problem.grad_p(pts)
-        se = problem.sigma(pts)
+    eu = ue - uh
+    egu = gue - guh
+    eph = pe - ph
+    egp = gpe - gph
 
-        eu = ue - uh
-        egu = gue - guh
-        eph = pe - ph
-        egp = gpe - gph
+    Gq = problem.material.G_at(pts)
+    eps_h = 0.5 * (guh + np.swapaxes(guh, -1, -2))
+    sh = 2 * Gq[..., None, None] * eps_h
+    sh[..., 0, 0] -= ph
+    sh[..., 1, 1] -= ph
+    es = se - sh
 
-        Gq = problem.material.G_at(pts)
-        eps_h = 0.5 * (guh + np.swapaxes(guh, -1, -2))
-        sh = 2 * Gq[..., None, None] * eps_h
-        sh[..., 0, 0] -= ph
-        sh[..., 1, 1] -= ph
-        es = se - sh
-
-        self.sq[0] += np.einsum("tq,tqc->", w, eu**2)
-        self.sq[1] += np.einsum("tq,tqcj->", w, egu**2)
-        self.sq[2] += np.einsum("tq,tqcj->", w, es**2)
-        self.sq[3] += np.einsum("tq,tq->", w, eph**2)
-        self.sq[4] += np.einsum("tq,tq->", w * (1 + eps), eph**2)
-        h2 = mesh.diameters**2
-        self.sq[5] += np.einsum("t,tq,tqj->", h2, w, egp**2)
+    h2 = tab.geo.diameters**2
+    return np.array([np.einsum("tq,tqc->", w, eu**2),
+                     np.einsum("tq,tqcj->", w, egu**2),
+                     np.einsum("tq,tqcj->", w, es**2),
+                     np.einsum("tq,tq->", w, eph**2),
+                     np.einsum("tq,tq->", w * (1 + eps), eph**2),
+                     np.einsum("t,tq,tqj->", h2, w, egp**2)])
 
 
 def _traction_error_sq(solution, problem):
@@ -232,21 +226,27 @@ def _traction_error_sq(solution, problem):
 def compute_errors(solution, problem):
     """Error norms of a two-level or single-level solution against the
     closed-form fields, by elementwise quadrature."""
-    acc = _Accumulator()
+    sq = np.zeros(6)
     traction_sq = 0.0
     if isinstance(solution, MHMSolution):
-        for eid in sorted(solution.fields):
-            f = solution.fields[eid]
-            cache = f.cache
-            acc.add_block(cache.local_mesh.mesh, cache.dofh, f.u, f.p,
-                          problem, cache.degree)
+        # one tabulation per class, its members at their shifts
+        for cache in solution.caches:
+            k = cache.degree
+            tab = asm.Tabulation(cache.dofh.mesh, reference_element(k),
+                                 2 * k + 4)
+            for eid in cache.element_ids.tolist():
+                f = solution.fields[eid]
+                sq += _error_squares(tab, cache.dofh.loc2glob, f.u, f.p,
+                                     problem, f.shift)
         traction_sq = _traction_error_sq(solution, problem)
     elif isinstance(solution, SingleLevelSolution):
-        acc.add_block(solution.mesh, solution.dofh, solution.u, solution.p,
-                      problem, solution.degree)
+        k = solution.degree
+        tab = asm.Tabulation(solution.mesh, reference_element(k), 2 * k + 4)
+        sq += _error_squares(tab, solution.dofh.loc2glob, solution.u,
+                             solution.p, problem)
     else:
         raise TypeError(f"unsupported solution type {type(solution)!r}")
-    r = np.sqrt(acc.sq)
+    r = np.sqrt(sq)
     return ErrorRecord(l2_u=r[0], h1_u=r[1], l2_sigma=r[2], l2_p=r[3],
                        traction=float(np.sqrt(traction_sq)),
                        p_eps=r[4], p_h=r[5])
@@ -266,18 +266,17 @@ def compressibility_residual(solution, material):
     """Per-element residual of the integrated compressibility relation
     int_K (div u + eps * p) dx."""
     out = {}
-    for eid in sorted(solution.fields):
-        f = solution.fields[eid]
-        cache = f.cache
+    for cache in solution.caches:
         k = cache.degree
-        ref = reference_element(k)
-        tab = asm.Tabulation(cache.local_mesh.mesh, ref, 2 * k + 2)
-        epsq = material.eps_at(tab.points)
-        _, guh, ph = asm.field_values(tab.vals, tab.grads, cache.dofh.loc2glob,
-                                      f.u, f.p, epsq)
-        div = guh[..., 0, 0] + guh[..., 1, 1]
-        out[eid] = float(np.einsum("tq,tq->", tab.wdet, div + epsq * ph))
-    return out
+        tab = asm.Tabulation(cache.dofh.mesh, reference_element(k), 2 * k + 2)
+        for eid in cache.element_ids.tolist():
+            f = solution.fields[eid]
+            epsq = material.eps_at(tab.points + f.shift)
+            _, guh, ph = asm.field_values(tab.vals, tab.grads,
+                                          cache.dofh.loc2glob, f.u, f.p, epsq)
+            div = guh[..., 0, 0] + guh[..., 1, 1]
+            out[eid] = float(np.einsum("tq,tq->", tab.wdet, div + epsq * ph))
+    return dict(sorted(out.items()))
 
 
 @dataclass

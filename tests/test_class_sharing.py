@@ -8,10 +8,12 @@ import pytest
 from mhmelast import (BrennerProblem, MHMConfig, MaterialField,
                       assemble_global_saddle, build_class_caches,
                       build_local_cache, build_matching_local_mesh,
-                      build_structured_triangulation, compute_errors,
-                      congruence_classes, default_depth, postprocess_solution,
-                      refine_skeleton, solve_global, solve_mhm)
-from mhmelast import local_solver
+                      build_structured_triangulation,
+                      check_refinement_conditions, compressibility_residual,
+                      compute_errors, congruence_classes, default_depth,
+                      postprocess_solution, refine_skeleton, solve_global,
+                      solve_mhm)
+from mhmelast import _assembly as asm, local_solver, pipeline
 from mhmelast.mesh import partition_from_string
 
 NU = 0.49
@@ -65,9 +67,18 @@ def test_shared_classes_match_per_element_path(kind, k):
     problem = BrennerProblem(NU)
     (sol, data, err), (sol1, data1, err1) = _shared_and_single(
         problem, k=k, kind=kind)
-    # 32 elements in two shapes; the trace blocks are shared by reference
+    # 32 elements in two shapes: one record per class, its members as rows
     assert len({id(c.trace_u) for c in data.caches}) == 2
     assert len({id(c.trace_u) for c in data1.caches}) == 32
+    for d in (data, data1):
+        ids = np.concatenate([c.element_ids for c in d.caches])
+        assert sorted(ids.tolist()) == list(range(32))
+        assert len(d.local_meshes) == len(d.caches)
+        for c in d.caches:
+            m = len(c.element_ids)
+            assert c.trace_dofs.shape == c.dof_signs.shape == (m, c.n_trace)
+            assert c.load_u.shape == (m, c.trace_u.shape[0])
+            assert c.shifts.shape == (m, 2) and np.all(c.shifts[0] == 0)
     _assert_same_solution(sol, sol1)
     _assert_same_errors(err, err1)
 
@@ -110,21 +121,24 @@ def _reoriented_partition():
 def _solve_partition(part, problem, material, shared, k=2, level=1):
     sk = refine_skeleton(part, level, 1)
     depth = default_depth(k, level)
-    lms = [build_matching_local_mesh(part, e, sk, depth)
-           for e in range(part.n_elements)]
+
+    def local_mesh(eid):
+        return build_matching_local_mesh(part, eid, sk, depth)
+
     if shared:
-        classes = congruence_classes(part, lms, sk, material)
-        caches = [c for members in classes
-                  for c in build_class_caches(part, members, sk, material, k,
-                                              theta=THETA, f=problem.f)]
+        classes = congruence_classes(part, sk, depth, material)
+        caches = [build_class_caches(part, local_mesh(c[0]), c, sk, material,
+                                     k, theta=THETA, f=problem.f)
+                  for c in classes]
     else:
-        classes = [[lm] for lm in lms]
-        caches = [build_local_cache(part, lm, sk, material, k, theta=THETA,
-                                    f=problem.f) for lm in lms]
+        classes = [[e] for e in range(part.n_elements)]
+        caches = [build_local_cache(part, local_mesh(e), sk, material, k,
+                                    theta=THETA, f=problem.f)
+                  for e in range(part.n_elements)]
     system = assemble_global_saddle(caches, sk, u_dirichlet=problem.u)
     lam, rho = solve_global(system)
     sol = postprocess_solution(caches, sk, lam, rho)
-    return sol, [sorted(lm.element_id for lm in c) for c in classes]
+    return sol, [sorted(c) for c in classes]
 
 
 def test_shared_classes_respect_vertex_order_and_face_orientation():
@@ -162,3 +176,80 @@ def test_one_factorization_per_class(monkeypatch):
         calls.clear()
         solve_mhm(MHMConfig(n=4, level=0, k=1, ell=1, nu=NU, G=G), problem)
         assert len(calls) == expected
+
+
+def test_one_local_mesh_per_class(monkeypatch):
+    built = []
+    build = pipeline.build_matching_local_mesh
+
+    def counting_build(part, eid, *args):
+        built.append(eid)
+        return build(part, eid, *args)
+
+    monkeypatch.setattr(pipeline, "build_matching_local_mesh", counting_build)
+    _, data = solve_mhm(MHMConfig(n=4, level=1, k=1, ell=1, nu=NU,
+                                  theta=THETA), BrennerProblem(NU))
+    assert len(data.caches) == 2
+    assert built == [c.element_ids[0] for c in data.caches]
+
+
+@pytest.mark.parametrize("G, tabulations", [(1.0, 2), (_constant(1.0), 32)])
+def test_error_evaluation_tabulates_once_per_class(monkeypatch, G,
+                                                   tabulations):
+    problem = BrennerProblem(NU)
+    sol, data = solve_mhm(MHMConfig(n=4, level=1, k=1, ell=1, nu=NU, G=G,
+                                    theta=THETA), problem)
+    assert len(data.caches) == tabulations
+    built = []
+
+    class CountingTabulation(asm.Tabulation):
+        def __init__(self, mesh, *args):
+            built.append(mesh)
+            super().__init__(mesh, *args)
+
+    monkeypatch.setattr(asm, "Tabulation", CountingTabulation)
+    compute_errors(sol, problem)
+    assert len(built) == tabulations
+    built.clear()
+    compressibility_residual(sol, problem.material)
+    assert len(built) == tabulations
+
+
+def _side_tag(mid):
+    return "neumann" if mid[0] > 1 - 1e-12 or mid[1] < 1e-12 else "dirichlet"
+
+
+@pytest.mark.parametrize("k, ell, depth", [(1, 1, None), (1, 1, 0),
+                                           (2, 1, 0), (1, 2, 2), (3, 2, 1)])
+def test_class_verdicts_match_per_element_check(k, ell, depth):
+    level = 1
+    depth = default_depth(k, level) if depth is None else depth
+    material = MaterialField(1.0, NU)
+    for part in (build_structured_triangulation(4),
+                 build_structured_triangulation(4, boundary_tag=_side_tag),
+                 _reoriented_partition()):
+        sk = refine_skeleton(part, level, ell)
+        per_element = check_refinement_conditions(
+            k, ell, [build_matching_local_mesh(part, e, sk, depth)
+                     for e in range(part.n_elements)], sk)
+        classes = congruence_classes(part, sk, depth, material)
+        report = check_refinement_conditions(
+            k, ell, [build_matching_local_mesh(part, c[0], sk, depth)
+                     for c in classes], sk, members=classes)
+        assert report.ok == per_element.ok
+        assert list(report.element_status.items()) == \
+            list(per_element.element_status.items())
+
+
+@pytest.mark.parametrize("boundary_tag", [None, _side_tag])
+def test_run_reports_one_verdict_per_element(boundary_tag):
+    config = MHMConfig(n=4, level=1, k=2, ell=1, nu=NU, theta=THETA,
+                       boundary_tag=boundary_tag)
+    _, data = solve_mhm(config, BrennerProblem(NU))
+    part, sk = data.partition, data.skeleton
+    depth = default_depth(config.k, config.level)
+    per_element = check_refinement_conditions(
+        config.k, config.ell, [build_matching_local_mesh(part, e, sk, depth)
+                               for e in range(part.n_elements)], sk)
+    assert data.refinement.element_status == per_element.element_status
+    assert len(data.caches) == (2 if boundary_tag is None else 5)

@@ -10,7 +10,7 @@ from mhmelast import (InverseConstant, MaterialField, RigidModes,
                       build_structured_triangulation, compute_alpha,
                       inverse_constant, project_rm, refine_skeleton,
                       solve_local_basis)
-from mhmelast import _assembly as asm
+from mhmelast import _assembly as asm, local_solver
 from mhmelast.fem_core import reference_element
 from mhmelast.local_solver import LocalSolverError, _constraint_rows
 
@@ -220,8 +220,7 @@ def test_stabilization_touches_only_needed_blocks_for_p1():
 def test_zero_load_gives_zero_load_column():
     part, sk, lm = _element_setup()
     cache = build_local_cache(part, lm, sk, MaterialField(1.0, 0.3), 1)
-    ntr = cache.n_trace
-    assert np.abs(cache.Uu[:, ntr]).max() < 1e-13
+    assert np.abs(cache.load_u[0]).max() < 1e-13
     assert np.abs(cache.load_pairing).max() < 1e-13
     assert np.abs(cache.rm_load).max() < 1e-13
 
@@ -231,18 +230,20 @@ def test_cache_shapes_and_orthogonality():
     k = 1
     cache = build_local_cache(part, lm, sk, MaterialField(1.0, 0.4999), k,
                               f=lambda x: np.ones(x.shape[:-1] + (2,)))
+    # the trace solutions, then the element's load solution
+    Uu = np.column_stack([cache.trace_u, cache.load_u.T])
+    Up = np.column_stack([cache.trace_p, cache.load_p.T])
     # 3 faces x 2 segments x 4 dofs
     assert cache.n_trace == 24
-    assert cache.Uu.shape == (2 * cache.dofh.n_dofs, 25)
-    assert cache.Up.shape == (cache.dofh.n_dofs, 25)
+    assert Uu.shape == (2 * cache.dofh.n_dofs, 25)
+    assert Up.shape == (cache.dofh.n_dofs, 25)
     assert set(np.unique(cache.dof_signs)) <= {-1, 1}
     # every basis solution is L2-orthogonal to the rigid modes
     ref = reference_element(k)
     tab = asm.Tabulation(lm.mesh, ref, 2 * k + 2)
-    scale = np.abs(cache.Uu).max()
-    for col in range(cache.Uu.shape[1]):
-        rho, _ = project_rm(cache.rigid_modes, cache.dofh, tab,
-                            cache.Uu[:, col])
+    scale = np.abs(Uu).max()
+    for col in range(Uu.shape[1]):
+        rho, _ = project_rm(cache.rigid_modes, cache.dofh, tab, Uu[:, col])
         assert np.abs(rho).max() < 1e-9 * max(scale, 1.0)
 
 
@@ -275,7 +276,7 @@ def test_galerkin_cache_has_no_pressure():
     part, sk, lm = _element_setup()
     cache = build_local_cache(part, lm, sk, MaterialField(1.0, 0.3), 1,
                               kind="galerkin")
-    assert cache.Up is None
+    assert cache.trace_p is None and cache.load_p is None
     assert cache.kind == "galerkin"
 
 
@@ -299,3 +300,54 @@ def test_constraint_rows_annihilate_orthogonal_complement():
     coeffs = rng.standard_normal(2 * dofh.n_dofs)
     _, resid = project_rm(rm, dofh, tab, coeffs)
     assert np.abs(C @ resid).max() < 1e-12 * max(1.0, np.abs(coeffs).max())
+
+
+@pytest.mark.parametrize("kind", ["gals", "galerkin"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_local_matrix_matches_dense_oracle(kind, k):
+    # element blocks and the three rigid-mode constraint rows and columns,
+    # accumulated triangle by triangle into a dense matrix
+    part, sk, lm = _element_setup(level=1, depth=2)
+    mat = MaterialField(1.0, 0.4)
+    ref = reference_element(k)
+    dofh = asm.DofHandler(lm.mesh, ref)
+    tab = asm.Tabulation(lm.mesh, ref, 2 * k + 2)
+    Gq, epsq = mat.G_at(tab.points), mat.eps_at(tab.points)
+    vl2g = dofh.vector_loc2glob()
+    if kind == "gals":
+        op = assemble_local_gals(part, lm, sk, mat, 1e-3, k)
+        A_el, _ = asm.gals_element_matrices(tab, Gq, epsq, 1e-3)
+        l2g = np.concatenate([vl2g, 2 * dofh.n_dofs + dofh.loc2glob], axis=1)
+    else:
+        op = assemble_local_galerkin(part, lm, sk, mat, k)
+        A_el = asm.galerkin_element_matrices(tab, Gq, epsq)
+        l2g = vl2g
+    nfield = l2g.max() + 1
+    cdofs = nfield + np.arange(3)
+    rm = RigidModes(part.vertices[list(part.elements[0])].mean(axis=0))
+    modes = rm.evaluate(tab.points)
+    A = np.zeros((nfield + 3, nfield + 3))
+    for t in range(lm.mesh.n_triangles):
+        A[np.ix_(l2g[t], l2g[t])] += A_el[t]
+        C = np.einsum("q,mqc,qb->mbc", tab.wdet[t], modes[:, t],
+                      tab.vals).reshape(3, -1)
+        A[np.ix_(cdofs, vl2g[t])] += C
+        A[np.ix_(vl2g[t], cdofs)] += C.T
+    got = op.matrix.toarray()
+    assert got.shape == A.shape
+    assert np.abs(got - A).max() <= 1e-14 * np.abs(A).max()
+
+
+def test_local_solve_residual_is_checked(monkeypatch):
+    class Perturbed:
+        def __init__(self, matrix):
+            self.lu = splu(matrix)
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs) * (1 + 1e-8)
+
+    splu = local_solver.splu
+    monkeypatch.setattr(local_solver, "splu", Perturbed)
+    part, sk, lm = _element_setup()
+    with pytest.raises(LocalSolverError, match="local solve residual"):
+        build_local_cache(part, lm, sk, MaterialField(1.0, 0.3), 1)

@@ -17,8 +17,8 @@ from mhmelast import (BrennerProblem, LinearProblem, MHMConfig, MHMError,
                       unit_square_mesh)
 from mhmelast.local_solver import LocalSolverError
 from mhmelast.mhm_global import GlobalSolverError
-from mhmelast.cli import (_apply_config_file, _parse_levels, _read_config_file,
-                          main)
+from mhmelast.cli import (_apply_config_file, _parse_args, _parse_levels,
+                          _read_config_file, main)
 from mhmelast.pipeline import THREADS_ENV, default_threads
 
 
@@ -120,8 +120,10 @@ def test_run_data_contents():
     cfg = MHMConfig(n=2, level=0, k=1, ell=1, nu=0.3)
     sol, data = solve_mhm(cfg, PATCH)
     assert data.partition.n_elements == 8
-    assert len(data.caches) == 8
-    assert len(data.local_meshes) == 8
+    # one record and one local mesh per class, 8 member rows in all
+    assert sum(len(c.element_ids) for c in data.caches) == 8
+    assert [lm.element_id for lm in data.local_meshes] == \
+        [c.element_ids[0] for c in data.caches]
     assert data.refinement.ok
     assert data.config is cfg
     assert sol.has_pressure
@@ -160,6 +162,33 @@ def test_config_file_fills_defaults_only(tmp_path):
     args = _apply_config_file(args)
     assert args.nu == 0.4           # default: filled from file
     assert args.n == 5              # explicit flag wins over the file
+    assert args.override_wellposedness is True
+
+
+def test_malformed_threads_variable_needs_no_threads_default(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(THREADS_ENV, "abc")
+    # an explicit --threads never reads the variable
+    rc = main(["patch-test", "--n", "2", "--threads", "1", "--out",
+               str(tmp_path / "patch")])
+    assert rc == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["patch-test", "--help"])
+    assert exc.value.code == 0
+    assert "--threads" in capsys.readouterr().out
+    # without --threads, the malformed variable is reported by name
+    with pytest.raises(ValueError, match="MHMELAST_THREADS .*'abc'"):
+        _parse_args(["diagnose"])
+
+
+def test_config_file_values_take_each_option_type(tmp_path, monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "abc")
+    path = tmp_path / "run.cfg"
+    path.write_text("threads = 2\nnu = 0.4\nlevels = 0:2\n"
+                    "override-wellposedness = yes\n")
+    args = _parse_args(["convergence", "--config", str(path)])
+    assert args.threads == 2 and type(args.threads) is int
+    assert args.nu == 0.4 and args.levels == "0:2"
     assert args.override_wellposedness is True
 
 
@@ -255,7 +284,8 @@ def test_export_fields_corner_values_are_vertex_coefficients(tmp_path, k):
         u = fld.u.reshape(-1, 2)[vertex_dofs]
         expected.append(np.column_stack([
             np.full(len(vertex_dofs), eid),
-            fld.cache.dofh.dof_coords[vertex_dofs], u, fld.p[vertex_dofs]]))
+            fld.cache.dofh.dof_coords[vertex_dofs] + fld.shift, u,
+            fld.p[vertex_dofs]]))
     expected = np.concatenate(expected)
     assert rows.shape[0] == expected.shape[0]
     scale = np.abs(expected).max()
