@@ -193,7 +193,8 @@ def gals_element_matrices(tab, Gq, epsq, alpha):
 
     Dall = stress_divergence_rows_full(tab, 2.0 * Gq)
     ls_w = np.asarray(alpha) * tab.geo.diameters ** 2
-    A -= np.einsum("t,tq,tqai,tqbi->tab", ls_w, w, Dall, Dall)
+    A -= np.einsum("tqai,tqbi->tab", (ls_w[:, None] * w)[..., None, None]
+                   * Dall, Dall)
     return A, Dall
 
 
@@ -230,7 +231,8 @@ def load_vector(tab, fq, Dall=None, alpha=None):
     if Dall is None:
         return Fu
     ls_w = np.asarray(alpha) * tab.geo.diameters ** 2
-    F = np.einsum("t,tq,...tqi,tqai->...ta", ls_w, w, fq, Dall)
+    F = np.einsum("...tqi,tqai->...ta", (ls_w[:, None] * w)[..., None] * fq,
+                  Dall)
     F[..., :2 * nb] += Fu
     return F
 

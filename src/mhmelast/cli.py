@@ -268,14 +268,14 @@ def cmd_export_fields(args):
     eps = (1 - 2 * cfg.nu) / (2 * cfg.G * cfg.nu)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     rows = {}
-    for cache in sol.caches:
-        # one geometry per class; members are its translates
-        geo = asm.Geometry(cache.dofh.mesh)
-        vals, rgrads, _ = cache.dofh.ref.tabulate(corners)
+    for dofh, eids in sol.mesh_members():
+        # one geometry per local mesh; members are its translates
+        geo = asm.Geometry(dofh.mesh)
+        vals, rgrads, _ = dofh.ref.tabulate(corners)
         grads = geo.push_gradients(rgrads)
-        for eid in cache.element_ids.tolist():
+        for eid in eids:
             fld = sol.fields[eid]
-            uh, guh, ph = asm.field_values(vals, grads, cache.dofh.loc2glob,
+            uh, guh, ph = asm.field_values(vals, grads, dofh.loc2glob,
                                            fld.u, fld.p, eps)
             sh = cfg.G * (guh + np.swapaxes(guh, -1, -2))
             sh[..., 0, 0] -= ph

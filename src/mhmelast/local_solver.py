@@ -2,16 +2,16 @@
 element: the stabilized displacement-pressure operators, the plain Galerkin
 variant, the rigid-body projection, and the stabilization parameter.
 
-The basis is built per congruence class of coarse elements.  With constant
-material data, translated elements with the same boundary segment layout
-share one local mesh and one local operator: it is assembled, factored and
-solved for the trace right-hand sides once, and each member element adds
-only its own load column to that solve.  The result is one record per
-class, with the members as arrays.  With a variable material every element
-is a class of one.
+The basis is built per congruence class of translated coarse elements with
+the same boundary segment layout: they share one local mesh, numbering,
+tabulation and boundary pairings.  The members are split by their samples of
+G and eps, and each group with equal samples (the whole class under a
+constant material) shares one alpha and one operator, factored and solved
+for the trace right-hand sides and every member's load column at once: one
+record per group, with the members as arrays.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,26 +62,26 @@ class MaterialField:
         self._G = G
         self._nu = nu
 
-    @property
-    def is_uniform(self):
-        """True when G and nu are constants, so translated elements have the
-        same local operator."""
-        return not callable(self._G) and not callable(self._nu)
-
-    def _eval(self, f, x):
+    def _eval(self, name, f, x):
         x = np.asarray(x, dtype=float)
-        if callable(f):
-            return np.asarray(f(x), dtype=float)
-        return np.full(x.shape[:-1], float(f))
+        if not callable(f):
+            return np.full(x.shape[:-1], float(f))
+        value = np.asarray(f(x), dtype=float)
+        try:
+            return np.broadcast_to(value, x.shape[:-1])
+        except ValueError:
+            raise ValueError(f"{name} returned shape {value.shape} at points of "
+                             f"shape {x.shape}, not one broadcasting to "
+                             f"{x.shape[:-1]}") from None
 
     def G_at(self, x):
-        g = self._eval(self._G, x)
+        g = self._eval("G", self._G, x)
         if np.any(g <= 0):
             raise ValueError("shear modulus must be positive")
         return g
 
     def nu_at(self, x):
-        nu = self._eval(self._nu, x)
+        nu = self._eval("nu", self._nu, x)
         if np.any(nu <= 0) or np.any(nu >= 0.5):
             raise ValueError("Poisson ratio must lie in (0, 1/2)")
         return nu
@@ -104,20 +104,13 @@ def compute_alpha(material, sample_points, c_inverse, theta=0.5):
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
     g0, gnorm = material.stats(sample_points)
-    if g0 <= 0:
-        raise ValueError("non-positive shear modulus")
     return theta * g0 * c_inverse.safe_value / (2 * gnorm**2)
-
-
-def admissible_alpha_bound(material, sample_points, c_inverse):
-    g0, gnorm = material.stats(sample_points)
-    return g0 * c_inverse.value / (2 * gnorm**2)
 
 
 @dataclass
 class LocalBasisCache:
-    """Condensed multiscale basis of one congruence class of coarse elements,
-    solved once on the mesh of `dofh`.
+    """Condensed multiscale basis of the members of one congruence class
+    that share their material samples, solved once on the mesh of `dofh`.
 
     Columns of `trace_u`/`trace_p` hold the displacement/pressure solutions
     for every trace basis function on the element boundary; `pairing` and
@@ -152,25 +145,27 @@ class LocalBasisCache:
 @dataclass
 class LocalOperator:
     """The part of a coarse element's local problem that depends on neither
-    its load nor its position: the factorable matrix and the boundary
-    pairings, shared by the element's congruence class."""
+    its load nor its position.  The fields up to `constraints` do not depend
+    on the material either and are shared by the element's congruence
+    class; the material fields belong to one group of its members."""
     kind: str                       # "gals" | "galerkin"
-    degree: int
-    material: MaterialField
-    matrix: sp.csc_matrix           # [u; (p;) 3 rigid multipliers]
     dofh: object
     tab: object
-    alpha: float
     l2g: np.ndarray                 # element map of the [u (; p)] unknowns
-    Dall: np.ndarray                # least-squares rows; None for "galerkin"
     R: np.ndarray                   # (ntr, 2*nsd) trace/displacement pairing
     Grm: np.ndarray                 # (ntr, 3) trace/rigid-mode pairing
     neumann_edges: tuple            # Neumann rows of _boundary_blocks
     rigid_modes: RigidModes         # about the element it was assembled on
+    constraints: tuple              # COO triplets of the rigid-mode rows
+    material: MaterialField = None
+    alpha: float = 0.0
+    matrix: sp.csc_matrix = None    # [u; (p;) 3 rigid multipliers]
+    Dall: np.ndarray = None         # least-squares rows; None for "galerkin"
 
 
-def _centroid(partition, element_id):
-    return partition.vertices[list(partition.elements[element_id])].mean(axis=0)
+def _centroids(partition, element_ids):
+    return partition.vertices[np.asarray(partition.elements)[element_ids]
+                              ].mean(axis=1)
 
 
 def _member_segments(partition, skeleton, element_ids):
@@ -230,49 +225,54 @@ def _constraint_rows(dofh, tab, rm):
                               dofh.vector_loc2glob(), 2 * dofh.n_dofs)
 
 
-def _local_operator(partition, local_mesh, skeleton, material, k, kind,
-                    alpha, c_inverse):
-    """Assemble the local operator of `kind` on one coarse element."""
+def _local_geometry(partition, local_mesh, skeleton, k, kind):
+    """The material-free fields of the local operator of `kind` on one
+    coarse element."""
     ref = reference_element(k)
-    mesh = local_mesh.mesh
-    dofh = asm.DofHandler(mesh, ref)
-    tab = asm.Tabulation(mesh, ref, 2 * k + 2)
-    Gq = material.G_at(tab.points)
-    epsq = material.eps_at(tab.points)
-    nu = 2 * dofh.n_dofs
-    if kind == "gals":
+    dofh = asm.DofHandler(local_mesh.mesh, ref)
+    tab = asm.Tabulation(local_mesh.mesh, ref, 2 * k + 2)
+    l2g = dofh.vector_loc2glob()
+    if kind == "gals":                  # the pressure dofs after all of u's
+        l2g = np.concatenate([l2g, 2 * dofh.n_dofs + dofh.loc2glob], axis=1)
+    # the three rigid-mode constraint rows and columns, after the field
+    # unknowns: each triangle's moments of the modes, without the
+    # structural zeros (a translation misses one component)
+    rm = RigidModes(_centroids(partition, [local_mesh.element_id])[0])
+    moments = asm.load_vector(tab, rm.evaluate(tab.points))   # (3, nt, 2nb)
+    mode, t, b = np.nonzero(moments)
+    constraints = (l2g.max() + 1 + mode, dofh.vector_loc2glob()[t, b],
+                   moments[mode, t, b])
+    R, Grm, neumann_edges = _boundary_blocks(partition, local_mesh, skeleton,
+                                             dofh, tab.geo, ref, rm)
+    return LocalOperator(kind, dofh, tab, l2g, R, Grm, neumann_edges, rm,
+                         constraints)
+
+
+def _local_operator(geo, material, shift, alpha, c_inverse):
+    """The local operator on the geometry `geo`, with the material sampled
+    at its points translated by `shift`."""
+    points = geo.tab.points + shift
+    Gq = material.G_at(points)
+    epsq = material.eps_at(points)
+    if geo.kind == "gals":
         if c_inverse is not None:
-            bound = admissible_alpha_bound(material, tab.points, c_inverse)
+            g0, gnorm = material.stats(points)
+            bound = g0 * c_inverse.value / (2 * gnorm**2)
             if not 0 < alpha < bound:
                 raise LocalSolverError(f"alpha={alpha} outside the admissible "
                                        f"interval (0, {bound})")
-        A_el, Dall = asm.gals_element_matrices(tab, Gq, epsq, alpha)
-        l2g = np.concatenate([dofh.vector_loc2glob(), nu + dofh.loc2glob],
-                             axis=1)
-        nfield = nu + dofh.n_dofs
+        A_el, Dall = asm.gals_element_matrices(geo.tab, Gq, epsq, alpha)
     else:
-        A_el, Dall = asm.galerkin_element_matrices(tab, Gq, epsq), None
-        l2g = dofh.vector_loc2glob()
-        nfield = nu
-
-    # the three rigid-mode constraint rows and columns enter the same COO
-    # triplets as the element blocks: each triangle's moments of the modes,
-    # without the structural zeros (a translation misses one component)
-    rm = RigidModes(_centroid(partition, local_mesh.element_id))
-    moments = asm.load_vector(tab, rm.evaluate(tab.points))   # (3, nt, 2nb)
-    mode, t, b = np.nonzero(moments)
-    crow, ccol, cval = nfield + mode, dofh.vector_loc2glob()[t, b], \
-        moments[mode, t, b]
-    rows, cols, vals = asm.block_triplets(A_el, l2g)
+        A_el, Dall = asm.galerkin_element_matrices(geo.tab, Gq, epsq), None
+    # the constraint triplets enter the same COO matrix as the element blocks
+    rows, cols, vals = asm.block_triplets(A_el, geo.l2g)
+    crow, ccol, cval = geo.constraints
+    n = geo.l2g.max() + 4                   # field unknowns, 3 multipliers
     A = sp.coo_matrix((np.concatenate([vals, cval, cval]),
                        (np.concatenate([rows, crow, ccol]),
                         np.concatenate([cols, ccol, crow]))),
-                      shape=(nfield + 3, nfield + 3)).tocsc()
-
-    R, Grm, neumann_edges = _boundary_blocks(partition, local_mesh, skeleton,
-                                             dofh, tab.geo, ref, rm)
-    return LocalOperator(kind, k, material, A, dofh, tab, alpha, l2g,
-                         Dall, R, Grm, neumann_edges, rm)
+                      shape=(n, n)).tocsc()
+    return replace(geo, material=material, alpha=alpha, matrix=A, Dall=Dall)
 
 
 def assemble_local_gals(partition, local_mesh, skeleton, material, alpha, k,
@@ -284,20 +284,20 @@ def assemble_local_gals(partition, local_mesh, skeleton, material, alpha, k,
     With `c_inverse` given, `alpha` is checked against its admissible
     interval.
     """
-    return _local_operator(partition, local_mesh, skeleton, material, k,
-                           "gals", alpha, c_inverse)
+    geo = _local_geometry(partition, local_mesh, skeleton, k, "gals")
+    return _local_operator(geo, material, 0.0, alpha, c_inverse)
 
 
 def assemble_local_galerkin(partition, local_mesh, skeleton, material, k):
     """Displacement-only local operator (no pressure unknown, no
     stabilization) used by the MHM-Ga variant."""
-    return _local_operator(partition, local_mesh, skeleton, material, k,
-                           "galerkin", 0.0, None)
+    geo = _local_geometry(partition, local_mesh, skeleton, k, "galerkin")
+    return _local_operator(geo, material, 0.0, 0.0, None)
 
 
 def element_load(op, shifts, f=None, g=None):
-    """Load columns (n, m) and rigid-mode loads (m, 3) of the members of
-    `op`'s class, translates of its element by `shifts` (m, 2): `f` and `g`
+    """Load columns (n, m) and rigid-mode loads (m, 3) of the members that
+    share `op`, translates of its element by `shifts` (m, 2): `f` and `g`
     are each called once, at the operator's points translated onto every
     member, whose rigid modes take the operator's values."""
     shifts = np.asarray(shifts, dtype=float)[:, None, None]
@@ -321,13 +321,12 @@ def element_load(op, shifts, f=None, g=None):
 
 
 def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
-    """Factorize the class operator once and solve, in one multi-RHS call,
-    for every trace basis function and the load of every member: the basis
-    record of the class whose members are `element_ids`, translates of the
-    element `op` was assembled on."""
+    """Factorize the operator once and solve, in one multi-RHS call, for
+    every trace basis function and the load of every member: the basis
+    record of the members `element_ids`, translates of the element `op` was
+    assembled on that share its material samples."""
     element_ids = np.asarray(element_ids, dtype=int)
-    shifts = np.array([_centroid(partition, e) for e in element_ids]
-                      ) - op.rigid_modes.centroid
+    shifts = _centroids(partition, element_ids) - op.rigid_modes.centroid
     loads, rm_load = element_load(op, shifts, f=f, g=g)
     try:
         lu = splu(op.matrix)
@@ -359,7 +358,7 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     seg_ids, seg_signs = _member_segments(partition, skeleton, element_ids)
     return LocalBasisCache(
         kind=op.kind,
-        degree=op.degree,
+        degree=op.dofh.ref.degree,
         alpha=op.alpha,
         material=op.material,
         dofh=op.dofh,
@@ -382,10 +381,11 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
 
 def _congruence_key(partition, eid, skeleton, depth):
     """Elements with equal keys are translates of each other with the same
-    local lattice and boundary segment layout, so their local operators
-    coincide.  The layout records, per local edge, the number of segments
-    (0 on Neumann faces) and whether the face runs against the local edge,
-    which fixes the segment order and the sign of the odd trace modes."""
+    local lattice and boundary segment layout, so their local problems
+    differ only in the material.  The layout records, per local edge, the
+    number of segments (0 on Neumann faces) and whether the face runs against
+    the local edge, which fixes the segment order and the sign of the odd
+    trace modes."""
     e = partition.elements[eid]
     p = partition.vertices[list(e)]
     grid = CONGRUENCE_RTOL * partition.element_diameters[eid]
@@ -396,12 +396,10 @@ def _congruence_key(partition, eid, skeleton, depth):
     return shape, layout, local_depth(partition, eid, skeleton, depth)
 
 
-def congruence_classes(partition, skeleton, depth, material):
+def congruence_classes(partition, skeleton, depth):
     """Group the element ids, in increasing order, into classes sharing one
-    local mesh and operator at `depth`, before any local mesh is built.
-    With a non-constant material every element is its own class."""
-    if not material.is_uniform:
-        return [[eid] for eid in range(partition.n_elements)]
+    local mesh at `depth`, before any local mesh is built.  The classes are
+    purely geometric: `build_class_caches` splits them by material."""
     classes = {}
     for eid in range(partition.n_elements):
         key = _congruence_key(partition, eid, skeleton, depth)
@@ -409,31 +407,48 @@ def congruence_classes(partition, skeleton, depth, material):
     return list(classes.values())
 
 
+def _material_groups(material, points, shifts):
+    """Split the members, translates of `points` by `shifts`, into groups
+    whose samples of G and eps agree on the CONGRUENCE_RTOL grid relative to
+    each field's largest sample, so that they share one local operator."""
+    groups = {}
+    for i, x in enumerate(points + s for s in shifts):
+        key = tuple(np.round(q / (CONGRUENCE_RTOL * np.abs(q).max())
+                             ).astype(np.int64).tobytes()
+                    for q in (material.G_at(x), material.eps_at(x)))
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def build_class_caches(partition, local_mesh, element_ids, skeleton,
                        material, k, kind="gals", theta=0.5, f=None, g=None):
-    """Basis record of the congruence class `element_ids`: alpha and the
-    operator on `local_mesh` (of one member), one factorization and solve."""
-    if kind == "gals":
-        ci = inverse_constant(k)
-        rule = quad_rule("triangle", 2 * k + 2)
-        points = asm.Geometry(local_mesh.mesh).physical_points(rule.points)
-        alpha = compute_alpha(material, points, ci, theta=theta)
-        op = assemble_local_gals(partition, local_mesh, skeleton, material,
-                                 alpha, k, c_inverse=ci)
-    elif kind == "galerkin":
-        op = assemble_local_galerkin(partition, local_mesh, skeleton,
-                                     material, k)
-    else:
+    """Basis records of the congruence class `element_ids`, whose members
+    share the geometry on `local_mesh` (of one member): one record per group
+    of members with equal material samples, each with its own alpha,
+    operator, factorization and solve."""
+    if kind not in ("gals", "galerkin"):
         raise ValueError(f"unknown local solver kind {kind!r}")
-    return solve_local_basis(op, partition, skeleton, element_ids, f=f, g=g)
+    element_ids = np.asarray(element_ids, dtype=int)
+    geo = _local_geometry(partition, local_mesh, skeleton, k, kind)
+    shifts = _centroids(partition, element_ids) - geo.rigid_modes.centroid
+    ci = inverse_constant(k) if kind == "gals" else None
+    records = []
+    for group in _material_groups(material, geo.tab.points, shifts):
+        shift = shifts[group[0]]
+        alpha = 0.0 if ci is None else compute_alpha(
+            material, geo.tab.points + shift, ci, theta=theta)
+        op = _local_operator(geo, material, shift, alpha, ci)
+        records.append(solve_local_basis(op, partition, skeleton,
+                                         element_ids[group], f=f, g=g))
+    return records
 
 
 def build_local_cache(partition, local_mesh, skeleton, material, k,
                       kind="gals", theta=0.5, f=None, g=None):
-    """Convenience pipeline for one element: a class of one."""
+    """Convenience pipeline for one element: a class of one, one record."""
     return build_class_caches(partition, local_mesh, [local_mesh.element_id],
                               skeleton, material, k, kind=kind, theta=theta,
-                              f=f, g=g)
+                              f=f, g=g)[0]
 
 
 def project_rm(rigid_modes, dofh, tab, coeffs):

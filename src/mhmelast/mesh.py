@@ -8,6 +8,7 @@ red-refined local mesh that matches the skeleton segments.
 """
 
 import io
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -188,17 +189,11 @@ def build_structured_triangulation(n, boundary_tag=None):
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    elements = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            elements.append((v00, v10, v11))
-            elements.append((v00, v11, v01))
+    # vertex (i, j) is i (n + 1) + j; the lower then the upper triangle of
+    # each square (i, j), in row-major order
+    v00 = np.arange(n * (n + 1)).reshape(n, n + 1)[:, :n].ravel()
+    v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
+    elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
     return GlobalPartition(vertices, elements, boundary_tag=boundary_tag)
 
 
@@ -309,15 +304,14 @@ class BoundaryEdges:
         return len(self.v0)
 
 
+@dataclass(eq=False)
 class LocalMesh:
     """Conforming triangulation of one coarse element obtained by uniform
     red refinement, with the fine-boundary-edge-to-skeleton-segment map."""
-
-    def __init__(self, element_id, mesh, depth, boundary_edges):
-        self.element_id = element_id
-        self.mesh = mesh
-        self.depth = depth
-        self.boundary_edges = boundary_edges
+    element_id: int
+    mesh: TriMesh
+    depth: int
+    boundary_edges: BoundaryEdges
 
 
 def _lattice_triangulation(corners, depth):
@@ -339,14 +333,10 @@ def _lattice_triangulation(corners, depth):
                 tris.append((idx[(i + 1, j)], idx[(i + 1, j + 1)], idx[(i, j + 1)]))
     mesh = TriMesh(np.array(verts), np.array(tris))
     # fine edges along the three coarse edges, in coarse-edge parameter order
-    edge_chains = []
-    for ce, walk in enumerate((
+    edge_chains = [[idx[ij] for ij in walk] for walk in (
         [(i, 0) for i in range(N + 1)],
         [(N - t, t) for t in range(N + 1)],
-        [(0, N - t) for t in range(N + 1)],
-    )):
-        chain = [idx[ij] for ij in walk]
-        edge_chains.append(chain)
+        [(0, N - t) for t in range(N + 1)])]
     return mesh, idx, edge_chains
 
 
@@ -472,8 +462,7 @@ def check_refinement_conditions(k, ell, local_meshes, skeleton,
             if min_interior >= 4 - s:
                 status, reason = True, f"case 2 with s={s}"
             else:
-                needed = 4 - s
-                reason = (f"case 2 requires {needed} interior nodes per segment, "
+                reason = (f"case 2 requires {4 - s} interior nodes per segment, "
                           f"found {min_interior}")
                 if k >= ell + 1 >= 2:
                     reason = "case 1 requires 1 node per segment; " + reason
@@ -495,11 +484,16 @@ def unit_square_mesh(n):
     return TriMesh(part.vertices, np.array(part.elements))
 
 
+def _opened(stream_or_path, mode):
+    """A path opened in `mode`, or a stream left open."""
+    if isinstance(stream_or_path, (str, bytes)):
+        return open(stream_or_path, mode)
+    return nullcontext(stream_or_path)
+
+
 def write_partition(partition, stream_or_path):
     """Plain-text export: vertex list, element list, face list with tags."""
-    own = isinstance(stream_or_path, (str, bytes))
-    f = open(stream_or_path, "w") if own else stream_or_path
-    try:
+    with _opened(stream_or_path, "w") as f:
         f.write("# mhmelast coarse partition\n")
         f.write("# vertices <count>, then x y per line\n")
         f.write(f"vertices {len(partition.vertices)}\n")
@@ -513,20 +507,12 @@ def write_partition(partition, stream_or_path):
         for fc in partition.faces:
             if fc.is_boundary:
                 f.write(f"{fc.v0} {fc.v1} {fc.tag}\n")
-    finally:
-        if own:
-            f.close()
 
 
 def read_partition(stream_or_path):
-    own = isinstance(stream_or_path, (str, bytes))
-    f = open(stream_or_path) if own else stream_or_path
-    try:
+    with _opened(stream_or_path, "r") as f:
         lines = [(no, ln.split()) for no, ln in enumerate(f, 1)
                  if ln.strip() and not ln.startswith("#")]
-    finally:
-        if own:
-            f.close()
     it = iter(lines)
     last = lines[-1][0] if lines else 0
 

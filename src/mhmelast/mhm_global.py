@@ -162,6 +162,14 @@ class MHMSolution:
     def has_pressure(self):
         return all(f.p is not None for f in self.fields.values())
 
+    def mesh_members(self):
+        """(DofHandler, element ids) of each local mesh, whichever records
+        share it."""
+        out = {}
+        for c in self.caches:
+            out.setdefault(c.dofh, []).extend(c.element_ids.tolist())
+        return out.items()
+
 
 def postprocess_solution(caches, skeleton, lam, rho):
     """Recombine the condensed basis: per element,

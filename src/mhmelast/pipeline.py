@@ -76,8 +76,8 @@ class RunData:
     """Everything produced by one run besides the solution itself."""
     partition: object
     skeleton: object
-    local_meshes: list           # one per congruence class
-    caches: list                 # the class basis records, aligned
+    local_meshes: list           # one per geometric congruence class
+    caches: list                 # the basis records, one per material group
     system: object
     refinement: object
     config: MHMConfig
@@ -92,7 +92,7 @@ def solve_mhm(config, problem, g=None):
     depth = config.depth if config.depth is not None else \
         default_depth(config.k, config.level)
     material = MaterialField(config.G, config.nu)
-    classes = congruence_classes(part, skeleton, depth, material)
+    classes = congruence_classes(part, skeleton, depth)
     local_meshes = [build_matching_local_mesh(part, members[0], skeleton,
                                               depth) for members in classes]
 
@@ -112,9 +112,10 @@ def solve_mhm(config, problem, g=None):
     threads = config.threads or default_threads()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            caches = list(pool.map(one_class, local_meshes, classes))
+            records = list(pool.map(one_class, local_meshes, classes))
     else:
-        caches = list(map(one_class, local_meshes, classes))
+        records = list(map(one_class, local_meshes, classes))
+    caches = [c for class_records in records for c in class_records]
 
     system = assemble_global_saddle(caches, skeleton, u_dirichlet=problem.u)
     lam, rho = solve_global(system)

@@ -52,53 +52,44 @@ def _solve_constrained(K, F, fixed, fixed_vals):
     return x
 
 
-def solve_galerkin_dirichlet(mesh, material, k, f, u_dirichlet=None):
-    """Continuous P_k displacement method for the nearly incompressible
-    problem, with the volumetric term (1/eps) (div u, div v)."""
+def _solve_single(mesh, material, k, f, u_dirichlet, theta=None):
+    """The displacement-only method or, with `theta`, the stabilized
+    displacement-pressure method on one mesh."""
     ref = reference_element(k)
     dofh = asm.DofHandler(mesh, ref)
     tab = asm.Tabulation(mesh, ref, 2 * k + 2)
     Gq = material.G_at(tab.points)
     epsq = material.eps_at(tab.points)
-    nu = 2 * dofh.n_dofs
-
-    A_el = asm.galerkin_element_matrices(tab, Gq, epsq)
-    l2g = dofh.vector_loc2glob()
-    K = asm.scatter(A_el, l2g, (nu, nu))
     fq = np.asarray(f(tab.points), dtype=float)
-    F = asm.scatter_vector(asm.load_vector(tab, fq), l2g, nu)
+    nu = 2 * dofh.n_dofs
+    l2g = dofh.vector_loc2glob()
+    if theta is None:
+        A_el = asm.galerkin_element_matrices(tab, Gq, epsq)
+        F_el = asm.load_vector(tab, fq)
+    else:
+        # per-triangle parameter: theta * G_min * C_I / (2 * G_max^2)
+        alpha = (theta * Gq.min(axis=1) * inverse_constant(k).safe_value
+                 / (2.0 * np.abs(Gq).max(axis=1) ** 2))
+        A_el, Dall = asm.gals_element_matrices(tab, Gq, epsq, alpha)
+        F_el = asm.load_vector(tab, fq, Dall=Dall, alpha=alpha)
+        l2g = np.concatenate([l2g, nu + dofh.loc2glob], axis=1)
+    n = l2g.max() + 1
+    x = _solve_constrained(asm.scatter(A_el, l2g, (n, n)),
+                           asm.scatter_vector(F_el, l2g, n),
+                           *_dirichlet_values(dofh, u_dirichlet))
+    return SingleLevelSolution(mesh, dofh, material, k, x[:nu],
+                               p=None if theta is None else x[nu:],
+                               kind="galerkin" if theta is None else "gals")
 
-    fixed, vals = _dirichlet_values(dofh, u_dirichlet)
-    u = _solve_constrained(K, F, fixed, vals)
-    return SingleLevelSolution(mesh, dofh, material, k, u, kind="galerkin")
+
+def solve_galerkin_dirichlet(mesh, material, k, f, u_dirichlet=None):
+    """Continuous P_k displacement method for the nearly incompressible
+    problem, with the volumetric term (1/eps) (div u, div v)."""
+    return _solve_single(mesh, material, k, f, u_dirichlet)
 
 
 def solve_gals_dirichlet(mesh, material, k, f, u_dirichlet=None, theta=0.5):
     """Stabilized displacement-pressure method on a single mesh.  Each
     triangle carries its own stabilization parameter; the pressure is an
     unconstrained P_k unknown."""
-    ref = reference_element(k)
-    dofh = asm.DofHandler(mesh, ref)
-    tab = asm.Tabulation(mesh, ref, 2 * k + 2)
-    Gq = material.G_at(tab.points)
-    epsq = material.eps_at(tab.points)
-    ci = inverse_constant(k)
-
-    # per-triangle parameter: theta * G_min * C_I / (2 * G_max^2)
-    alpha = (theta * Gq.min(axis=1) * ci.safe_value
-             / (2.0 * np.abs(Gq).max(axis=1) ** 2))
-
-    nsd = dofh.n_dofs
-    nu = 2 * nsd
-    ntot = nu + nsd
-    A_el, Dall = asm.gals_element_matrices(tab, Gq, epsq, alpha)
-    l2g = np.concatenate([dofh.vector_loc2glob(), nu + dofh.loc2glob], axis=1)
-    K = asm.scatter(A_el, l2g, (ntot, ntot))
-    fq = np.asarray(f(tab.points), dtype=float)
-    F = asm.scatter_vector(asm.load_vector(tab, fq, Dall=Dall, alpha=alpha),
-                           l2g, ntot)
-
-    fixed, vals = _dirichlet_values(dofh, u_dirichlet)
-    x = _solve_constrained(K, F, fixed, vals)
-    return SingleLevelSolution(mesh, dofh, material, k, x[:nu], p=x[nu:],
-                               kind="gals")
+    return _solve_single(mesh, material, k, f, u_dirichlet, theta)

@@ -229,15 +229,13 @@ def compute_errors(solution, problem):
     sq = np.zeros(6)
     traction_sq = 0.0
     if isinstance(solution, MHMSolution):
-        # one tabulation per class, its members at their shifts
-        for cache in solution.caches:
-            k = cache.degree
-            tab = asm.Tabulation(cache.dofh.mesh, reference_element(k),
-                                 2 * k + 4)
-            for eid in cache.element_ids.tolist():
+        # one tabulation per local mesh, its members at their shifts
+        for dofh, eids in solution.mesh_members():
+            tab = asm.Tabulation(dofh.mesh, dofh.ref, 2 * dofh.ref.degree + 4)
+            for eid in eids:
                 f = solution.fields[eid]
-                sq += _error_squares(tab, cache.dofh.loc2glob, f.u, f.p,
-                                     problem, f.shift)
+                sq += _error_squares(tab, dofh.loc2glob, f.u, f.p, problem,
+                                     f.shift)
         traction_sq = _traction_error_sq(solution, problem)
     elif isinstance(solution, SingleLevelSolution):
         k = solution.degree
@@ -266,14 +264,13 @@ def compressibility_residual(solution, material):
     """Per-element residual of the integrated compressibility relation
     int_K (div u + eps * p) dx."""
     out = {}
-    for cache in solution.caches:
-        k = cache.degree
-        tab = asm.Tabulation(cache.dofh.mesh, reference_element(k), 2 * k + 2)
-        for eid in cache.element_ids.tolist():
+    for dofh, eids in solution.mesh_members():
+        tab = asm.Tabulation(dofh.mesh, dofh.ref, 2 * dofh.ref.degree + 2)
+        for eid in eids:
             f = solution.fields[eid]
             epsq = material.eps_at(tab.points + f.shift)
-            _, guh, ph = asm.field_values(tab.vals, tab.grads,
-                                          cache.dofh.loc2glob, f.u, f.p, epsq)
+            _, guh, ph = asm.field_values(tab.vals, tab.grads, dofh.loc2glob,
+                                          f.u, f.p, epsq)
             div = guh[..., 0, 0] + guh[..., 1, 1]
             out[eid] = float(np.einsum("tq,tq->", tab.wdet, div + epsq * ph))
     return dict(sorted(out.items()))

@@ -51,6 +51,16 @@ def test_material_validation():
         MaterialField(1.0, 0.5).nu_at(x)
     with pytest.raises(ValueError):
         MaterialField(1.0, 0.0).nu_at(x)
+    # a callable's value broadcasts to the points, or is named with both
+    # shapes
+    x = np.zeros((3, 4, 2))
+    eps = MaterialField(lambda x: 1.0, lambda x: 0.3).eps_at(x)
+    assert eps.shape == (3, 4) and np.all(eps == (1 - 0.6) / 0.6)
+    with pytest.raises(ValueError, match=r"G returned shape \(3, 4, 2\) at "
+                       r"points of shape \(3, 4, 2\).*\(3, 4\)"):
+        MaterialField(lambda x: x, 0.3).G_at(x)
+    with pytest.raises(ValueError, match=r"nu returned shape \(2,\)"):
+        MaterialField(1.0, lambda x: np.array([0.3, 0.3])).nu_at(x)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,18 @@ def test_structured_counts_n1():
     assert len(part.faces) == 5
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_structured_elements_match_loop_oracle(n):
+    # square (i, j) splits along its diagonal into a lower, then an upper
+    # triangle, with vertex (i, j) numbered i (n + 1) + j
+    expected = []
+    for i in range(n):
+        for j in range(n):
+            v00, v10 = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            expected += [(v00, v10, v10 + 1), (v00, v10 + 1, v00 + 1)]
+    assert build_structured_triangulation(n).elements == expected
+
+
 def test_structured_rejects_bad_n():
     with pytest.raises(ValueError):
         build_structured_triangulation(0)
