@@ -35,7 +35,9 @@ class Geometry:
     def push_gradients(self, ref_grads):
         """Physical gradients of shape functions, from reference gradients
         (nq, nb, 2) to every triangle: (nt, nq, nb, 2)."""
-        return np.einsum("tji,qbi->tqbj", self.jinv_t, ref_grads)
+        nq, nb, _ = ref_grads.shape
+        g = ref_grads.reshape(-1, 2) @ self.jinv
+        return g.reshape(-1, nq, nb, 2)
 
     def reference_coords(self, t, x):
         """Pull physical points x (n, nq, 2) back to the reference triangles
@@ -142,11 +144,13 @@ class Tabulation:
 
 def strain_product_blocks(tab, factor):
     """(nt, 2nb, 2nb) blocks of int factor * eps(phi_I) : eps(phi_J)."""
-    g = tab.grads
+    nt, nq, nb, _ = tab.grads.shape
+    g = tab.grads.reshape(nt, nq, 2 * nb)
     w = tab.wdet * factor
-    nt, _, nb, _ = g.shape
-    gg = np.einsum("tq,tqbi,tqci->tbc", w, g, g)
-    gcross = np.einsum("tq,tqbi,tqcj->tbicj", w, g, g)
+    # gcross[t, b, i, c, j] = sum_q w g[t, q, b, i] g[t, q, c, j]
+    gcross = ((np.swapaxes(g, 1, 2) * w[:, None, :]) @ g).reshape(
+        nt, nb, 2, nb, 2)
+    gg = gcross[:, :, 0, :, 0] + gcross[:, :, 1, :, 1]
     # block (b, c; b', d) = 0.5 (gcross[b, d, b', c] + delta_cd gg[b, b'])
     E = 0.5 * (np.swapaxes(gcross, 2, 4)
                + gg[:, :, None, :, None] * np.eye(2)[:, None, :])
@@ -185,16 +189,19 @@ def gals_element_matrices(tab, Gq, epsq, alpha):
     A[:, :2 * nb, :2 * nb] = strain_product_blocks(tab, 2.0 * Gq)
     d = divergence_rows(tab)
     # -p div v and symmetric counterpart
-    Bup = -np.einsum("tq,tqI,qp->tIp", w, d, tab.vals)
+    Bup = -(np.swapaxes(d, 1, 2) * w[:, None, :]) @ tab.vals
     A[:, :2 * nb, 2 * nb:] = Bup
     A[:, 2 * nb:, :2 * nb] = np.swapaxes(Bup, 1, 2)
-    A[:, 2 * nb:, 2 * nb:] = -np.einsum("tq,qa,qb->tab", w * epsq,
-                                        tab.vals, tab.vals)
+    # pressure mass: one (nt, nq) x (nq, nb * nb) product
+    vv = (tab.vals[:, :, None] * tab.vals[:, None, :]).reshape(nq, -1)
+    A[:, 2 * nb:, 2 * nb:] = -((w * epsq) @ vv).reshape(nt, nb, nb)
 
     Dall = stress_divergence_rows_full(tab, 2.0 * Gq)
     ls_w = np.asarray(alpha) * tab.geo.diameters ** 2
-    A -= np.einsum("tqai,tqbi->tab", (ls_w[:, None] * w)[..., None, None]
-                   * Dall, Dall)
+    # rows (a) against columns (q, i) of the least-squares operator
+    D = np.moveaxis(Dall, 2, 1).reshape(nt, ndl, 2 * nq)
+    lw = np.repeat(ls_w[:, None] * w, 2, axis=1)
+    A -= (D * lw[:, None, :]) @ np.swapaxes(D, 1, 2)
     return A, Dall
 
 
@@ -214,7 +221,7 @@ def galerkin_element_matrices(tab, Gq, epsq):
     int 2G eps(u):eps(v) + (1/eps) (div u)(div v)."""
     A = strain_product_blocks(tab, 2.0 * Gq)
     d = divergence_rows(tab)
-    A += np.einsum("tq,tqI,tqJ->tIJ", tab.wdet / epsq, d, d)
+    A += (np.swapaxes(d, 1, 2) * (tab.wdet / epsq)[:, None, :]) @ d
     return A
 
 

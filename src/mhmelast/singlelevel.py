@@ -7,10 +7,10 @@ counterpart, both with strong Dirichlet conditions.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import norm as sparse_norm, splu
 
 from . import _assembly as asm
-from .fem_core import inverse_constant, reference_element
+from .fem_core import MHMError, inverse_constant, reference_element
 
 __all__ = [
     "SingleLevelSolution",
@@ -38,6 +38,29 @@ def _dirichlet_values(dofh, u_dirichlet):
         return vdofs, np.zeros(vdofs.size)
     ud = np.asarray(u_dirichlet(dofh.dof_coords[bdofs]), dtype=float)
     return vdofs, ud.ravel()
+
+
+def spsolve(K, b):
+    """Solve a reduced single-level system with one SuperLU factorization
+    that pivots on the diagonal of the COLAMD-permuted matrix, and verify
+    the residual as `solve_global` does.
+
+    Both systems are symmetric: the displacement one is positive definite
+    and the stabilized one quasi-definite for an admissible alpha, so every
+    symmetric permutation of them factors without pivoting (Vanderbei,
+    SIAM J. Optim. 5, 1995) and row exchanges would only add fill."""
+    try:
+        x = splu(K, diag_pivot_thresh=0.0).solve(b)
+    except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
+        raise MHMError("singular single-level system; check the mesh and "
+                       "the Dirichlet boundary") from exc
+    res = np.linalg.norm(K @ x - b)
+    ref = np.linalg.norm(b) + sparse_norm(K, np.inf) * np.linalg.norm(x)
+    if not np.isfinite(res) or res > 1e-10 * max(ref, 1e-300):
+        raise MHMError(f"single-level solve residual {res:.3e} exceeds "
+                       "tolerance; the reduced system is indefinite or too "
+                       "ill-conditioned to factor on its diagonal")
+    return x
 
 
 def _solve_constrained(K, F, fixed, fixed_vals):
@@ -90,6 +113,9 @@ def solve_galerkin_dirichlet(mesh, material, k, f, u_dirichlet=None):
 
 def solve_gals_dirichlet(mesh, material, k, f, u_dirichlet=None, theta=0.5):
     """Stabilized displacement-pressure method on a single mesh.  Each
-    triangle carries its own stabilization parameter; the pressure is an
+    triangle carries its own stabilization parameter, a fraction
+    0 < theta < 1 of its admissible bound; the pressure is an
     unconstrained P_k unknown."""
+    if not 0 < theta < 1:
+        raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
     return _solve_single(mesh, material, k, f, u_dirichlet, theta)

@@ -210,17 +210,18 @@ def _traction_error_sq(solution, problem):
         return 0.0
     deg = max(f.cache.degree for f in solution.fields.values())
     rule = quad_rule("segment", 2 * (deg + sk.degree) + 2)
-    total = 0.0
-    for seg in sk.segments:
-        pts = seg.p0[None, :] + rule.points[:, None] * (seg.p1 - seg.p0)
-        w = rule.weights * seg.length
-        mu = sk.basis_values(seg, rule.points)
-        lam = solution.lam[sk.segment_dofs(seg.id)]
-        lam_h = np.einsum("i,iqc->qc", lam, mu)
-        nF = sk.partition.faces[seg.face_id].normal
-        tex = problem.sigma(pts) @ nF
-        total += np.einsum("q,qc->", w, (lam_h - tex) ** 2)
-    return total
+    sid = np.arange(len(sk.segments))
+    p0 = np.array([seg.p0 for seg in sk.segments])
+    p1 = np.array([seg.p1 for seg in sk.segments])
+    pts = p0[:, None] + rule.points[:, None] * (p1 - p0)[:, None]
+    w = rule.weights * sk.segment_lengths[:, None]
+    s = np.broadcast_to(rule.points, w.shape)
+    mu = sk.basis_values(sid[:, None], s)               # (dps, nseg, nq, 2)
+    lam_h = np.einsum("si,isqc->sqc", solution.lam[sk.segment_dofs(sid)], mu)
+    normals = np.array([sk.partition.faces[seg.face_id].normal
+                        for seg in sk.segments])
+    tex = np.einsum("sqij,sj->sqi", problem.sigma(pts), normals)
+    return np.einsum("sq,sqc->", w, (lam_h - tex) ** 2)
 
 
 def compute_errors(solution, problem):

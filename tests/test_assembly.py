@@ -1,0 +1,95 @@
+"""Element kernels and geometry of `_assembly` against an oracle written
+from the definitions, one triangle and one quadrature point at a time."""
+
+import numpy as np
+import pytest
+
+from mhmelast import TriMesh
+from mhmelast import _assembly as asm
+from mhmelast.fem_core import reference_element
+
+
+def _sheared_mesh():
+    """Four counterclockwise triangles, sheared and stretched differently,
+    so that no two share a Jacobian."""
+    vertices = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 0.9], [1.4, 1.1],
+                         [-0.5, 0.6], [0.6, -0.7]])
+    triangles = np.array([[0, 1, 2], [1, 3, 2], [0, 2, 4], [0, 5, 1]])
+    return TriMesh(vertices, triangles)
+
+
+def _oracle(mesh, ref, rule, Gq, epsq, alpha):
+    """Per triangle and quadrature point: physical gradients and Hessians,
+    the strain product 2G eps(phi):eps(psi), the displacement-pressure
+    matrix with its least-squares term, the div(2G eps(u) - pI) rows and
+    the displacement matrix with (1/eps) div u div v."""
+    vals, rgrads, rhess = ref.tabulate(rule.points)
+    nb = ref.n_basis
+    nt, nq = Gq.shape
+    grads = np.empty((nt, nq, nb, 2))
+    hess = np.empty((nt, nq, nb, 2, 2))
+    strain = np.zeros((nt, 2 * nb, 2 * nb))
+    gals = np.zeros((nt, 3 * nb, 3 * nb))
+    galerkin = np.zeros((nt, 2 * nb, 2 * nb))
+    rows = np.empty((nt, nq, 3 * nb, 2))
+    for t, tri in enumerate(mesh.triangles):
+        v0, v1, v2 = mesh.vertices[tri]
+        J = np.column_stack([v1 - v0, v2 - v0])
+        Jinv = np.linalg.inv(J)
+        edges = [v1 - v0, v2 - v1, v0 - v2]
+        h = max(np.linalg.norm(e) for e in edges)
+        ls = alpha[t] * h ** 2
+        for q in range(nq):
+            w = rule.weights[q] * np.linalg.det(J)
+            G, eps = Gq[t, q], epsq[t, q]
+            # vector basis function 2b + c is N_b e_c
+            eps_phi = np.zeros((2 * nb, 2, 2))
+            div_phi = np.zeros(2 * nb)
+            D = np.zeros((3 * nb, 2))
+            for b in range(nb):
+                g = Jinv.T @ rgrads[q, b]
+                H = Jinv.T @ rhess[q, b] @ Jinv
+                grads[t, q, b] = g
+                hess[t, q, b] = H
+                for c in range(2):
+                    grad_phi = np.outer(np.eye(2)[c], g)   # d(phi_i)/dx_j
+                    eps_phi[2 * b + c] = 0.5 * (grad_phi + grad_phi.T)
+                    div_phi[2 * b + c] = g[c]
+                    # div(2G eps(N_b e_c))_i = G (H_ic + delta_ic lap N_b)
+                    D[2 * b + c] = G * (H[:, c] + np.eye(2)[c] * np.trace(H))
+                D[2 * nb + b] = -g                          # div(-N_b I)
+            rows[t, q] = D
+            ee = 2 * G * np.einsum("Iij,Jij->IJ", eps_phi, eps_phi)
+            strain[t] += w * ee
+            galerkin[t] += w * (ee + np.outer(div_phi, div_phi) / eps)
+            gals[t, :2 * nb, :2 * nb] += w * ee
+            gals[t, :2 * nb, 2 * nb:] -= w * np.outer(div_phi, vals[q])
+            gals[t, 2 * nb:, :2 * nb] -= w * np.outer(vals[q], div_phi)
+            gals[t, 2 * nb:, 2 * nb:] -= w * eps * np.outer(vals[q], vals[q])
+            gals[t] -= w * ls * D @ D.T
+    return grads, hess, strain, gals, rows, galerkin
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_element_kernels_match_pointwise_oracle(k):
+    mesh = _sheared_mesh()
+    ref = reference_element(k)
+    tab = asm.Tabulation(mesh, ref, 2 * k + 2)
+    rng = np.random.default_rng(k)
+    Gq = 1.0 + rng.random(tab.wdet.shape)
+    epsq = 1e-3 + rng.random(tab.wdet.shape)
+    alpha = 0.05 * (1.0 + rng.random(mesh.n_triangles))
+    grads, hess, strain, gals, rows, galerkin = _oracle(
+        mesh, ref, tab.rule, Gq, epsq, alpha)
+
+    assert _close(tab.grads, grads)
+    assert _close(tab.hess, hess)         # both exactly zero for k = 1
+    assert _close(asm.strain_product_blocks(tab, 2.0 * Gq), strain)
+    A, Dall = asm.gals_element_matrices(tab, Gq, epsq, alpha)
+    assert _close(A, gals)
+    assert _close(Dall, rows)
+    assert _close(asm.galerkin_element_matrices(tab, Gq, epsq), galerkin)

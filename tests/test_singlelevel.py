@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mhmelast import (BrennerProblem, LinearProblem, MaterialField,
+from mhmelast import (BrennerProblem, LinearProblem, MaterialField, MHMError,
                       compute_errors, solve_galerkin_dirichlet,
                       solve_gals_dirichlet, unit_square_mesh)
+from mhmelast import singlelevel
 
 
 def _zero(x):
@@ -69,3 +71,85 @@ def test_methods_agree_away_from_incompressibility():
                      u_dirichlet=problem.u)
         e.append(compute_errors(sol, problem).h1_u)
     assert 0.5 < e[0] / e[1] < 2.0
+
+
+def _reduced_systems(monkeypatch):
+    """Record every reduced system (K, b, x) the single-level solvers
+    hand to `singlelevel.spsolve`."""
+    seen = []
+    solve = singlelevel.spsolve
+
+    def recording(K, b):
+        x = solve(K, b)
+        seen.append((K, b, x))
+        return x
+
+    monkeypatch.setattr(singlelevel, "spsolve", recording)
+    return seen
+
+
+@pytest.mark.parametrize("solver", [solve_galerkin_dirichlet,
+                                    solve_gals_dirichlet])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reduced_solve_matches_dense_oracle(monkeypatch, solver, k):
+    problem = BrennerProblem(0.3)
+    mat = MaterialField(lambda x: 1.0 + 0.5 * x[..., 0] * x[..., 1], 0.3)
+    seen = _reduced_systems(monkeypatch)
+    solver(unit_square_mesh(3), mat, k, problem.f, u_dirichlet=problem.u)
+    (K, b, x), = seen
+    want = np.linalg.solve(K.toarray(), b)
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.49999])
+@pytest.mark.parametrize("theta", [0.25, 0.9])
+def test_reduced_gals_matrix_is_quasi_definite(monkeypatch, nu, theta):
+    # the structure that lets SuperLU pivot on the diagonal: a positive
+    # definite displacement block and a negative definite pressure block
+    problem = BrennerProblem(nu)
+    seen = _reduced_systems(monkeypatch)
+    sol = solve_gals_dirichlet(unit_square_mesh(3), problem.material, 2,
+                               problem.f, u_dirichlet=problem.u, theta=theta)
+    (K, b, x), = seen
+    K = K.toarray()
+    assert np.abs(K - K.T).max() <= 1e-14 * np.abs(K).max()
+    m = K.shape[0] - sol.dofh.n_dofs          # free displacement unknowns
+    assert np.linalg.eigvalsh(K[:m, :m])[0] > 0
+    assert np.linalg.eigvalsh(K[m:, m:])[-1] < 0
+    # near nu = 1/2 the conditioning leaves only the residual to compare
+    ref = np.abs(b).max() + np.abs(K).sum(axis=1).max() * np.abs(x).max()
+    assert np.abs(K @ x - b).max() <= 1e-12 * ref
+
+
+def test_single_level_residual_is_checked(monkeypatch):
+    class Perturbed:
+        def __init__(self, matrix, **options):
+            self.lu = splu(matrix, **options)
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs) * (1 + 1e-8)
+
+    splu = singlelevel.splu
+    monkeypatch.setattr(singlelevel, "splu", Perturbed)
+    problem = BrennerProblem(0.3)
+    for solver in (solve_galerkin_dirichlet, solve_gals_dirichlet):
+        with pytest.raises(MHMError, match="single-level solve residual"):
+            solver(unit_square_mesh(3), problem.material, 1, problem.f,
+                   u_dirichlet=problem.u)
+
+
+def test_singular_single_level_system_is_named():
+    K = sp.csc_matrix(np.array([[1.0, 1.0, 0.0],
+                                [1.0, 1.0, 0.0],
+                                [0.0, 0.0, 2.0]]))
+    with pytest.raises(MHMError, match="singular single-level system"):
+        singlelevel.spsolve(K, np.ones(3))
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_gals_rejects_inadmissible_theta(theta):
+    mesh = unit_square_mesh(2)
+    with pytest.raises(ValueError, match=f"theta must lie in \\(0, 1\\), "
+                                         f"got {theta!r}"):
+        solve_gals_dirichlet(mesh, MaterialField(1.0, 0.3), 1, _zero,
+                             theta=theta)

@@ -5,12 +5,14 @@ import pytest
 import scipy.sparse as sp
 
 from mhmelast import (BrennerProblem, LinearProblem, MaterialField,
-                      compute_errors, convergence_orders, exact_brenner,
-                      quad_rule, spectral_diagnostics, unit_square_mesh)
+                      MHMConfig, compute_errors, convergence_orders,
+                      exact_brenner, quad_rule, solve_mhm,
+                      spectral_diagnostics, unit_square_mesh)
 from mhmelast import _assembly as asm
 from mhmelast.fem_core import reference_element
 from mhmelast.singlelevel import SingleLevelSolution
-from mhmelast.verify import SPECTRAL_MAX_UNKNOWNS, _hydrostatic_trace_vector
+from mhmelast.verify import (SPECTRAL_MAX_UNKNOWNS, _hydrostatic_trace_vector,
+                             _traction_error_sq)
 
 
 def _interior_points(rng, n):
@@ -179,6 +181,40 @@ def test_compute_errors_rejects_unknown_solution():
 # ---------------------------------------------------------------------------
 # Convergence orders and diagnostics
 # ---------------------------------------------------------------------------
+
+def test_traction_error_matches_segment_loop():
+    problem = BrennerProblem(0.3)
+
+    def tag(mid):                      # Neumann on x = 1 and y = 0
+        return ("neumann" if mid[0] > 1 - 1e-12 or mid[1] < 1e-12
+                else "dirichlet")
+
+    def traction(x):                   # sigma n_F on the Neumann faces
+        x = np.asarray(x, dtype=float)
+        n = np.where((x[..., 0] > 1 - 1e-12)[..., None], [1.0, 0.0],
+                     [0.0, -1.0])
+        return np.einsum("...ij,...j->...i", problem.sigma(x), n)
+
+    config = MHMConfig(n=2, level=1, k=2, nu=0.3, boundary_tag=tag)
+    sol, _ = solve_mhm(config, problem, g=traction)
+    sk = sol.skeleton
+    assert sum(f.tag == "neumann" for f in sk.partition.faces) == 4
+    # the discrete traction of every segment against sigma n_F, one
+    # segment at a time
+    deg = max(f.cache.degree for f in sol.fields.values())
+    rule = quad_rule("segment", 2 * (deg + sk.degree) + 2)
+    want = 0.0
+    for seg in sk.segments:
+        pts = seg.p0 + rule.points[:, None] * (seg.p1 - seg.p0)
+        mu = sk.basis_values(seg, rule.points)
+        lam_h = np.einsum("i,iqc->qc", sol.lam[sk.segment_dofs(seg.id)], mu)
+        nF = sk.partition.faces[seg.face_id].normal
+        want += np.sum(rule.weights * seg.length
+                       * ((lam_h - problem.sigma(pts) @ nF) ** 2).T)
+    got = _traction_error_sq(sol, problem)
+    assert want > 0
+    assert abs(got - want) <= 1e-13 * want
+
 
 def test_convergence_orders_values():
     e = [5.048827e-2, 1.314001e-2, 3.218788e-3]
