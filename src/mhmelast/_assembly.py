@@ -29,8 +29,10 @@ class Geometry:
 
     def physical_points(self, ref_pts):
         """Map reference points to every triangle: (nt, nq, 2)."""
-        return self.origin[:, None, :] + np.einsum(
-            "tij,qj->tqi", self.j, np.asarray(ref_pts))
+        ref_pts = np.asarray(ref_pts)
+        # rows (t, i) of the Jacobians against the points: (nt, 2, nq)
+        x = (self.j.reshape(-1, 2) @ ref_pts.T).reshape(-1, 2, len(ref_pts))
+        return self.origin[:, None, :] + np.swapaxes(x, 1, 2)
 
     def push_gradients(self, ref_grads):
         """Physical gradients of shape functions, from reference gradients
@@ -233,7 +235,7 @@ def load_vector(tab, fq, Dall=None, alpha=None):
     (..., nt, 2nb)."""
     nb = tab.ref.n_basis
     w = tab.wdet
-    Fu = np.einsum("tq,...tqc,qb->...tbc", w, fq, tab.vals)
+    Fu = tab.vals.T @ (w[..., None] * fq)                # (..., nt, nb, 2)
     Fu = Fu.reshape(Fu.shape[:-2] + (2 * nb,))
     if Dall is None:
         return Fu
@@ -257,6 +259,14 @@ def field_values(vals, grads, loc2glob, u, p, eps):
     else:
         ph = -(guh[..., 0, 0] + guh[..., 1, 1]) / eps
     return uh, guh, ph
+
+
+def inf_norm(M):
+    """Maximum absolute row sum of a sparse matrix, as
+    `scipy.sparse.linalg.norm(M, np.inf)`, from the CSC arrays directly."""
+    M = M.tocsc()
+    return np.bincount(M.indices, np.abs(M.data), minlength=M.shape[0]).max(
+        initial=0.0)
 
 
 def block_triplets(matrices, loc2glob):

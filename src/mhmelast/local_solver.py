@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import norm as sparse_norm, splu
+from scipy.sparse.linalg import splu
 
 from . import _assembly as asm
 from ._assembly import RigidModes
@@ -329,6 +329,8 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     shifts = _centroids(partition, element_ids) - op.rigid_modes.centroid
     loads, rm_load = element_load(op, shifts, f=f, g=g)
     try:
+        # COLAMD with partial pivoting: the Neumann block is singular until
+        # the rigid-mode multiplier rows are added, so diagonal pivots fail
         lu = splu(op.matrix)
     except RuntimeError as exc:
         raise LocalSolverError(
@@ -348,7 +350,7 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     res = np.array([np.linalg.norm(op.matrix @ x - b)
                     for x, b in zip(X.T, rhs.T)])
     ref = (np.linalg.norm(rhs, axis=0)
-           + sparse_norm(op.matrix, np.inf) * np.linalg.norm(X, axis=0))
+           + asm.inf_norm(op.matrix) * np.linalg.norm(X, axis=0))
     if np.any(res > 1e-10 * np.maximum(ref, 1e-300)):
         raise LocalSolverError(
             f"local solve residual {res.max():.3e} exceeds tolerance")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import norm as sparse_norm, splu
+from scipy.sparse.linalg import splu
 
 from . import _assembly as asm
 from .fem_core import MHMError, quad_rule
@@ -122,13 +122,16 @@ def solve_global(system, rtol=1e-10):
     M = system.full_matrix()
     b = system.full_rhs()
     try:
+        # COLAMD with partial pivoting: a minimum-degree order of M + M^T
+        # raised the LU fill from 0.79M to 3.0M nonzeros on n=4, level 3,
+        # k=1 and from 0.65M to 8.3M on n=16, level 0 with variable G
         x = splu(M).solve(b)
     except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
         raise GlobalSolverError(
             "singular global system; the local meshes may be too coarse for "
             "the trace space (see check_refinement_conditions)") from exc
     res = np.linalg.norm(M @ x - b)
-    ref = np.linalg.norm(b) + sparse_norm(M, np.inf) * np.linalg.norm(x)
+    ref = np.linalg.norm(b) + asm.inf_norm(M) * np.linalg.norm(x)
     if not np.isfinite(res) or res > rtol * max(ref, 1e-300):
         raise GlobalSolverError(
             f"global solve residual {res:.3e} exceeds tolerance; the system "

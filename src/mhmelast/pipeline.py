@@ -7,7 +7,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .fem_core import MHMError
+from .fem_core import MHMError, inverse_constant
 from .local_solver import MaterialField, build_class_caches, congruence_classes
 from .mesh import (build_matching_local_mesh, build_structured_triangulation,
                    check_refinement_conditions, refine_skeleton)
@@ -111,6 +111,9 @@ def solve_mhm(config, problem, g=None):
 
     threads = config.threads or default_threads()
     if threads > 1:
+        if config.kind == "gals":
+            # estimate once, not in each thread that finds the cache cold
+            inverse_constant(config.k)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(one_class, local_meshes, classes))
     else:

@@ -58,11 +58,13 @@ class BrennerProblem:
         c = (1 - 2 * self.nu) / 2
         bx = c * np.pi * np.cos(np.pi * X) * np.sin(np.pi * Y)
         by = c * np.pi * np.sin(np.pi * X) * np.cos(np.pi * Y)
+        sx, cx = np.sin(p2 * X), np.cos(p2 * X)
+        sy, cy = np.sin(p2 * Y), np.cos(p2 * Y)
         g = np.empty(X.shape + (2, 2))
-        g[..., 0, 0] = -p2 * np.sin(p2 * X) * np.sin(p2 * Y) + bx
-        g[..., 0, 1] = p2 * (np.cos(p2 * X) - 1) * np.cos(p2 * Y) + by
-        g[..., 1, 0] = p2 * np.cos(p2 * X) * (1 - np.cos(p2 * Y)) + bx
-        g[..., 1, 1] = p2 * np.sin(p2 * X) * np.sin(p2 * Y) + by
+        g[..., 0, 0] = -p2 * sx * sy + bx
+        g[..., 0, 1] = p2 * (cx - 1) * cy + by
+        g[..., 1, 0] = p2 * cx * (1 - cy) + bx
+        g[..., 1, 1] = p2 * sx * sy + by
         return g
 
     def div_u(self, x):

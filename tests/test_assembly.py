@@ -3,8 +3,10 @@ from the definitions, one triangle and one quadrature point at a time."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import norm as sparse_norm
 
-from mhmelast import TriMesh
+from mhmelast import TriMesh, unit_square_mesh
 from mhmelast import _assembly as asm
 from mhmelast.fem_core import reference_element
 
@@ -93,3 +95,34 @@ def test_element_kernels_match_pointwise_oracle(k):
     assert _close(A, gals)
     assert _close(Dall, rows)
     assert _close(asm.galerkin_element_matrices(tab, Gq, epsq), galerkin)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_points_and_load_match_einsum(k):
+    # the matmul forms against the einsum contractions they replace
+    tab = asm.Tabulation(unit_square_mesh(4), reference_element(k), 2 * k + 2)
+    geo = tab.geo
+    ref_pts = tab.rule.points
+    want = geo.origin[:, None, :] + np.einsum("tij,qj->tqi", geo.j, ref_pts)
+    assert _close(geo.physical_points(ref_pts), want)
+    rng = np.random.default_rng(k)
+    nb = tab.ref.n_basis
+    for shape in ((), (3,)):
+        fq = rng.standard_normal(shape + tab.wdet.shape + (2,))
+        want = np.einsum("tq,...tqc,qb->...tbc", tab.wdet, fq, tab.vals)
+        assert _close(asm.load_vector(tab, fq),
+                      want.reshape(shape + (-1, 2 * nb)))
+
+
+def test_inf_norm_matches_scipy():
+    rng = np.random.default_rng(5)
+    for n, m, density in ((1, 1, 1.0), (7, 5, 0.4), (40, 40, 0.1),
+                          (200, 150, 0.02)):
+        M = sp.random(n, m, density=density, format="csc", random_state=rng,
+                      data_rvs=rng.standard_normal)
+        assert asm.inf_norm(M) == pytest.approx(sparse_norm(M, np.inf),
+                                                rel=1e-14)
+    M = sp.csc_matrix(np.array([[1.0, -2.0, 0.0],
+                                [0.0, 0.0, 0.0],
+                                [-4.0, 0.0, 0.5]]))
+    assert asm.inf_norm(M) == sparse_norm(M, np.inf) == 4.5

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +139,24 @@ def test_thread_count_does_not_change_result():
             base = sol.lam
         else:
             assert np.abs(sol.lam - base).max() < 1e-12
+
+
+def test_threads_estimate_inverse_constant_once(monkeypatch):
+    # the pool's threads share one estimate; the pause keeps the first
+    # estimate running while the other thread reaches the cold cache
+    calls = []
+    estimate = fem_core.estimate_inverse_constant
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        time.sleep(0.2)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(fem_core, "estimate_inverse_constant", counting)
+    fem_core.inverse_constant.cache_clear()
+    cfg = MHMConfig(n=2, level=0, k=1, ell=1, nu=0.3, threads=2)
+    solve_mhm(cfg, PATCH)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,29 @@ def test_single_level_residual_is_checked(monkeypatch):
                    u_dirichlet=problem.u)
 
 
+def test_reduced_factor_uses_symmetric_order(monkeypatch):
+    # a minimum-degree order of K + K^T with diagonal pivots holds less
+    # fill than COLAMD's column order with the same pivots
+    factors = []
+    splu = singlelevel.splu
+
+    def recording(matrix, **options):
+        lu = splu(matrix, **options)
+        factors.append((matrix, options, lu))
+        return lu
+
+    monkeypatch.setattr(singlelevel, "splu", recording)
+    problem = BrennerProblem(0.49999)
+    for solver in (solve_gals_dirichlet, solve_galerkin_dirichlet):
+        solver(unit_square_mesh(16), problem.material, 2, problem.f,
+               u_dirichlet=problem.u)
+    assert len(factors) == 2
+    for K, options, lu in factors:
+        assert options["diag_pivot_thresh"] == 0.0
+        colamd = splu(K, permc_spec="COLAMD", diag_pivot_thresh=0.0)
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
 def test_singular_single_level_system_is_named():
     K = sp.csc_matrix(np.array([[1.0, 1.0, 0.0],
                                 [1.0, 1.0, 0.0],

@@ -42,6 +42,25 @@ def test_benchmark_vanishes_on_boundary():
 
 
 @pytest.mark.parametrize("nu", [0.3, 0.4999])
+def test_benchmark_gradient_matches_closed_form(nu):
+    # grad_u shares its sines and cosines; the values are those of the
+    # expressions written out term by term
+    prob = BrennerProblem(nu)
+    x = np.random.default_rng(4).random((50, 7, 2))
+    X, Y = x[..., 0], x[..., 1]
+    p2 = 2 * np.pi
+    c = (1 - 2 * nu) / 2
+    bx = c * np.pi * np.cos(np.pi * X) * np.sin(np.pi * Y)
+    by = c * np.pi * np.sin(np.pi * X) * np.cos(np.pi * Y)
+    want = np.empty(X.shape + (2, 2))
+    want[..., 0, 0] = -p2 * np.sin(p2 * X) * np.sin(p2 * Y) + bx
+    want[..., 0, 1] = p2 * (np.cos(p2 * X) - 1) * np.cos(p2 * Y) + by
+    want[..., 1, 0] = p2 * np.cos(p2 * X) * (1 - np.cos(p2 * Y)) + bx
+    want[..., 1, 1] = p2 * np.sin(p2 * X) * np.sin(p2 * Y) + by
+    assert np.array_equal(prob.grad_u(x), want)
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.4999])
 def test_benchmark_derivative_consistency(nu):
     # closed-form gradients, divergence and pressure gradient agree with
     # central finite differences of the closed-form primal fields
