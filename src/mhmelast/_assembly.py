@@ -145,18 +145,20 @@ class Tabulation:
 
 
 def strain_product_blocks(tab, factor):
-    """(nt, 2nb, 2nb) blocks of int factor * eps(phi_I) : eps(phi_J)."""
+    """(..., nt, 2nb, 2nb) blocks of int factor * eps(phi_I) : eps(phi_J),
+    one stack per leading index of `factor` (..., nt, nq), or scalar."""
     nt, nq, nb, _ = tab.grads.shape
     g = tab.grads.reshape(nt, nq, 2 * nb)
     w = tab.wdet * factor
-    # gcross[t, b, i, c, j] = sum_q w g[t, q, b, i] g[t, q, c, j]
-    gcross = ((np.swapaxes(g, 1, 2) * w[:, None, :]) @ g).reshape(
-        nt, nb, 2, nb, 2)
-    gg = gcross[:, :, 0, :, 0] + gcross[:, :, 1, :, 1]
+    lead = w.shape[:-2]
+    # gcross[..., t, b, i, c, j] = sum_q w g[t, q, b, i] g[t, q, c, j]
+    gcross = ((np.swapaxes(g, 1, 2) * w[..., None, :]) @ g).reshape(
+        lead + (nt, nb, 2, nb, 2))
+    gg = gcross[..., 0, :, 0] + gcross[..., 1, :, 1]
     # block (b, c; b', d) = 0.5 (gcross[b, d, b', c] + delta_cd gg[b, b'])
-    E = 0.5 * (np.swapaxes(gcross, 2, 4)
-               + gg[:, :, None, :, None] * np.eye(2)[:, None, :])
-    return E.reshape(nt, 2 * nb, 2 * nb)
+    E = 0.5 * (np.swapaxes(gcross, -3, -1)
+               + gg[..., :, None, :, None] * np.eye(2)[:, None, :])
+    return E.reshape(lead + (nt, 2 * nb, 2 * nb))
 
 
 def divergence_rows(tab):
@@ -167,7 +169,8 @@ def divergence_rows(tab):
 
 def stress_divergence_rows(tab, twoG):
     """div(2G eps(phi_I)) for vector basis functions, with G treated as
-    constant per triangle at quadrature points: (nt, nq, 2nb, 2)."""
+    constant per triangle at quadrature points: (..., nt, nq, 2nb, 2) for
+    `twoG` (..., nt, nq)."""
     nt, nq, nb, _, _ = tab.hess.shape
     # component i of div eps(N_b e_c) is 0.5 (H_b[i, c] + delta_ic lap_b)
     D = 0.5 * (np.swapaxes(tab.hess, -1, -2)
@@ -175,73 +178,85 @@ def stress_divergence_rows(tab, twoG):
     return D.reshape(nt, nq, 2 * nb, 2) * twoG[..., None, None]
 
 
+def _ls_weights(tab, alpha, lead):
+    """Least-squares weights alpha h_tau^2 (..., nt), from `alpha` given
+    once per leading index (shape `lead`) or per triangle (lead + (nt,))."""
+    alpha = np.asarray(alpha)
+    if alpha.ndim == len(lead):
+        alpha = alpha[..., None]
+    return alpha * tab.geo.diameters ** 2
+
+
 def gals_element_matrices(tab, Gq, epsq, alpha):
     """Element matrices of the displacement-pressure form with least-squares
     stabilization, over local unknowns [u (2nb, interleaved); p (nb)].
 
-    `alpha` is scalar or per-triangle; the least-squares weight is
-    alpha * h_tau^2 per triangle.
+    `Gq` and `epsq` are (..., nt, nq), with one stack of matrices per leading
+    index (a material group).  `alpha` is one value per leading index or per
+    triangle; the least-squares weight is alpha * h_tau^2 per triangle.
     """
-    nt, nq = Gq.shape
+    lead = Gq.shape[:-2]
+    nt, nq = Gq.shape[-2:]
     nb = tab.ref.n_basis
     ndl = 3 * nb
     w = tab.wdet
-    A = np.zeros((nt, ndl, ndl))
+    A = np.zeros(lead + (nt, ndl, ndl))
 
-    A[:, :2 * nb, :2 * nb] = strain_product_blocks(tab, 2.0 * Gq)
+    A[..., :2 * nb, :2 * nb] = strain_product_blocks(tab, 2.0 * Gq)
     d = divergence_rows(tab)
     # -p div v and symmetric counterpart
     Bup = -(np.swapaxes(d, 1, 2) * w[:, None, :]) @ tab.vals
-    A[:, :2 * nb, 2 * nb:] = Bup
-    A[:, 2 * nb:, :2 * nb] = np.swapaxes(Bup, 1, 2)
-    # pressure mass: one (nt, nq) x (nq, nb * nb) product
+    A[..., :2 * nb, 2 * nb:] = Bup
+    A[..., 2 * nb:, :2 * nb] = np.swapaxes(Bup, 1, 2)
+    # pressure mass: one (..., nt, nq) x (nq, nb * nb) product
     vv = (tab.vals[:, :, None] * tab.vals[:, None, :]).reshape(nq, -1)
-    A[:, 2 * nb:, 2 * nb:] = -((w * epsq) @ vv).reshape(nt, nb, nb)
+    A[..., 2 * nb:, 2 * nb:] = -((w * epsq) @ vv).reshape(lead + (nt, nb, nb))
 
     Dall = stress_divergence_rows_full(tab, 2.0 * Gq)
-    ls_w = np.asarray(alpha) * tab.geo.diameters ** 2
+    ls_w = _ls_weights(tab, alpha, lead)
     # rows (a) against columns (q, i) of the least-squares operator
-    D = np.moveaxis(Dall, 2, 1).reshape(nt, ndl, 2 * nq)
-    lw = np.repeat(ls_w[:, None] * w, 2, axis=1)
-    A -= (D * lw[:, None, :]) @ np.swapaxes(D, 1, 2)
+    D = np.moveaxis(Dall, -2, -3).reshape(lead + (nt, ndl, 2 * nq))
+    lw = np.repeat(ls_w[..., None] * w, 2, axis=-1)
+    A -= (D * lw[..., None, :]) @ np.swapaxes(D, -1, -2)
     return A, Dall
 
 
 def stress_divergence_rows_full(tab, twoG):
     """div(2G eps(u) - p I) rows for the combined [u; p] local unknowns:
-    (nt, nq, 3nb, 2)."""
+    (..., nt, nq, 3nb, 2) for `twoG` (..., nt, nq)."""
     nb = tab.ref.n_basis
-    nt, nq = tab.wdet.shape
-    Dall = np.empty((nt, nq, 3 * nb, 2))
-    Dall[:, :, :2 * nb, :] = stress_divergence_rows(tab, twoG)
-    Dall[:, :, 2 * nb:, :] = -tab.grads
+    Dall = np.empty(twoG.shape + (3 * nb, 2))
+    Dall[..., :2 * nb, :] = stress_divergence_rows(tab, twoG)
+    Dall[..., 2 * nb:, :] = -tab.grads
     return Dall
 
 
 def galerkin_element_matrices(tab, Gq, epsq):
     """Element matrices of the displacement form
-    int 2G eps(u):eps(v) + (1/eps) (div u)(div v)."""
+    int 2G eps(u):eps(v) + (1/eps) (div u)(div v), one stack per leading
+    index of `Gq` and `epsq` (..., nt, nq)."""
     A = strain_product_blocks(tab, 2.0 * Gq)
     d = divergence_rows(tab)
-    A += (np.swapaxes(d, 1, 2) * (tab.wdet / epsq)[:, None, :]) @ d
+    A += (np.swapaxes(d, 1, 2) * (tab.wdet / epsq)[..., None, :]) @ d
     return A
 
 
 def load_vector(tab, fq, Dall=None, alpha=None):
     """Element load vectors of loads `fq` (..., nt, nq, 2), one per leading
-    index.  When `Dall` is given, adds the least-squares load term
-    + alpha h_tau^2 (f, div(...)) over the combined [u; p] unknowns,
-    (..., nt, 3nb); otherwise returns the plain displacement load
-    (..., nt, 2nb)."""
+    index.  When `Dall` (..., nt, nq, 3nb, 2) is given, broadcasting against
+    the loads, adds the least-squares load term + alpha h_tau^2 (f, div(...))
+    over the combined [u; p] unknowns, (..., nt, 3nb), with `alpha` given
+    once per leading index of `Dall` or per triangle; otherwise returns the
+    plain displacement load (..., nt, 2nb)."""
     nb = tab.ref.n_basis
     w = tab.wdet
     Fu = tab.vals.T @ (w[..., None] * fq)                # (..., nt, nb, 2)
     Fu = Fu.reshape(Fu.shape[:-2] + (2 * nb,))
     if Dall is None:
         return Fu
-    ls_w = np.asarray(alpha) * tab.geo.diameters ** 2
-    F = np.einsum("...tqi,tqai->...ta", (ls_w[:, None] * w)[..., None] * fq,
-                  Dall)
+    ls_w = _ls_weights(tab, alpha, Dall.shape[:-4])
+    F = np.einsum("...tqi,...tqai->...ta", (ls_w[..., None] * w)[..., None]
+                  * fq, Dall)
     F[..., :2 * nb] += Fu
     return F
 
@@ -252,21 +267,25 @@ def field_values(vals, grads, loc2glob, u, p, eps):
     gradients (nt, nq, nb, 2) and the interleaved coefficients `u`.  With
     pressure coefficients `p` None, p_h is the implied -div u_h / eps."""
     un = u.reshape(-1, 2)[loc2glob]                     # (nt, nb, 2)
-    uh = np.einsum("qb,tbc->tqc", vals, un)
-    guh = np.einsum("tqbj,tbc->tqcj", grads, un)
+    uh = vals @ un
+    guh = np.swapaxes(un, 1, 2)[:, None] @ grads
     if p is not None:
-        ph = np.einsum("qb,tb->tq", vals, p[loc2glob])
+        ph = p[loc2glob] @ vals.T
     else:
         ph = -(guh[..., 0, 0] + guh[..., 1, 1]) / eps
     return uh, guh, ph
 
 
+def abs_row_sums(M):
+    """Absolute row sums of a sparse matrix, from the CSC arrays directly."""
+    M = M.tocsc()
+    return np.bincount(M.indices, np.abs(M.data), minlength=M.shape[0])
+
+
 def inf_norm(M):
     """Maximum absolute row sum of a sparse matrix, as
-    `scipy.sparse.linalg.norm(M, np.inf)`, from the CSC arrays directly."""
-    M = M.tocsc()
-    return np.bincount(M.indices, np.abs(M.data), minlength=M.shape[0]).max(
-        initial=0.0)
+    `scipy.sparse.linalg.norm(M, np.inf)`."""
+    return abs_row_sums(M).max(initial=0.0)
 
 
 def block_triplets(matrices, loc2glob):

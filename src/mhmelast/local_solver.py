@@ -6,9 +6,11 @@ The basis is built per congruence class of translated coarse elements with
 the same boundary segment layout: they share one local mesh, numbering,
 tabulation and boundary pairings.  The members are split by their samples of
 G and eps, and each group with equal samples (the whole class under a
-constant material) shares one alpha and one operator, factored and solved
-for the trace right-hand sides and every member's load column at once: one
-record per group, with the members as arrays.
+constant material) shares one alpha and one operator.  The operators of a
+class's groups are stacked as the diagonal blocks of one matrix, up to
+BATCH_UNKNOWNS unknowns, and factored and solved at once, for the trace
+right-hand sides and every member's load column: one record per group, with
+the members as arrays.
 """
 
 from dataclasses import dataclass, replace
@@ -43,6 +45,21 @@ __all__ = [
 # size relative to the element diameter: coordinates such as k/n are not
 # exact in binary, so translated copies agree only to round-off.
 CONGRUENCE_RTOL = 1e-10
+
+# Material groups of a class are stacked into one block-diagonal
+# factorization of at most this many unknowns (a larger group is factored
+# alone).  On a 512-element n = 16, k = 1 mesh with G varying everywhere
+# (48 unknowns per group, 1 thread, median of 8 seeds), the solve took
+# 0.46 s at 512, 0.44 s at 1024, 0.40 s at 2048 and 0.41 s at 4096, while
+# the peak RSS rose by 4.7 MB from 2048 to 4096: the COO and CSC transients
+# of a stack grow with it.  The 1,686-unknown groups of a level-3, k = 1
+# element are factored one at a time, as without stacking.
+BATCH_UNKNOWNS = 2048
+
+# The members are sampled this many points at a time when they are split
+# into material groups: sampling the 16 members of a level-3, k = 1 class at
+# once (98K points) raised the peak RSS of a two-thread solve by 2.5 MB.
+SAMPLE_POINTS = 16384
 
 
 class LocalSolverError(MHMError):
@@ -88,14 +105,13 @@ class MaterialField:
 
     def eps_at(self, x):
         """Compressibility coefficient (1 - 2 nu) / (2 G nu)."""
+        return self.samples(x)[1]
+
+    def samples(self, x):
+        """G and the compressibility coefficient eps at the points x."""
         g = self.G_at(x)
         nu = self.nu_at(x)
-        return (1 - 2 * nu) / (2 * g * nu)
-
-    def stats(self, points):
-        """(ess-inf of G, W^{1,inf}-style norm of G) sampled at points."""
-        g = self.G_at(points)
-        return float(g.min()), float(np.abs(g).max())
+        return g, (1 - 2 * nu) / (2 * g * nu)
 
 
 def compute_alpha(material, sample_points, c_inverse, theta=0.5):
@@ -103,14 +119,33 @@ def compute_alpha(material, sample_points, c_inverse, theta=0.5):
     alpha = theta * G_0 * C_I / (2 ||G||^2), with 0 < theta < 1."""
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
-    g0, gnorm = material.stats(sample_points)
-    return theta * g0 * c_inverse.safe_value / (2 * gnorm**2)
+    return float(_alpha_bound(material.G_at(sample_points),
+                              c_inverse.safe_value, theta))
+
+
+def _alpha_bound(Gq, c, theta=1.0, axis=None):
+    """theta * G_0 * c / (2 ||G||^2) from samples `Gq` of G, reduced over
+    `axis`: with the inverse constant's value for c, the upper end of the
+    admissible interval of alpha."""
+    return theta * Gq.min(axis=axis) * c / (2 * np.abs(Gq).max(axis=axis)**2)
+
+
+def _check_alpha(alpha, Gq, c_inverse):
+    """Raise unless each group's alpha lies in its admissible interval, from
+    the group's samples of G (ng, nt, nq)."""
+    bound = _alpha_bound(Gq, c_inverse.value, axis=(1, 2))
+    bad = np.flatnonzero(~((0 < alpha) & (alpha < bound)))
+    if len(bad):
+        i = bad[0]
+        raise LocalSolverError(f"alpha={alpha[i]} outside the admissible "
+                               f"interval (0, {bound[i]})")
 
 
 @dataclass
 class LocalBasisCache:
     """Condensed multiscale basis of the members of one congruence class
-    that share their material samples, solved once on the mesh of `dofh`.
+    that share their material samples, solved on the mesh of `dofh` in one
+    stacked solve with the class's other groups.
 
     Columns of `trace_u`/`trace_p` hold the displacement/pressure solutions
     for every trace basis function on the element boundary; `pairing` and
@@ -147,7 +182,8 @@ class LocalOperator:
     """The part of a coarse element's local problem that depends on neither
     its load nor its position.  The fields up to `constraints` do not depend
     on the material either and are shared by the element's congruence
-    class; the material fields belong to one group of its members."""
+    class; the material fields stack the operators of groups of its members,
+    one per index of `alpha`, as the diagonal blocks of `matrix`."""
     kind: str                       # "gals" | "galerkin"
     dofh: object
     tab: object
@@ -158,9 +194,14 @@ class LocalOperator:
     rigid_modes: RigidModes         # about the element it was assembled on
     constraints: tuple              # COO triplets of the rigid-mode rows
     material: MaterialField = None
-    alpha: float = 0.0
-    matrix: sp.csc_matrix = None    # [u; (p;) 3 rigid multipliers]
-    Dall: np.ndarray = None         # least-squares rows; None for "galerkin"
+    alpha: np.ndarray = None        # (ng,)
+    matrix: sp.csc_matrix = None    # blocks [u; (p;) 3 rigid multipliers]
+    Dall: np.ndarray = None         # (ng, nt, nq, 3nb, 2) least-squares rows;
+                                    # None for "galerkin"
+
+    @property
+    def n_groups(self):
+        return len(self.alpha)
 
 
 def _centroids(partition, element_ids):
@@ -248,31 +289,40 @@ def _local_geometry(partition, local_mesh, skeleton, k, kind):
                          constraints)
 
 
-def _local_operator(geo, material, shift, alpha, c_inverse):
-    """The local operator on the geometry `geo`, with the material sampled
-    at its points translated by `shift`."""
-    points = geo.tab.points + shift
-    Gq = material.G_at(points)
-    epsq = material.eps_at(points)
+def _local_operator(geo, material, Gq, epsq, alpha):
+    """The local operators on the geometry `geo` of groups of members with
+    the material samples `Gq`, `epsq` (ng, nt, nq) and parameters `alpha`
+    (ng,): the groups' matrices are the diagonal blocks of one matrix."""
+    alpha = np.asarray(alpha, dtype=float)
     if geo.kind == "gals":
-        if c_inverse is not None:
-            g0, gnorm = material.stats(points)
-            bound = g0 * c_inverse.value / (2 * gnorm**2)
-            if not 0 < alpha < bound:
-                raise LocalSolverError(f"alpha={alpha} outside the admissible "
-                                       f"interval (0, {bound})")
         A_el, Dall = asm.gals_element_matrices(geo.tab, Gq, epsq, alpha)
     else:
         A_el, Dall = asm.galerkin_element_matrices(geo.tab, Gq, epsq), None
-    # the constraint triplets enter the same COO matrix as the element blocks
-    rows, cols, vals = asm.block_triplets(A_el, geo.l2g)
-    crow, ccol, cval = geo.constraints
+    # the constraint triplets enter the same COO matrix as the element
+    # blocks; block g's unknowns are offset by g * n
     n = geo.l2g.max() + 4                   # field unknowns, 3 multipliers
+    offset = n * np.arange(len(alpha))[:, None]
+    nl = geo.l2g.shape[1]
+    rows, cols, vals = asm.block_triplets(
+        A_el.reshape(-1, nl, nl),
+        (geo.l2g + offset[..., None]).reshape(-1, nl))
+    crow, ccol, cval = geo.constraints
+    crow, ccol = (crow + offset).ravel(), (ccol + offset).ravel()
+    cval = np.tile(cval, len(alpha))
     A = sp.coo_matrix((np.concatenate([vals, cval, cval]),
                        (np.concatenate([rows, crow, ccol]),
                         np.concatenate([cols, ccol, crow]))),
-                      shape=(n, n)).tocsc()
+                      shape=(n * len(alpha),) * 2).tocsc()
     return replace(geo, material=material, alpha=alpha, matrix=A, Dall=Dall)
+
+
+def _one_group(geo, material, alpha, c_inverse):
+    """The operator of the element `geo` was built on alone."""
+    Gq, epsq = material.samples(geo.tab.points[None])
+    alpha = np.array([alpha], dtype=float)
+    if c_inverse is not None:
+        _check_alpha(alpha, Gq, c_inverse)
+    return _local_operator(geo, material, Gq, epsq, alpha)
 
 
 def assemble_local_gals(partition, local_mesh, skeleton, material, alpha, k,
@@ -285,49 +335,94 @@ def assemble_local_gals(partition, local_mesh, skeleton, material, alpha, k,
     interval.
     """
     geo = _local_geometry(partition, local_mesh, skeleton, k, "gals")
-    return _local_operator(geo, material, 0.0, alpha, c_inverse)
+    return _one_group(geo, material, alpha, c_inverse)
 
 
 def assemble_local_galerkin(partition, local_mesh, skeleton, material, k):
     """Displacement-only local operator (no pressure unknown, no
     stabilization) used by the MHM-Ga variant."""
     geo = _local_geometry(partition, local_mesh, skeleton, k, "galerkin")
-    return _local_operator(geo, material, 0.0, 0.0, None)
+    return _one_group(geo, material, 0.0, None)
 
 
-def element_load(op, shifts, f=None, g=None):
-    """Load columns (n, m) and rigid-mode loads (m, 3) of the members that
-    share `op`, translates of its element by `shifts` (m, 2): `f` and `g`
-    are each called once, at the operator's points translated onto every
+def _at_members(fn, x, grid, filled):
+    """`fn` at the points `x` translated by the shifts of the filled slots
+    of the grid (ng, S, 2): (ng, S) + its value shape, zero in empty slots."""
+    values = np.asarray(fn(x + grid[filled][:, None, None]), dtype=float)
+    if filled.all():                    # no copy
+        return values.reshape(grid.shape[:2] + values.shape[1:])
+    out = np.zeros(grid.shape[:2] + values.shape[1:])
+    out[filled] = values
+    return out
+
+
+def element_load(op, shifts, f=None, g=None, filled=None):
+    """Load columns and rigid-mode loads of the members that share `op`,
+    translates of its element by `shifts`: (m, 2) for an operator of one
+    group, or a (group, slot) grid (ng, S, 2) for a stack, of which the
+    slots `filled` (ng, S) hold members (all by default).  Column s of the
+    loads (N, S) holds slot s of group g in block g, zero for an empty slot;
+    the rigid-mode loads are (ng * S, 3) in (group, slot) order.  `f` and
+    `g` are each called once, at the operator's points translated onto every
     member, whose rigid modes take the operator's values."""
-    shifts = np.asarray(shifts, dtype=float)[:, None, None]
-    rhs = np.zeros((len(shifts), op.matrix.shape[0]))
-    d_rm = np.zeros((len(shifts), 3))
+    ng = op.n_groups
+    grid = np.asarray(shifts, dtype=float).reshape(ng, -1, 2)
+    filled = (np.ones(grid.shape[:2], dtype=bool) if filled is None
+              else np.asarray(filled, dtype=bool))
+    n = op.matrix.shape[0] // ng
+    rhs = np.zeros(grid.shape[:2] + (n,))
+    d_rm = np.zeros(grid.shape[:2] + (3,))
     pts, w, vals, dofs = op.neumann_edges
     if g is not None and len(w):
-        gq = np.asarray(g(pts + shifts), dtype=float)         # (m, ne, nq, 2)
-        F = np.einsum("eq,meqc,eqb->mebc", w, gq, vals)
-        rhs += asm.scatter_vector(F.reshape(F.shape[:2] + (-1,)), dofs,
-                                  rhs.shape[1])
-        d_rm += np.einsum("eq,meqc,keqc->mk", w, gq,
+        gq = _at_members(g, pts, grid, filled)          # (ng, S, ne, nq, 2)
+        F = np.einsum("eq,gseqc,eqb->gsebc", w, gq, vals)
+        rhs += asm.scatter_vector(F.reshape(F.shape[:3] + (-1,)), dofs, n)
+        d_rm += np.einsum("eq,gseqc,keqc->gsk", w, gq,
                           op.rigid_modes.evaluate(pts))
     if f is not None:
-        fq = np.asarray(f(op.tab.points + shifts), dtype=float)
-        F_el = asm.load_vector(op.tab, fq, Dall=op.Dall, alpha=op.alpha)
-        rhs += asm.scatter_vector(F_el, op.l2g, rhs.shape[1])
-        d_rm += np.einsum("tq,mtqc,ktqc->mk", op.tab.wdet, fq,
+        fq = _at_members(f, op.tab.points, grid, filled)
+        Dall = None if op.Dall is None else op.Dall[:, None]
+        F_el = asm.load_vector(op.tab, fq, Dall=Dall, alpha=op.alpha[:, None])
+        rhs += asm.scatter_vector(F_el, op.l2g, n)
+        d_rm += np.einsum("tq,gstqc,ktqc->gsk", op.tab.wdet, fq,
                           op.rigid_modes.evaluate(op.tab.points))
-    return rhs.T, d_rm
+    S = grid.shape[1]
+    return np.swapaxes(rhs, 0, 1).reshape(S, ng * n).T, d_rm.reshape(-1, 3)
 
 
 def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
-    """Factorize the operator once and solve, in one multi-RHS call, for
-    every trace basis function and the load of every member: the basis
-    record of the members `element_ids`, translates of the element `op` was
-    assembled on that share its material samples."""
-    element_ids = np.asarray(element_ids, dtype=int)
-    shifts = _centroids(partition, element_ids) - op.rigid_modes.centroid
-    loads, rm_load = element_load(op, shifts, f=f, g=g)
+    """Factorize the operator of one group once and solve, in one multi-RHS
+    call, for every trace basis function and the load of every member: the
+    basis record of the members `element_ids`, translates of the element
+    `op` was assembled on that share its material samples."""
+    return _solve_groups(op, partition, skeleton, [element_ids], f=f, g=g)[0]
+
+
+def _blocks(M, ng):
+    """The Fortran-ordered stacked columns M (ng * n, c) as a view (n, ng, c):
+    row i of block g."""
+    return M.reshape(-1, ng, M.shape[1], order="F")
+
+
+def _block_norms(M, ng):
+    """2-norms (ng, c) of the ng row blocks of every column of M."""
+    return np.linalg.norm(M.reshape(ng, -1, M.shape[1]), axis=1)
+
+
+def _solve_groups(op, partition, skeleton, groups, f=None, g=None):
+    """Factorize the stacked operators of `op` once and solve, in one
+    multi-RHS call, for every trace basis function and the load of every
+    member: one basis record per group of members `groups[i]`, block i."""
+    groups = [np.asarray(ids, dtype=int) for ids in groups]
+    sizes = np.array([len(ids) for ids in groups])
+    ng, S = len(groups), sizes.max()
+    ids = np.concatenate(groups)
+    shifts = _centroids(partition, ids) - op.rigid_modes.centroid
+    # the (group, slot) member grid of the load columns
+    filled = np.arange(S) < sizes[:, None]
+    grid = np.zeros((ng, S, 2))
+    grid[filled] = shifts
+    loads, rm_load = element_load(op, grid, f=f, g=g, filled=filled)
     try:
         # COLAMD with partial pivoting: the Neumann block is singular until
         # the rigid-mode multiplier rows are added, so diagonal pivots fail
@@ -337,48 +432,68 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
             "singular local system; run check_refinement_conditions") from exc
     nsd, ntr = op.dofh.n_dofs, op.R.shape[0]
     nu = 2 * nsd
-    rhs = np.zeros((op.matrix.shape[0], ntr + len(element_ids)))
-    rhs[:nu, :ntr] = op.R.T
+    N = op.matrix.shape[0]
+    # the trace columns, whose block g holds R.T in every block, then the
+    # load columns; Fortran order, as the solve takes and returns them
+    rhs = np.zeros((N, ntr + S), order="F")
+    _blocks(rhs, ng)[:nu, :, :ntr] = op.R.T[:, None]
     rhs[:, ntr:] = loads
+    del loads
     X = lu.solve(rhs)
     if not np.all(np.isfinite(X)):
         raise LocalSolverError(
             "local solve produced non-finite values; the local mesh may be "
             "too coarse for the trace space")
-    # relative residual of every column, bounded as in solve_global; one
-    # column at a time, which keeps the memory of the solve
-    res = np.array([np.linalg.norm(op.matrix @ x - b)
-                    for x, b in zip(X.T, rhs.T)])
-    ref = (np.linalg.norm(rhs, axis=0)
-           + asm.inf_norm(op.matrix) * np.linalg.norm(X, axis=0))
+    # relative residual of every column in every block, bounded as in
+    # solve_global; 32 columns at a time, which keeps the memory of the solve
+    scale = asm.abs_row_sums(op.matrix).reshape(ng, -1).max(axis=1)[:, None]
+    res, ref = np.empty((2, ng, X.shape[1]))
+    for j in range(0, X.shape[1], 32):
+        cols = slice(j, j + 32)
+        r = op.matrix @ X[:, cols]
+        r -= rhs[:, cols]
+        res[:, cols] = _block_norms(r, ng)
+        ref[:, cols] = (_block_norms(rhs[:, cols], ng)
+                        + scale * _block_norms(X[:, cols], ng))
     if np.any(res > 1e-10 * np.maximum(ref, 1e-300)):
         raise LocalSolverError(
             f"local solve residual {res.max():.3e} exceeds tolerance")
+    del rhs
     has_p = op.kind == "gals"
-    trace_u = X[:nu, :ntr]
-    load_u = X[:nu, ntr:].T
-    seg_ids, seg_signs = _member_segments(partition, skeleton, element_ids)
-    return LocalBasisCache(
-        kind=op.kind,
-        degree=op.dofh.ref.degree,
-        alpha=op.alpha,
-        material=op.material,
-        dofh=op.dofh,
-        rigid_modes=op.rigid_modes,
-        trace_u=trace_u,
-        trace_p=X[nu:nu + nsd, :ntr] if has_p else None,
-        pairing=op.R @ trace_u,
-        rm_pairing=op.Grm,
-        element_ids=element_ids,
-        shifts=shifts,
-        trace_dofs=skeleton.segment_dofs(seg_ids).reshape(len(element_ids),
-                                                          -1),
-        dof_signs=np.repeat(seg_signs, skeleton.dofs_per_segment, axis=1),
-        load_u=load_u,
-        load_p=X[nu:nu + nsd, ntr:].T if has_p else None,
-        load_pairing=load_u @ op.R.T,
-        rm_load=rm_load,
-    )
+    Xb = _blocks(X, ng)
+    rm_load = rm_load.reshape(ng, S, 3)
+    seg_ids, seg_signs = _member_segments(partition, skeleton, ids)
+    trace_dofs = skeleton.segment_dofs(seg_ids).reshape(len(ids), -1)
+    dof_signs = np.repeat(seg_signs, skeleton.dofs_per_segment, axis=1)
+    records = []
+    for i, (members, start) in enumerate(zip(groups,
+                                             np.cumsum(sizes) - sizes)):
+        m = len(members)
+        rows = slice(start, start + m)
+        x = Xb[:, i]                        # block i: trace, then load slots
+        trace_u = x[:nu, :ntr]
+        load_u = x[:nu, ntr:ntr + m].T
+        records.append(LocalBasisCache(
+            kind=op.kind,
+            degree=op.dofh.ref.degree,
+            alpha=float(op.alpha[i]),
+            material=op.material,
+            dofh=op.dofh,
+            rigid_modes=op.rigid_modes,
+            trace_u=trace_u,
+            trace_p=x[nu:nu + nsd, :ntr] if has_p else None,
+            pairing=op.R @ trace_u,
+            rm_pairing=op.Grm,
+            element_ids=members,
+            shifts=shifts[rows],
+            trace_dofs=trace_dofs[rows],
+            dof_signs=dof_signs[rows],
+            load_u=load_u,
+            load_p=x[nu:nu + nsd, ntr:ntr + m].T if has_p else None,
+            load_pairing=load_u @ op.R.T,
+            rm_load=rm_load[i, :m],
+        ))
+    return records
 
 
 def _congruence_key(partition, eid, skeleton, depth):
@@ -412,36 +527,63 @@ def congruence_classes(partition, skeleton, depth):
 def _material_groups(material, points, shifts):
     """Split the members, translates of `points` by `shifts`, into groups
     whose samples of G and eps agree on the CONGRUENCE_RTOL grid relative to
-    each field's largest sample, so that they share one local operator."""
-    groups = {}
-    for i, x in enumerate(points + s for s in shifts):
-        key = tuple(np.round(q / (CONGRUENCE_RTOL * np.abs(q).max())
-                             ).astype(np.int64).tobytes()
-                    for q in (material.G_at(x), material.eps_at(x)))
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
+    the member's largest sample of each field, so that they share one local
+    operator: the member indices of each group, in order of first
+    appearance, and the samples of G and eps of each group's first member.
+    The members are sampled SAMPLE_POINTS points at a time."""
+    groups, firsts = {}, []
+    per = max(1, SAMPLE_POINTS // points[..., 0].size)
+    for start in range(0, len(shifts), per):
+        samples = material.samples(points + shifts[start:start + per, None,
+                                                   None])
+        keys = [np.round(q / (CONGRUENCE_RTOL * np.abs(q).max(
+            axis=(1, 2), keepdims=True))).astype(np.int64) for q in samples]
+        for i, key in enumerate(zip(*keys)):
+            members = groups.setdefault(b"".join(k.tobytes() for k in key),
+                                        [])
+            if not members:
+                firsts.append([q[i] for q in samples])
+            members.append(start + i)
+    Gq, epsq = map(np.array, zip(*firsts))
+    return [np.array(members) for members in groups.values()], Gq, epsq
+
+
+def _batches(n_groups, n):
+    """Consecutive runs of groups of `n` unknowns each, as even as possible,
+    of at most BATCH_UNKNOWNS unknowns (at least one group)."""
+    per = max(1, BATCH_UNKNOWNS // n)
+    return np.array_split(np.arange(n_groups), -(-n_groups // per))
 
 
 def build_class_caches(partition, local_mesh, element_ids, skeleton,
                        material, k, kind="gals", theta=0.5, f=None, g=None):
     """Basis records of the congruence class `element_ids`, whose members
     share the geometry on `local_mesh` (of one member): one record per group
-    of members with equal material samples, each with its own alpha,
-    operator, factorization and solve."""
+    of members with equal material samples, each with its own alpha and
+    operator.  The groups' operators are stacked into block-diagonal
+    matrices of at most BATCH_UNKNOWNS unknowns, each factored and solved
+    once."""
     if kind not in ("gals", "galerkin"):
         raise ValueError(f"unknown local solver kind {kind!r}")
     element_ids = np.asarray(element_ids, dtype=int)
     geo = _local_geometry(partition, local_mesh, skeleton, k, kind)
     shifts = _centroids(partition, element_ids) - geo.rigid_modes.centroid
-    ci = inverse_constant(k) if kind == "gals" else None
+    groups, Gq, epsq = _material_groups(material, geo.tab.points, shifts)
+    if kind == "gals":
+        if not 0 < theta < 1:
+            raise ValueError("theta must lie in (0, 1)")
+        ci = inverse_constant(k)
+        alpha = _alpha_bound(Gq, ci.safe_value, theta, axis=(1, 2))
+        _check_alpha(alpha, Gq, ci)
+    else:
+        alpha = np.zeros(len(groups))
     records = []
-    for group in _material_groups(material, geo.tab.points, shifts):
-        shift = shifts[group[0]]
-        alpha = 0.0 if ci is None else compute_alpha(
-            material, geo.tab.points + shift, ci, theta=theta)
-        op = _local_operator(geo, material, shift, alpha, ci)
-        records.append(solve_local_basis(op, partition, skeleton,
-                                         element_ids[group], f=f, g=g))
+    for batch in _batches(len(groups), geo.l2g.max() + 4):
+        op = _local_operator(geo, material, Gq[batch], epsq[batch],
+                             alpha[batch])
+        records += _solve_groups(op, partition, skeleton,
+                                 [element_ids[groups[i]] for i in batch],
+                                 f=f, g=g)
     return records
 
 

@@ -162,18 +162,24 @@ class ErrorRecord:
     p_h: float             # h-weighted broken H1 seminorm of pressure error
 
 
+def _pressure_gradient(tab, l2g, ucoef, pcoef, eps):
+    """Elementwise gradient (nt, nq, 2) of p_h or, with `pcoef` None, of the
+    implied pressure -(1/eps) div u_h."""
+    if pcoef is not None:
+        return (pcoef[l2g][:, None, None] @ tab.grads)[..., 0, :]
+    nt, nq, nb = tab.hess.shape[:3]
+    un = ucoef[asm.vector_dofs(l2g)]                    # (nt, 2nb)
+    return -(un[:, None, None] @ tab.hess.reshape(nt, nq, 2 * nb, 2)
+             )[..., 0, :] / eps
+
+
 def _error_squares(tab, l2g, ucoef, pcoef, problem, shift=0.0):
     """The six squared error norms over one mesh block: the tabulated mesh
     translated by `shift`."""
     eps = problem.epsilon
     uh, guh, ph = asm.field_values(tab.vals, tab.grads, l2g, ucoef, pcoef,
                                    eps)
-    if pcoef is not None:
-        gph = np.einsum("tqbj,tb->tqj", tab.grads, pcoef[l2g])
-    else:
-        # elementwise gradient of the implied pressure -(1/eps) div u_h
-        un = ucoef.reshape(-1, 2)[l2g]
-        gph = -np.einsum("tqbcj,tbc->tqj", tab.hess, un) / eps
+    gph = _pressure_gradient(tab, l2g, ucoef, pcoef, eps)
     w = tab.wdet
     pts = tab.points + shift
 

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sparse_norm
 
 from mhmelast import TriMesh, unit_square_mesh
-from mhmelast import _assembly as asm
+from mhmelast import _assembly as asm, verify
 from mhmelast.fem_core import reference_element
 
 
@@ -112,6 +112,57 @@ def test_points_and_load_match_einsum(k):
         want = np.einsum("tq,...tqc,qb->...tbc", tab.wdet, fq, tab.vals)
         assert _close(asm.load_vector(tab, fq),
                       want.reshape(shape + (-1, 2 * nb)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kernels_stack_material_groups(k):
+    # a leading group axis of the samples gives each group's kernels and
+    # loads, as computed one group at a time
+    tab = asm.Tabulation(_sheared_mesh(), reference_element(k), 2 * k + 2)
+    rng = np.random.default_rng(k)
+    Gq = 1.0 + rng.random((3,) + tab.wdet.shape)
+    epsq = 1e-3 + rng.random((3,) + tab.wdet.shape)
+    alpha = np.array([0.01, 0.02, 0.05])
+    fq = rng.standard_normal((3, 4) + tab.wdet.shape + (2,))
+    A, Dall = asm.gals_element_matrices(tab, Gq, epsq, alpha)
+    Ag = asm.galerkin_element_matrices(tab, Gq, epsq)
+    F = asm.load_vector(tab, fq, Dall=Dall[:, None], alpha=alpha[:, None])
+    for g in range(3):
+        A1, D1 = asm.gals_element_matrices(tab, Gq[g], epsq[g], alpha[g])
+        assert np.array_equal(A[g], A1) and np.array_equal(Dall[g], D1)
+        assert np.array_equal(
+            Ag[g], asm.galerkin_element_matrices(tab, Gq[g], epsq[g]))
+        assert _close(F[g], asm.load_vector(tab, fq[g], Dall=D1,
+                                            alpha=alpha[g]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_field_values_match_einsum(k):
+    # the matmul forms of the field and pressure-gradient evaluation
+    # against the einsum contractions they replace
+    mesh = _sheared_mesh()
+    ref = reference_element(k)
+    tab = asm.Tabulation(mesh, ref, 2 * k + 2)
+    l2g = asm.DofHandler(mesh, ref).loc2glob
+    rng = np.random.default_rng(k)
+    u = rng.standard_normal(2 * (l2g.max() + 1))
+    p = rng.standard_normal(l2g.max() + 1)
+    eps = 0.3
+    un = u.reshape(-1, 2)[l2g]
+    guh = np.einsum("tqbj,tbc->tqcj", tab.grads, un)
+    cases = [(p, np.einsum("qb,tb->tq", tab.vals, p[l2g]),
+              np.einsum("tqbj,tb->tqj", tab.grads, p[l2g])),
+             # without pressure coefficients, the implied -div u_h / eps
+             # (k = 1 has zero Hessians, so its gradient is 0)
+             (None, -(guh[..., 0, 0] + guh[..., 1, 1]) / eps,
+              -np.einsum("tqbcj,tbc->tqj", tab.hess, un) / eps)]
+    for pcoef, ph, gph in cases:
+        got = asm.field_values(tab.vals, tab.grads, l2g, u, pcoef, eps)
+        assert _close(got[0], np.einsum("qb,tbc->tqc", tab.vals, un))
+        assert _close(got[1], guh)
+        assert _close(got[2], ph)
+        assert _close(verify._pressure_gradient(tab, l2g, u, pcoef, eps),
+                      gph)
 
 
 def test_inf_norm_matches_scipy():

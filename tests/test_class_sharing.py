@@ -6,8 +6,8 @@ element on its own mesh."""
 import numpy as np
 import pytest
 
-from mhmelast import (BrennerProblem, MHMConfig, MaterialField,
-                      assemble_global_saddle, build_class_caches,
+from mhmelast import (BrennerProblem, InverseConstant, MHMConfig,
+                      MaterialField, assemble_global_saddle, build_class_caches,
                       build_local_cache, build_matching_local_mesh,
                       build_structured_triangulation,
                       check_refinement_conditions, compressibility_residual,
@@ -15,6 +15,7 @@ from mhmelast import (BrennerProblem, MHMConfig, MaterialField,
                       postprocess_solution, refine_skeleton, solve_global,
                       solve_mhm)
 from mhmelast import _assembly as asm, local_solver, pipeline
+from mhmelast.local_solver import LocalSolverError
 from mhmelast.mesh import partition_from_string
 
 NU = 0.49
@@ -29,6 +30,13 @@ def _constant(value):
 def _linear(x):
     """A shear modulus no two elements sample alike."""
     return 1.0 + 0.1 * x[..., 0] + 0.07 * x[..., 1]
+
+
+def _uneven(x):
+    """A shear modulus equal on the left half and growing with x on the
+    right: the left elements of a class form one group, the right ones one
+    group per column."""
+    return 1.0 + 0.2 * np.maximum(x[..., 0] - 0.5, 0.0)
 
 
 def _periodic(x):
@@ -77,7 +85,7 @@ def _shared_and_single(problem, G=1.0, g=None, k=2, kind="gals",
             (sol1, compute_errors(sol1, problem)))
 
 
-def _check_against_per_element_path(G, records, **cfg):
+def _check_against_per_element_path(G, records, n_meshes=2, **cfg):
     problem = BrennerProblem(NU)
     (sol, data, err), (sol1, err1) = _shared_and_single(problem, G=G, **cfg)
     # 32 elements in two shapes: one record per class and material group,
@@ -85,7 +93,7 @@ def _check_against_per_element_path(G, records, **cfg):
     assert len({id(c.trace_u) for c in data.caches}) == records
     assert len({id(c.trace_u) for c in sol1.caches}) == 32
     assert len(data.local_meshes) == len({id(c.dofh) for c in data.caches})
-    assert len(data.local_meshes) == 2
+    assert len(data.local_meshes) == n_meshes
     for caches, meshes in ((data.caches, [lm.element_id
                                           for lm in data.local_meshes]),
                            (sol1.caches, list(range(32)))):
@@ -115,6 +123,34 @@ def test_varying_material_matches_per_element_path(kind, k):
     # no two elements sample G alike: one record per element, still on the
     # two class meshes
     _check_against_per_element_path(_linear, 32, k=k, kind=kind)
+
+
+def _right_face_neumann(mid):
+    return "neumann" if mid[0] > 1 - 1e-12 else "dirichlet"
+
+
+@pytest.mark.parametrize("kind", ["gals", "galerkin"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_uneven_material_groups_match_per_element_path(monkeypatch, kind,
+                                                       k):
+    # the classes hold groups of 8 and 4 members, factored and solved in one
+    # stack whose load columns pad the 4-member groups to 8 slots, with a
+    # traction on the Neumann face x = 1
+    problem = BrennerProblem(NU)
+    sizes = []
+    build = pipeline.build_class_caches
+
+    def recording_build(*args, **kwargs):
+        records = build(*args, **kwargs)
+        sizes.append([len(c.element_ids) for c in records])
+        return records
+
+    monkeypatch.setattr(pipeline, "build_class_caches", recording_build)
+    _check_against_per_element_path(
+        _uneven, 6, n_meshes=3, k=k, kind=kind,
+        g=lambda x: problem.sigma(x)[..., :, 0],
+        boundary_tag=_right_face_neumann)
+    assert sorted(sizes) == [[4], [8, 4], [8, 4, 4]]
 
 
 def test_shared_classes_match_with_mixed_boundary():
@@ -217,14 +253,49 @@ def test_one_factorization_per_class(monkeypatch):
     calls = _counting_splu(monkeypatch)
     problem = BrennerProblem(NU)
     lam = {}
-    for G, expected in ((1.0, 2), (_constant(1.0), 2), (_linear, 32)):
+    # the 16 groups of each class under _linear are stacked into one matrix
+    for G, groups in ((1.0, 1), (_constant(1.0), 1), (_linear, 16)):
         calls.clear()
-        sol, _ = solve_mhm(MHMConfig(n=4, level=0, k=1, ell=1, nu=NU, G=G),
-                           problem)
-        assert len(calls) == expected
-        lam[expected, callable(G)] = sol.lam
+        sol, data = solve_mhm(MHMConfig(n=4, level=0, k=1, ell=1, nu=NU,
+                                        G=G), problem)
+        assert len(data.caches) == 2 * groups
+        n = data.caches[0].dofh.n_dofs * 3 + 3
+        assert calls == [(groups * n, groups * n)] * 2
+        lam[groups, callable(G)] = sol.lam
     # a callable constant is the constant: every sample is equal
-    assert _rel(lam[2, True], lam[2, False]) <= 1e-12
+    assert _rel(lam[1, True], lam[1, False]) <= 1e-12
+
+
+def test_stacks_respect_the_unknown_bound(monkeypatch):
+    calls = _counting_splu(monkeypatch)
+    problem = BrennerProblem(NU)
+    config = MHMConfig(n=4, level=0, k=1, ell=1, nu=NU, G=_linear)
+    sol, data = solve_mhm(config, problem)
+    n = 3 * data.caches[0].dofh.n_dofs + 3
+    assert 16 * n <= local_solver.BATCH_UNKNOWNS
+    assert calls == [(16 * n, 16 * n)] * 2
+    # at most 5 groups a stack: the 16 groups of a class make 4 stacks of
+    # 4; a bound below one group factors every group alone
+    for bound, stack in ((5 * n + 1, 4), (1, 1)):
+        calls.clear()
+        monkeypatch.setattr(local_solver, "BATCH_UNKNOWNS", bound)
+        sol1, data1 = solve_mhm(config, problem)
+        assert calls == [(stack * n, stack * n)] * (32 // stack)
+        assert len(data1.caches) == 32
+        assert _rel(sol1.lam, sol.lam) <= 1e-12
+
+
+def test_stacked_alpha_is_checked(monkeypatch):
+    # a safe inverse constant above the estimate puts alpha above the
+    # admissible interval of every group
+    ci = local_solver.inverse_constant(1)
+    monkeypatch.setattr(local_solver, "inverse_constant",
+                        lambda k: InverseConstant(k, ci.value, 3 * ci.value))
+    with pytest.raises(LocalSolverError,
+                       match=r"alpha=.* outside the admissible interval "
+                             r"\(0, [0-9.e-]+\)"):
+        solve_mhm(MHMConfig(n=4, level=0, k=1, ell=1, nu=NU, G=_linear),
+                  BrennerProblem(NU))
 
 
 @pytest.mark.parametrize("k", [1, 2])
