@@ -6,11 +6,11 @@ The basis is built per congruence class of translated coarse elements with
 the same boundary segment layout: they share one local mesh, numbering,
 tabulation and boundary pairings.  The members are split by their samples of
 G and eps, and each group with equal samples (the whole class under a
-constant material) shares one alpha and one operator.  The operators of a
-class's groups are stacked as the diagonal blocks of one matrix, up to
-BATCH_UNKNOWNS unknowns, and factored and solved at once, for the trace
-right-hand sides and every member's load column: one record per group, with
-the members as arrays.
+constant material) shares one alpha and one operator.  The operators of
+groups of similar member counts are stacked as the diagonal blocks of one
+matrix, up to BATCH_UNKNOWNS unknowns, and factored and solved at once, for
+the trace right-hand sides and every member's load column: one record per
+group, with the members as arrays.
 """
 
 from dataclasses import dataclass, replace
@@ -117,23 +117,29 @@ class MaterialField:
 def compute_alpha(material, sample_points, c_inverse, theta=0.5):
     """Stabilization parameter strictly inside the admissible interval:
     alpha = theta * G_0 * C_I / (2 ||G||^2), with 0 < theta < 1."""
+    return float(_group_alphas(material.G_at(sample_points)[None], c_inverse,
+                               theta)[0])
+
+
+def _group_alphas(Gq, c_inverse, theta):
+    """compute_alpha of each group from its samples of G (ng, ...)."""
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
-    return float(_alpha_bound(material.G_at(sample_points),
-                              c_inverse.safe_value, theta))
+    return _alpha_bound(Gq, c_inverse.safe_value, theta)
 
 
-def _alpha_bound(Gq, c, theta=1.0, axis=None):
-    """theta * G_0 * c / (2 ||G||^2) from samples `Gq` of G, reduced over
-    `axis`: with the inverse constant's value for c, the upper end of the
-    admissible interval of alpha."""
-    return theta * Gq.min(axis=axis) * c / (2 * np.abs(Gq).max(axis=axis)**2)
+def _alpha_bound(Gq, c, theta=1.0):
+    """theta * G_0 * c / (2 ||G||^2) of each group from its samples `Gq`
+    (ng, ...) of G: with the inverse constant's value for c, the upper end
+    of the group's admissible interval of alpha."""
+    Gq = Gq.reshape(len(Gq), -1)
+    return theta * Gq.min(axis=1) * c / (2 * np.abs(Gq).max(axis=1)**2)
 
 
 def _check_alpha(alpha, Gq, c_inverse):
     """Raise unless each group's alpha lies in its admissible interval, from
     the group's samples of G (ng, nt, nq)."""
-    bound = _alpha_bound(Gq, c_inverse.value, axis=(1, 2))
+    bound = _alpha_bound(Gq, c_inverse.value)
     bad = np.flatnonzero(~((0 < alpha) & (alpha < bound)))
     if len(bad):
         i = bad[0]
@@ -145,7 +151,7 @@ def _check_alpha(alpha, Gq, c_inverse):
 class LocalBasisCache:
     """Condensed multiscale basis of the members of one congruence class
     that share their material samples, solved on the mesh of `dofh` in one
-    stacked solve with the class's other groups.
+    stacked solve with other groups of the class.
 
     Columns of `trace_u`/`trace_p` hold the displacement/pressure solutions
     for every trace basis function on the element boundary; `pairing` and
@@ -390,14 +396,6 @@ def element_load(op, shifts, f=None, g=None, filled=None):
     return np.swapaxes(rhs, 0, 1).reshape(S, ng * n).T, d_rm.reshape(-1, 3)
 
 
-def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
-    """Factorize the operator of one group once and solve, in one multi-RHS
-    call, for every trace basis function and the load of every member: the
-    basis record of the members `element_ids`, translates of the element
-    `op` was assembled on that share its material samples."""
-    return _solve_groups(op, partition, skeleton, [element_ids], f=f, g=g)[0]
-
-
 def _blocks(M, ng):
     """The Fortran-ordered stacked columns M (ng * n, c) as a view (n, ng, c):
     row i of block g."""
@@ -409,11 +407,16 @@ def _block_norms(M, ng):
     return np.linalg.norm(M.reshape(ng, -1, M.shape[1]), axis=1)
 
 
-def _solve_groups(op, partition, skeleton, groups, f=None, g=None):
-    """Factorize the stacked operators of `op` once and solve, in one
-    multi-RHS call, for every trace basis function and the load of every
-    member: one basis record per group of members `groups[i]`, block i."""
-    groups = [np.asarray(ids, dtype=int) for ids in groups]
+def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
+    """Factorize the operator `op` once and solve, in one multi-RHS call, for
+    every trace basis function and the load of every member, translates of
+    the element `op` was assembled on.  For an operator of one group,
+    `element_ids` are its members and the result is their basis record; for
+    a stack, `element_ids` is a list of each group's member ids, block by
+    block, and the result is a list of records, one per group."""
+    single = np.ndim(element_ids[0]) == 0
+    groups = [np.asarray(ids, dtype=int)
+              for ids in ([element_ids] if single else element_ids)]
     sizes = np.array([len(ids) for ids in groups])
     ng, S = len(groups), sizes.max()
     ids = np.concatenate(groups)
@@ -493,7 +496,7 @@ def _solve_groups(op, partition, skeleton, groups, f=None, g=None):
             load_pairing=load_u @ op.R.T,
             rm_load=rm_load[i, :m],
         ))
-    return records
+    return records[0] if single else records
 
 
 def _congruence_key(partition, eid, skeleton, depth):
@@ -548,11 +551,21 @@ def _material_groups(material, points, shifts):
     return [np.array(members) for members in groups.values()], Gq, epsq
 
 
-def _batches(n_groups, n):
-    """Consecutive runs of groups of `n` unknowns each, as even as possible,
-    of at most BATCH_UNKNOWNS unknowns (at least one group)."""
+def _batches(sizes, n):
+    """Stacks of the groups with member counts `sizes`, of `n` unknowns
+    each: runs of groups in decreasing member count, cut where a group has
+    less than half the members of the run's first, so that at most half of
+    each block's load columns are padding, and then split as evenly as
+    possible into stacks of at most BATCH_UNKNOWNS unknowns (at least one
+    group)."""
+    order = np.argsort(-np.asarray(sizes), kind="stable")
+    cuts = [0]
+    for j in range(1, len(order)):
+        if 2 * sizes[order[j]] < sizes[order[cuts[-1]]]:
+            cuts.append(j)
     per = max(1, BATCH_UNKNOWNS // n)
-    return np.array_split(np.arange(n_groups), -(-n_groups // per))
+    return [stack for run in np.split(order, cuts[1:])
+            for stack in np.array_split(run, -(-len(run) // per))]
 
 
 def build_class_caches(partition, local_mesh, element_ids, skeleton,
@@ -560,9 +573,10 @@ def build_class_caches(partition, local_mesh, element_ids, skeleton,
     """Basis records of the congruence class `element_ids`, whose members
     share the geometry on `local_mesh` (of one member): one record per group
     of members with equal material samples, each with its own alpha and
-    operator.  The groups' operators are stacked into block-diagonal
+    operator, in order of first appearance.  The operators of groups of
+    similar member counts (`_batches`) are stacked into block-diagonal
     matrices of at most BATCH_UNKNOWNS unknowns, each factored and solved
-    once."""
+    once by `solve_local_basis`."""
     if kind not in ("gals", "galerkin"):
         raise ValueError(f"unknown local solver kind {kind!r}")
     element_ids = np.asarray(element_ids, dtype=int)
@@ -570,20 +584,19 @@ def build_class_caches(partition, local_mesh, element_ids, skeleton,
     shifts = _centroids(partition, element_ids) - geo.rigid_modes.centroid
     groups, Gq, epsq = _material_groups(material, geo.tab.points, shifts)
     if kind == "gals":
-        if not 0 < theta < 1:
-            raise ValueError("theta must lie in (0, 1)")
         ci = inverse_constant(k)
-        alpha = _alpha_bound(Gq, ci.safe_value, theta, axis=(1, 2))
+        alpha = _group_alphas(Gq, ci, theta)
         _check_alpha(alpha, Gq, ci)
     else:
         alpha = np.zeros(len(groups))
-    records = []
-    for batch in _batches(len(groups), geo.l2g.max() + 4):
+    records = [None] * len(groups)
+    for batch in _batches([len(ids) for ids in groups], geo.l2g.max() + 4):
         op = _local_operator(geo, material, Gq[batch], epsq[batch],
                              alpha[batch])
-        records += _solve_groups(op, partition, skeleton,
-                                 [element_ids[groups[i]] for i in batch],
-                                 f=f, g=g)
+        for i, record in zip(batch, solve_local_basis(
+                op, partition, skeleton,
+                [element_ids[groups[i]] for i in batch], f=f, g=g)):
+            records[i] = record
     return records
 
 

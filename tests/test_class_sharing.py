@@ -39,6 +39,12 @@ def _uneven(x):
     return 1.0 + 0.2 * np.maximum(x[..., 0] - 0.5, 0.0)
 
 
+def _inclusion(x):
+    """A shear modulus equal except in the right column of the n = 4 mesh,
+    where it varies: each class holds one group of 12 and 4 of one."""
+    return 1.0 + 0.2 * np.maximum(x[..., 0] - 0.75, 0.0) * (1.0 + x[..., 1])
+
+
 def _periodic(x):
     """A shear modulus of period 1/8, the coarse cell size at n = 8."""
     return 1.0 + 0.9 * np.sin(16 * np.pi * x[..., 0]) * np.sin(
@@ -283,6 +289,35 @@ def test_stacks_respect_the_unknown_bound(monkeypatch):
         assert calls == [(stack * n, stack * n)] * (32 // stack)
         assert len(data1.caches) == 32
         assert _rel(sol1.lam, sol.lam) <= 1e-12
+
+
+def test_batches_bound_padding_and_unknowns(monkeypatch):
+    # groups by decreasing member count, cut where one has less than half
+    # of its run's first, then at most 3 groups of 30 unknowns a stack
+    monkeypatch.setattr(local_solver, "BATCH_UNKNOWNS", 100)
+    sizes = [1, 16, 1, 2, 3, 8, 1, 4, 1, 1, 1]
+    stacks = local_solver._batches(sizes, 30)
+    assert [s.tolist() for s in stacks] == [[1, 5], [7, 4, 3], [0, 2, 6],
+                                            [8, 9, 10]]
+
+
+def test_stacks_bound_the_padding(monkeypatch):
+    # the 12-member group of each class is factored alone, its 4 single
+    # members in one stack, and the records keep their first-appearance order
+    calls = _counting_splu(monkeypatch)
+    problem = BrennerProblem(NU)
+    config = MHMConfig(n=4, level=0, k=1, ell=1, nu=NU, G=_inclusion)
+    sol, data = solve_mhm(config, problem)
+    n = 3 * data.caches[0].dofh.n_dofs + 3
+    assert calls == [(n, n), (4 * n, 4 * n)] * 2
+    sizes = [len(c.element_ids) for c in data.caches]
+    assert sorted(sizes) == [1] * 8 + [12] * 2
+    calls.clear()
+    monkeypatch.setattr(local_solver, "BATCH_UNKNOWNS", 1)
+    sol1, data1 = solve_mhm(config, problem)
+    assert calls == [(n, n)] * 10
+    assert [len(c.element_ids) for c in data1.caches] == sizes
+    assert _rel(sol1.lam, sol.lam) <= 1e-12
 
 
 def test_stacked_alpha_is_checked(monkeypatch):

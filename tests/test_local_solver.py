@@ -74,6 +74,18 @@ def test_compute_alpha_homogeneous():
     assert abs(compute_alpha(MaterialField(2.0, 0.3), x, ci) - 0.125) < 1e-15
 
 
+def test_compute_alpha_varying_G():
+    # G0 is the smallest and ||G|| the largest sample: 0.5 * 1 / (2 * 2^2)
+    ci = InverseConstant(1, 1.0, 1.0)
+    mat = MaterialField(lambda x: 1.0 + x[..., 0], 0.3)
+    x = np.array([[0.0, 0.0], [1.0, 0.5]])
+    assert compute_alpha(mat, x, ci) == 0.5 * 1.0 / (2 * 2.0**2)
+    # a stack of groups reduces each group's samples alone
+    Gq = np.stack([mat.G_at(x[None]), 3 * mat.G_at(x[None])])
+    assert np.array_equal(local_solver._group_alphas(Gq, ci, 0.5),
+                          [0.5 / 8, 0.5 * 3 / (2 * 36)])
+
+
 def test_compute_alpha_theta_validation():
     ci = InverseConstant(1, 1.0, 1.0)
     x = np.zeros((3, 2))
