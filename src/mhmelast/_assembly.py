@@ -261,19 +261,29 @@ def load_vector(tab, fq, Dall=None, alpha=None):
     return F
 
 
-def field_values(vals, grads, loc2glob, u, p, eps):
-    """A discrete field at tabulated points: u_h (nt, nq, 2), grad u_h
-    (nt, nq, 2, 2) and p_h (nt, nq), from shape values (nq, nb), physical
-    gradients (nt, nq, nb, 2) and the interleaved coefficients `u`.  With
-    pressure coefficients `p` None, p_h is the implied -div u_h / eps."""
-    un = u.reshape(-1, 2)[loc2glob]                     # (nt, nb, 2)
+def field_values(vals, grads, loc2glob, U, P, eps):
+    """The discrete fields of m members at tabulated points: u_h
+    (m, nt, nq, 2), grad u_h (m, nt, nq, 2, 2) and p_h (m, nt, nq), from
+    shape values (nq, nb), physical gradients (nt, nq, nb, 2) and the
+    members' interleaved coefficients `U` (m, 2nsd).  With pressure
+    coefficients `P` (m, nsd) None, p_h is the implied -div u_h / eps."""
+    un = U.reshape(len(U), -1, 2)[:, loc2glob]          # (m, nt, nb, 2)
     uh = vals @ un
-    guh = np.swapaxes(un, 1, 2)[:, None] @ grads
-    if p is not None:
-        ph = p[loc2glob] @ vals.T
+    guh = np.swapaxes(un, -1, -2)[:, :, None] @ grads
+    if P is not None:
+        ph = P[:, loc2glob] @ vals.T
     else:
         ph = -(guh[..., 0, 0] + guh[..., 1, 1]) / eps
     return uh, guh, ph
+
+
+def stress(G, grad_u, p):
+    """The stress 2 G eps(u) - p I (..., 2, 2) of a displacement gradient
+    (..., 2, 2) and a pressure (...), with G broadcasting against p."""
+    s = np.asarray(G)[..., None, None] * (grad_u + np.swapaxes(grad_u, -1, -2))
+    s[..., 0, 0] -= p
+    s[..., 1, 1] -= p
+    return s
 
 
 def abs_row_sums(M):

@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -139,12 +140,10 @@ def cmd_convergence(args):
     problem = BrennerProblem(args.nu)
     levels = _parse_levels(args.levels)
     records, Hs = [], []
-    mhm_runs = []
     for level in levels:
         if method in MHM_METHODS:
             sol, data = _solve_mhm_level(method, args, level, problem)
             H = data.skeleton.h_skeleton
-            mhm_runs.append((sol, data))
         else:
             n = int(round(2 ** (5 - args.k))) * 2 ** level
             sol = _solve_single(method, n, args.k, args.nu, args.theta,
@@ -265,37 +264,37 @@ def cmd_export_fields(args):
     cfg = MHMConfig(n=args.n, level=args.level, k=args.k, ell=args.ell,
                     nu=args.nu, theta=args.theta, threads=args.threads)
     sol, data = solve_mhm(cfg, problem)
-    eps = (1 - 2 * cfg.nu) / (2 * cfg.G * cfg.nu)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    rows = {}
-    for dofh, eids in sol.mesh_members():
+
+    def at_corners(dofh):
         # one geometry per local mesh; members are its translates
         geo = asm.Geometry(dofh.mesh)
-        vals, rgrads, _ = dofh.ref.tabulate(corners)
-        grads = geo.push_gradients(rgrads)
-        for eid in eids:
-            fld = sol.fields[eid]
-            uh, guh, ph = asm.field_values(vals, grads, dofh.loc2glob,
-                                           fld.u, fld.p, eps)
-            sh = cfg.G * (guh + np.swapaxes(guh, -1, -2))
-            sh[..., 0, 0] -= ph
-            sh[..., 1, 1] -= ph
-            table = np.column_stack([
-                (geo.physical_points(corners) + fld.shift).reshape(-1, 2),
-                uh.reshape(-1, 2), ph.ravel(),
-                sh.reshape(-1, 4)[:, [0, 1, 3]]])
-            rows[eid] = [",".join([str(eid)] + [_fmt(v) for v in r])
-                         for r in table]
+        vals, grads, _ = dofh.ref.tabulate(corners)
+        return SimpleNamespace(vals=vals, grads=geo.push_gradients(grads),
+                               points=geo.physical_points(corners))
+
+    ids, tables = [], []
+    for tab, l2g, eids, U, P, shifts in sol.member_chunks(at_corners):
+        uh, guh, ph = asm.field_values(tab.vals, tab.grads, l2g, U, P,
+                                       problem.epsilon)
+        sh = asm.stress(problem.G, guh, ph)
+        ids.append(np.repeat(eids, ph[0].size))
+        tables.append(np.concatenate([
+            tab.points + shifts[:, None, None], uh, ph[..., None],
+            sh.reshape(sh.shape[:-2] + (4,))[..., [0, 1, 3]]],
+            axis=-1).reshape(-1, 8))
+    ids = np.concatenate(ids)
+    table = np.concatenate(tables)[np.argsort(ids, kind="stable")]
+    rows = [",".join([str(eid)] + [_fmt(v) for v in r])
+            for eid, r in zip(np.sort(ids).tolist(), table)]
     with open(os.path.join(args.out, "fields.csv"), "w") as f:
-        f.write("\n".join(["element,x,y,u1,u2,p,s11,s12,s22"] + [
-            r for eid in sorted(rows) for r in rows[eid]]) + "\n")
-    lam_rows = ["segment,component,mode,coefficient"]
-    dps = data.skeleton.dofs_per_segment
-    ell1 = data.skeleton.degree + 1
-    for seg in data.skeleton.segments:
-        for i, dof in enumerate(data.skeleton.segment_dofs(seg.id)):
-            lam_rows.append(f"{seg.id},{i // ell1},{i % ell1},"
-                            f"{_fmt(sol.lam[dof])}")
+        f.write("\n".join(["element,x,y,u1,u2,p,s11,s12,s22"] + rows) + "\n")
+    # trace dof d is local dof d % dps of segment d // dps
+    sk = data.skeleton
+    seg, local = np.divmod(np.arange(sk.n_dofs), sk.dofs_per_segment)
+    lam_rows = ["segment,component,mode,coefficient"] + [
+        f"{s},{j // (sk.degree + 1)},{j % (sk.degree + 1)},{_fmt(v)}"
+        for s, j, v in zip(seg.tolist(), local.tolist(), sol.lam)]
     with open(os.path.join(args.out, "traction.csv"), "w") as f:
         f.write("\n".join(lam_rows) + "\n")
     print(f"wrote {args.out}/fields.csv and {args.out}/traction.csv")

@@ -23,7 +23,7 @@ from . import _assembly as asm
 from ._assembly import RigidModes
 from .fem_core import (MHMError, inverse_constant, quad_rule,
                        reference_element)
-from .mesh import local_depth
+from .mesh import local_depths
 
 __all__ = [
     "MaterialField",
@@ -499,32 +499,30 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     return records[0] if single else records
 
 
-def _congruence_key(partition, eid, skeleton, depth):
-    """Elements with equal keys are translates of each other with the same
-    local lattice and boundary segment layout, so their local problems
-    differ only in the material.  The layout records, per local edge, the
-    number of segments (0 on Neumann faces) and whether the face runs against
-    the local edge, which fixes the segment order and the sign of the odd
-    trace modes."""
-    e = partition.elements[eid]
-    p = partition.vertices[list(e)]
-    grid = CONGRUENCE_RTOL * partition.element_diameters[eid]
-    shape = tuple(np.round((p - p.mean(axis=0)) / grid).astype(np.int64).ravel())
-    layout = tuple((len(skeleton.face_segments[fid]),
-                    partition.faces[fid].v0 != e[le])
-                   for le, fid in enumerate(partition.elem_face_ids[eid]))
-    return shape, layout, local_depth(partition, eid, skeleton, depth)
-
-
 def congruence_classes(partition, skeleton, depth):
     """Group the element ids, in increasing order, into classes sharing one
-    local mesh at `depth`, before any local mesh is built.  The classes are
-    purely geometric: `build_class_caches` splits them by material."""
-    classes = {}
-    for eid in range(partition.n_elements):
-        key = _congruence_key(partition, eid, skeleton, depth)
-        classes.setdefault(key, []).append(eid)
-    return list(classes.values())
+    local mesh at `depth`, in order of their first element, before any local
+    mesh is built.  Members are translates (on a grid of CONGRUENCE_RTOL
+    times the diameter) with one local depth and boundary segment layout:
+    per local edge, the level of the face's segments (-1 on Neumann faces)
+    and whether the face runs against the edge, which fixes the segment
+    order and the sign of the odd trace modes.  The classes are purely
+    geometric: `build_class_caches` splits them by material."""
+    elements = np.array(partition.elements)
+    face_ids = np.array(partition.elem_face_ids)
+    p = partition.vertices[elements]                        # (n, 3, 2)
+    grid = CONGRUENCE_RTOL * partition.element_diameters[:, None, None]
+    shape = np.round((p - p.mean(axis=1, keepdims=True)) / grid)
+    face_v0 = np.array([f.v0 for f in partition.faces])
+    levels, need = local_depths(skeleton, face_ids, depth)
+    keys = np.column_stack([shape.reshape(-1, 6).astype(np.int64), levels,
+                            face_v0[face_ids] != elements, need])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    rank = np.argsort(np.argsort(first))[inverse.ravel()]
+    members = np.argsort(rank, kind="stable")
+    return [c.tolist() for c in np.split(members,
+                                         np.cumsum(np.bincount(rank))[:-1])]
 
 
 def _material_groups(material, points, shifts):

@@ -17,10 +17,6 @@ import numpy as np
 GEOM_TOL = 1e-12
 
 
-def _cross2(a, b):
-    """z-component of the cross product of 2D vectors."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
 __all__ = [
     "TriMesh",
     "GlobalPartition",
@@ -30,7 +26,7 @@ __all__ = [
     "build_structured_triangulation",
     "refine_skeleton",
     "build_matching_local_mesh",
-    "local_depth",
+    "local_depths",
     "check_refinement_conditions",
     "unit_square_mesh",
     "write_partition",
@@ -54,7 +50,8 @@ class TriMesh:
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
         v = self.vertices[self.triangles]
-        cross = _cross2(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+        a, b = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
         if np.any(cross <= 0):
             raise ValueError("mesh contains non-CCW or degenerate triangles")
         self.areas = 0.5 * cross
@@ -126,8 +123,11 @@ class GlobalPartition:
         except ValueError:
             raise ValueError("coarse element is degenerate or not CCW") from None
         self.element_areas = mesh.areas
-        if abs(self.element_areas.sum() - domain_area) > 1e-12 * max(domain_area, 1.0):
-            raise ValueError("element areas do not sum to the domain area")
+        total = self.element_areas.sum()
+        if abs(total - domain_area) > 1e-12 * max(domain_area, 1.0):
+            raise ValueError(f"element areas sum to {total:.15g}, not "
+                             f"{domain_area:.15g}: the elements must cover "
+                             "the unit square (or the given domain_area)")
         self.element_diameters = mesh.diameters
         self.h_coarse = float(self.element_diameters.max())
 
@@ -340,32 +340,34 @@ def _lattice_triangulation(corners, depth):
     return mesh, idx, edge_chains
 
 
-def local_depth(partition, element_id, skeleton, depth):
-    """Depth of an element's matching local mesh: `depth`, raised until
-    every skeleton segment on its boundary is a union of fine edges."""
+def local_depths(skeleton, face_ids, depth):
+    """The dyadic level of the skeleton segments on each face of elements,
+    `face_ids` (..., 3): log2 of the face's segment count, -1 without
+    segments; and the depth of each element's matching local mesh, `depth`
+    raised until every segment on its boundary is a union of fine edges."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    need = depth
-    for fid in partition.elem_face_ids[element_id]:
-        segs = skeleton.face_segments[fid]
-        if not segs:
-            continue
-        r = np.log2(len(segs))
-        if abs(r - round(r)) > 1e-9:
-            raise ValueError("skeleton segments are not a dyadic subdivision")
-        # verify segments are equal dyadic pieces of the face
-        for j, sid in enumerate(segs):
-            seg = skeleton.segments[sid]
-            if abs(seg.s0 - j / len(segs)) > GEOM_TOL or abs(seg.s1 - (j + 1) / len(segs)) > GEOM_TOL:
-                raise ValueError("skeleton segments do not align with a dyadic subdivision")
-        need = max(need, int(round(r)))
-    return need
+    face_ids = np.asarray(face_ids)
+    segs = [skeleton.face_segments[f] for f in face_ids.ravel().tolist()]
+    counts = np.array([len(ids) for ids in segs])
+    if np.any(counts & (counts - 1)):
+        raise ValueError("skeleton segments are not a dyadic subdivision")
+    # segment j of the n on a face spans [j / n, (j + 1) / n] of it
+    sid = np.concatenate([[]] + segs).astype(int)
+    j = np.arange(len(sid)) - np.repeat(np.cumsum(counts) - counts, counts)
+    piece = (j[:, None] + np.arange(2)) / np.repeat(counts, counts)[:, None]
+    if np.any(np.abs(skeleton.segment_bounds[sid] - piece) > GEOM_TOL):
+        raise ValueError(
+            "skeleton segments do not align with a dyadic subdivision")
+    levels = np.frexp(counts)[1].reshape(face_ids.shape) - 1
+    return levels, np.maximum(depth, levels.max(axis=-1))
 
 
 def build_matching_local_mesh(partition, element_id, skeleton, depth):
     """Red-refine coarse element `element_id` to `depth`, then refine further
     until every skeleton segment on its boundary is a union of fine edges."""
-    need = local_depth(partition, element_id, skeleton, depth)
+    need = int(local_depths(skeleton, partition.elem_face_ids[element_id],
+                            depth)[1])
     e = partition.elements[element_id]
     corners = [partition.vertices[v] for v in e]
     fids = partition.elem_face_ids[element_id]
@@ -510,6 +512,8 @@ def write_partition(partition, stream_or_path):
 
 
 def read_partition(stream_or_path):
+    """A partition of the unit square from the format of
+    `write_partition`."""
     with _opened(stream_or_path, "r") as f:
         lines = [(no, ln.split()) for no, ln in enumerate(f, 1)
                  if ln.strip() and not ln.startswith("#")]
@@ -559,16 +563,7 @@ def read_partition(stream_or_path):
                 return tag
         return "dirichlet"
 
-    area = _polygon_hull_area(verts, elements)
-    return GlobalPartition(verts, elements, boundary_tag=boundary_tag, domain_area=area)
-
-
-def _polygon_hull_area(verts, elements):
-    area = 0.0
-    for e in elements:
-        p = verts[list(e)]
-        area += 0.5 * _cross2(p[1] - p[0], p[2] - p[0])
-    return area
+    return GlobalPartition(verts, elements, boundary_tag=boundary_tag)
 
 
 def partition_to_string(partition):

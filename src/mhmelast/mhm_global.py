@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from . import _assembly as asm
+from . import _assembly as asm, local_solver
 from .fem_core import MHMError, quad_rule
 
 __all__ = [
@@ -152,7 +152,8 @@ class ElementFields:
 
 class MHMSolution:
     """Reconstructed two-level solution: trace coefficients, rigid-body
-    coefficients per element, and the fine displacement/pressure fields."""
+    coefficients per element, and the fine displacement/pressure fields,
+    per element and, for evaluation, as member arrays (`member_chunks`)."""
 
     def __init__(self, skeleton, lam, rho, fields, caches):
         self.skeleton = skeleton
@@ -165,13 +166,25 @@ class MHMSolution:
     def has_pressure(self):
         return all(f.p is not None for f in self.fields.values())
 
-    def mesh_members(self):
-        """(DofHandler, element ids) of each local mesh, whichever records
-        share it."""
-        out = {}
+    def member_chunks(self, tabulate):
+        """The members' fields as arrays, mesh by mesh: `tab = tabulate(dofh)`
+        once, whose `points` (nt, nq, 2) are a member's evaluation points,
+        then (tab, loc2glob, element ids (m,), U (m, 2*nsd), P (m, nsd) or
+        None, shifts (m, 2)) for 1 to SAMPLE_POINTS // (nt * nq) members."""
+        meshes = {}
         for c in self.caches:
-            out.setdefault(c.dofh, []).extend(c.element_ids.tolist())
-        return out.items()
+            meshes.setdefault(c.dofh, []).extend(c.element_ids.tolist())
+        for dofh, eids in meshes.items():
+            tab = tabulate(dofh)
+            per = max(1, local_solver.SAMPLE_POINTS // tab.points[..., 0].size)
+            for start in range(0, len(eids), per):
+                ids = eids[start:start + per]
+                fields = [self.fields[e] for e in ids]
+                P = (None if fields[0].p is None
+                     else np.stack([f.p for f in fields]))
+                yield (tab, dofh.loc2glob, np.array(ids),
+                       np.stack([f.u for f in fields]), P,
+                       np.stack([f.shift for f in fields]))
 
 
 def postprocess_solution(caches, skeleton, lam, rho):

@@ -11,6 +11,7 @@ from scipy.sparse.linalg import splu
 
 from . import _assembly as asm
 from .fem_core import MHMError, inverse_constant, reference_element
+from .local_solver import _group_alphas
 
 __all__ = [
     "SingleLevelSolution",
@@ -92,9 +93,8 @@ def _solve_single(mesh, material, k, f, u_dirichlet, theta=None):
         A_el = asm.galerkin_element_matrices(tab, Gq, epsq)
         F_el = asm.load_vector(tab, fq)
     else:
-        # per-triangle parameter: theta * G_min * C_I / (2 * G_max^2)
-        alpha = (theta * Gq.min(axis=1) * inverse_constant(k).safe_value
-                 / (2.0 * np.abs(Gq).max(axis=1) ** 2))
+        # each triangle is a group of its own, with its own alpha
+        alpha = _group_alphas(Gq, inverse_constant(k), theta)
         A_el, Dall = asm.gals_element_matrices(tab, Gq, epsq, alpha)
         F_el = asm.load_vector(tab, fq, Dall=Dall, alpha=alpha)
         l2g = np.concatenate([l2g, nu + dofh.loc2glob], axis=1)

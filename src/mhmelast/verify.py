@@ -1,6 +1,10 @@
 """Verification harness: closed-form benchmark problems, error norms,
 convergence orders, and the numerical diagnostics (compressibility residual,
 saddle-point spectrum) that probe well-posedness and locking.
+
+A two-level solution is evaluated in one member-batched pass over the chunks
+of `MHMSolution.member_chunks`.  The exact stress is formed from `grad_u`,
+`p` and `G`; a problem's `sigma` serves only the skeleton traction error.
 """
 
 from dataclasses import dataclass
@@ -9,7 +13,7 @@ import numpy as np
 from scipy.linalg import eigh, null_space, svdvals
 
 from . import _assembly as asm
-from .fem_core import quad_rule, reference_element
+from .fem_core import quad_rule
 from .local_solver import MaterialField
 from .mhm_global import MHMSolution
 from .singlelevel import SingleLevelSolution
@@ -82,13 +86,7 @@ class BrennerProblem:
         return np.stack([g, g], axis=-1)
 
     def sigma(self, x):
-        g = self.grad_u(x)
-        eps = 0.5 * (g + np.swapaxes(g, -1, -2))
-        s = 2 * self.G * eps
-        pr = self.p(x)
-        s[..., 0, 0] -= pr
-        s[..., 1, 1] -= pr
-        return s
+        return asm.stress(self.G, self.grad_u(x), self.p(x))
 
     def f(self, x):
         x = np.asarray(x, dtype=float)
@@ -140,10 +138,7 @@ class LinearProblem:
         return np.zeros(x.shape[:-1] + (2,))
 
     def sigma(self, x):
-        s = self.G * (self.A + self.A.T) + (np.trace(self.A) / self.epsilon
-                                            ) * np.eye(2)
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(s, x.shape[:-1] + (2, 2)).copy()
+        return asm.stress(self.G, self.grad_u(x), self.p(x))
 
     def f(self, x):
         x = np.asarray(x, dtype=float)
@@ -162,52 +157,43 @@ class ErrorRecord:
     p_h: float             # h-weighted broken H1 seminorm of pressure error
 
 
-def _pressure_gradient(tab, l2g, ucoef, pcoef, eps):
-    """Elementwise gradient (nt, nq, 2) of p_h or, with `pcoef` None, of the
-    implied pressure -(1/eps) div u_h."""
-    if pcoef is not None:
-        return (pcoef[l2g][:, None, None] @ tab.grads)[..., 0, :]
+def _pressure_gradient(tab, l2g, U, P, eps):
+    """Elementwise gradient (m, nt, nq, 2) of the members' p_h or, with `P`
+    None, of the implied pressure -(1/eps) div u_h."""
+    if P is not None:
+        return (P[:, l2g][:, :, None, None] @ tab.grads)[..., 0, :]
     nt, nq, nb = tab.hess.shape[:3]
-    un = ucoef[asm.vector_dofs(l2g)]                    # (nt, 2nb)
-    return -(un[:, None, None] @ tab.hess.reshape(nt, nq, 2 * nb, 2)
+    un = U[:, asm.vector_dofs(l2g)]                     # (m, nt, 2nb)
+    return -(un[:, :, None, None] @ tab.hess.reshape(nt, nq, 2 * nb, 2)
              )[..., 0, :] / eps
 
 
-def _error_squares(tab, l2g, ucoef, pcoef, problem, shift=0.0):
-    """The six squared error norms over one mesh block: the tabulated mesh
-    translated by `shift`."""
+def _error_squares(tab, l2g, U, P, problem, shifts):
+    """The six squared error norms of m translates of the tabulated mesh by
+    `shifts` (m, 2), with coefficients `U` (m, 2nsd) and `P` (m, nsd)/None."""
     eps = problem.epsilon
-    uh, guh, ph = asm.field_values(tab.vals, tab.grads, l2g, ucoef, pcoef,
-                                   eps)
-    gph = _pressure_gradient(tab, l2g, ucoef, pcoef, eps)
+    uh, guh, ph = asm.field_values(tab.vals, tab.grads, l2g, U, P, eps)
+    gph = _pressure_gradient(tab, l2g, U, P, eps)
     w = tab.wdet
-    pts = tab.points + shift
+    pts = tab.points + shifts[:, None, None]
 
-    ue = problem.u(pts)
     gue = problem.grad_u(pts)
     pe = problem.p(pts)
-    gpe = problem.grad_p(pts)
-    se = problem.sigma(pts)
+    Gq = problem.material.G_at(pts)
 
-    eu = ue - uh
+    eu = problem.u(pts) - uh
     egu = gue - guh
     eph = pe - ph
-    egp = gpe - gph
-
-    Gq = problem.material.G_at(pts)
-    eps_h = 0.5 * (guh + np.swapaxes(guh, -1, -2))
-    sh = 2 * Gq[..., None, None] * eps_h
-    sh[..., 0, 0] -= ph
-    sh[..., 1, 1] -= ph
-    es = se - sh
+    egp = problem.grad_p(pts) - gph
+    es = asm.stress(Gq, gue, pe) - asm.stress(Gq, guh, ph)
 
     h2 = tab.geo.diameters**2
-    return np.array([np.einsum("tq,tqc->", w, eu**2),
-                     np.einsum("tq,tqcj->", w, egu**2),
-                     np.einsum("tq,tqcj->", w, es**2),
-                     np.einsum("tq,tq->", w, eph**2),
-                     np.einsum("tq,tq->", w * (1 + eps), eph**2),
-                     np.einsum("t,tq,tqj->", h2, w, egp**2)])
+    return np.array([np.einsum("tq,mtqc->", w, eu**2),
+                     np.einsum("tq,mtqcj->", w, egu**2),
+                     np.einsum("tq,mtqcj->", w, es**2),
+                     np.einsum("tq,mtq->", w, eph**2),
+                     np.einsum("tq,mtq->", w * (1 + eps), eph**2),
+                     np.einsum("t,tq,mtqj->", h2, w, egp**2)])
 
 
 def _traction_error_sq(solution, problem):
@@ -232,31 +218,31 @@ def _traction_error_sq(solution, problem):
     return np.einsum("sq,sqc->", w, (lam_h - tex) ** 2)
 
 
+def _tabulation(extra):
+    """Tabulation of a local mesh to degree 2k + extra."""
+    return lambda d: asm.Tabulation(d.mesh, d.ref, 2 * d.ref.degree + extra)
+
+
 def compute_errors(solution, problem):
     """Error norms of a two-level or single-level solution against the
-    closed-form fields, by elementwise quadrature."""
-    sq = np.zeros(6)
+    closed-form fields, by elementwise quadrature over the member chunks of
+    one tabulation per local mesh, or over one unshifted member."""
     traction_sq = 0.0
     if isinstance(solution, MHMSolution):
-        # one tabulation per local mesh, its members at their shifts
-        for dofh, eids in solution.mesh_members():
-            tab = asm.Tabulation(dofh.mesh, dofh.ref, 2 * dofh.ref.degree + 4)
-            for eid in eids:
-                f = solution.fields[eid]
-                sq += _error_squares(tab, dofh.loc2glob, f.u, f.p, problem,
-                                     f.shift)
+        sq = sum(_error_squares(tab, l2g, U, P, problem, shifts)
+                 for tab, l2g, _, U, P, shifts
+                 in solution.member_chunks(_tabulation(4)))
         traction_sq = _traction_error_sq(solution, problem)
     elif isinstance(solution, SingleLevelSolution):
-        k = solution.degree
-        tab = asm.Tabulation(solution.mesh, reference_element(k), 2 * k + 4)
-        sq += _error_squares(tab, solution.dofh.loc2glob, solution.u,
-                             solution.p, problem)
+        P = None if solution.p is None else solution.p[None]
+        sq = _error_squares(_tabulation(4)(solution.dofh),
+                            solution.dofh.loc2glob, solution.u[None], P,
+                            problem, np.zeros((1, 2)))
     else:
         raise TypeError(f"unsupported solution type {type(solution)!r}")
     r = np.sqrt(sq)
     return ErrorRecord(l2_u=r[0], h1_u=r[1], l2_sigma=r[2], l2_p=r[3],
-                       traction=float(np.sqrt(traction_sq)),
-                       p_eps=r[4], p_h=r[5])
+                       p_eps=r[4], p_h=r[5], traction=np.sqrt(traction_sq))
 
 
 def convergence_orders(errors):
@@ -271,18 +257,16 @@ def convergence_orders(errors):
 
 def compressibility_residual(solution, material):
     """Per-element residual of the integrated compressibility relation
-    int_K (div u + eps * p) dx."""
-    out = {}
-    for dofh, eids in solution.mesh_members():
-        tab = asm.Tabulation(dofh.mesh, dofh.ref, 2 * dofh.ref.degree + 2)
-        for eid in eids:
-            f = solution.fields[eid]
-            epsq = material.eps_at(tab.points + f.shift)
-            _, guh, ph = asm.field_values(tab.vals, tab.grads, dofh.loc2glob,
-                                          f.u, f.p, epsq)
-            div = guh[..., 0, 0] + guh[..., 1, 1]
-            out[eid] = float(np.einsum("tq,tq->", tab.wdet, div + epsq * ph))
-    return dict(sorted(out.items()))
+    int_K (div u + eps * p) dx, by element id."""
+    ids, res = [], []
+    for tab, l2g, eids, U, P, shifts in solution.member_chunks(_tabulation(2)):
+        epsq = material.eps_at(tab.points + shifts[:, None, None])
+        _, guh, ph = asm.field_values(tab.vals, tab.grads, l2g, U, P, epsq)
+        div = guh[..., 0, 0] + guh[..., 1, 1]
+        ids.append(eids)
+        res.append(np.einsum("tq,mtq->m", tab.wdet, div + epsq * ph))
+    return dict(sorted(zip(np.concatenate(ids).tolist(),
+                           np.concatenate(res).tolist())))
 
 
 @dataclass

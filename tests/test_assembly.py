@@ -138,30 +138,31 @@ def test_kernels_stack_material_groups(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_field_values_match_einsum(k):
-    # the matmul forms of the field and pressure-gradient evaluation
-    # against the einsum contractions they replace
+    # the matmul forms of the field and pressure-gradient evaluation of a
+    # stack of members against the einsum contractions they replace
     mesh = _sheared_mesh()
     ref = reference_element(k)
     tab = asm.Tabulation(mesh, ref, 2 * k + 2)
     l2g = asm.DofHandler(mesh, ref).loc2glob
     rng = np.random.default_rng(k)
-    u = rng.standard_normal(2 * (l2g.max() + 1))
-    p = rng.standard_normal(l2g.max() + 1)
+    m = 3
+    U = rng.standard_normal((m, 2 * (l2g.max() + 1)))
+    P = rng.standard_normal((m, l2g.max() + 1))
     eps = 0.3
-    un = u.reshape(-1, 2)[l2g]
-    guh = np.einsum("tqbj,tbc->tqcj", tab.grads, un)
-    cases = [(p, np.einsum("qb,tb->tq", tab.vals, p[l2g]),
-              np.einsum("tqbj,tb->tqj", tab.grads, p[l2g])),
+    un = U.reshape(m, -1, 2)[:, l2g]
+    guh = np.einsum("tqbj,mtbc->mtqcj", tab.grads, un)
+    cases = [(P, np.einsum("qb,mtb->mtq", tab.vals, P[:, l2g]),
+              np.einsum("tqbj,mtb->mtqj", tab.grads, P[:, l2g])),
              # without pressure coefficients, the implied -div u_h / eps
              # (k = 1 has zero Hessians, so its gradient is 0)
              (None, -(guh[..., 0, 0] + guh[..., 1, 1]) / eps,
-              -np.einsum("tqbcj,tbc->tqj", tab.hess, un) / eps)]
+              -np.einsum("tqbcj,mtbc->mtqj", tab.hess, un) / eps)]
     for pcoef, ph, gph in cases:
-        got = asm.field_values(tab.vals, tab.grads, l2g, u, pcoef, eps)
-        assert _close(got[0], np.einsum("qb,tbc->tqc", tab.vals, un))
+        got = asm.field_values(tab.vals, tab.grads, l2g, U, pcoef, eps)
+        assert _close(got[0], np.einsum("qb,mtbc->mtqc", tab.vals, un))
         assert _close(got[1], guh)
         assert _close(got[2], ph)
-        assert _close(verify._pressure_gradient(tab, l2g, u, pcoef, eps),
+        assert _close(verify._pressure_gradient(tab, l2g, U, pcoef, eps),
                       gph)
 
 

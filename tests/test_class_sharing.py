@@ -16,7 +16,7 @@ from mhmelast import (BrennerProblem, InverseConstant, MHMConfig,
                       solve_mhm)
 from mhmelast import _assembly as asm, local_solver, pipeline
 from mhmelast.local_solver import LocalSolverError
-from mhmelast.mesh import partition_from_string
+from mhmelast.mesh import GEOM_TOL, GlobalPartition, partition_from_string
 
 NU = 0.49
 THETA = 0.25
@@ -412,6 +412,96 @@ def test_class_verdicts_match_per_element_check(k, ell, depth):
         assert report.ok == per_element.ok
         assert list(report.element_status.items()) == \
             list(per_element.element_status.items())
+
+
+def _per_element_depth(partition, eid, skeleton, depth):
+    """The local depth of one element, one face and segment at a time."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    need = depth
+    for fid in partition.elem_face_ids[eid]:
+        segs = skeleton.face_segments[fid]
+        if not segs:
+            continue
+        r = np.log2(len(segs))
+        if abs(r - round(r)) > 1e-9:
+            raise ValueError("skeleton segments are not a dyadic subdivision")
+        for j, sid in enumerate(segs):
+            seg = skeleton.segments[sid]
+            if (abs(seg.s0 - j / len(segs)) > GEOM_TOL
+                    or abs(seg.s1 - (j + 1) / len(segs)) > GEOM_TOL):
+                raise ValueError("skeleton segments do not align with a "
+                                 "dyadic subdivision")
+        need = max(need, int(round(r)))
+    return need
+
+
+def _per_element_classes(partition, skeleton, depth):
+    """The congruence classes from one key per element: the rounded
+    centroid-relative vertices, per local edge the segment count and whether
+    the face runs against it, and the local depth."""
+    classes = {}
+    for eid, e in enumerate(partition.elements):
+        p = partition.vertices[list(e)]
+        grid = local_solver.CONGRUENCE_RTOL * partition.element_diameters[eid]
+        shape = tuple(np.round((p - p.mean(axis=0)) / grid).astype(
+            np.int64).ravel())
+        layout = tuple((len(skeleton.face_segments[fid]),
+                        partition.faces[fid].v0 != e[le])
+                       for le, fid in enumerate(partition.elem_face_ids[eid]))
+        key = shape, layout, _per_element_depth(partition, eid, skeleton,
+                                                depth)
+        classes.setdefault(key, []).append(eid)
+    return list(classes.values())
+
+
+def _jittered_partition(n, seed, boundary_tag=None):
+    """The n x n structured partition with every interior vertex moved by up
+    to 0.2 / n in each direction."""
+    part = build_structured_triangulation(n)
+    v = part.vertices.copy()
+    inner = np.all((v > 1e-12) & (v < 1 - 1e-12), axis=1)
+    rng = np.random.default_rng(seed)
+    v[inner] += rng.uniform(-0.2 / n, 0.2 / n, (inner.sum(), 2))
+    return GlobalPartition(v, part.elements, boundary_tag=boundary_tag)
+
+
+def _partitions():
+    for n in range(1, 9):
+        yield build_structured_triangulation(n, boundary_tag=_side_tag)
+    yield _reoriented_partition()
+    yield _jittered_partition(4, 1, boundary_tag=_side_tag)
+
+
+@pytest.mark.parametrize("level, depth", [(0, 0), (1, 1), (2, 1), (1, 3)])
+def test_classes_match_per_element_keys(level, depth):
+    for part in _partitions():
+        sk = refine_skeleton(part, level, 1)
+        assert congruence_classes(part, sk, depth) == \
+            _per_element_classes(part, sk, depth)
+
+
+def test_classes_raise_as_the_per_element_depth():
+    part = build_structured_triangulation(2, boundary_tag=_side_tag)
+
+    def skeletons():
+        sk = refine_skeleton(part, 2, 1)
+        face = next(f.id for f in part.faces if f.tag == "interior")
+        yield sk, -1                        # a negative depth
+        sk.face_segments[face] = sk.face_segments[face][:3]
+        yield sk, 1                         # three segments on a face
+        sk = refine_skeleton(part, 2, 1)
+        seg = sk.segments[sk.face_segments[face][1]]
+        seg.s0 += 0.01
+        seg.s1 += 0.01
+        sk.segment_bounds[seg.id] += 0.01
+        yield sk, 1                         # a segment off its dyadic piece
+
+    for sk, depth in skeletons():
+        with pytest.raises(ValueError) as want:
+            _per_element_classes(part, sk, depth)
+        with pytest.raises(ValueError, match=str(want.value)):
+            congruence_classes(part, sk, depth)
 
 
 @pytest.mark.parametrize("boundary_tag", [None, _side_tag])

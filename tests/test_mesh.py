@@ -409,6 +409,16 @@ def test_partition_string_roundtrip():
     assert partition_to_string(back) == text
 
 
+def test_read_partition_rejects_half_square():
+    # one triangle is a valid mesh of itself, but the problems live on the
+    # unit square
+    text = ("vertices 3\n0 0\n1 0\n1 1\nelements 1\n0 1 2\n"
+            "boundary_faces 0\n")
+    with pytest.raises(ValueError, match="sum to 0.5, not 1: the elements "
+                       "must cover the unit square"):
+        partition_from_string(text)
+
+
 def test_read_partition_rejects_garbage():
     with pytest.raises(ValueError):
         read_partition(io.StringIO("nonsense 3\n"))

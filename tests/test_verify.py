@@ -5,10 +5,11 @@ import pytest
 import scipy.sparse as sp
 
 from mhmelast import (BrennerProblem, LinearProblem, MaterialField,
-                      MHMConfig, compute_errors, convergence_orders,
-                      exact_brenner, quad_rule, solve_mhm,
-                      spectral_diagnostics, unit_square_mesh)
-from mhmelast import _assembly as asm
+                      MHMConfig, compressibility_residual, compute_errors,
+                      convergence_orders, exact_brenner, quad_rule,
+                      solve_galerkin_dirichlet, solve_gals_dirichlet,
+                      solve_mhm, spectral_diagnostics, unit_square_mesh)
+from mhmelast import _assembly as asm, local_solver, verify
 from mhmelast.fem_core import reference_element
 from mhmelast.singlelevel import SingleLevelSolution
 from mhmelast.verify import (SPECTRAL_MAX_UNKNOWNS, _hydrostatic_trace_vector,
@@ -195,6 +196,190 @@ def test_implied_pressure_branch_matches_explicit():
 def test_compute_errors_rejects_unknown_solution():
     with pytest.raises(TypeError):
         compute_errors(object(), BrennerProblem(0.3))
+
+
+# ---------------------------------------------------------------------------
+# Member-batched evaluation against a per-member reference
+# ---------------------------------------------------------------------------
+
+def _two_phase(x):
+    """A shear modulus of 1 left of x = 1/2 and varying with the period 1/4
+    of the n = 4 grid right of it: the members of a class on either side
+    form one material group."""
+    x = np.asarray(x)[..., 0]
+    return np.where(x < 0.5, 1.0, 2.0 + 0.5 * np.sin(8 * np.pi * x))
+
+
+class _TwoPhaseBrenner(BrennerProblem):
+    """The Brenner fields under the two-phase shear modulus; the exact
+    stress is 2 G eps(u) - p I, written out here."""
+
+    def __init__(self, nu):
+        super().__init__(nu)
+        self.material = MaterialField(_two_phase, nu)
+
+    def sigma(self, x):
+        g, G, p = self.grad_u(x), _two_phase(x), self.p(x)
+        s = np.empty(g.shape)
+        s[..., 0, 0] = 2 * G * g[..., 0, 0] - p
+        s[..., 1, 1] = 2 * G * g[..., 1, 1] - p
+        s[..., 0, 1] = s[..., 1, 0] = G * (g[..., 0, 1] + g[..., 1, 0])
+        return s
+
+
+class _AffineGProblem(LinearProblem):
+    """u = A x + b under G(x) = 1 + g.x, with p = -div u / eps and the
+    stress 2 G(x) sym(A) - p I written out here."""
+
+    def __init__(self, A, b, g, nu):
+        super().__init__(A, b, nu)
+        self.g = np.asarray(g, dtype=float)
+        self.material = MaterialField(lambda x: 1.0 + x @ self.g, nu)
+
+    def sigma(self, x):
+        x = np.asarray(x, dtype=float)
+        G = (1.0 + x @ self.g)[..., None, None]
+        return (G * (self.A + self.A.T)
+                - self.p(x)[..., None, None] * np.eye(2))
+
+
+def _member_fields(tab, l2g, u, p, eps):
+    """u_h, grad u_h, p_h and grad p_h of one member, one einsum each."""
+    un = u.reshape(-1, 2)[l2g]
+    guh = np.einsum("tqbj,tbc->tqcj", tab.grads, un)
+    if p is None:
+        ph = -(guh[..., 0, 0] + guh[..., 1, 1]) / eps
+        gph = (-np.einsum("tqbcj,tbc->tqj", tab.hess, un)
+               / np.asarray(eps)[..., None])
+    else:
+        ph = np.einsum("qb,tb->tq", tab.vals, p[l2g])
+        gph = np.einsum("tqbj,tb->tqj", tab.grads, p[l2g])
+    return np.einsum("qb,tbc->tqc", tab.vals, un), guh, ph, gph
+
+
+def _member_error_squares(tab, l2g, u, p, problem, shift):
+    """The six squared error norms of one member from their definitions,
+    with the problem's own exact stress."""
+    eps = problem.epsilon
+    uh, guh, ph, gph = _member_fields(tab, l2g, u, p, eps)
+    pts = tab.points + shift
+    G = problem.material.G_at(pts)[..., None, None]
+    sh = G * (guh + np.swapaxes(guh, -1, -2)) - ph[..., None, None] * np.eye(2)
+    w = tab.wdet
+    h2 = tab.geo.diameters[:, None] ** 2
+    return np.array([
+        np.sum(w * np.sum((problem.u(pts) - uh) ** 2, axis=-1)),
+        np.sum(w * np.sum((problem.grad_u(pts) - guh) ** 2, axis=(-2, -1))),
+        np.sum(w * np.sum((problem.sigma(pts) - sh) ** 2, axis=(-2, -1))),
+        np.sum(w * (problem.p(pts) - ph) ** 2),
+        np.sum((1 + eps) * w * (problem.p(pts) - ph) ** 2),
+        np.sum(h2 * w * np.sum((problem.grad_p(pts) - gph) ** 2, axis=-1))])
+
+
+def _assert_record(rec, sq, traction_sq):
+    want = np.sqrt(np.append(sq, traction_sq))
+    got = np.array([rec.l2_u, rec.h1_u, rec.l2_sigma, rec.l2_p, rec.p_eps,
+                    rec.p_h, rec.traction])
+    assert np.all(want[:6] > 0)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def _tabulation(dofh, extra):
+    return asm.Tabulation(dofh.mesh, dofh.ref, 2 * dofh.ref.degree + extra)
+
+
+def _neumann_right(mid):
+    return "neumann" if mid[0] > 1 - 1e-12 else "dirichlet"
+
+
+@pytest.mark.parametrize("kind", ["gals", "galerkin"])
+def test_member_chunks_match_per_member_reference(monkeypatch, kind):
+    problem = _TwoPhaseBrenner(0.49)
+    sol, data = solve_mhm(MHMConfig(n=4, level=1, k=2, nu=0.49, G=_two_phase,
+                                    theta=0.25, kind=kind,
+                                    boundary_tag=_neumann_right), problem)
+    meshes = {c.dofh for c in data.caches}
+    # the upper and lower triangles in two groups each, and the lower ones
+    # on the Neumann face in one
+    assert len(meshes) == 3 and len(data.caches) == 5
+    # chunks of 3 members, so a mesh's members split unevenly
+    npts = _tabulation(next(iter(meshes)), 4).points[..., 0].size
+    monkeypatch.setattr(local_solver, "SAMPLE_POINTS", 3 * npts + 1)
+    built, chunks = [], []
+    error_squares = verify._error_squares
+
+    class CountingTabulation(asm.Tabulation):
+        def __init__(self, mesh, *args):
+            built.append(mesh)
+            super().__init__(mesh, *args)
+
+    def counting_error_squares(tab, l2g, U, *args):
+        chunks.append(len(U))
+        return error_squares(tab, l2g, U, *args)
+
+    monkeypatch.setattr(asm, "Tabulation", CountingTabulation)
+    monkeypatch.setattr(verify, "_error_squares", counting_error_squares)
+    rec = compute_errors(sol, problem)
+    assert len(built) == len(meshes)
+    assert sum(chunks) == 32 and sorted(set(chunks)) == [1, 3]
+
+    sq = np.zeros(6)
+    for eid, f in sol.fields.items():
+        tab = _tabulation(f.cache.dofh, 4)
+        sq += _member_error_squares(tab, f.cache.dofh.loc2glob, f.u, f.p,
+                                    problem, f.shift)
+    _assert_record(rec, sq, _traction_error_sq(sol, problem))
+
+    built.clear()
+    res = compressibility_residual(sol, problem.material)
+    assert len(built) == len(meshes)
+    assert list(res) == sorted(sol.fields)
+    for eid, f in sol.fields.items():
+        tab = _tabulation(f.cache.dofh, 2)
+        epsq = problem.material.eps_at(tab.points + f.shift)
+        _, guh, ph, _ = _member_fields(tab, f.cache.dofh.loc2glob, f.u, f.p,
+                                       epsq)
+        div = guh[..., 0, 0] + guh[..., 1, 1]
+        scale = np.sum(tab.wdet * (np.abs(div) + np.abs(epsq * ph)))
+        want = np.sum(tab.wdet * (div + epsq * ph))
+        assert abs(res[eid] - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("solve", [solve_gals_dirichlet,
+                                   solve_galerkin_dirichlet])
+def test_single_level_is_one_member_of_the_batch(solve):
+    problem = _TwoPhaseBrenner(0.49)
+    sol = solve(unit_square_mesh(4), problem.material, 2, problem.f,
+                u_dirichlet=problem.u)
+    tab = _tabulation(sol.dofh, 4)
+    sq = _member_error_squares(tab, sol.dofh.loc2glob, sol.u, sol.p,
+                               problem, np.zeros(2))
+    _assert_record(compute_errors(sol, problem), sq, 0.0)
+
+
+@pytest.mark.parametrize("problem", [
+    BrennerProblem(0.3, G=1.7),
+    LinearProblem([[0.3, 0.1], [-0.2, 0.4]], [0.05, -0.02], nu=0.45, G=2.5),
+    _AffineGProblem([[0.3, 0.1], [-0.2, 0.4]], [0.05, -0.02], [0.3, -0.2],
+                    nu=0.45)])
+def test_exact_stress_from_gradient_and_pressure(problem):
+    x = _interior_points(np.random.default_rng(4), 30)
+    got = asm.stress(problem.material.G_at(x), problem.grad_u(x),
+                     problem.p(x))
+    if isinstance(problem, _AffineGProblem):
+        want = problem.sigma(x)
+    elif isinstance(problem, LinearProblem):
+        A = problem.A
+        want = np.broadcast_to(
+            problem.G * (A + A.T) + np.trace(A) / problem.epsilon * np.eye(2),
+            got.shape)
+    else:
+        g, p = problem.grad_u(x), problem.p(x)
+        want = (problem.G * (g + np.swapaxes(g, -1, -2))
+                - p[:, None, None] * np.eye(2))
+        assert np.abs(problem.sigma(x) - want).max() <= (
+            1e-14 * np.abs(want).max())
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
