@@ -31,6 +31,7 @@ BAND_MARGIN = 0.25
 
 MHM_METHODS = {"mhm-gals": "gals", "mhm-ga": "galerkin"}
 SINGLE_METHODS = {"gals", "stdgalerkin"}
+METHODS = sorted(MHM_METHODS) + sorted(SINGLE_METHODS)
 
 
 def _fmt(x):
@@ -38,10 +39,30 @@ def _fmt(x):
 
 
 def _parse_levels(text):
-    if ":" in text:
-        a, b = text.split(":")
-        return list(range(int(a), int(b) + 1))
-    return [int(t) for t in text.split(",")]
+    """The levels of `--levels`, an a:b range or a comma list, as an
+    argparse type."""
+    a, colon, b = text.partition(":")
+    try:
+        levels = (list(range(int(a), int(b) + 1)) if colon
+                  else [int(t) for t in text.split(",")])
+    except ValueError:
+        levels = []
+    if not levels or min(levels) < 0:
+        raise argparse.ArgumentTypeError(
+            "expected an a:b range with 0 <= a <= b or a comma list of "
+            f"integers >= 0, got {text!r}")
+    return levels
+
+
+def _parse_methods(text):
+    """The comma list of `--methods`, as an argparse type."""
+    methods = text.split(",")
+    unknown = set(methods) - set(METHODS)
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown method {min(unknown)!r} (choose from "
+            f"{', '.join(METHODS)})")
+    return methods
 
 
 def _read_config_file(path):
@@ -68,13 +89,23 @@ def _apply_config_file(args):
     if not getattr(args, "config", None):
         return args
     file_vals = _read_config_file(args.config)
+    parser = _build_parser()
+    actions = parser._get_all_actions()
     convert = {a.dest: _flag if a.nargs == 0 else a.type or str
-               for a in _build_parser()._get_all_actions()}
+               for a in actions}
+    choices = {a.dest: a.choices for a in actions if a.choices}
     for key, val in file_vals.items():
         if not hasattr(args, key):
             raise SystemExit(f"unknown config key: {key}")
-        if key not in args._explicit:
-            setattr(args, key, convert.get(key, str)(val))
+        if key in args._explicit:
+            continue
+        try:
+            value = convert.get(key, str)(val)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            parser.error(f"config key {key}: {exc}")
+        if value not in choices.get(key, [value]):
+            parser.error(f"config key {key}: invalid choice {value!r}")
+        setattr(args, key, value)
     return args
 
 
@@ -138,7 +169,7 @@ def cmd_convergence(args):
     os.makedirs(args.out, exist_ok=True)
     method = args.method
     problem = BrennerProblem(args.nu)
-    levels = _parse_levels(args.levels)
+    levels = args.levels
     records, Hs = [], []
     for level in levels:
         if method in MHM_METHODS:
@@ -181,7 +212,7 @@ def cmd_convergence(args):
 
 def cmd_nu_sweep(args):
     os.makedirs(args.out, exist_ok=True)
-    methods = args.methods.split(",")
+    methods = args.methods
     nus = [float(t) for t in args.nus.split(",")]
     results = {}
     for method in methods:
@@ -322,13 +353,15 @@ def _build_parser():
     p = sub.add_parser("convergence", help="refinement study for one method")
     _add_common(p)
     p.add_argument("--method", default="mhm-gals",
-                   choices=sorted(MHM_METHODS) + sorted(SINGLE_METHODS))
-    p.add_argument("--levels", default="0:4", help="a:b range or comma list")
+                   choices=METHODS)
+    p.add_argument("--levels", default="0:4", type=_parse_levels,
+                   help="a:b range or comma list")
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("nu-sweep", help="locking comparison across nu")
     _add_common(p)
-    p.add_argument("--methods", default="stdgalerkin,mhm-gals")
+    p.add_argument("--methods", default="stdgalerkin,mhm-gals",
+                   type=_parse_methods)
     p.add_argument("--nus", default="0.3,0.4,0.49,0.499,0.4999,0.49999")
     p.set_defaults(func=cmd_nu_sweep)
 

@@ -211,19 +211,17 @@ class LocalOperator:
 
 
 def _centroids(partition, element_ids):
-    return partition.vertices[np.asarray(partition.elements)[element_ids]
-                              ].mean(axis=1)
+    return partition.vertices[partition.elements[element_ids]].mean(axis=1)
 
 
 def _member_segments(partition, skeleton, element_ids):
     """Skeleton segments on each element's boundary in local edge order,
     and their orientation signs: (m, nseg) each, for one segment layout."""
-    segs = np.array([[(sid, sg) for fid, sg in zip(partition.elem_face_ids[e],
-                                                   partition.elem_face_signs[e])
-                      for sid in skeleton.face_segments[fid]]
-                     for e in element_ids], dtype=int)
-    segs = segs.reshape(len(element_ids), -1, 2)
-    return segs[..., 0], segs[..., 1]
+    segs = skeleton.face_segments[partition.elem_face_ids[element_ids]]
+    signs = np.broadcast_to(partition.elem_face_signs[element_ids][..., None],
+                            segs.shape)
+    on = segs[0] >= 0
+    return segs[:, on], signs[:, on]
 
 
 def _boundary_blocks(partition, local_mesh, skeleton, dofh, geo, ref, rm):
@@ -247,7 +245,7 @@ def _boundary_blocks(partition, local_mesh, skeleton, dofh, geo, ref, rm):
     # face parameter of the quadrature points, then segment parameter
     fs0, fs1 = be.face_s0[on, None], be.face_s1[on, None]
     fs = fs0 + rule.points * (fs1 - fs0)
-    s0, s1 = skeleton.segment_bounds[sid].T[..., None]
+    s0, s1 = skeleton.segments.s0[sid, None], skeleton.segments.s1[sid, None]
     mu = skeleton.basis_values(sid[:, None], (fs - s0) / (s1 - s0))
 
     seg_ids = _member_segments(partition, skeleton,
@@ -508,15 +506,13 @@ def congruence_classes(partition, skeleton, depth):
     and whether the face runs against the edge, which fixes the segment
     order and the sign of the odd trace modes.  The classes are purely
     geometric: `build_class_caches` splits them by material."""
-    elements = np.array(partition.elements)
-    face_ids = np.array(partition.elem_face_ids)
+    elements, face_ids = partition.elements, partition.elem_face_ids
     p = partition.vertices[elements]                        # (n, 3, 2)
     grid = CONGRUENCE_RTOL * partition.element_diameters[:, None, None]
     shape = np.round((p - p.mean(axis=1, keepdims=True)) / grid)
-    face_v0 = np.array([f.v0 for f in partition.faces])
     levels, need = local_depths(skeleton, face_ids, depth)
     keys = np.column_stack([shape.reshape(-1, 6).astype(np.int64), levels,
-                            face_v0[face_ids] != elements, need])
+                            partition.faces.v0[face_ids] != elements, need])
     _, first, inverse = np.unique(keys, axis=0, return_index=True,
                                   return_inverse=True)
     rank = np.argsort(np.argsort(first))[inverse.ravel()]
@@ -527,18 +523,19 @@ def congruence_classes(partition, skeleton, depth):
 
 def _material_groups(material, points, shifts):
     """Split the members, translates of `points` by `shifts`, into groups
-    whose samples of G and eps agree on the CONGRUENCE_RTOL grid relative to
-    the member's largest sample of each field, so that they share one local
-    operator: the member indices of each group, in order of first
-    appearance, and the samples of G and eps of each group's first member.
-    The members are sampled SAMPLE_POINTS points at a time."""
+    whose samples of G and eps agree on a grid of CONGRUENCE_RTOL relative
+    to each sample (their logarithms rounded on a grid of that size; both
+    fields are positive), so that they share one local operator: the member
+    indices of each group, in order of first appearance, and the samples of
+    G and eps of each group's first member.  The members are sampled
+    SAMPLE_POINTS points at a time."""
     groups, firsts = {}, []
     per = max(1, SAMPLE_POINTS // points[..., 0].size)
     for start in range(0, len(shifts), per):
         samples = material.samples(points + shifts[start:start + per, None,
                                                    None])
-        keys = [np.round(q / (CONGRUENCE_RTOL * np.abs(q).max(
-            axis=(1, 2), keepdims=True))).astype(np.int64) for q in samples]
+        keys = [np.round(np.log(q) / CONGRUENCE_RTOL).astype(np.int64)
+                for q in samples]
         for i, key in enumerate(zip(*keys)):
             members = groups.setdefault(b"".join(k.tobytes() for k in key),
                                         [])

@@ -5,6 +5,10 @@ The coarse partition is a triangulation whose edges form the skeleton; each
 skeleton face can be split into 2^r equal segments carrying the trace
 (traction) degrees of freedom, and each coarse triangle carries a uniformly
 red-refined local mesh that matches the skeleton segments.
+
+Each layer is a record of parallel arrays, one row per entity: the
+partition's elements (n_el, 3) and `Faces`, the skeleton's `Segments`, and
+a local mesh's `BoundaryEdges`.
 """
 
 import io
@@ -13,6 +17,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from .fem_core import quad_rule
 
 GEOM_TOL = 1e-12
 
@@ -59,8 +65,6 @@ class TriMesh:
         e1 = np.linalg.norm(v[:, 2] - v[:, 1], axis=1)
         e2 = np.linalg.norm(v[:, 0] - v[:, 2], axis=1)
         self.diameters = np.max([e0, e1, e2], axis=0)
-        # inradius rho = 2 * area / perimeter
-        self.shape_regularity = self.diameters * (e0 + e1 + e2) / (2 * self.areas)
 
     @property
     def n_vertices(self):
@@ -89,24 +93,28 @@ class TriMesh:
                          counts[order])
 
 
-@dataclass
-class Face:
-    """A coarse skeleton face: an oriented edge of the global partition."""
-    id: int
-    v0: int
-    v1: int
-    normal: np.ndarray         # fixed global unit normal n_F
-    elements: tuple            # (K,) boundary or (K_low, K_high) interior
-    tag: str                   # "interior" | "dirichlet" | "neumann"
+@dataclass(frozen=True)
+class Faces:
+    """The skeleton faces of a coarse partition as parallel arrays, numbered
+    by sorted vertex pair: the oriented edges of the partition."""
+    v0: np.ndarray              # (nf,) the sorted vertex pair, v0 < v1
+    v1: np.ndarray
+    normal: np.ndarray          # (nf, 2) fixed global unit normal n_F
+    elements: np.ndarray        # (nf, 2) adjacent elements, increasing; -1
+                                # for the missing one of a boundary face
+    tag: np.ndarray             # (nf,) "interior" | "dirichlet" | "neumann"
 
-    @property
-    def is_boundary(self):
-        return len(self.elements) == 1
+    def __len__(self):
+        return len(self.v0)
 
 
 class GlobalPartition:
-    """The coarse partition: CCW triangles, oriented skeleton faces with
-    adjacency and boundary tags.
+    """The coarse partition: CCW triangles `elements` (n_el, 3), the
+    oriented skeleton `faces` with adjacency and boundary tags, and per
+    element the face ids `elem_face_ids` (n_el, 3) of its local edges
+    (v0, v1), (v1, v2), (v2, v0) and their orientation signs
+    `elem_face_signs` (+1 where the face normal is the element's outward
+    normal).
 
     The face normal convention is: for interior faces, n_F points from the
     lower-indexed adjacent element to the higher-indexed one; for boundary
@@ -115,11 +123,14 @@ class GlobalPartition:
 
     def __init__(self, vertices, elements, boundary_tag=None, domain_area=1.0):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.elements = [tuple(int(v) for v in e) for e in elements]
-        if any(len(e) != 3 for e in self.elements):
+        self.elements = np.array(elements, dtype=int, ndmin=2)
+        if self.elements.shape[1:] != (3,):
             raise ValueError("only triangular coarse elements are supported")
+        nv = len(self.vertices)
+        if np.any((self.elements < 0) | (self.elements >= nv)):
+            raise ValueError(f"element vertex index outside [0, {nv})")
         try:
-            mesh = TriMesh(self.vertices, np.reshape(self.elements, (-1, 3)))
+            mesh = TriMesh(self.vertices, self.elements)
         except ValueError:
             raise ValueError("coarse element is degenerate or not CCW") from None
         self.element_areas = mesh.areas
@@ -132,7 +143,7 @@ class GlobalPartition:
         self.h_coarse = float(self.element_diameters.max())
 
         self._build_faces(mesh, boundary_tag)
-        if not any(f.tag == "dirichlet" for f in self.faces):
+        if not np.any(self.faces.tag == "dirichlet"):
             raise ValueError("the Dirichlet boundary must be nonempty")
 
     def _build_faces(self, mesh, boundary_tag):
@@ -148,33 +159,33 @@ class GlobalPartition:
         counts = edges.counts[order]
         starts = np.cumsum(counts) - counts
         low = by_face[starts]               # local edge of the lower element
-        pairs = edges.vertices[order]
-        x0, x1 = self.vertices[pairs[:, 0]], self.vertices[pairs[:, 1]]
+        v0, v1 = edges.vertices[order].T
+        x0, x1 = self.vertices[v0], self.vertices[v1]
         t = x1 - x0
         normals = np.column_stack([t[:, 1], -t[:, 0]])
         normals /= np.linalg.norm(normals, axis=1)[:, None]
         # outward from the lower element: flip where its local edge runs
         # v1 -> v0 of the face
-        normals[mesh.triangles.ravel()[low] != pairs[:, 0]] *= -1
+        normals[mesh.triangles.ravel()[low] != v0] *= -1
 
-        self.faces = []
-        adjacent = np.split(by_face // 3, starts[1:])
-        for fid, ((v0, v1), ks) in enumerate(zip(pairs.tolist(), adjacent)):
-            tag = "interior"
-            if len(ks) == 1:
-                tag = ("dirichlet" if boundary_tag is None
-                       else boundary_tag(0.5 * (x0[fid] + x1[fid])))
-                if tag not in ("dirichlet", "neumann"):
-                    raise ValueError(f"invalid boundary tag {tag!r}")
-            self.faces.append(Face(fid, v0, v1, normals[fid],
-                                   tuple(ks.tolist()), tag))
+        interior = counts == 2
+        elements = np.full((len(v0), 2), -1)
+        elements[:, 0] = low // 3
+        elements[interior, 1] = by_face[starts[interior] + 1] // 3
+        tag = np.where(interior, "interior", "dirichlet")
+        if boundary_tag is not None:
+            boundary = np.flatnonzero(~interior)
+            tags = [boundary_tag(mid) for mid in (0.5 * (x0 + x1))[boundary]]
+            bad = [t for t in tags if t not in ("dirichlet", "neumann")]
+            if bad:
+                raise ValueError(f"invalid boundary tag {bad[0]!r}")
+            tag[boundary] = tags
+        self.faces = Faces(v0, v1, normals, elements, tag)
 
-        # per element: face ids in local edge order and orientation signs
-        # (+1 where the face normal is the element's outward normal)
         lower = np.zeros(ids.size, dtype=bool)
         lower[low] = True
-        self.elem_face_ids = ids.tolist()
-        self.elem_face_signs = np.where(lower, 1, -1).reshape(-1, 3).tolist()
+        self.elem_face_ids = ids
+        self.elem_face_signs = np.where(lower, 1, -1).reshape(-1, 3)
 
     @property
     def n_elements(self):
@@ -201,22 +212,27 @@ def build_structured_triangulation(n, boundary_tag=None):
 # Skeleton mesh
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Segment:
-    id: int
-    face_id: int
-    p0: np.ndarray
+@dataclass(frozen=True)
+class Segments:
+    """The skeleton segments as parallel arrays, face by face in face order
+    and along each face from its v0 to its v1."""
+    face: np.ndarray            # (ns,) the face of each segment
+    p0: np.ndarray              # (ns, 2) end points
     p1: np.ndarray
-    length: float
-    # parameter interval along the face orientation (v0 -> v1)
-    s0: float
-    s1: float
+    length: np.ndarray          # (ns,)
+    s0: np.ndarray              # parameter interval [s0, s1] along the face
+    s1: np.ndarray              # (0 at its v0, 1 at its v1)
+
+    def __len__(self):
+        return len(self.face)
 
 
 class SkeletonMesh:
     """The refined face mesh: each non-Neumann coarse face split into 2^r
     equal segments, each carrying a vector-valued P_ell trace dof block with
-    an orthonormal Legendre (modal) basis per component."""
+    an orthonormal Legendre (modal) basis per component.  Row f of
+    `face_segments` (nf, 2^r) holds the segment ids of face f in face
+    order, -1 on a Neumann face, which carries none."""
 
     def __init__(self, partition, level, degree):
         if degree < 1:
@@ -226,57 +242,59 @@ class SkeletonMesh:
         self.partition = partition
         self.level = level
         self.degree = degree
-        self.segments = []
-        self.face_segments = {}
+        faces = partition.faces
         nseg = 2 ** level
-        for f in partition.faces:
-            if f.tag == "neumann":
-                self.face_segments[f.id] = []
-                continue
-            a = partition.vertices[f.v0]
-            b = partition.vertices[f.v1]
-            ids = []
-            for s in range(nseg):
-                s0, s1 = s / nseg, (s + 1) / nseg
-                p0 = a + s0 * (b - a)
-                p1 = a + s1 * (b - a)
-                seg = Segment(len(self.segments), f.id, p0, p1,
-                              float(np.linalg.norm(p1 - p0)), s0, s1)
-                self.segments.append(seg)
-                ids.append(seg.id)
-            self.face_segments[f.id] = ids
-        self.h_skeleton = max((s.length for s in self.segments), default=0.0)
-        # per segment id: length and face parameter interval (s0, s1)
-        self.segment_lengths = np.array([s.length for s in self.segments])
-        self.segment_bounds = np.array(
-            [(s.s0, s.s1) for s in self.segments]).reshape(-1, 2)
+        carried = np.flatnonzero(faces.tag != "neumann")
+        self.face_segments = np.full((len(faces), nseg), -1)
+        self.face_segments[carried] = np.arange(
+            len(carried) * nseg).reshape(-1, nseg)
+        face = np.repeat(carried, nseg)
+        s0 = np.tile(np.arange(nseg), len(carried)) / nseg
+        s1 = s0 + 1 / nseg                  # exact: nseg is a power of 2
+        a = partition.vertices[faces.v0[face]]
+        b = partition.vertices[faces.v1[face]]
+        p0, p1 = (a + s[:, None] * (b - a) for s in (s0, s1))
+        self.segments = Segments(face, p0, p1,
+                                 np.linalg.norm(p1 - p0, axis=1), s0, s1)
+        self.h_skeleton = float(self.segments.length.max(initial=0.0))
         self.dofs_per_segment = 2 * (degree + 1)
-        self.n_dofs = len(self.segments) * self.dofs_per_segment
+        self.n_dofs = len(face) * self.dofs_per_segment
 
     def segment_dofs(self, seg_id):
         """Trace dofs of a segment id, or of an array of ids (last axis)."""
         dps = self.dofs_per_segment
         return dps * np.asarray(seg_id)[..., None] + np.arange(dps)
 
-    def basis_values(self, seg, s):
+    def basis_values(self, sid, s):
         """Trace basis values at parameters s in [0, 1] (local arclength
-        fraction) of a segment: `seg` is a Segment, or an array of segment
-        ids broadcasting against `s`.  Returns (n_local_dofs, *s.shape, 2);
-        local dof c * (degree + 1) + m is component c times Legendre mode
-        m, orthonormal in L2 of the segment."""
+        fraction) of the segments `sid`, ids broadcasting against `s`.
+        Returns (n_local_dofs, *s.shape, 2); local dof c * (degree + 1) + m
+        is component c times Legendre mode m, orthonormal in L2 of the
+        segment."""
         s = np.asarray(s, dtype=float)
-        length = (seg.length if isinstance(seg, Segment)
-                  else self.segment_lengths[seg])
+        length = self.segments.length[sid]
         ell = self.degree
         out = np.zeros((self.dofs_per_segment,) + s.shape + (2,))
         x = 2 * s - 1
         for m in range(ell + 1):
-            cm = np.zeros(m + 1)
-            cm[m] = 1.0
-            phi = np.polynomial.legendre.legval(x, cm) * np.sqrt((2 * m + 1) / length)
+            phi = (np.polynomial.legendre.legval(x, np.eye(m + 1)[m])
+                   * np.sqrt((2 * m + 1) / length))
             out[m, ..., 0] = phi
             out[(ell + 1) + m, ..., 1] = phi
         return out
+
+    def segment_quadrature(self, sid, exactness):
+        """Gauss quadrature of the given exactness on the segments `sid`
+        (ns,): the points (ns, nq, 2), the ds-weights (ns, nq) and the trace
+        basis values (dps, ns, nq, 2) there."""
+        rule = quad_rule("segment", exactness)
+        seg = self.segments
+        p0, p1 = seg.p0[sid], seg.p1[sid]
+        pts = p0[:, None] + rule.points[:, None] * (p1 - p0)[:, None]
+        w = rule.weights * seg.length[sid, None]
+        mu = self.basis_values(sid[:, None],
+                               np.broadcast_to(rule.points, w.shape))
+        return pts, w, mu
 
 
 def refine_skeleton(partition, level, degree):
@@ -316,28 +334,26 @@ class LocalMesh:
 
 def _lattice_triangulation(corners, depth):
     """Uniform barycentric-lattice refinement of a triangle; equivalent to
-    `depth` rounds of red refinement and exactly reproducible."""
-    A, B, C = (np.asarray(c, dtype=float) for c in corners)
+    `depth` rounds of red refinement and exactly reproducible.  Node
+    `idx[i, j]` (-1 outside the triangle) lies at A + (B - A) i / N +
+    (C - A) j / N; the nodes are numbered row j by row j."""
+    A, B, C = np.asarray(corners, dtype=float)
     N = 2 ** depth
-    idx = {}
-    verts = []
-    for j in range(N + 1):
-        for i in range(N + 1 - j):
-            idx[(i, j)] = len(verts)
-            verts.append(A + (B - A) * (i / N) + (C - A) * (j / N))
-    tris = []
-    for j in range(N):
-        for i in range(N - j):
-            tris.append((idx[(i, j)], idx[(i + 1, j)], idx[(i, j + 1)]))
-            if i + j < N - 1:
-                tris.append((idx[(i + 1, j)], idx[(i + 1, j + 1)], idx[(i, j + 1)]))
-    mesh = TriMesh(np.array(verts), np.array(tris))
+    j, i = np.indices((N + 1, N + 1))
+    inside = i + j <= N
+    node = np.full((N + 1, N + 1), -1)                  # node[j, i]
+    node[inside] = np.arange(inside.sum())
+    verts = (A + (B - A) * (i[inside] / N)[:, None]
+             + (C - A) * (j[inside] / N)[:, None])
+    # in each lattice cell (i, j) to (i + 1, j + 1), row by row: the
+    # triangle at node (i, j), then the one opposite, where they lie inside
+    p, q, r, s = node[:-1, :-1], node[:-1, 1:], node[1:, :-1], node[1:, 1:]
+    tris = np.stack([np.stack([p, q, r], -1), np.stack([q, s, r], -1)], 2)
+    corner = (i + j)[:-1, :-1, None] + np.arange(2)
+    mesh = TriMesh(verts, tris[corner < N])
     # fine edges along the three coarse edges, in coarse-edge parameter order
-    edge_chains = [[idx[ij] for ij in walk] for walk in (
-        [(i, 0) for i in range(N + 1)],
-        [(N - t, t) for t in range(N + 1)],
-        [(0, N - t) for t in range(N + 1)])]
-    return mesh, idx, edge_chains
+    idx, t = node.T, np.arange(N + 1)
+    return mesh, idx, [idx[t, 0], idx[N - t, t], idx[0, N - t]]
 
 
 def local_depths(skeleton, face_ids, depth):
@@ -347,32 +363,32 @@ def local_depths(skeleton, face_ids, depth):
     raised until every segment on its boundary is a union of fine edges."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    face_ids = np.asarray(face_ids)
-    segs = [skeleton.face_segments[f] for f in face_ids.ravel().tolist()]
-    counts = np.array([len(ids) for ids in segs])
+    segs = skeleton.face_segments[face_ids]                 # (..., 3, w)
+    on = segs >= 0
+    counts = on.sum(axis=-1)
     if np.any(counts & (counts - 1)):
         raise ValueError("skeleton segments are not a dyadic subdivision")
     # segment j of the n on a face spans [j / n, (j + 1) / n] of it
-    sid = np.concatenate([[]] + segs).astype(int)
-    j = np.arange(len(sid)) - np.repeat(np.cumsum(counts) - counts, counts)
-    piece = (j[:, None] + np.arange(2)) / np.repeat(counts, counts)[:, None]
-    if np.any(np.abs(skeleton.segment_bounds[sid] - piece) > GEOM_TOL):
+    sid = segs[on]
+    n = np.broadcast_to(counts[..., None], segs.shape)[on]
+    piece = (np.nonzero(on)[-1][:, None] + np.arange(2)) / n[:, None]
+    bounds = np.column_stack([skeleton.segments.s0[sid],
+                              skeleton.segments.s1[sid]])
+    if np.any(np.abs(bounds - piece) > GEOM_TOL):
         raise ValueError(
             "skeleton segments do not align with a dyadic subdivision")
-    levels = np.frexp(counts)[1].reshape(face_ids.shape) - 1
+    levels = np.frexp(counts)[1] - 1
     return levels, np.maximum(depth, levels.max(axis=-1))
 
 
 def build_matching_local_mesh(partition, element_id, skeleton, depth):
     """Red-refine coarse element `element_id` to `depth`, then refine further
     until every skeleton segment on its boundary is a union of fine edges."""
-    need = int(local_depths(skeleton, partition.elem_face_ids[element_id],
-                            depth)[1])
-    e = partition.elements[element_id]
-    corners = [partition.vertices[v] for v in e]
     fids = partition.elem_face_ids[element_id]
+    need = int(local_depths(skeleton, fids, depth)[1])
+    e = partition.elements[element_id]
 
-    mesh, _, chains = _lattice_triangulation(corners, need)
+    mesh, _, chains = _lattice_triangulation(partition.vertices[e], need)
     N = 2 ** need
     chain = np.asarray(chains)                          # (3, N + 1)
     v0, v1 = chain[:, :-1].ravel(), chain[:, 1:].ravel()
@@ -394,25 +410,18 @@ def build_matching_local_mesh(partition, element_id, skeleton, depth):
             f"element {element_id}: fine edge {i} of local edge {le} "
             f"is not a boundary edge of the fine mesh")
 
-    faces = [partition.faces[fid] for fid in fids]
     # face parameters of the chain nodes; a local edge may run v1 -> v0 of
     # its face
     t = np.arange(N + 1) / N
-    s = np.where([[f.v0 != v] for f, v in zip(faces, e)], 1 - t, t)
+    s = np.where((partition.faces.v0[fids] != e)[:, None], 1 - t, t)
     face_s0, face_s1 = s[:, :-1].ravel(), s[:, 1:].ravel()
-    lo, hi = np.minimum(face_s0, face_s1), np.maximum(face_s0, face_s1)
-    segment = np.full(3 * N, -1)
-    for le, fid in enumerate(fids):
-        segs = np.asarray(skeleton.face_segments[fid], dtype=int)
-        if segs.size:
-            rows = slice(le * N, (le + 1) * N)
-            segment[rows] = segs[(lo[rows] * len(segs) + 0.5 / N).astype(int)]
-    on = segment >= 0
-    bounds = skeleton.segment_bounds[segment[on]]
-    if (np.any(lo[on] < bounds[:, 0] - GEOM_TOL)
-            or np.any(hi[on] > bounds[:, 1] + GEOM_TOL)):
-        raise ValueError("fine boundary edge not contained in one segment")
-    neumann = np.repeat([f.tag == "neumann" for f in faces], N)
+    # the segment of each fine edge among the n of its face (-1 where n = 0);
+    # local_depths checked that segment j spans [j / n, (j + 1) / n]
+    lo = np.minimum(face_s0, face_s1)
+    segs = np.repeat(skeleton.face_segments[fids], N, axis=0)
+    n = (segs >= 0).sum(axis=1)
+    segment = segs[np.arange(3 * N), (lo * n + 0.5 / N).astype(int)]
+    neumann = np.repeat(partition.faces.tag[fids] == "neumann", N)
     boundary = BoundaryEdges(v0, v1, t_bnd[hit], segment, face_s0, face_s1,
                              neumann)
     return LocalMesh(element_id, mesh, need, boundary)
@@ -483,7 +492,7 @@ def unit_square_mesh(n):
     """Structured n x n triangulation of [0, 1]^2 (same diagonal rule as the
     coarse partition) as a plain TriMesh."""
     part = build_structured_triangulation(n)
-    return TriMesh(part.vertices, np.array(part.elements))
+    return TriMesh(part.vertices, part.elements)
 
 
 def _opened(stream_or_path, mode):
@@ -494,26 +503,25 @@ def _opened(stream_or_path, mode):
 
 
 def write_partition(partition, stream_or_path):
-    """Plain-text export: vertex list, element list, face list with tags."""
+    """Plain-text export: vertex list, element list, boundary faces with
+    their tags."""
+    faces = partition.faces
+    boundary = faces.elements[:, 1] < 0
+    sections = {"vertices": partition.vertices, "elements": partition.elements,
+                "boundary_faces": np.column_stack(
+                    [faces.v0, faces.v1, faces.tag])[boundary]}
     with _opened(stream_or_path, "w") as f:
         f.write("# mhmelast coarse partition\n")
         f.write("# vertices <count>, then x y per line\n")
-        f.write(f"vertices {len(partition.vertices)}\n")
-        for x, y in partition.vertices:
-            f.write(f"{float(x)!r} {float(y)!r}\n")
-        f.write(f"elements {partition.n_elements}\n")
-        for e in partition.elements:
-            f.write(" ".join(str(v) for v in e) + "\n")
-        nb = sum(1 for fc in partition.faces if fc.is_boundary)
-        f.write(f"boundary_faces {nb}\n")
-        for fc in partition.faces:
-            if fc.is_boundary:
-                f.write(f"{fc.v0} {fc.v1} {fc.tag}\n")
+        for name, rows in sections.items():
+            f.write(f"{name} {len(rows)}\n")
+            np.savetxt(f, rows, fmt="%s")       # floats as their repr
 
 
 def read_partition(stream_or_path):
     """A partition of the unit square from the format of
-    `write_partition`."""
+    `write_partition`.  Each boundary face row must name a boundary face of
+    the elements, once; the boundary faces it leaves out are Dirichlet."""
     with _opened(stream_or_path, "r") as f:
         lines = [(no, ln.split()) for no, ln in enumerate(f, 1)
                  if ln.strip() and not ln.startswith("#")]
@@ -521,7 +529,8 @@ def read_partition(stream_or_path):
     last = lines[-1][0] if lines else 0
 
     def section(name, types):
-        """The rows of section `name`, each parsed with `types`."""
+        """The line numbers and rows of section `name`, each row parsed
+        with `types`."""
         no, head = next(it, (None, None))
         if head is None:
             raise ValueError(f"partition file ends at line {last}, before "
@@ -529,7 +538,7 @@ def read_partition(stream_or_path):
         if len(head) != 2 or head[0] != name or not head[1].isdigit():
             raise ValueError(f"line {no}: expected '{name} <count>', found "
                              f"{' '.join(head)!r}")
-        rows = []
+        nos, rows = [], []
         for _ in range(int(head[1])):
             no, row = next(it, (None, None))
             if row is None:
@@ -543,25 +552,45 @@ def read_partition(stream_or_path):
                 raise ValueError(f"line {no}: expected {len(types)} values in "
                                  f"the {name!r} section, found "
                                  f"{' '.join(row)!r}") from None
-        return rows
+            nos.append(no)
+        return nos, rows
 
-    verts = section("vertices", (float, float))
-    elements = section("elements", (int, int, int))
-    tags = {(min(a, b), max(a, b)): tag
-            for a, b, tag in section("boundary_faces", (int, int, str))}
+    _, verts = section("vertices", (float, float))
+    elem_nos, elements = section("elements", (int, int, int))
+    face_nos, faces = section("boundary_faces", (int, int, str))
     extra = next(it, None)
     if extra is not None:
         raise ValueError(f"line {extra[0]}: unexpected content after the "
                          f"'boundary_faces' section")
-    verts = np.array(verts)
+    verts = np.array(verts, dtype=float).reshape(-1, 2)
+    elements = np.array(elements, dtype=int).reshape(-1, 3)
+    nv = len(verts)
+
+    def refuse(nos, bad, what):
+        if np.any(bad):
+            raise ValueError(f"line {nos[np.argmax(bad)]}: {what}")
+
+    refuse(elem_nos, np.any((elements < 0) | (elements >= nv), axis=1),
+           f"element vertex index outside [0, {nv})")
+    # the element edges and the tagged pairs as keys a * nv + b, a < b
+    pairs = np.sort(np.array([row[:2] for row in faces],
+                             dtype=int).reshape(-1, 2), axis=1)
+    keys = pairs @ [nv, 1]
+    edges, uses = np.unique(np.sort(elements[:, [[0, 1], [1, 2], [2, 0]]])
+                            @ [nv, 1], return_counts=True)
+    first = np.zeros(len(keys), dtype=bool)
+    first[np.unique(keys, return_index=True)[1]] = True
+    refuse(face_nos, (pairs[:, 1] >= nv) | ~np.isin(keys, edges),
+           "the boundary face is not an edge of the elements")
+    refuse(face_nos, np.isin(keys, edges[uses > 1]),
+           "the boundary face is an interior face")
+    refuse(face_nos, ~first, "the boundary face is given twice")
+    # GlobalPartition forms the midpoint of the sorted pair the same way
+    mids = 0.5 * (verts[pairs[:, 0]] + verts[pairs[:, 1]])
+    tag_at = dict(zip(map(tuple, mids.tolist()), [row[2] for row in faces]))
 
     def boundary_tag(mid):
-        # match by midpoint against the tagged pairs
-        for (a, b), tag in tags.items():
-            m = 0.5 * (verts[a] + verts[b])
-            if np.linalg.norm(m - mid) < 1e-10:
-                return tag
-        return "dirichlet"
+        return tag_at.get(tuple(mid.tolist()), "dirichlet")
 
     return GlobalPartition(verts, elements, boundary_tag=boundary_tag)
 

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import _assembly as asm, local_solver
-from .fem_core import MHMError, quad_rule
+from .fem_core import MHMError
 
 __all__ = [
     "SaddleSystem",
@@ -56,19 +56,12 @@ class SaddleSystem:
 def _dirichlet_data_vector(skeleton, u_dirichlet, exactness):
     """Pairing of the trace basis with the boundary displacement data on
     Dirichlet-face segments."""
+    faces = skeleton.partition.faces
+    sid = np.flatnonzero(faces.tag[skeleton.segments.face] == "dirichlet")
+    pts, w, mu = skeleton.segment_quadrature(sid, exactness)
+    ud = np.asarray(u_dirichlet(pts), dtype=float)
     out = np.zeros(skeleton.n_dofs)
-    rule = quad_rule("segment", exactness)
-    for face in skeleton.partition.faces:
-        if face.tag != "dirichlet":
-            continue
-        for sid in skeleton.face_segments[face.id]:
-            seg = skeleton.segments[sid]
-            pts = seg.p0[None, :] + rule.points[:, None] * (seg.p1 - seg.p0)
-            w = rule.weights * seg.length
-            mu = skeleton.basis_values(seg, rule.points)     # (dps, nq, 2)
-            ud = np.asarray(u_dirichlet(pts), dtype=float)
-            out[skeleton.segment_dofs(sid)] += np.einsum(
-                "q,iqc,qc->i", w, mu, ud)
+    out[skeleton.segment_dofs(sid)] = np.einsum("sq,isqc,sqc->si", w, mu, ud)
     return out
 
 

@@ -13,7 +13,6 @@ import numpy as np
 from scipy.linalg import eigh, null_space, svdvals
 
 from . import _assembly as asm
-from .fem_core import quad_rule
 from .local_solver import MaterialField
 from .mhm_global import MHMSolution
 from .singlelevel import SingleLevelSolution
@@ -200,20 +199,11 @@ def _traction_error_sq(solution, problem):
     """Squared segment-wise L2 distance between the discrete traction and
     the exact normal stress (a proxy, not a dual-norm error)."""
     sk = solution.skeleton
-    if not sk.segments:
-        return 0.0
-    deg = max(f.cache.degree for f in solution.fields.values())
-    rule = quad_rule("segment", 2 * (deg + sk.degree) + 2)
+    deg = max(c.degree for c in solution.caches)
     sid = np.arange(len(sk.segments))
-    p0 = np.array([seg.p0 for seg in sk.segments])
-    p1 = np.array([seg.p1 for seg in sk.segments])
-    pts = p0[:, None] + rule.points[:, None] * (p1 - p0)[:, None]
-    w = rule.weights * sk.segment_lengths[:, None]
-    s = np.broadcast_to(rule.points, w.shape)
-    mu = sk.basis_values(sid[:, None], s)               # (dps, nseg, nq, 2)
+    pts, w, mu = sk.segment_quadrature(sid, 2 * (deg + sk.degree) + 2)
     lam_h = np.einsum("si,isqc->sqc", solution.lam[sk.segment_dofs(sid)], mu)
-    normals = np.array([sk.partition.faces[seg.face_id].normal
-                        for seg in sk.segments])
+    normals = sk.partition.faces.normal[sk.segments.face]
     tex = np.einsum("sqij,sj->sqi", problem.sigma(pts), normals)
     return np.einsum("sq,sqc->", w, (lam_h - tex) ** 2)
 
@@ -282,14 +272,13 @@ def _hydrostatic_trace_vector(skeleton):
     """Coefficients of the trace field mu = n_F on every segment: the
     response to this traction is the volumetric compliance, which scales
     with the compressibility and is carried by the pressure variable."""
+    seg = skeleton.segments
+    dofs = skeleton.segment_dofs(np.arange(len(seg)))
+    nF = skeleton.partition.faces.normal[seg.face]
     vec = np.zeros(skeleton.n_dofs)
-    ell1 = skeleton.degree + 1
-    for seg in skeleton.segments:
-        nF = skeleton.partition.faces[seg.face_id].normal
-        dofs = skeleton.segment_dofs(seg.id)
-        # the constant basis mode has value 1/sqrt(length) on the segment
-        vec[dofs[0]] = nF[0] * np.sqrt(seg.length)
-        vec[dofs[ell1]] = nF[1] * np.sqrt(seg.length)
+    # the constant basis mode has value 1/sqrt(length) on the segment
+    vec[dofs[:, 0]] = nF[:, 0] * np.sqrt(seg.length)
+    vec[dofs[:, skeleton.degree + 1]] = nF[:, 1] * np.sqrt(seg.length)
     n = np.linalg.norm(vec)
     return vec / n if n > 0 else vec
 

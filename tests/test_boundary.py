@@ -36,14 +36,17 @@ def _renumbered(part, seed):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(part.vertices))
     new_id = np.argsort(perm)
-    elements = [tuple(int(new_id[v]) for v in e) for e in part.elements]
+    elements = [tuple(int(new_id[v]) for v in e)
+                for e in part.elements.tolist()]
     elements = [e[r:] + e[:r]
                 for e, r in zip(elements, rng.integers(0, 3, len(elements)))]
     elements = [elements[i] for i in rng.permutation(len(elements))]
     tags = {}
-    for f in part.faces:
-        if f.is_boundary:
-            tags[tuple(sorted((int(new_id[f.v0]), int(new_id[f.v1]))))] = f.tag
+    faces = part.faces
+    for v0, v1, (_, high), tag in zip(faces.v0, faces.v1, faces.elements,
+                                      faces.tag.tolist()):
+        if high < 0:
+            tags[tuple(sorted((int(new_id[v0]), int(new_id[v1]))))] = tag
     verts = part.vertices[perm]
 
     def tag(mid):
@@ -64,8 +67,9 @@ def _check_boundary_record(part, sk, lm, level, depth):
     x = lm.mesh.vertices
     N = 2 ** max(depth, level)
     assert len(be) == 3 * N
-    for le, fid in enumerate(part.elem_face_ids[lm.element_id]):
-        face = part.faces[fid]
+    faces = part.faces
+    for le, fid in enumerate(part.elem_face_ids[lm.element_id].tolist()):
+        tag = faces.tag[fid]
         rows = slice(le * N, (le + 1) * N)
         v0, v1 = be.v0[rows], be.v1[rows]
         # the edges walk the local edge from corner le to corner le + 1
@@ -81,19 +85,20 @@ def _check_boundary_record(part, sk, lm, level, depth):
         assert lo[order[0]] == 0.0 and hi[order[-1]] == 1.0
         assert np.array_equal(hi[order[:-1]], lo[order[1:]])
         # each end point sits at its parameter along the face
-        a, b = part.vertices[face.v0], part.vertices[face.v1]
+        a, b = part.vertices[faces.v0[fid]], part.vertices[faces.v1[fid]]
         for v, s in ((v0, s0), (v1, s1)):
             assert np.abs(x[v] - (a + s[:, None] * (b - a))).max() < 1e-13
         # Neumann exactly where there is no segment, as the face tag says
-        assert np.all(be.neumann[rows] == (face.tag == "neumann"))
+        assert np.all(be.neumann[rows] == (tag == "neumann"))
         assert np.array_equal(be.neumann[rows], be.segment[rows] == -1)
-        if face.tag != "neumann":
+        if tag != "neumann":
             segs = be.segment[rows]
-            assert set(segs.tolist()) == set(sk.face_segments[fid])
-            assert all(sk.segments[s].face_id == fid for s in set(segs.tolist()))
-            bounds = sk.segment_bounds[segs]
-            assert np.all(bounds[:, 0] - 1e-12 <= lo)
-            assert np.all(hi <= bounds[:, 1] + 1e-12)
+            assert set(segs.tolist()) == set(sk.face_segments[fid].tolist())
+            assert all(sk.segments.face[s] == fid for s in set(segs.tolist()))
+            assert np.all(sk.segments.s0[segs] - 1e-12 <= lo)
+            assert np.all(hi <= sk.segments.s1[segs] + 1e-12)
+        else:
+            assert np.all(sk.face_segments[fid] == -1)
     # the owning triangle holds both end points
     tri = lm.mesh.triangles[be.triangle]
     assert np.all((tri == be.v0[:, None]).any(axis=1))
@@ -101,7 +106,7 @@ def _check_boundary_record(part, sk, lm, level, depth):
 
     ids, closure, interior = _segment_node_counts(lm)
     expected = sorted(s for fid in part.elem_face_ids[lm.element_id]
-                      for s in sk.face_segments[fid])
+                      for s in sk.face_segments[fid].tolist() if s >= 0)
     assert ids.tolist() == expected
     assert np.all(closure == N // 2 ** level + 1)
     assert np.all(interior == N // 2 ** level - 1)
@@ -129,7 +134,7 @@ def test_boundary_edges_on_a_renumbered_partition():
     # face orientations against the local edges in every combination
     part = _renumbered(build_structured_triangulation(
         3, boundary_tag=_side_tag({0, 1})), seed=5)
-    reversed_edges = {part.faces[fid].v0 != part.elements[eid][le]
+    reversed_edges = {bool(part.faces.v0[fid] != part.elements[eid][le])
                       for eid in range(part.n_elements)
                       for le, fid in enumerate(part.elem_face_ids[eid])}
     assert reversed_edges == {False, True}
@@ -155,10 +160,10 @@ def _loop_oracle(part, sk, lm, k, g):
     dofh = asm.DofHandler(lm.mesh, ref)
     geo = asm.Geometry(lm.mesh)
     vl2g = dofh.vector_loc2glob()
-    cen = part.vertices[list(part.elements[lm.element_id])].mean(axis=0)
+    cen = part.vertices[part.elements[lm.element_id]].mean(axis=0)
     rm = asm.RigidModes(cen)
     seg_ids = [s for fid in part.elem_face_ids[lm.element_id]
-               for s in sk.face_segments[fid]]
+               for s in sk.face_segments[fid].tolist() if s >= 0]
     dps = sk.dofs_per_segment
     R = np.zeros((len(seg_ids) * dps, 2 * dofh.n_dofs))
     Grm = np.zeros((len(seg_ids) * dps, 3))
@@ -174,12 +179,14 @@ def _loop_oracle(part, sk, lm, k, g):
         vals = ref.tabulate((pts - geo.origin[t]) @ geo.jinv[t].T)[0]
         dofs = vl2g[t]
         if be.segment[i] >= 0:
-            seg = sk.segments[be.segment[i]]
-            face = part.faces[seg.face_id]
-            a, b = part.vertices[face.v0], part.vertices[face.v1]
+            sid = be.segment[i]
+            fid = sk.segments.face[sid]
+            a = part.vertices[part.faces.v0[fid]]
+            b = part.vertices[part.faces.v1[fid]]
             s_face = (pts - a) @ (b - a) / np.dot(b - a, b - a)
-            mu = sk.basis_values(seg, (s_face - seg.s0) / (seg.s1 - seg.s0))
-            r0 = seg_ids.index(seg.id) * dps
+            s0, s1 = sk.segments.s0[sid], sk.segments.s1[sid]
+            mu = sk.basis_values(sid, (s_face - s0) / (s1 - s0))
+            r0 = seg_ids.index(sid) * dps
             R[r0:r0 + dps, dofs] += np.einsum("q,iqc,qb->ibc", w, mu,
                                               vals).reshape(dps, -1)
             Grm[r0:r0 + dps] += np.einsum("q,iqc,mqc->im", w, mu,
@@ -208,9 +215,9 @@ def test_batched_pairings_match_per_edge_loop(k, level, depth):
         lm = build_matching_local_mesh(part, eid, sk, depth)
         e = part.elements[eid]
         fids = part.elem_face_ids[eid]
-        seen_reversed |= any(part.faces[fid].v0 != e[le]
+        seen_reversed |= any(part.faces.v0[fid] != e[le]
                              for le, fid in enumerate(fids))
-        seen_double_neumann |= sum(part.faces[f].tag == "neumann"
+        seen_double_neumann |= sum(part.faces.tag[f] == "neumann"
                                    for f in fids) == 2
         R, Grm, load, rm_load = _loop_oracle(part, sk, lm, k, _traction)
         for op in (assemble_local_gals(part, lm, sk, mat, 1e-3, k),

@@ -131,6 +131,21 @@ def test_varying_material_matches_per_element_path(kind, k):
     _check_against_per_element_path(_linear, 32, k=k, kind=kind)
 
 
+def _two_phase(left, right):
+    """A shear modulus of `left` for x < 1/2 and `right` elsewhere: members
+    on either side have proportional samples."""
+    return lambda x: np.where(x[..., 0] < 0.5, left, right)
+
+
+@pytest.mark.parametrize("left, right", [(1.0, 2.0), (1e-6, 1.0)])
+def test_proportional_samples_form_their_own_groups(left, right):
+    # both classes split at x = 1/2 into two groups with their own operator
+    (sol, data, _), (sol1, _) = _shared_and_single(
+        BrennerProblem(NU), G=_two_phase(left, right), k=1)
+    assert len(data.caches) == 4
+    assert _rel(sol.lam, sol1.lam) <= 1e-10
+
+
 def _right_face_neumann(mid):
     return "neumann" if mid[0] > 1 - 1e-12 else "dirichlet"
 
@@ -184,7 +199,7 @@ def _reoriented_partition():
     perm = np.random.default_rng(0).permutation(len(part.vertices))
     verts = np.empty_like(part.vertices)
     verts[perm] = part.vertices
-    elements = [[int(perm[v]) for v in e] for e in part.elements]
+    elements = [[int(perm[v]) for v in e] for e in part.elements.tolist()]
     elements[1] = elements[1][1:] + elements[1][:1]
     lines = [f"vertices {len(verts)}"]
     lines += [f"{float(x)!r} {float(y)!r}" for x, y in verts]
@@ -230,7 +245,7 @@ def test_shared_classes_respect_vertex_order_and_face_orientation():
     sol1, _ = _solve_partition(part, problem, material, shared=False)
 
     def rel_vertices(eid):
-        p = part.vertices[list(part.elements[eid])]
+        p = part.vertices[part.elements[eid]]
         return p - p.mean(axis=0)
 
     # the lower triangles 0, 2, 4 are translates listed in the same vertex
@@ -420,16 +435,16 @@ def _per_element_depth(partition, eid, skeleton, depth):
         raise ValueError("depth must be >= 0")
     need = depth
     for fid in partition.elem_face_ids[eid]:
-        segs = skeleton.face_segments[fid]
+        segs = [s for s in skeleton.face_segments[fid].tolist() if s >= 0]
         if not segs:
             continue
         r = np.log2(len(segs))
         if abs(r - round(r)) > 1e-9:
             raise ValueError("skeleton segments are not a dyadic subdivision")
         for j, sid in enumerate(segs):
-            seg = skeleton.segments[sid]
-            if (abs(seg.s0 - j / len(segs)) > GEOM_TOL
-                    or abs(seg.s1 - (j + 1) / len(segs)) > GEOM_TOL):
+            s0, s1 = skeleton.segments.s0[sid], skeleton.segments.s1[sid]
+            if (abs(s0 - j / len(segs)) > GEOM_TOL
+                    or abs(s1 - (j + 1) / len(segs)) > GEOM_TOL):
                 raise ValueError("skeleton segments do not align with a "
                                  "dyadic subdivision")
         need = max(need, int(round(r)))
@@ -441,13 +456,13 @@ def _per_element_classes(partition, skeleton, depth):
     centroid-relative vertices, per local edge the segment count and whether
     the face runs against it, and the local depth."""
     classes = {}
-    for eid, e in enumerate(partition.elements):
-        p = partition.vertices[list(e)]
+    for eid, e in enumerate(partition.elements.tolist()):
+        p = partition.vertices[e]
         grid = local_solver.CONGRUENCE_RTOL * partition.element_diameters[eid]
         shape = tuple(np.round((p - p.mean(axis=0)) / grid).astype(
             np.int64).ravel())
-        layout = tuple((len(skeleton.face_segments[fid]),
-                        partition.faces[fid].v0 != e[le])
+        layout = tuple((int(np.sum(skeleton.face_segments[fid] >= 0)),
+                        bool(partition.faces.v0[fid] != e[le]))
                        for le, fid in enumerate(partition.elem_face_ids[eid]))
         key = shape, layout, _per_element_depth(partition, eid, skeleton,
                                                 depth)
@@ -486,15 +501,14 @@ def test_classes_raise_as_the_per_element_depth():
 
     def skeletons():
         sk = refine_skeleton(part, 2, 1)
-        face = next(f.id for f in part.faces if f.tag == "interior")
+        face = int(np.flatnonzero(part.faces.tag == "interior")[0])
         yield sk, -1                        # a negative depth
-        sk.face_segments[face] = sk.face_segments[face][:3]
+        sk.face_segments[face, 3:] = -1
         yield sk, 1                         # three segments on a face
         sk = refine_skeleton(part, 2, 1)
-        seg = sk.segments[sk.face_segments[face][1]]
-        seg.s0 += 0.01
-        seg.s1 += 0.01
-        sk.segment_bounds[seg.id] += 0.01
+        sid = sk.face_segments[face][1]
+        sk.segments.s0[sid] += 0.01
+        sk.segments.s1[sid] += 0.01
         yield sk, 1                         # a segment off its dyadic piece
 
     for sk, depth in skeletons():

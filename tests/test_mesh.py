@@ -2,16 +2,20 @@
 advisory refinement conditions."""
 
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mhmelast import (GlobalPartition, build_matching_local_mesh,
+from mhmelast import (BrennerProblem, GlobalPartition,
+                      build_matching_local_mesh,
                       build_structured_triangulation,
                       check_refinement_conditions, quad_rule, read_partition,
                       refine_skeleton, unit_square_mesh, write_partition)
 from mhmelast import mesh as mesh_module
 from mhmelast.mesh import TriMesh, partition_from_string, partition_to_string
+from mhmelast.mhm_global import _dirichlet_data_vector
+from mhmelast.verify import _hydrostatic_trace_vector, _traction_error_sq
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +47,9 @@ def test_structured_elements_match_loop_oracle(n):
         for j in range(n):
             v00, v10 = i * (n + 1) + j, (i + 1) * (n + 1) + j
             expected += [(v00, v10, v10 + 1), (v00, v10 + 1, v00 + 1)]
-    assert build_structured_triangulation(n).elements == expected
+    part = build_structured_triangulation(n)
+    assert part.elements.shape == (2 * n * n, 3)
+    assert part.elements.tolist() == [list(e) for e in expected]
 
 
 def test_structured_rejects_bad_n():
@@ -53,25 +59,27 @@ def test_structured_rejects_bad_n():
 
 def test_all_boundary_faces_dirichlet_by_default():
     part = build_structured_triangulation(3)
-    for f in part.faces:
-        if f.is_boundary:
-            assert f.tag == "dirichlet"
+    faces = part.faces
+    for tag, (_, high) in zip(faces.tag.tolist(), faces.elements):
+        if high < 0:
+            assert tag == "dirichlet"
         else:
-            assert f.tag == "interior"
+            assert tag == "interior"
 
 
 def test_face_normal_conventions():
     part = build_structured_triangulation(3)
-    for f in part.faces:
-        assert abs(np.linalg.norm(f.normal) - 1) < 1e-14
-        mid = 0.5 * (part.vertices[f.v0] + part.vertices[f.v1])
-        cen_low = part.vertices[list(part.elements[f.elements[0]])].mean(axis=0)
+    faces = part.faces
+    for v0, v1, normal, (low, high) in zip(faces.v0, faces.v1, faces.normal,
+                                           faces.elements):
+        assert abs(np.linalg.norm(normal) - 1) < 1e-14
+        mid = 0.5 * (part.vertices[v0] + part.vertices[v1])
+        cen_low = part.vertices[part.elements[low]].mean(axis=0)
         # normal points away from the lower-indexed (or only) element
-        assert np.dot(f.normal, mid - cen_low) > 0
-        if not f.is_boundary:
-            cen_high = part.vertices[
-                list(part.elements[f.elements[1]])].mean(axis=0)
-            assert np.dot(f.normal, cen_high - mid) > 0
+        assert np.dot(normal, mid - cen_low) > 0
+        if high >= 0:
+            cen_high = part.vertices[part.elements[high]].mean(axis=0)
+            assert np.dot(normal, cen_high - mid) > 0
 
 
 def test_element_face_signs():
@@ -84,15 +92,15 @@ def test_element_face_signs():
             a, b = e[le], e[(le + 1) % 3]
             t = part.vertices[b] - part.vertices[a]
             n_out = np.array([t[1], -t[0]]) / np.linalg.norm(t)
-            assert sg == (1 if np.dot(n_out, part.faces[fid].normal) > 0
+            assert sg == (1 if np.dot(n_out, part.faces.normal[fid]) > 0
                           else -1)
     # interior faces must carry opposite signs from their two elements
-    for f in part.faces:
-        if f.is_boundary:
+    for fid, ks in enumerate(part.faces.elements.tolist()):
+        if ks[1] < 0:
             continue
         signs = []
-        for K in f.elements:
-            le = part.elem_face_ids[K].index(f.id)
+        for K in ks:
+            le = part.elem_face_ids[K].tolist().index(fid)
             signs.append(part.elem_face_signs[K][le])
         assert sorted(signs) == [-1, 1]
 
@@ -102,7 +110,7 @@ def test_boundary_tag_callable():
         return "neumann" if mid[0] > 1 - 1e-12 else "dirichlet"
 
     part = build_structured_triangulation(2, boundary_tag=tag)
-    tags = {f.tag for f in part.faces if f.is_boundary}
+    tags = set(part.faces.tag[part.faces.elements[:, 1] < 0].tolist())
     assert tags == {"dirichlet", "neumann"}
 
 
@@ -111,23 +119,24 @@ def _faces_oracle(part, boundary_tag):
     sorted pair order; normals outward from the lower element by a centroid
     test; signs from the outward normal of each local edge."""
     adj = {}
-    for k, e in enumerate(part.elements):
+    for k, e in enumerate(part.elements.tolist()):
         for a, b in ((e[0], e[1]), (e[1], e[2]), (e[2], e[0])):
             adj.setdefault((min(a, b), max(a, b)), []).append(k)
     faces, fid_of = [], {}
     for (v0, v1), ks in sorted(adj.items()):
         t = part.vertices[v1] - part.vertices[v0]
         n = np.array([t[1], -t[0]]) / np.linalg.norm(t)
-        cen = part.vertices[list(part.elements[ks[0]])].mean(axis=0)
+        cen = part.vertices[part.elements[ks[0]]].mean(axis=0)
         mid = 0.5 * (part.vertices[v0] + part.vertices[v1])
         if np.dot(n, mid - cen) < 0:
             n = -n
         tag = ("interior" if len(ks) == 2 else
                boundary_tag(mid) if boundary_tag else "dirichlet")
         fid_of[(v0, v1)] = len(faces)
-        faces.append((v0, v1, n, tuple(sorted(ks)), tag))
+        faces.append((v0, v1, n, tuple(sorted(ks) + [-1] * (2 - len(ks))),
+                      tag))
     ids, signs = [], []
-    for e in part.elements:
+    for e in part.elements.tolist():
         ids.append([]), signs.append([])
         for a, b in ((e[0], e[1]), (e[1], e[2]), (e[2], e[0])):
             fid = fid_of[(min(a, b), max(a, b))]
@@ -142,32 +151,148 @@ def _neumann_right(mid):
     return "neumann" if mid[0] > 1 - 1e-12 else "dirichlet"
 
 
+def _renumbered(n):
+    """The structured partition with Neumann faces on x = 1, its vertices
+    permuted and its elements rotated and permuted, through the partition
+    file format; and its element list."""
+    part = build_structured_triangulation(n, boundary_tag=_neumann_right)
+    rng = np.random.default_rng(n)
+    perm = rng.permutation(len(part.vertices))
+    new_id = np.argsort(perm)
+    elements = [tuple(int(new_id[v]) for v in e)
+                for e in part.elements.tolist()]
+    elements = [e[r:] + e[:r] for e, r in
+                zip(elements, rng.integers(0, 3, len(elements)))]
+    elements = [elements[i] for i in rng.permutation(len(elements))]
+    text = partition_to_string(GlobalPartition(
+        part.vertices[perm], elements, boundary_tag=_neumann_right))
+    return read_partition(io.StringIO(text)), elements
+
+
+def _jittered(n, seed):
+    """The structured partition with Neumann faces on x = 1 and every
+    interior vertex moved by up to 0.2 / n in each direction."""
+    part = build_structured_triangulation(n)
+    v = part.vertices.copy()
+    inner = np.all((v > 1e-12) & (v < 1 - 1e-12), axis=1)
+    v[inner] += np.random.default_rng(seed).uniform(-0.2 / n, 0.2 / n,
+                                                    (inner.sum(), 2))
+    return GlobalPartition(v, part.elements, boundary_tag=_neumann_right)
+
+
+def _check_faces(part, tag):
+    """The face record, face ids and signs against `_faces_oracle`."""
+    faces, ids, signs = _faces_oracle(part, tag)
+    assert len(part.faces) == len(faces)
+    got = part.faces
+    for fid, (v0, v1, normal, ks, tg) in enumerate(faces):
+        assert (got.v0[fid], got.v1[fid], tuple(got.elements[fid].tolist()),
+                got.tag[fid]) == (v0, v1, ks, tg)
+        assert np.abs(got.normal[fid] - normal).max() <= 2e-16
+    assert part.elem_face_ids.tolist() == ids
+    assert part.elem_face_signs.tolist() == signs
+    return faces
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("renumbered", [False, True])
 def test_faces_match_adjacency_dict_oracle(n, renumbered):
     part = build_structured_triangulation(n, boundary_tag=_neumann_right)
-    tag = _neumann_right
     if renumbered:
-        # permuted vertices, rotated and permuted elements, through the
-        # partition file format
-        rng = np.random.default_rng(n)
-        perm = rng.permutation(len(part.vertices))
-        new_id = np.argsort(perm)
-        elements = [tuple(int(new_id[v]) for v in e) for e in part.elements]
-        elements = [e[r:] + e[:r] for e, r in
-                    zip(elements, rng.integers(0, 3, len(elements)))]
-        elements = [elements[i] for i in rng.permutation(len(elements))]
-        text = partition_to_string(GlobalPartition(
-            part.vertices[perm], elements, boundary_tag=tag))
-        part = read_partition(io.StringIO(text))
-        assert part.elements == elements
-    faces, ids, signs = _faces_oracle(part, tag)
-    assert len(part.faces) == len(faces)
-    for f, (v0, v1, normal, ks, tg) in zip(part.faces, faces):
-        assert (f.v0, f.v1, f.elements, f.tag) == (v0, v1, ks, tg)
-        assert np.abs(f.normal - normal).max() <= 2e-16
-    assert part.elem_face_ids == ids
-    assert part.elem_face_signs == signs
+        part, elements = _renumbered(n)
+        assert part.elements.tolist() == [list(e) for e in elements]
+    _check_faces(part, _neumann_right)
+
+
+def _segments_oracle(vertices, faces, level):
+    """The skeleton one face and one segment at a time, from the oracle
+    faces: (face, p0, p1, length, s0, s1) per segment, and the segment ids
+    of each face."""
+    nseg = 2 ** level
+    segments, face_segments = [], []
+    for fid, (v0, v1, _, _, tag) in enumerate(faces):
+        ids = []
+        a, b = vertices[v0], vertices[v1]
+        for j in range(nseg if tag != "neumann" else 0):
+            s0, s1 = j / nseg, (j + 1) / nseg
+            p0, p1 = a + s0 * (b - a), a + s1 * (b - a)
+            ids.append(len(segments))
+            segments.append((fid, p0, p1, np.linalg.norm(p1 - p0), s0, s1))
+        face_segments.append(ids)
+    return segments, face_segments
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+def _segment_loop_vectors(sk, faces, segments, problem, lam, degree):
+    """The Dirichlet data vector, the squared traction error and the
+    hydrostatic trace vector, one segment at a time."""
+    dirichlet = np.zeros(sk.n_dofs)
+    hydro = np.zeros(sk.n_dofs)
+    traction_sq = 0.0
+    data_rule = quad_rule("segment", degree + sk.degree + 2)
+    error_rule = quad_rule("segment", 2 * (degree + sk.degree) + 2)
+    for sid, (fid, p0, p1, length, _, _) in enumerate(segments):
+        dofs = sk.segment_dofs(sid)
+        normal, tag = faces[fid][2], faces[fid][4]
+        if tag == "dirichlet":
+            pts = p0 + data_rule.points[:, None] * (p1 - p0)
+            mu = sk.basis_values(sid, data_rule.points)
+            dirichlet[dofs] += np.einsum("q,iqc,qc->i",
+                                         data_rule.weights * length, mu,
+                                         problem.u(pts))
+        pts = p0 + error_rule.points[:, None] * (p1 - p0)
+        mu = sk.basis_values(sid, error_rule.points)
+        lam_h = np.einsum("i,iqc->qc", lam[dofs], mu)
+        traction_sq += np.sum(error_rule.weights * length
+                              * ((lam_h - problem.sigma(pts) @ normal)
+                                 ** 2).T)
+        hydro[dofs[0]] = normal[0] * np.sqrt(length)
+        hydro[dofs[sk.degree + 1]] = normal[1] * np.sqrt(length)
+    return dirichlet, traction_sq, hydro / np.linalg.norm(hydro)
+
+
+@pytest.mark.parametrize("case", [f"structured-{n}" for n in range(1, 9)]
+                         + ["renumbered-4", "jittered-4"])
+@pytest.mark.parametrize("level", [0, 2])
+def test_records_match_per_face_and_per_segment_loops(case, level):
+    kind, n = case.rsplit("-", 1)
+    n = int(n)
+    part = {"structured": lambda: build_structured_triangulation(
+                n, boundary_tag=_neumann_right),
+            "renumbered": lambda: _renumbered(n)[0],
+            "jittered": lambda: _jittered(n, seed=1)}[kind]()
+    faces = _check_faces(part, _neumann_right)
+
+    sk = refine_skeleton(part, level, 2)
+    segments, face_segments = _segments_oracle(part.vertices, faces, level)
+    got = sk.segments
+    assert len(got) == len(segments)
+    for sid, (fid, p0, p1, length, s0, s1) in enumerate(segments):
+        assert got.face[sid] == fid
+        assert np.abs(got.p0[sid] - p0).max() <= 1e-15
+        assert np.abs(got.p1[sid] - p1).max() <= 1e-15
+        assert abs(got.length[sid] - length) <= 1e-15
+        assert abs(got.s0[sid] - s0) <= 1e-15
+        assert abs(got.s1[sid] - s1) <= 1e-15
+    for fid, ids in enumerate(face_segments):
+        row = sk.face_segments[fid]
+        assert row.tolist() == (ids or [-1] * 2 ** level)
+
+    problem = BrennerProblem(0.3)
+    lam = np.random.default_rng(level).standard_normal(sk.n_dofs)
+    degree = 2
+    dirichlet, traction_sq, hydro = _segment_loop_vectors(
+        sk, faces, segments, problem, lam, degree)
+    got = _dirichlet_data_vector(sk, problem.u, degree + sk.degree + 2)
+    assert _rel(got, dirichlet) <= 1e-14
+    solution = SimpleNamespace(skeleton=sk, lam=lam,
+                               caches=[SimpleNamespace(degree=degree)])
+    assert abs(_traction_error_sq(solution, problem) - traction_sq) <= (
+        1e-14 * traction_sq)
+    assert _rel(_hydrostatic_trace_vector(sk), hydro) <= 1e-14
 
 
 def test_partition_rejects_face_of_three_elements():
@@ -205,11 +330,11 @@ def test_skeleton_h_halves_per_level():
 def test_skeleton_segments_cover_faces():
     part = build_structured_triangulation(2)
     sk = refine_skeleton(part, 1, 2)
-    for f in part.faces:
-        ids = sk.face_segments[f.id]
+    for fid, (v0, v1) in enumerate(zip(part.faces.v0, part.faces.v1)):
+        ids = sk.face_segments[fid]
         assert len(ids) == 2
-        total = sum(sk.segments[s].length for s in ids)
-        flen = np.linalg.norm(part.vertices[f.v1] - part.vertices[f.v0])
+        total = sum(sk.segments.length[s] for s in ids)
+        flen = np.linalg.norm(part.vertices[v1] - part.vertices[v0])
         assert abs(total - flen) < 1e-13
 
 
@@ -217,10 +342,10 @@ def test_skeleton_segments_cover_faces():
 def test_trace_basis_orthonormal(ell):
     part = build_structured_triangulation(2)
     sk = refine_skeleton(part, 1, ell)
-    seg = sk.segments[3]
     rule = quad_rule("segment", 2 * ell + 2)
-    mu = sk.basis_values(seg, rule.points)       # (dps, nq, 2)
-    gram = np.einsum("q,iqc,jqc->ij", rule.weights * seg.length, mu, mu)
+    mu = sk.basis_values(3, rule.points)         # (dps, nq, 2)
+    gram = np.einsum("q,iqc,jqc->ij", rule.weights * sk.segments.length[3],
+                     mu, mu)
     assert np.abs(gram - np.eye(sk.dofs_per_segment)).max() < 1e-12
 
 
@@ -256,9 +381,9 @@ def test_local_mesh_matches_skeleton_refinement():
     # every fine boundary edge sits inside exactly one skeleton segment
     be = lm.boundary_edges
     assert np.all(be.segment >= 0)
-    bounds = sk.segment_bounds[be.segment]
-    assert np.all(bounds[:, 0] - 1e-12 <= np.minimum(be.face_s0, be.face_s1))
-    assert np.all(np.maximum(be.face_s0, be.face_s1) <= bounds[:, 1] + 1e-12)
+    s0, s1 = sk.segments.s0[be.segment], sk.segments.s1[be.segment]
+    assert np.all(s0 - 1e-12 <= np.minimum(be.face_s0, be.face_s1))
+    assert np.all(np.maximum(be.face_s0, be.face_s1) <= s1 + 1e-12)
 
 
 def test_local_mesh_boundary_edges_lie_on_segments():
@@ -266,9 +391,9 @@ def test_local_mesh_boundary_edges_lie_on_segments():
     sk = refine_skeleton(part, 1, 1)
     lm = build_matching_local_mesh(part, 2, sk, 2)
     be = lm.boundary_edges
-    faces = [part.faces[sk.segments[s].face_id] for s in be.segment]
-    a = part.vertices[[f.v0 for f in faces]]
-    b = part.vertices[[f.v1 for f in faces]]
+    faces = [sk.segments.face[s] for s in be.segment]
+    a = part.vertices[[part.faces.v0[f] for f in faces]]
+    b = part.vertices[[part.faces.v1[f] for f in faces]]
     # the local chain may traverse the face backwards, so match endpoints
     # as a set
     targets = np.stack([a + s[:, None] * (b - a)
@@ -397,15 +522,15 @@ def test_partition_roundtrip(tmp_path):
     back = read_partition(str(path))
     assert back.n_elements == part.n_elements
     assert np.allclose(back.vertices, part.vertices)
-    assert back.elements == part.elements
-    assert ([f.tag for f in back.faces] == [f.tag for f in part.faces])
+    assert np.array_equal(back.elements, part.elements)
+    assert back.faces.tag.tolist() == part.faces.tag.tolist()
 
 
 def test_partition_string_roundtrip():
     part = build_structured_triangulation(1)
     text = partition_to_string(part)
     back = partition_from_string(text)
-    assert back.elements == part.elements
+    assert np.array_equal(back.elements, part.elements)
     assert partition_to_string(back) == text
 
 
@@ -445,3 +570,46 @@ FACES_AT = PARTITION_TEXT.index("boundary_faces")
 def test_read_partition_names_section_and_line(text, match):
     with pytest.raises(ValueError, match=match):
         partition_from_string(text)
+
+
+def _with_faces(rows):
+    """PARTITION_TEXT (the n = 1 square: vertices 0 (0, 0), 1 (0, 1),
+    2 (1, 0), 3 (1, 1); elements 0 2 3 and 0 3 1) with these boundary face
+    rows."""
+    return (PARTITION_TEXT[:FACES_AT]
+            + f"boundary_faces {len(rows)}\n" + "".join(
+                row + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("text, match", [
+    (_with_faces(["0 3 neumann"]),
+     r"line 12: the boundary face is an interior face"),
+    (_with_faces(["0 1 neumann", "1 2 neumann"]),
+     r"line 13: the boundary face is not an edge of the elements"),
+    (_with_faces(["0 1 neumann", "0 4 neumann"]),
+     r"line 13: the boundary face is not an edge of the elements"),
+    (_with_faces(["0 1 neumann", "2 3 dirichlet", "1 0 dirichlet"]),
+     r"line 14: the boundary face is given twice"),
+    (PARTITION_TEXT.replace("\n0 2 3\n", "\n0 2 4\n"),
+     r"line 9: element vertex index outside \[0, 4\)"),
+    (PARTITION_TEXT.replace("\n0 2 3\n", "\n-1 2 3\n"),
+     r"line 9: element vertex index outside \[0, 4\)"),
+])
+def test_read_partition_rejects_bad_rows(text, match):
+    with pytest.raises(ValueError, match=match):
+        partition_from_string(text)
+
+
+def test_read_partition_tags_by_pair():
+    part = partition_from_string(_with_faces(["3 1 neumann", "0 2 neumann"]))
+    tags = dict(zip(zip(part.faces.v0.tolist(), part.faces.v1.tolist()),
+                    part.faces.tag.tolist()))
+    assert tags == {(0, 1): "dirichlet", (0, 2): "neumann",
+                    (0, 3): "interior", (1, 3): "neumann",
+                    (2, 3): "dirichlet"}
+
+
+def test_partition_rejects_vertex_index_outside_the_vertices():
+    with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+        GlobalPartition([(0, 0), (1, 0), (1, 1), (0, 1)],
+                        [(0, 1, 2), (0, 2, -1)])

@@ -168,6 +168,43 @@ def test_parse_levels():
     assert _parse_levels("1,4,2") == [1, 4, 2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--levels", "3:1"],
+    ["convergence", "--levels", "0:x"],
+    ["convergence", "--levels", "1,,2"],
+    ["convergence", "--levels=-1:2"],
+    ["nu-sweep", "--methods", "typo"],
+    ["nu-sweep", "--methods", "mhm-gals,typo"],
+])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_bad_levels_and_methods_exit_with_usage(argv, from_file, tmp_path,
+                                                capsys):
+    command, option = argv[0], argv[1:]
+    if from_file:
+        key, value = "=".join(option).lstrip("-").split("=", 1)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        option = ["--config", str(path)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *option, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_rejects_bad_choice_and_value(tmp_path, capsys):
+    for text, match in (("method = typo", "config key method: invalid "
+                         "choice 'typo'"),
+                        ("n = x", "config key n: invalid literal")):
+        path = tmp_path / "run.cfg"
+        path.write_text(text + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--config", str(path)])
+        assert exc.value.code == 2
+        assert match in capsys.readouterr().err
+
+
 def test_config_file_fills_defaults_only(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nnu = 0.4\nn = 3\noverride-wellposedness = "
@@ -207,7 +244,7 @@ def test_config_file_values_take_each_option_type(tmp_path, monkeypatch):
                     "override-wellposedness = yes\n")
     args = _parse_args(["convergence", "--config", str(path)])
     assert args.threads == 2 and type(args.threads) is int
-    assert args.nu == 0.4 and args.levels == "0:2"
+    assert args.nu == 0.4 and args.levels == [0, 1, 2]
     assert args.override_wellposedness is True
 
 
