@@ -292,10 +292,39 @@ def abs_row_sums(M):
     return np.bincount(M.indices, np.abs(M.data), minlength=M.shape[0])
 
 
-def inf_norm(M):
-    """Maximum absolute row sum of a sparse matrix, as
-    `scipy.sparse.linalg.norm(M, np.inf)`."""
-    return abs_row_sums(M).max(initial=0.0)
+def _block_norms(M, blocks):
+    """2-norms (blocks, c) of the row blocks of every column of M (N, c)."""
+    return np.linalg.norm(M.reshape(blocks, -1, M.shape[1]), axis=1)
+
+
+def checked_solve(factor, M, B, error, what, hint, blocks=1):
+    """Solve M X = B, B 1-D or (N, c), with the factorization `factor()`
+    (a SuperLU object) and accept X only if every column satisfies, in each
+    of the `blocks` equal diagonal blocks of M,
+    ||M x - b|| <= 1e-10 (||b|| + ||M_block||_inf ||x||), with the vector
+    norms taken over the block's rows; a non-finite value fails.  A singular
+    factor or a failed check raises `error`, naming the `what` system and
+    ending with `hint`.  The residuals are formed 32 columns at a time, which
+    keeps the memory of the solve."""
+    try:
+        X = factor().solve(B)
+    except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
+        raise error(f"singular {what} system; {hint}") from exc
+    X2, B2 = X.reshape(len(X), -1), B.reshape(len(B), -1)
+    scale = abs_row_sums(M).reshape(blocks, -1).max(axis=1, initial=0.0)
+    res, ref = np.empty((2, blocks, X2.shape[1]))
+    for j in range(0, X2.shape[1], 32):
+        cols = slice(j, j + 32)
+        r = M @ X2[:, cols]
+        r -= B2[:, cols]
+        res[:, cols] = _block_norms(r, blocks)
+        ref[:, cols] = (_block_norms(B2[:, cols], blocks)
+                        + scale[:, None] * _block_norms(X2[:, cols], blocks))
+    # a NaN fails the comparison, an infinite x makes its reference infinite
+    if not np.all(np.isfinite(ref) & (res <= 1e-10 * np.maximum(ref, 1e-300))):
+        raise error(f"{what} solve residual {res.max():.3e} exceeds "
+                    f"tolerance; {hint}")
+    return X
 
 
 def block_triplets(matrices, loc2glob):

@@ -65,6 +65,20 @@ def _parse_methods(text):
     return methods
 
 
+def _parse_nus(text):
+    """The comma list of `--nus`, Poisson ratios in (0, 1/2), as an argparse
+    type."""
+    try:
+        nus = [float(t) for t in text.split(",")]
+    except ValueError:
+        nus = []
+    if not nus or not all(0 < nu < 0.5 for nu in nus):
+        raise argparse.ArgumentTypeError(
+            "expected a comma list of Poisson ratios in (0, 1/2), got "
+            f"{text!r}")
+    return nus
+
+
 def _read_config_file(path):
     out = {}
     with open(path) as f:
@@ -73,7 +87,7 @@ def _read_config_file(path):
             if not ln or ln.startswith("#"):
                 continue
             if "=" not in ln:
-                raise SystemExit(f"malformed config line: {ln!r}")
+                raise ValueError(f"malformed config line: {ln!r}")
             key, val = ln.split("=", 1)
             out[key.strip().replace("-", "_")] = val.strip()
     return out
@@ -83,54 +97,29 @@ def _flag(text):
     return text.lower() in ("1", "true", "yes", "on")
 
 
-def _apply_config_file(args):
-    """File values fill in only options the command line left at default,
-    each converted as its command-line option converts it."""
-    if not getattr(args, "config", None):
-        return args
-    file_vals = _read_config_file(args.config)
-    parser = _build_parser()
-    actions = parser._get_all_actions()
-    convert = {a.dest: _flag if a.nargs == 0 else a.type or str
-               for a in actions}
-    choices = {a.dest: a.choices for a in actions if a.choices}
+def _apply_config_file(command, path):
+    """Make the values of the config file at `path` defaults of the command
+    parser `command`, each converted and checked as its command-line option
+    converts it; a malformed line, unknown key or bad value is a usage
+    error."""
+    try:
+        file_vals = _read_config_file(path)
+    except (OSError, ValueError) as exc:
+        command.error(str(exc))
+    actions = {a.dest: a for a in command._actions if a.dest != "help"}
+    defaults = {}
     for key, val in file_vals.items():
-        if not hasattr(args, key):
-            raise SystemExit(f"unknown config key: {key}")
-        if key in args._explicit:
-            continue
+        action = actions.get(key)
+        if action is None:
+            command.error(f"unknown config key: {key}")
         try:
-            value = convert.get(key, str)(val)
+            value = (_flag if action.nargs == 0 else action.type or str)(val)
         except (argparse.ArgumentTypeError, ValueError) as exc:
-            parser.error(f"config key {key}: {exc}")
-        if value not in choices.get(key, [value]):
-            parser.error(f"config key {key}: invalid choice {value!r}")
-        setattr(args, key, value)
-    return args
-
-
-class _TrackingParser(argparse.ArgumentParser):
-    """Remembers which destinations were set explicitly on the command line
-    so a config file can fill in the rest."""
-
-    def parse_args(self, argv=None, namespace=None):
-        args = super().parse_args(argv, namespace)
-        explicit = set()
-        argv = list(sys.argv[1:] if argv is None else argv)
-        for action in self._get_all_actions():
-            for opt in action.option_strings:
-                if any(a == opt or a.startswith(opt + "=") for a in argv):
-                    explicit.add(action.dest)
-        args._explicit = explicit
-        return args
-
-    def _get_all_actions(self):
-        actions = list(self._actions)
-        for action in self._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    actions.extend(sub._actions)
-        return actions
+            command.error(f"config key {key}: {exc}")
+        if value not in (action.choices or [value]):
+            command.error(f"config key {key}: invalid choice {value!r}")
+        defaults[key] = value
+    command.set_defaults(**defaults)
 
 
 def _errors_to_rows(Hs, records):
@@ -213,7 +202,7 @@ def cmd_convergence(args):
 def cmd_nu_sweep(args):
     os.makedirs(args.out, exist_ok=True)
     methods = args.methods
-    nus = [float(t) for t in args.nus.split(",")]
+    nus = args.nus
     results = {}
     for method in methods:
         h1 = []
@@ -347,7 +336,7 @@ def _add_common(p):
 
 
 def _build_parser():
-    parser = _TrackingParser(prog="mhmelast")
+    parser = argparse.ArgumentParser(prog="mhmelast")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convergence", help="refinement study for one method")
@@ -362,7 +351,8 @@ def _build_parser():
     _add_common(p)
     p.add_argument("--methods", default="stdgalerkin,mhm-gals",
                    type=_parse_methods)
-    p.add_argument("--nus", default="0.3,0.4,0.49,0.499,0.4999,0.49999")
+    p.add_argument("--nus", default="0.3,0.4,0.49,0.499,0.4999,0.49999",
+                   type=_parse_nus, help="comma list, each in (0, 1/2)")
     p.set_defaults(func=cmd_nu_sweep)
 
     p = sub.add_parser("patch-test", help="linear-solution exactness test")
@@ -377,12 +367,19 @@ def _build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_export_fields)
 
-    return parser
+    return parser, sub.choices
 
 
 def _parse_args(argv=None):
-    """Command line, then config file; only then the environment's threads."""
-    args = _apply_config_file(_build_parser().parse_args(argv))
+    """Command line, then config file; only then the environment's threads.
+    The file's values become defaults of the chosen command and the command
+    line is parsed again, so each option given on it wins, abbreviated or
+    not."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        _apply_config_file(commands[args.command], args.config)
+        args = parser.parse_args(argv)
     if args.threads is None:
         args.threads = default_threads()
     return args

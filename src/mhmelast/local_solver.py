@@ -367,30 +367,36 @@ def element_load(op, shifts, f=None, g=None, filled=None):
     slots `filled` (ng, S) hold members (all by default).  Column s of the
     loads (N, S) holds slot s of group g in block g, zero for an empty slot;
     the rigid-mode loads are (ng * S, 3) in (group, slot) order.  `f` and
-    `g` are each called once, at the operator's points translated onto every
-    member, whose rigid modes take the operator's values."""
+    `g` are called at the operator's points translated onto the members,
+    whose rigid modes take the operator's values, on chunks of slots of at
+    most SAMPLE_POINTS points (at least one slot)."""
     ng = op.n_groups
     grid = np.asarray(shifts, dtype=float).reshape(ng, -1, 2)
     filled = (np.ones(grid.shape[:2], dtype=bool) if filled is None
               else np.asarray(filled, dtype=bool))
     n = op.matrix.shape[0] // ng
-    rhs = np.zeros(grid.shape[:2] + (n,))
-    d_rm = np.zeros(grid.shape[:2] + (3,))
-    pts, w, vals, dofs = op.neumann_edges
-    if g is not None and len(w):
-        gq = _at_members(g, pts, grid, filled)          # (ng, S, ne, nq, 2)
-        F = np.einsum("eq,gseqc,eqb->gsebc", w, gq, vals)
-        rhs += asm.scatter_vector(F.reshape(F.shape[:3] + (-1,)), dofs, n)
-        d_rm += np.einsum("eq,gseqc,keqc->gsk", w, gq,
-                          op.rigid_modes.evaluate(pts))
-    if f is not None:
-        fq = _at_members(f, op.tab.points, grid, filled)
-        Dall = None if op.Dall is None else op.Dall[:, None]
-        F_el = asm.load_vector(op.tab, fq, Dall=Dall, alpha=op.alpha[:, None])
-        rhs += asm.scatter_vector(F_el, op.l2g, n)
-        d_rm += np.einsum("tq,gstqc,ktqc->gsk", op.tab.wdet, fq,
-                          op.rigid_modes.evaluate(op.tab.points))
     S = grid.shape[1]
+    rhs = np.zeros((ng, S, n))
+    d_rm = np.zeros((ng, S, 3))
+    pts, w, vals, dofs = op.neumann_edges
+    rm_g = op.rigid_modes.evaluate(pts)
+    rm_f = op.rigid_modes.evaluate(op.tab.points)
+    per = max(1, SAMPLE_POINTS // (ng * op.tab.points[..., 0].size))
+    for c in (slice(s, s + per) for s in range(0, S, per)):
+        if g is not None and len(w):
+            gq = _at_members(g, pts, grid[:, c], filled[:, c])
+            F = np.einsum("eq,gseqc,eqb->gsebc", w, gq, vals)
+            rhs[:, c] += asm.scatter_vector(F.reshape(F.shape[:3] + (-1,)),
+                                            dofs, n)
+            d_rm[:, c] += np.einsum("eq,gseqc,keqc->gsk", w, gq, rm_g)
+        if f is not None:
+            fq = _at_members(f, op.tab.points, grid[:, c], filled[:, c])
+            Dall = None if op.Dall is None else op.Dall[:, None]
+            F_el = asm.load_vector(op.tab, fq, Dall=Dall,
+                                   alpha=op.alpha[:, None])
+            rhs[:, c] += asm.scatter_vector(F_el, op.l2g, n)
+            d_rm[:, c] += np.einsum("tq,gstqc,ktqc->gsk", op.tab.wdet, fq,
+                                    rm_f)
     return np.swapaxes(rhs, 0, 1).reshape(S, ng * n).T, d_rm.reshape(-1, 3)
 
 
@@ -398,11 +404,6 @@ def _blocks(M, ng):
     """The Fortran-ordered stacked columns M (ng * n, c) as a view (n, ng, c):
     row i of block g."""
     return M.reshape(-1, ng, M.shape[1], order="F")
-
-
-def _block_norms(M, ng):
-    """2-norms (ng, c) of the ng row blocks of every column of M."""
-    return np.linalg.norm(M.reshape(ng, -1, M.shape[1]), axis=1)
 
 
 def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
@@ -424,13 +425,6 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     grid = np.zeros((ng, S, 2))
     grid[filled] = shifts
     loads, rm_load = element_load(op, grid, f=f, g=g, filled=filled)
-    try:
-        # COLAMD with partial pivoting: the Neumann block is singular until
-        # the rigid-mode multiplier rows are added, so diagonal pivots fail
-        lu = splu(op.matrix)
-    except RuntimeError as exc:
-        raise LocalSolverError(
-            "singular local system; run check_refinement_conditions") from exc
     nsd, ntr = op.dofh.n_dofs, op.R.shape[0]
     nu = 2 * nsd
     N = op.matrix.shape[0]
@@ -440,25 +434,11 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     _blocks(rhs, ng)[:nu, :, :ntr] = op.R.T[:, None]
     rhs[:, ntr:] = loads
     del loads
-    X = lu.solve(rhs)
-    if not np.all(np.isfinite(X)):
-        raise LocalSolverError(
-            "local solve produced non-finite values; the local mesh may be "
-            "too coarse for the trace space")
-    # relative residual of every column in every block, bounded as in
-    # solve_global; 32 columns at a time, which keeps the memory of the solve
-    scale = asm.abs_row_sums(op.matrix).reshape(ng, -1).max(axis=1)[:, None]
-    res, ref = np.empty((2, ng, X.shape[1]))
-    for j in range(0, X.shape[1], 32):
-        cols = slice(j, j + 32)
-        r = op.matrix @ X[:, cols]
-        r -= rhs[:, cols]
-        res[:, cols] = _block_norms(r, ng)
-        ref[:, cols] = (_block_norms(rhs[:, cols], ng)
-                        + scale * _block_norms(X[:, cols], ng))
-    if np.any(res > 1e-10 * np.maximum(ref, 1e-300)):
-        raise LocalSolverError(
-            f"local solve residual {res.max():.3e} exceeds tolerance")
+    # COLAMD with partial pivoting: the Neumann block is singular until the
+    # rigid-mode multiplier rows are added, so diagonal pivots fail
+    X = asm.checked_solve(lambda: splu(op.matrix), op.matrix, rhs,
+                          LocalSolverError, "local",
+                          "run check_refinement_conditions", blocks=ng)
     del rhs
     has_p = op.kind == "gals"
     Xb = _blocks(X, ng)

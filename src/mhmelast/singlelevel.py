@@ -44,26 +44,18 @@ def _dirichlet_values(dofh, u_dirichlet):
 def spsolve(K, b):
     """Solve a reduced single-level system with one SuperLU factorization in
     a minimum-degree order of K + K^T that pivots on the diagonal, and
-    verify the residual as `solve_global` does.
+    verify the residual (`checked_solve`).
 
     Both systems are symmetric: the displacement one is positive definite
     and the stabilized one quasi-definite for an admissible alpha, so every
     symmetric permutation of them factors without pivoting (Vanderbei,
     SIAM J. Optim. 5, 1995).  Row exchanges would only add fill, and the
     symmetric order holds less fill than COLAMD's column order."""
-    try:
-        x = splu(K, permc_spec="MMD_AT_PLUS_A",
-                 diag_pivot_thresh=0.0).solve(b)
-    except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
-        raise MHMError("singular single-level system; check the mesh and "
-                       "the Dirichlet boundary") from exc
-    res = np.linalg.norm(K @ x - b)
-    ref = np.linalg.norm(b) + asm.inf_norm(K) * np.linalg.norm(x)
-    if not np.isfinite(res) or res > 1e-10 * max(ref, 1e-300):
-        raise MHMError(f"single-level solve residual {res:.3e} exceeds "
-                       "tolerance; the reduced system is indefinite or too "
-                       "ill-conditioned to factor on its diagonal")
-    return x
+    return asm.checked_solve(
+        lambda: splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0),
+        K, b, MHMError, "single-level",
+        "check the mesh and the Dirichlet boundary; diagonal pivots need a "
+        "definite, well-conditioned system")
 
 
 def _solve_constrained(K, F, fixed, fixed_vals):

@@ -1,10 +1,11 @@
 """Element kernels and geometry of `_assembly` against an oracle written
-from the definitions, one triangle and one quadrature point at a time."""
+from the definitions, one triangle and one quadrature point at a time, and
+the acceptance policy of its checked sparse solve."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import norm as sparse_norm
+from scipy.sparse.linalg import norm as sparse_norm, splu
 
 from mhmelast import TriMesh, unit_square_mesh
 from mhmelast import _assembly as asm, verify
@@ -172,9 +173,82 @@ def test_inf_norm_matches_scipy():
                           (200, 150, 0.02)):
         M = sp.random(n, m, density=density, format="csc", random_state=rng,
                       data_rvs=rng.standard_normal)
-        assert asm.inf_norm(M) == pytest.approx(sparse_norm(M, np.inf),
-                                                rel=1e-14)
+        assert asm.abs_row_sums(M).max() == pytest.approx(
+            sparse_norm(M, np.inf), rel=1e-14)
     M = sp.csc_matrix(np.array([[1.0, -2.0, 0.0],
                                 [0.0, 0.0, 0.0],
                                 [-4.0, 0.0, 0.5]]))
-    assert asm.inf_norm(M) == sparse_norm(M, np.inf) == 4.5
+    assert asm.abs_row_sums(M).max() == sparse_norm(M, np.inf) == 4.5
+
+
+class _Perturbed:
+    """A SuperLU factor whose solutions are changed by `edit(X)`."""
+
+    def __init__(self, lu, edit):
+        self.lu, self.edit = lu, edit
+
+    def solve(self, rhs):
+        X = self.lu.solve(rhs)
+        self.edit(X)
+        return X
+
+
+def _two_scale_stack(n=12, seed=3):
+    """A two-block diagonal stack whose second block is 1e8 times the
+    first, and right-hand sides (2n, 40) of the same scales: more columns
+    than one residual chunk."""
+    rng = np.random.default_rng(seed)
+    blocks = [np.eye(n) * n + rng.standard_normal((n, n)) for _ in range(2)]
+    M = sp.block_diag([blocks[0], 1e8 * blocks[1]], format="csc")
+    B = rng.standard_normal((2 * n, 40))
+    B[n:] *= 1e8
+    return M, B
+
+
+def _solve(M, B, edit=lambda X: None, blocks=1):
+    return asm.checked_solve(lambda: _Perturbed(splu(M), edit), M, B,
+                             ValueError, "test", "a hint", blocks=blocks)
+
+
+def test_checked_solve_bounds_each_block():
+    M, B = _two_scale_stack()
+    n = M.shape[0] // 2
+    X = _solve(M, B, blocks=2)
+    assert np.abs(M @ X - B).max() <= 1e-10 * np.abs(B).max()
+
+    def small_block_column(X):          # in the second residual chunk
+        X[:n, 35] *= 1 + 1e-8
+
+    # the whole-matrix bound is dominated by the large block and passes
+    _solve(M, B, small_block_column)
+    with pytest.raises(ValueError, match=r"^test solve residual .* exceeds "
+                                         r"tolerance; a hint$"):
+        _solve(M, B, small_block_column, blocks=2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checked_solve_rejects_non_finite_solution(value):
+    M, B = _two_scale_stack()
+
+    def corrupt(X):                     # one entry of the last column
+        X.reshape(len(X), -1)[3, -1] = value
+
+    for blocks in (1, 2):
+        for rhs in (B, B[:, 2]):
+            with pytest.raises(ValueError, match="test solve residual"):
+                _solve(M, rhs, corrupt, blocks=blocks)
+
+
+def test_checked_solve_vector_right_hand_side():
+    M, B = _two_scale_stack()
+    for blocks in (1, 2):
+        x = _solve(M, B[:, 2], blocks=blocks)
+        assert x.shape == (M.shape[0],)
+        want = np.linalg.solve(M.toarray(), B[:, 2])
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_checked_solve_names_a_singular_system():
+    M = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(ValueError, match="^singular test system; a hint$"):
+        _solve(M, np.ones(2))

@@ -1,8 +1,11 @@
 """Local element solvers: material data, stabilization parameter, rigid-body
 projection, and the condensed basis caches."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mhmelast import (InverseConstant, MaterialField, RigidModes,
                       assemble_local_galerkin, assemble_local_gals,
@@ -356,6 +359,25 @@ def test_local_matrix_matches_dense_oracle(kind, k):
     got = op.matrix.toarray()
     assert got.shape == A.shape
     assert np.abs(got - A).max() <= 1e-14 * np.abs(A).max()
+
+
+def test_singular_local_stack_is_named():
+    # a stack of two blocks of one element's operator, the second without
+    # its rigid-mode multiplier rows and columns: exactly singular
+    part, sk, lm = _element_setup()
+    op = assemble_local_gals(part, lm, sk, MaterialField(1.0, 0.3), 0.01, 1)
+    free = sp.diags(np.r_[np.ones(op.matrix.shape[0] - 3), np.zeros(3)])
+    stack = replace(op, alpha=np.repeat(op.alpha, 2),
+                    matrix=sp.block_diag([op.matrix, free @ op.matrix @ free],
+                                         format="csc"),
+                    Dall=np.concatenate([op.Dall] * 2))
+    with pytest.raises(LocalSolverError, match="^singular local system; run "
+                                               "check_refinement_conditions"):
+        solve_local_basis(stack, part, sk, [[lm.element_id]] * 2)
+    records = solve_local_basis(replace(stack, matrix=sp.block_diag(
+        [op.matrix] * 2, format="csc")), part, sk, [[lm.element_id]] * 2)
+    a, b = records[0].trace_u, records[1].trace_u
+    assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
 
 
 def test_local_solve_residual_is_checked(monkeypatch):

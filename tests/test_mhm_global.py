@@ -9,6 +9,7 @@ from mhmelast import (BrennerProblem, LinearProblem, MHMConfig, MaterialField,
                       build_matching_local_mesh, build_structured_triangulation,
                       compute_errors, postprocess_solution, refine_skeleton,
                       solve_global, solve_mhm, spectral_diagnostics)
+from mhmelast import mhm_global
 from mhmelast.mhm_global import GlobalSolverError, _dirichlet_data_vector
 
 
@@ -58,12 +59,12 @@ def test_zero_data_gives_zero_solution():
 def test_system_block_structure_and_symmetry():
     part, sk, caches = _caches()
     system = assemble_global_saddle(caches, sk)
-    assert system.n_lambda == sk.n_dofs
-    assert system.n_rm == 3 * part.n_elements
+    n = sk.n_dofs
+    assert system.A.shape == (n, n)
+    assert system.B.shape == (n, 3 * part.n_elements)
     A = system.A.toarray()
     assert np.abs(A - A.T).max() == 0.0
     M = system.full_matrix().toarray()
-    n = system.n_lambda
     assert np.abs(M[n:, n:]).max() == 0.0
     assert np.allclose(M[:n, n:], system.B.toarray())
 
@@ -101,8 +102,26 @@ def test_singular_system_raises_global_solver_error():
     # the second rigid mode couples to no trace dof: an all-zero column of B
     B = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
     system = SaddleSystem(sp.identity(3, format="csr"), B, np.ones(3),
-                          np.ones(2), 3, 2)
+                          np.ones(2))
     with pytest.raises(GlobalSolverError, match="singular global system"):
+        solve_global(system)
+
+
+def test_global_solve_residual_is_checked(monkeypatch):
+    class Perturbed:
+        def __init__(self, matrix):
+            self.lu = splu(matrix)
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs) * (1 + 1e-8)
+
+    problem = BrennerProblem(0.3)
+    part, sk, caches = _caches(f=problem.f)
+    system = assemble_global_saddle(caches, sk, u_dirichlet=problem.u)
+    splu = mhm_global.splu
+    monkeypatch.setattr(mhm_global, "splu", Perturbed)
+    with pytest.raises(GlobalSolverError, match="^global solve residual .* "
+                                                "exceeds tolerance"):
         solve_global(system)
 
 

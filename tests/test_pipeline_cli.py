@@ -1,6 +1,5 @@
 """End-to-end pipeline driver and the command-line interface."""
 
-import argparse
 import json
 import os
 import time
@@ -18,8 +17,7 @@ from mhmelast import (BrennerProblem, LinearProblem, MHMConfig, MHMError,
                       unit_square_mesh)
 from mhmelast.local_solver import LocalSolverError
 from mhmelast.mhm_global import GlobalSolverError
-from mhmelast.cli import (_apply_config_file, _parse_args, _parse_levels,
-                          _read_config_file, main)
+from mhmelast.cli import _parse_args, _parse_levels, _read_config_file, main
 from mhmelast.pipeline import THREADS_ENV, default_threads
 
 
@@ -81,7 +79,7 @@ def test_solver_failures_are_mhm_errors(monkeypatch):
     B = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(MHMError, match="singular global system"):
         solve_global(SaddleSystem(sp.identity(2, format="csr"), B,
-                                  np.ones(2), np.ones(2), 2, 2))
+                                  np.ones(2), np.ones(2)))
     # pipeline: local meshes failing the refinement conditions
     with pytest.raises(MHMError, match="refinement conditions"):
         solve_mhm(MHMConfig(n=1, level=0, k=1, ell=1, depth=0), PATCH)
@@ -175,6 +173,10 @@ def test_parse_levels():
     ["convergence", "--levels=-1:2"],
     ["nu-sweep", "--methods", "typo"],
     ["nu-sweep", "--methods", "mhm-gals,typo"],
+    ["nu-sweep", "--nus", "0.3,x"],
+    ["nu-sweep", "--nus", "0.3,0.5"],
+    ["nu-sweep", "--nus", "0,0.3"],
+    ["nu-sweep", "--nus=nan"],
 ])
 @pytest.mark.parametrize("from_file", [False, True])
 def test_bad_levels_and_methods_exit_with_usage(argv, from_file, tmp_path,
@@ -212,13 +214,22 @@ def test_config_file_fills_defaults_only(tmp_path):
     vals = _read_config_file(str(path))
     assert vals == {"nu": "0.4", "n": "3", "override_wellposedness": "true"}
 
-    args = argparse.Namespace(config=str(path), nu=0.4999, n=5,
-                              override_wellposedness=False,
-                              _explicit={"n"})
-    args = _apply_config_file(args)
+    args = _parse_args(["diagnose", "--n", "5", "--config", str(path)])
     assert args.nu == 0.4           # default: filled from file
     assert args.n == 5              # explicit flag wins over the file
     assert args.override_wellposedness is True
+
+
+@pytest.mark.parametrize("option", [["--threads", "1"], ["--thread", "1"],
+                                    ["--threads=1"], ["--thr=1"]])
+def test_command_line_beats_config_file_even_abbreviated(tmp_path, option):
+    path = tmp_path / "run.cfg"
+    path.write_text("threads = 2\nlevel = 3\n")
+    args = _parse_args(["diagnose", *option, "--lev", "1", "--config",
+                        str(path)])
+    assert args.threads == 1 and args.level == 1
+    args = _parse_args(["diagnose", "--config", str(path)])
+    assert args.threads == 2 and args.level == 3
 
 
 def test_malformed_threads_variable_needs_no_threads_default(
@@ -248,12 +259,23 @@ def test_config_file_values_take_each_option_type(tmp_path, monkeypatch):
     assert args.override_wellposedness is True
 
 
-def test_config_file_rejects_unknown_key(tmp_path):
+@pytest.mark.parametrize("text, match", [
+    ("frobnicate = 1", "unknown config key: frobnicate"),
+    ("func = cmd_diagnose", "unknown config key: func"),
+    ("nu 0.4", "malformed config line: 'nu 0.4'"),
+    (None, "No such file or directory"),
+])
+def test_config_file_rejects_unknown_key(tmp_path, capsys, text, match):
     path = tmp_path / "bad.cfg"
-    path.write_text("frobnicate = 1\n")
-    args = argparse.Namespace(config=str(path), _explicit=set())
-    with pytest.raises(SystemExit):
-        _apply_config_file(args)
+    if text is not None:
+        path.write_text(text + "\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["patch-test", "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and match in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -456,7 +456,7 @@ def test_spectral_diagnostics_empty_system():
     from mhmelast import SaddleSystem
 
     empty = SaddleSystem(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0),
-                         np.zeros(0), 0, 0)
+                         np.zeros(0))
     rep = spectral_diagnostics(empty)
     assert rep.ok
 
@@ -466,7 +466,7 @@ def test_spectral_diagnostics_refuses_large_system():
 
     n = SPECTRAL_MAX_UNKNOWNS
     big = SaddleSystem(sp.csr_matrix((n, n)), sp.csr_matrix((n, 3)),
-                       np.zeros(n), np.zeros(3), n, 3)
+                       np.zeros(n), np.zeros(3))
     with pytest.raises(ValueError, match=f"{n + 3} global unknowns exceed "
                                          f"the limit of {n}"):
         spectral_diagnostics(big)
