@@ -79,6 +79,30 @@ def _parse_nus(text):
     return nus
 
 
+def _integer(low):
+    """An argparse type: integers >= low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    parse.__name__ = "int"          # argparse's "invalid int value" message
+    return parse
+
+
+def _inside(low, high, what):
+    """An argparse type: `what`, a float in the open interval (low, high)."""
+    def parse(text):
+        value = float(text)
+        if not low < value < high:  # nan is outside
+            raise argparse.ArgumentTypeError(
+                f"expected {what} in ({low:g}, {high:g}), got {text!r}")
+        return value
+    parse.__name__ = "float"
+    return parse
+
+
 def _read_config_file(path):
     out = {}
     with open(path) as f:
@@ -324,15 +348,17 @@ def cmd_export_fields(args):
 def _add_common(p):
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--threads", type=int, help=f"default ${THREADS_ENV} or 1")
-    p.add_argument("--theta", type=float, default=0.5)
+    p.add_argument("--threads", type=_integer(1),
+                   help=f"default ${THREADS_ENV} or 1")
+    p.add_argument("--theta", type=_inside(0, 1, "a fraction"), default=0.5)
     p.add_argument("--override-wellposedness", action="store_true",
                    dest="override_wellposedness")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--nu", type=float, default=0.4999)
-    p.add_argument("--level", type=int, default=0)
+    p.add_argument("--n", type=_integer(1), default=4)
+    p.add_argument("--k", type=_integer(1), default=1)
+    p.add_argument("--ell", type=_integer(1), default=1)
+    p.add_argument("--nu", type=_inside(0, 0.5, "a Poisson ratio"),
+                   default=0.4999)
+    p.add_argument("--level", type=_integer(0), default=0)
 
 
 def _build_parser():

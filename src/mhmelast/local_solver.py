@@ -11,6 +11,16 @@ groups of similar member counts are stacked as the diagonal blocks of one
 matrix, up to BATCH_UNKNOWNS unknowns, and factored and solved at once, for
 the trace right-hand sides and every member's load column: one record per
 group, with the members as arrays.
+
+Each block is a pure Neumann operator K, singular on the three rigid modes
+Z, and the basis is the solution orthogonal to them, C x = 0 with C the
+modes' moment rows.  Rather than bordering K with C, the stack is factored
+with three displacement dofs of every block pinned, as for the floating
+subdomains of FETI (Farhat & Roux, IJNME 32, 1991): the pinned blocks are
+definite (quasi-definite with the pressure), so they factor in a symmetric
+minimum-degree order on the diagonal.  Each right-hand side is first made
+compatible with the modes and the pinned solution is then projected onto
+C x = 0; see `solve_local_basis`.
 """
 
 from dataclasses import dataclass, replace
@@ -49,12 +59,16 @@ CONGRUENCE_RTOL = 1e-10
 # Material groups of a class are stacked into one block-diagonal
 # factorization of at most this many unknowns (a larger group is factored
 # alone).  On a 512-element n = 16, k = 1 mesh with G varying everywhere
-# (48 unknowns per group, 1 thread, median of 8 seeds), the solve took
-# 0.46 s at 512, 0.44 s at 1024, 0.40 s at 2048 and 0.41 s at 4096, while
-# the peak RSS rose by 4.7 MB from 2048 to 4096: the COO and CSC transients
-# of a stack grow with it.  The 1,686-unknown groups of a level-3, k = 1
-# element are factored one at a time, as without stacking.
+# (45 unknowns per group, pinned factors, 1 thread, median of 8 seeds), the
+# solve took 0.36 s at 512, 0.30 s at 1024, 0.27 s at 2048 and 0.26 s at
+# 4096, while the peak RSS rose by 5.3 MB from 2048 to 4096: the COO and
+# CSC transients of a stack grow with it.  The 1,683-unknown groups of a
+# level-3, k = 1 element are factored one at a time, as without stacking.
 BATCH_UNKNOWNS = 2048
+
+# The solve rejects a class whose rigid-mode moment matrix C Z or pinned
+# rows Z[pins] have a condition number above this: it divides by both.
+RIGID_COND = 1e12
 
 # The members are sampled this many points at a time when they are split
 # into material groups: sampling the 16 members of a level-3, k = 1 class at
@@ -186,22 +200,26 @@ class LocalBasisCache:
 @dataclass
 class LocalOperator:
     """The part of a coarse element's local problem that depends on neither
-    its load nor its position.  The fields up to `constraints` do not depend
-    on the material either and are shared by the element's congruence
-    class; the material fields stack the operators of groups of its members,
-    one per index of `alpha`, as the diagonal blocks of `matrix`."""
+    its load nor its position.  The fields up to `pins` do not depend on the
+    material either and are shared by the element's congruence class; the
+    material fields stack the Neumann operators of groups of its members,
+    one per index of `alpha`, as the diagonal blocks of `matrix`.  Every
+    block is singular on the rigid modes `Z`; the basis solves it subject to
+    `C x = 0` with the dofs `pins` fixed (`solve_local_basis`)."""
     kind: str                       # "gals" | "galerkin"
     dofh: object
     tab: object
-    l2g: np.ndarray                 # element map of the [u (; p)] unknowns
+    l2g: np.ndarray                 # element map of the n [u (; p)] unknowns
     R: np.ndarray                   # (ntr, 2*nsd) trace/displacement pairing
     Grm: np.ndarray                 # (ntr, 3) trace/rigid-mode pairing
     neumann_edges: tuple            # Neumann rows of _boundary_blocks
     rigid_modes: RigidModes         # about the element it was assembled on
-    constraints: tuple              # COO triplets of the rigid-mode rows
+    C: np.ndarray                   # (3, n) moments of the rigid modes
+    Z: np.ndarray                   # (n, 3) the modes, zero in p's rows
+    pins: np.ndarray                # (3,) displacement dofs fixed in a solve
     material: MaterialField = None
     alpha: np.ndarray = None        # (ng,)
-    matrix: sp.csc_matrix = None    # blocks [u; (p;) 3 rigid multipliers]
+    matrix: sp.csc_matrix = None    # blocks [u; (p)], n unknowns each
     Dall: np.ndarray = None         # (ng, nt, nq, 3nb, 2) least-squares rows;
                                     # None for "galerkin"
 
@@ -264,10 +282,22 @@ def _boundary_blocks(partition, local_mesh, skeleton, dofh, geo, ref, rm):
     return R, Grm, tuple(a[be.neumann] for a in quad)
 
 
-def _constraint_rows(dofh, tab, rm):
-    """Rows enforcing L2-orthogonality to the rigid modes: (3, 2*nsd)."""
+def _constraint_rows(dofh, tab, rm, n=None):
+    """Rows enforcing L2-orthogonality to the rigid modes: (3, n), zero
+    after the 2*nsd displacement dofs (n = 2*nsd by default)."""
     return asm.scatter_vector(asm.load_vector(tab, rm.evaluate(tab.points)),
-                              dofh.vector_loc2glob(), 2 * dofh.n_dofs)
+                              dofh.vector_loc2glob(), n or 2 * dofh.n_dofs)
+
+
+def _pin_dofs(coords, centroid, Z):
+    """Three displacement dofs whose rows of the rigid modes Z are
+    invertible: both components at the node of `coords` (nsd, 2) farthest
+    from `centroid`, and the component at the node farthest from that one
+    which gives the larger |det Z[pins]|."""
+    a = np.argmax(np.linalg.norm(coords - centroid, axis=1))
+    b = np.argmax(np.linalg.norm(coords - coords[a], axis=1))
+    return max((np.array([2 * a, 2 * a + 1, 2 * b + c]) for c in (0, 1)),
+               key=lambda pins: abs(np.linalg.det(Z[pins])))
 
 
 def _local_geometry(partition, local_mesh, skeleton, k, kind):
@@ -279,18 +309,15 @@ def _local_geometry(partition, local_mesh, skeleton, k, kind):
     l2g = dofh.vector_loc2glob()
     if kind == "gals":                  # the pressure dofs after all of u's
         l2g = np.concatenate([l2g, 2 * dofh.n_dofs + dofh.loc2glob], axis=1)
-    # the three rigid-mode constraint rows and columns, after the field
-    # unknowns: each triangle's moments of the modes, without the
-    # structural zeros (a translation misses one component)
+    n = l2g.max() + 1
     rm = RigidModes(_centroids(partition, [local_mesh.element_id])[0])
-    moments = asm.load_vector(tab, rm.evaluate(tab.points))   # (3, nt, 2nb)
-    mode, t, b = np.nonzero(moments)
-    constraints = (l2g.max() + 1 + mode, dofh.vector_loc2glob()[t, b],
-                   moments[mode, t, b])
+    Z = np.zeros((n, 3))
+    Z[:2 * dofh.n_dofs] = rm.nodal_coefficients(dofh.dof_coords)
     R, Grm, neumann_edges = _boundary_blocks(partition, local_mesh, skeleton,
                                              dofh, tab.geo, ref, rm)
     return LocalOperator(kind, dofh, tab, l2g, R, Grm, neumann_edges, rm,
-                         constraints)
+                         _constraint_rows(dofh, tab, rm, n), Z,
+                         _pin_dofs(dofh.dof_coords, rm.centroid, Z))
 
 
 def _local_operator(geo, material, Gq, epsq, alpha):
@@ -302,20 +329,13 @@ def _local_operator(geo, material, Gq, epsq, alpha):
         A_el, Dall = asm.gals_element_matrices(geo.tab, Gq, epsq, alpha)
     else:
         A_el, Dall = asm.galerkin_element_matrices(geo.tab, Gq, epsq), None
-    # the constraint triplets enter the same COO matrix as the element
-    # blocks; block g's unknowns are offset by g * n
-    n = geo.l2g.max() + 4                   # field unknowns, 3 multipliers
-    offset = n * np.arange(len(alpha))[:, None]
+    # block g's unknowns are offset by g * n
+    n = len(geo.Z)
+    offset = n * np.arange(len(alpha))[:, None, None]
     nl = geo.l2g.shape[1]
-    rows, cols, vals = asm.block_triplets(
-        A_el.reshape(-1, nl, nl),
-        (geo.l2g + offset[..., None]).reshape(-1, nl))
-    crow, ccol, cval = geo.constraints
-    crow, ccol = (crow + offset).ravel(), (ccol + offset).ravel()
-    cval = np.tile(cval, len(alpha))
-    A = sp.coo_matrix((np.concatenate([vals, cval, cval]),
-                       (np.concatenate([rows, crow, ccol]),
-                        np.concatenate([cols, ccol, crow]))),
+    rows, cols, vals = asm.block_triplets(A_el.reshape(-1, nl, nl),
+                                          (geo.l2g + offset).reshape(-1, nl))
+    A = sp.coo_matrix((vals, (rows, cols)),
                       shape=(n * len(alpha),) * 2).tocsc()
     return replace(geo, material=material, alpha=alpha, matrix=A, Dall=Dall)
 
@@ -334,7 +354,7 @@ def assemble_local_gals(partition, local_mesh, skeleton, material, alpha, k,
     """Assemble the stabilized displacement-pressure local operator of one
     coarse element.
 
-    Unknowns: [u (interleaved vector P_k); p (P_k); 3 rigid multipliers].
+    Unknowns: [u (interleaved vector P_k); p (P_k)].
     With `c_inverse` given, `alpha` is checked against its admissible
     interval.
     """
@@ -406,6 +426,54 @@ def _blocks(M, ng):
     return M.reshape(-1, ng, M.shape[1], order="F")
 
 
+def _columns(M, n):
+    """The Fortran-ordered stacked columns M (ng * n, c) as a view
+    (n, ng * c): the columns of every block side by side."""
+    return M.reshape(n, -1, order="F")
+
+
+def _subtract_rank3(X, P, Q):
+    """X -= P (Q X) in place, for P (n, 3) and Q (3, n), 32 columns at a
+    time: the product is as large as X."""
+    for j in range(0, X.shape[1], 32):
+        X[:, j:j + 32] -= P @ (Q @ X[:, j:j + 32])
+
+
+def _pinned(K, pins):
+    """The CSC matrix K with the rows and columns `pins` replaced by those of
+    the identity, taken from K's arrays: K's diagonal entries at the pins
+    become 1 and the other entries of their rows and columns are dropped."""
+    cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
+    pinned = np.zeros(K.shape[0], dtype=bool)
+    pinned[pins] = True
+    unit = pinned[cols] & (K.indices == cols)
+    keep = ~(pinned[K.indices] | pinned[cols]) | unit
+    indptr = np.zeros(K.shape[1] + 1, dtype=K.indptr.dtype)
+    np.cumsum(np.bincount(cols[keep], minlength=K.shape[1]), out=indptr[1:])
+    return sp.csc_matrix((np.where(unit, 1.0, K.data)[keep],
+                          K.indices[keep], indptr), shape=K.shape)
+
+
+class _PinnedSolve:
+    """Solutions x of the stacked Neumann blocks K x = r with C x = 0, for
+    right-hand sides compatible with the rigid modes (Z^T r = 0), from the
+    LU factors `lu` of the stack with the dofs `pins` of each block pinned.
+    The pinned dofs are decoupled, so zeroing them in the solution gives the
+    solution y with zero data there, which solves K y = r; the projection
+    x = y - Z (CZ)^-1 C y (`proj` = (CZ)^-1 C) then adds the rigid mode
+    that makes C x = 0."""
+
+    def __init__(self, lu, pins, Z, proj):
+        self.lu, self.pins, self.Z, self.proj = lu, pins, Z, proj
+
+    def solve(self, rhs):
+        X = np.asfortranarray(self.lu.solve(rhs))
+        x = _columns(X, len(self.Z))
+        x[self.pins] = 0.0
+        _subtract_rank3(x, self.Z, self.proj)
+        return X
+
+
 def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     """Factorize the operator `op` once and solve, in one multi-RHS call, for
     every trace basis function and the load of every member, translates of
@@ -426,19 +494,34 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     grid[filled] = shifts
     loads, rm_load = element_load(op, grid, f=f, g=g, filled=filled)
     nsd, ntr = op.dofh.n_dofs, op.R.shape[0]
-    nu = 2 * nsd
-    N = op.matrix.shape[0]
+    nu, n = 2 * nsd, len(op.Z)
+    CZ = op.C @ op.Z
+    for name, M in (("moment", CZ), ("pinned", op.Z[op.pins])):
+        if np.linalg.cond(M) > RIGID_COND:
+            raise LocalSolverError(f"ill-conditioned {name} block of the "
+                                   "rigid modes; check the local mesh")
     # the trace columns, whose block g holds R.T in every block, then the
     # load columns; Fortran order, as the solve takes and returns them
-    rhs = np.zeros((N, ntr + S), order="F")
+    rhs = np.zeros((ng * n, ntr + S), order="F")
     _blocks(rhs, ng)[:nu, :, :ntr] = op.R.T[:, None]
     rhs[:, ntr:] = loads
     del loads
-    # COLAMD with partial pivoting: the Neumann block is singular until the
-    # rigid-mode multiplier rows are added, so diagonal pivots fail
-    X = asm.checked_solve(lambda: splu(op.matrix), op.matrix, rhs,
-                          LocalSolverError, "local",
-                          "run check_refinement_conditions", blocks=ng)
+    # each column r less C^T tau, tau = (CZ)^-T Z^T r the multipliers of the
+    # constraint C x = 0, is compatible with the rigid modes
+    _subtract_rank3(_columns(rhs, n), op.C.T, np.linalg.solve(CZ.T, op.Z.T))
+    # the pinned blocks are definite (quasi-definite with the pressure), so
+    # they factor in a symmetric minimum-degree order on the diagonal: on a
+    # level-4, k = 1 element the LU fill is 0.76M nonzeros, against 1.2M for
+    # COLAMD on the bordered block and 19.0M at a pivot threshold of 0.1.
+    # The residuals are checked against the unpinned stack.
+    pins = (op.pins + n * np.arange(ng)[:, None]).ravel()
+    X = asm.checked_solve(
+        lambda: _PinnedSolve(
+            splu(_pinned(op.matrix, pins), permc_spec="MMD_AT_PLUS_A",
+                 diag_pivot_thresh=0.0, options={"SymmetricMode": True}),
+            op.pins, op.Z, np.linalg.solve(CZ, op.C)),
+        op.matrix, rhs, LocalSolverError, "local",
+        "run check_refinement_conditions", blocks=ng)
     del rhs
     has_p = op.kind == "gals"
     Xb = _blocks(X, ng)
@@ -565,7 +648,7 @@ def build_class_caches(partition, local_mesh, element_ids, skeleton,
     else:
         alpha = np.zeros(len(groups))
     records = [None] * len(groups)
-    for batch in _batches([len(ids) for ids in groups], geo.l2g.max() + 4):
+    for batch in _batches([len(ids) for ids in groups], len(geo.Z)):
         op = _local_operator(geo, material, Gq[batch], epsq[batch],
                              alpha[batch])
         for i, record in zip(batch, solve_local_basis(

@@ -1,6 +1,10 @@
 """Global skeleton problem of the two-level method: the saddle-point system
 coupling the trace (traction) unknowns with the per-element rigid-body
 modes, its solution, and the reconstruction of the element-wise fields.
+
+The system is factored in a symmetric order of its faces in which every
+element's rigid modes follow its trace dofs, so that the factorization
+needs no row exchanges (`solve_global`).
 """
 
 from dataclasses import dataclass
@@ -44,7 +48,8 @@ class SaddleSystem:
     rhs_rm: np.ndarray
 
     def full_matrix(self):
-        """The saddle matrix in CSC form, ready for `splu`."""
+        """The saddle matrix in CSC form, unknowns [lambda; rho] in their own
+        order (`solve_global` factors it in `_face_order`)."""
         return sp.bmat([[self.A, self.B], [self.B.T, None]], format="csc")
 
     def full_rhs(self):
@@ -107,19 +112,81 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
     return SaddleSystem(0.5 * (A + A.T), B, c, d)
 
 
+def _face_order(B):
+    """The saddle unknowns [lambda; rho] of the trace/rigid-mode block B in
+    an elimination order that needs no pivoting (`solve_global`).  The trace
+    dofs of one face share their pattern of B, the rigid modes of the face's
+    one or two elements (element K owns columns 3K..3K+2), and are kept
+    together; the faces are taken in a minimum-degree order of the graph of
+    faces sharing an element, and each element's rigid modes follow its
+    last face.  The rigid modes of an element with no trace dof come last."""
+    n, m = B.shape
+    ne = -(-m // 3)
+    B = B.tocsr()
+    elements = B.indices // 3
+    lo, hi = np.full((2, n), -1)
+    on = np.diff(B.indptr) > 0
+    starts = B.indptr[:-1][on]
+    if len(starts):
+        lo[on] = np.minimum.reduceat(elements, starts)
+        hi[on] = np.maximum.reduceat(elements, starts)
+    keys, face = np.unique((lo + 1) * (ne + 1) + hi + 1, return_inverse=True)
+    lo_f, hi_f = np.array(np.divmod(keys, ne + 1)) - 1
+    nf = len(keys)
+    # scipy has no ordering-only call: take the column order of a factor of
+    # the face graph's proxy inc^T inc + I, positive definite
+    coupled = lo_f >= 0
+    inc = sp.csr_matrix((np.ones(2 * coupled.sum()),
+                         (np.concatenate([lo_f[coupled], hi_f[coupled]]),
+                          np.tile(np.flatnonzero(coupled), 2))),
+                        shape=(ne, nf))
+    proxy = (inc.T @ inc + sp.identity(nf, format="csr")).tocsc()
+    position = splu(proxy, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True}).perm_c
+    last = np.full(ne, -1)
+    np.maximum.at(last, lo_f[coupled], position[coupled])
+    np.maximum.at(last, hi_f[coupled], position[coupled])
+    last[last < 0] = nf
+    key = 2 * np.concatenate([position[face], last[np.arange(m) // 3]])
+    key[n:] += 1
+    return np.argsort(key, kind="stable")
+
+
 def solve_global(system):
     """Solve the saddle-point system with one sparse LU factorization
-    (SuperLU, default COLAMD ordering) and verify the residual."""
-    M = system.full_matrix()
-    # COLAMD with partial pivoting: a minimum-degree order of M + M^T raised
-    # the LU fill from 0.79M to 3.0M nonzeros on n=4, level 3, k=1 and from
-    # 0.65M to 8.3M on n=16, level 0 with variable G
-    x = asm.checked_solve(
-        lambda: splu(M), M, system.full_rhs(), GlobalSolverError, "global",
+    (SuperLU) in a symmetric order that puts each element's rigid modes
+    after its trace dofs (`_face_order`), and verify the residual.
+
+    With A positive definite, every trace pivot of that order is positive
+    and every rigid-mode pivot -b^T S^-1 b negative, so the factorization
+    needs no row exchanges (Benzi, Golub & Liesen, Acta Numerica 14, 2005),
+    and the minimum-degree order of the faces holds about half of COLAMD's
+    fill.  The pivot threshold is 0.1, not 0: an under-refined local mesh
+    makes A singular, and diagonal pivots then fail the residual check."""
+    order = _face_order(system.B)
+    M = _saddle_in_order(system, order)
+    x = np.empty(len(order))
+    x[order] = asm.checked_solve(
+        lambda: splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                     options={"SymmetricMode": True}),
+        M, system.full_rhs()[order], GlobalSolverError, "global",
         "the local meshes may be too coarse for the trace space (see "
         "check_refinement_conditions)")
     n = system.A.shape[0]
     return x[:n], x[n:].reshape(-1, 3)
+
+
+def _saddle_in_order(system, order):
+    """The saddle matrix (CSC) with its unknowns taken in `order`, built from
+    the COO triplets of A and B."""
+    n = system.A.shape[0]
+    position = np.empty(len(order), dtype=np.int32)
+    position[order] = np.arange(len(order))
+    A, B = system.A.tocoo(), system.B.tocoo()
+    rows = position[np.concatenate([A.row, B.row, n + B.col])]
+    cols = position[np.concatenate([A.col, n + B.col, B.row])]
+    return sp.csc_matrix((np.concatenate([A.data, B.data, B.data]),
+                          (rows, cols)), shape=(len(order),) * 2)
 
 
 @dataclass

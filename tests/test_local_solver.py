@@ -233,7 +233,7 @@ def test_stabilization_touches_only_needed_blocks_for_p1():
     A0 = assemble_local_gals(part, lm, sk, mat, 1e-12, 1).matrix.toarray()
     A1 = assemble_local_gals(part, lm, sk, mat, 0.1, 1).matrix.toarray()
     diff = A1 - A0
-    nsd = A0.shape[0] - 3
+    nsd = A0.shape[0]
     nu = 2 * (nsd // 3)
     assert np.abs(diff[:nu, :]).max() < 1e-10
     assert np.abs(diff[:, :nu]).max() < 1e-10
@@ -291,7 +291,10 @@ def test_local_conditioning_robust_in_nu():
         alpha = compute_alpha(mat, tab.points, ci)
         system = assemble_local_gals(part, lm, sk, mat, alpha, 1,
                                      c_inverse=ci)
-        conds.append(np.linalg.cond(system.matrix.toarray()))
+        # the Neumann block bordered by its rigid-mode constraint rows
+        conds.append(np.linalg.cond(np.block([[system.matrix.toarray(),
+                                               system.C.T],
+                                              [system.C, np.zeros((3, 3))]])))
     assert conds[1] / conds[0] < 100
 
 
@@ -328,8 +331,8 @@ def test_constraint_rows_annihilate_orthogonal_complement():
 @pytest.mark.parametrize("kind", ["gals", "galerkin"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_local_matrix_matches_dense_oracle(kind, k):
-    # element blocks and the three rigid-mode constraint rows and columns,
-    # accumulated triangle by triangle into a dense matrix
+    # element blocks and the three rigid-mode constraint rows, accumulated
+    # triangle by triangle into a dense matrix and dense rows
     part, sk, lm = _element_setup(level=1, depth=2)
     mat = MaterialField(1.0, 0.4)
     ref = reference_element(k)
@@ -346,27 +349,30 @@ def test_local_matrix_matches_dense_oracle(kind, k):
         A_el = asm.galerkin_element_matrices(tab, Gq, epsq)
         l2g = vl2g
     nfield = l2g.max() + 1
-    cdofs = nfield + np.arange(3)
     rm = RigidModes(part.vertices[list(part.elements[0])].mean(axis=0))
     modes = rm.evaluate(tab.points)
-    A = np.zeros((nfield + 3, nfield + 3))
+    A = np.zeros((nfield, nfield))
+    C = np.zeros((3, nfield))
     for t in range(lm.mesh.n_triangles):
         A[np.ix_(l2g[t], l2g[t])] += A_el[t]
-        C = np.einsum("q,mqc,qb->mbc", tab.wdet[t], modes[:, t],
-                      tab.vals).reshape(3, -1)
-        A[np.ix_(cdofs, vl2g[t])] += C
-        A[np.ix_(vl2g[t], cdofs)] += C.T
+        C[:, vl2g[t]] += np.einsum("q,mqc,qb->mbc", tab.wdet[t], modes[:, t],
+                                   tab.vals).reshape(3, -1)
     got = op.matrix.toarray()
     assert got.shape == A.shape
     assert np.abs(got - A).max() <= 1e-14 * np.abs(A).max()
+    assert op.C.shape == C.shape
+    assert np.abs(op.C - C).max() <= 1e-14 * np.abs(C).max()
 
 
 def test_singular_local_stack_is_named():
-    # a stack of two blocks of one element's operator, the second without
-    # its rigid-mode multiplier rows and columns: exactly singular
+    # a stack of two blocks of one element's operator, the second with the
+    # row and column of an unpinned displacement dof zeroed: its pinned
+    # block is exactly singular
     part, sk, lm = _element_setup()
     op = assemble_local_gals(part, lm, sk, MaterialField(1.0, 0.3), 0.01, 1)
-    free = sp.diags(np.r_[np.ones(op.matrix.shape[0] - 3), np.zeros(3)])
+    free = np.ones(op.matrix.shape[0])
+    free[np.setdiff1d(np.arange(6), op.pins)[0]] = 0.0
+    free = sp.diags(free)
     stack = replace(op, alpha=np.repeat(op.alpha, 2),
                     matrix=sp.block_diag([op.matrix, free @ op.matrix @ free],
                                          format="csc"),
@@ -382,8 +388,8 @@ def test_singular_local_stack_is_named():
 
 def test_local_solve_residual_is_checked(monkeypatch):
     class Perturbed:
-        def __init__(self, matrix):
-            self.lu = splu(matrix)
+        def __init__(self, matrix, **options):
+            self.lu = splu(matrix, **options)
 
         def solve(self, rhs):
             return self.lu.solve(rhs) * (1 + 1e-8)
@@ -393,3 +399,88 @@ def test_local_solve_residual_is_checked(monkeypatch):
     part, sk, lm = _element_setup()
     with pytest.raises(LocalSolverError, match="local solve residual"):
         build_local_cache(part, lm, sk, MaterialField(1.0, 0.3), 1)
+
+
+def _neumann_stack(kind, k):
+    """A two-group stack of one element with a Neumann face (x = 1), under
+    G = 1 + x/2 and twice that, and a load and a traction."""
+    part = build_structured_triangulation(
+        2, boundary_tag=lambda m: "neumann" if m[0] > 1 - 1e-12
+        else "dirichlet")
+    sk = refine_skeleton(part, 1, 1)
+    eid = int(np.flatnonzero((part.faces.tag[part.elem_face_ids]
+                              == "neumann").any(axis=1))[0])
+    lm = build_matching_local_mesh(part, eid, sk, 2)
+    geo = local_solver._local_geometry(part, lm, sk, k, kind)
+    mat = MaterialField(lambda x: 1.0 + 0.5 * x[..., 0], 0.4)
+    G, eps = mat.samples(geo.tab.points)
+    alpha = [1e-3, 2e-3] if kind == "gals" else [0.0, 0.0]
+    op = local_solver._local_operator(geo, mat, np.stack([G, 2 * G]),
+                                      np.stack([eps, 0.5 * eps]), alpha)
+    return part, sk, eid, op
+
+
+def _load(x):
+    return np.stack([np.sin(3 * x[..., 0]), x[..., 0] * x[..., 1]], axis=-1)
+
+
+def _traction(x):
+    return np.stack([1.0 + x[..., 1], -x[..., 1] ** 2], axis=-1)
+
+
+@pytest.mark.parametrize("kind", ["gals", "galerkin"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_pinned_stack_matches_bordered_oracle(kind, k):
+    # each block's trace and load solutions against a dense solve of the
+    # bordered system [K C^T; C 0] with the same right-hand sides
+    part, sk, eid, op = _neumann_stack(kind, k)
+    assert len(op.neumann_edges[1])
+    records = solve_local_basis(op, part, sk, [[eid], [eid]], f=_load,
+                                g=_traction)
+    n, nu, ntr = len(op.Z), 2 * op.dofh.n_dofs, op.R.shape[0]
+    assert op.matrix.shape == (2 * n, 2 * n)
+    loads, _ = local_solver.element_load(op, np.zeros((2, 1, 2)), f=_load,
+                                         g=_traction)
+    for g, rec in enumerate(records):
+        K = op.matrix[g * n:(g + 1) * n, g * n:(g + 1) * n].toarray()
+        rhs = np.zeros((n + 3, ntr + 1))
+        rhs[:nu, :ntr] = op.R.T
+        rhs[:n, ntr] = loads[g * n:(g + 1) * n, 0]
+        want = np.linalg.solve(np.block([[K, op.C.T],
+                                         [op.C, np.zeros((3, 3))]]),
+                               rhs)[:n]
+        got = np.zeros((n, ntr + 1))
+        got[:nu] = np.column_stack([rec.trace_u, rec.load_u.T])
+        if kind == "gals":
+            got[nu:] = np.column_stack([rec.trace_p, rec.load_p.T])
+        else:
+            assert rec.trace_p is None and n == nu
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-10 * scale
+        assert (np.abs(op.C @ got).max()
+                <= 1e-14 * np.abs(op.C).sum(axis=1).max() * scale)
+
+
+@pytest.mark.parametrize("field, singular", [
+    ("pins", lambda op: op.pins[[0, 1, 0]]),
+    ("C", lambda op: np.repeat(op.C[:1], 3, axis=0)),
+])
+def test_ill_conditioned_rigid_modes_are_rejected(field, singular):
+    part, sk, eid, op = _neumann_stack("gals", 1)
+    with pytest.raises(LocalSolverError, match="ill-conditioned"):
+        solve_local_basis(replace(op, **{field: singular(op)}), part, sk,
+                          [[eid], [eid]])
+
+
+def test_pins_hold_the_rigid_modes():
+    # both components at the node farthest from the centroid, and one at
+    # the node farthest from it: Z[pins] is well conditioned
+    part, sk, eid, op = _neumann_stack("gals", 2)
+    coords = op.dofh.dof_coords
+    a, b = op.pins[0] // 2, op.pins[2] // 2
+    dist = np.linalg.norm(coords - op.rigid_modes.centroid, axis=1)
+    assert op.pins[1] == 2 * a + 1 and dist[a] == dist.max()
+    assert (np.linalg.norm(coords[b] - coords[a])
+            == np.linalg.norm(coords - coords[a], axis=1).max())
+    assert np.linalg.cond(op.Z[op.pins]) < 1e3
+    assert np.abs(op.Z[2 * op.dofh.n_dofs:]).max(initial=0.0) == 0.0

@@ -14,15 +14,20 @@ from mhmelast.mhm_global import GlobalSolverError, _dirichlet_data_vector
 
 
 def _caches(n=2, level=0, ell=1, k=1, depth=2, nu=0.3, f=None, g=None,
-            boundary_tag=None):
+            boundary_tag=None, kind="gals"):
     part = build_structured_triangulation(n, boundary_tag=boundary_tag)
     sk = refine_skeleton(part, level, ell)
     mat = MaterialField(1.0, nu)
     caches = []
     for eid in range(part.n_elements):
         lm = build_matching_local_mesh(part, eid, sk, depth)
-        caches.append(build_local_cache(part, lm, sk, mat, k, f=f, g=g))
+        caches.append(build_local_cache(part, lm, sk, mat, k, kind=kind, f=f,
+                                        g=g))
     return part, sk, caches
+
+
+def _right_neumann(mid):
+    return "neumann" if mid[0] > 1 - 1e-12 else "dirichlet"
 
 
 def _dense_saddle(caches, sk, u_dirichlet, exactness):
@@ -109,8 +114,11 @@ def test_singular_system_raises_global_solver_error():
 
 def test_global_solve_residual_is_checked(monkeypatch):
     class Perturbed:
-        def __init__(self, matrix):
-            self.lu = splu(matrix)
+        def __init__(self, matrix, **options):
+            self.lu = splu(matrix, **options)
+
+        def __getattr__(self, name):        # the face order's perm_c
+            return getattr(self.lu, name)
 
         def solve(self, rhs):
             return self.lu.solve(rhs) * (1 + 1e-8)
@@ -123,6 +131,36 @@ def test_global_solve_residual_is_checked(monkeypatch):
     with pytest.raises(GlobalSolverError, match="^global solve residual .* "
                                                 "exceeds tolerance"):
         solve_global(system)
+
+
+@pytest.mark.parametrize("kind", ["gals", "galerkin"])
+@pytest.mark.parametrize("level, k", [(0, 1), (1, 2)])
+def test_face_order_puts_rigid_modes_after_their_traces(kind, level, k):
+    # the order's assumption: A is positive definite, with Neumann faces too
+    problem = BrennerProblem(0.3)
+    part, sk, caches = _caches(n=3, level=level, k=k, kind=kind,
+                               boundary_tag=_right_neumann, f=problem.f,
+                               g=lambda x: problem.sigma(x)[..., :, 0])
+    system = assemble_global_saddle(caches, sk, u_dirichlet=problem.u)
+    w = np.linalg.eigvalsh(system.A.toarray())
+    assert w.min() > 1e-8 * w.max()
+    order = mhm_global._face_order(system.B)
+    n = sk.n_dofs
+    assert np.array_equal(np.sort(order), np.arange(n + 3 * part.n_elements))
+    position = np.argsort(order)
+    for c in caches:
+        for eid, dofs in zip(c.element_ids, c.trace_dofs):
+            assert (position[n + 3 * eid + np.arange(3)].min()
+                    > position[dofs].max())
+    # the trace dofs of one face are consecutive
+    faces = sk.segments.face[np.arange(n) // sk.dofs_per_segment]
+    traces = order[order < n]
+    assert np.count_nonzero(np.diff(faces[traces])) == len(np.unique(faces)) - 1
+    lam, rho = solve_global(system)
+    x = np.linalg.solve(system.full_matrix().toarray(), system.full_rhs())
+    got = np.concatenate([lam, rho.ravel()])
+    assert np.abs(x).max() > 0
+    assert np.abs(got - x).max() <= 1e-10 * np.abs(x).max()
 
 
 def test_interior_segments_seen_with_opposite_signs():

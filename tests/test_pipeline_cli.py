@@ -177,6 +177,17 @@ def test_parse_levels():
     ["nu-sweep", "--nus", "0.3,0.5"],
     ["nu-sweep", "--nus", "0,0.3"],
     ["nu-sweep", "--nus=nan"],
+    ["diagnose", "--nu", "0.7"],
+    ["diagnose", "--nu", "0"],
+    ["diagnose", "--nu=nan"],
+    ["patch-test", "--theta", "2"],
+    ["patch-test", "--theta", "0"],
+    ["diagnose", "--k", "0"],
+    ["diagnose", "--threads", "0"],
+    ["patch-test", "--n", "0"],
+    ["patch-test", "--n", "1.5"],
+    ["diagnose", "--ell", "0"],
+    ["diagnose", "--level=-1"],
 ])
 @pytest.mark.parametrize("from_file", [False, True])
 def test_bad_levels_and_methods_exit_with_usage(argv, from_file, tmp_path,
