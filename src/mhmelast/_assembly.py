@@ -255,8 +255,11 @@ def load_vector(tab, fq, Dall=None, alpha=None):
     if Dall is None:
         return Fu
     ls_w = _ls_weights(tab, alpha, Dall.shape[:-4])
-    F = np.einsum("...tqi,...tqai->...ta", (ls_w[..., None] * w)[..., None]
-                  * fq, Dall)
+    X = (ls_w[..., None] * w)[..., None] * fq
+    # rows (q, i) of the least-squares operator against its columns (a)
+    D = np.swapaxes(Dall, -1, -2).reshape(Dall.shape[:-3]
+                                         + (-1, Dall.shape[-2]))
+    F = (X.reshape(X.shape[:-2] + (1, -1)) @ D)[..., 0, :]
     F[..., :2 * nb] += Fu
     return F
 
@@ -297,15 +300,21 @@ def _block_norms(M, blocks):
     return np.linalg.norm(M.reshape(blocks, -1, M.shape[1]), axis=1)
 
 
-def checked_solve(factor, M, B, error, what, hint, blocks=1):
+# relative residual bound of every checked solve (`checked_solve`)
+RESIDUAL_RTOL = 1e-10
+
+
+def checked_solve(factor, M, B, error, what, hint, blocks=1,
+                  residual_hint=None):
     """Solve M X = B, B 1-D or (N, c), with the factorization `factor()`
     (a SuperLU object) and accept X only if every column satisfies, in each
     of the `blocks` equal diagonal blocks of M,
-    ||M x - b|| <= 1e-10 (||b|| + ||M_block||_inf ||x||), with the vector
-    norms taken over the block's rows; a non-finite value fails.  A singular
-    factor or a failed check raises `error`, naming the `what` system and
-    ending with `hint`.  The residuals are formed 32 columns at a time, which
-    keeps the memory of the solve."""
+    ||M x - b|| <= RESIDUAL_RTOL (||b|| + ||M_block||_inf ||x||), with the
+    vector norms taken over the block's rows; a non-finite value fails.  A
+    singular factor or a failed check raises `error`, naming the `what`
+    system and ending with `hint`, or for a failed check with the string
+    `residual_hint()` when that function is given.  The residuals are
+    formed 32 columns at a time, which keeps the memory of the solve."""
     try:
         X = factor().solve(B)
     except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
@@ -321,9 +330,11 @@ def checked_solve(factor, M, B, error, what, hint, blocks=1):
         ref[:, cols] = (_block_norms(B2[:, cols], blocks)
                         + scale[:, None] * _block_norms(X2[:, cols], blocks))
     # a NaN fails the comparison, an infinite x makes its reference infinite
-    if not np.all(np.isfinite(ref) & (res <= 1e-10 * np.maximum(ref, 1e-300))):
+    if not np.all(np.isfinite(ref)
+                  & (res <= RESIDUAL_RTOL * np.maximum(ref, 1e-300))):
         raise error(f"{what} solve residual {res.max():.3e} exceeds "
-                    f"tolerance; {hint}")
+                    f"tolerance; "
+                    f"{hint if residual_hint is None else residual_hint()}")
     return X
 
 

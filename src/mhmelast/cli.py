@@ -317,16 +317,16 @@ def cmd_export_fields(args):
         return SimpleNamespace(vals=vals, grads=geo.push_gradients(grads),
                                points=geo.physical_points(corners))
 
-    ids, tables = [], []
-    for tab, l2g, eids, U, P, shifts in sol.member_chunks(at_corners):
+    def chunk(tab, l2g, eids, U, P, shifts):
         uh, guh, ph = asm.field_values(tab.vals, tab.grads, l2g, U, P,
                                        problem.epsilon)
         sh = asm.stress(problem.G, guh, ph)
-        ids.append(np.repeat(eids, ph[0].size))
-        tables.append(np.concatenate([
+        return np.repeat(eids, ph[0].size), np.concatenate([
             tab.points + shifts[:, None, None], uh, ph[..., None],
             sh.reshape(sh.shape[:-2] + (4,))[..., [0, 1, 3]]],
-            axis=-1).reshape(-1, 8))
+            axis=-1).reshape(-1, 8)
+
+    ids, tables = zip(*sol.map_chunks(chunk, at_corners))
     ids = np.concatenate(ids)
     table = np.concatenate(tables)[np.argsort(ids, kind="stable")]
     rows = [",".join([str(eid)] + [_fmt(v) for v in r])

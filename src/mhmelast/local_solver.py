@@ -399,8 +399,11 @@ def element_load(op, shifts, f=None, g=None, filled=None):
     rhs = np.zeros((ng, S, n))
     d_rm = np.zeros((ng, S, 3))
     pts, w, vals, dofs = op.neumann_edges
-    rm_g = op.rigid_modes.evaluate(pts)
-    rm_f = op.rigid_modes.evaluate(op.tab.points)
+    # the rigid modes times the quadrature weights, rows against the
+    # flattened (point, component) axes of the loads
+    rm_g = (w[..., None] * op.rigid_modes.evaluate(pts)).reshape(3, -1).T
+    rm_f = (op.tab.wdet[..., None]
+            * op.rigid_modes.evaluate(op.tab.points)).reshape(3, -1).T
     per = max(1, SAMPLE_POINTS // (ng * op.tab.points[..., 0].size))
     for c in (slice(s, s + per) for s in range(0, S, per)):
         if g is not None and len(w):
@@ -408,15 +411,14 @@ def element_load(op, shifts, f=None, g=None, filled=None):
             F = np.einsum("eq,gseqc,eqb->gsebc", w, gq, vals)
             rhs[:, c] += asm.scatter_vector(F.reshape(F.shape[:3] + (-1,)),
                                             dofs, n)
-            d_rm[:, c] += np.einsum("eq,gseqc,keqc->gsk", w, gq, rm_g)
+            d_rm[:, c] += gq.reshape(gq.shape[:2] + (-1,)) @ rm_g
         if f is not None:
             fq = _at_members(f, op.tab.points, grid[:, c], filled[:, c])
             Dall = None if op.Dall is None else op.Dall[:, None]
             F_el = asm.load_vector(op.tab, fq, Dall=Dall,
                                    alpha=op.alpha[:, None])
             rhs[:, c] += asm.scatter_vector(F_el, op.l2g, n)
-            d_rm[:, c] += np.einsum("tq,gstqc,ktqc->gsk", op.tab.wdet, fq,
-                                    rm_f)
+            d_rm[:, c] += fq.reshape(fq.shape[:2] + (-1,)) @ rm_f
     return np.swapaxes(rhs, 0, 1).reshape(S, ng * n).T, d_rm.reshape(-1, 3)
 
 
@@ -474,6 +476,31 @@ class _PinnedSolve:
         return X
 
 
+def _residual_hint(op):
+    """The hint of a failed residual check of the stack `op`.  The rigid
+    modes Z span the kernel of every block K only up to the defect
+    ||K Z|| / (||K|| ||Z||) (infinity norms, largest over the blocks), and
+    the final projection of the pinned solve leaves a relative residual of
+    about the defect times ||Z c|| / ||x||, which measured 1.0-1.1 at
+    k = 8..12.  With equispaced nodes the round-off of the basis makes the
+    defect grow with the degree: on the two elements of the n = 1 grid,
+    level 0, it is 3e-13 at k = 8, 5e-11 and 8e-11 at k = 11, and 3.3e-10
+    at k = 12, where the check fails.  A defect within a tenth of the
+    residual bound is named as the cause; a smaller one points at the
+    local mesh."""
+    ng = op.n_groups
+    KZ = np.abs(op.matrix @ np.tile(op.Z, (ng, 1))).sum(axis=1)
+    K = asm.abs_row_sums(op.matrix)
+    defect = (KZ.reshape(ng, -1).max(axis=1) / K.reshape(ng, -1).max(axis=1)
+              ).max() / np.abs(op.Z).sum(axis=1).max()
+    if defect <= asm.RESIDUAL_RTOL / 10:
+        return "run check_refinement_conditions"
+    return (f"the rigid modes leave |KZ|/(|K||Z|) = {defect:.1e} in the "
+            f"degree-{op.dofh.ref.degree} local operator (round-off of its "
+            "equispaced basis), which the rigid-mode correction of the pinned "
+            "solve carries into the residual; lower the degree")
+
+
 def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     """Factorize the operator `op` once and solve, in one multi-RHS call, for
     every trace basis function and the load of every member, translates of
@@ -521,7 +548,8 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
                  diag_pivot_thresh=0.0, options={"SymmetricMode": True}),
             op.pins, op.Z, np.linalg.solve(CZ, op.C)),
         op.matrix, rhs, LocalSolverError, "local",
-        "run check_refinement_conditions", blocks=ng)
+        "run check_refinement_conditions", blocks=ng,
+        residual_hint=lambda: _residual_hint(op))
     del rhs
     has_p = op.kind == "gals"
     Xb = _blocks(X, ng)

@@ -7,6 +7,8 @@ element's rigid modes follow its trace dofs, so that the factorization
 needs no row exchanges (`solve_global`).
 """
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +95,7 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
         idx, s = cache.trace_dofs, cache.dof_signs       # (m, ntr) each
         rm = 3 * cache.element_ids[:, None] + np.arange(3)
         a.append(asm.block_triplets(
-            s[:, :, None] * cache.pairing * s[:, None, :], idx))
+            s[:, :, None] * _symmetric(cache.pairing) * s[:, None, :], idx))
         b.append((np.repeat(idx, 3, axis=1).ravel(),
                   np.tile(rm, cache.n_trace).ravel(),
                   (s[:, :, None] * cache.rm_pairing).ravel()))
@@ -103,13 +105,18 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
         deg = max(cache.degree for cache in caches)
         c += _dirichlet_data_vector(skeleton, u_dirichlet,
                                     deg + skeleton.degree + 2)
-    A = _csr(a, (n_lambda, n_lambda))
-    B = _csr(b, (n_lambda, n_rm))
-    asym = abs(A - A.T).max()
-    scale = max(abs(A).max(), 1.0)
-    if asym > 1e-10 * scale:
-        raise GlobalSolverError(f"pairing block not symmetric (|A-A'|={asym})")
-    return SaddleSystem(0.5 * (A + A.T), B, c, d)
+    return SaddleSystem(_csr(a, (n_lambda, n_lambda)),
+                        _csr(b, (n_lambda, n_rm)), c, d)
+
+
+def _symmetric(pairing):
+    """The symmetric part of a class's trace pairing, which is symmetric up
+    to round-off; the sum of exactly symmetric blocks is exactly symmetric."""
+    asym = np.abs(pairing - pairing.T).max(initial=0.0)
+    if asym > 1e-10 * max(np.abs(pairing).max(initial=0.0), 1.0):
+        raise GlobalSolverError(f"pairing block not symmetric "
+                                f"(|A-A'|={asym})")
+    return 0.5 * (pairing + pairing.T)
 
 
 def _face_order(B):
@@ -198,17 +205,37 @@ class ElementFields:
     shift: np.ndarray      # (2,) element centroid - class mesh centroid
 
 
+def ordered_map(threads, fn, items):
+    """The list of fn(item) over `items`, in their order.  With one thread
+    this is `map`; with more, the calls run in a pool of `threads` threads,
+    and `items` is read only as calls finish, at most 2 * threads items in
+    flight, so that a generator of large items is never drained ahead of the
+    work (`ThreadPoolExecutor.map` would read it to the end at once)."""
+    if threads == 1:
+        return list(map(fn, items))
+    results, pending = [], deque()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for item in items:
+            if len(pending) == 2 * threads:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(fn, item))
+        results.extend(future.result() for future in pending)
+    return results
+
+
 class MHMSolution:
     """Reconstructed two-level solution: trace coefficients, rigid-body
     coefficients per element, and the fine displacement/pressure fields,
-    per element and, for evaluation, as member arrays (`member_chunks`)."""
+    per element and, for evaluation, as member arrays (`member_chunks`),
+    which `map_chunks` evaluates in the `threads` threads of the solve."""
 
-    def __init__(self, skeleton, lam, rho, fields, caches):
+    def __init__(self, skeleton, lam, rho, fields, caches, threads=1):
         self.skeleton = skeleton
         self.lam = lam
         self.rho = rho
         self.fields = fields          # element_id -> ElementFields
         self.caches = caches          # the class records of the fields
+        self.threads = threads
 
     @property
     def has_pressure(self):
@@ -234,12 +261,21 @@ class MHMSolution:
                        np.stack([f.u for f in fields]), P,
                        np.stack([f.shift for f in fields]))
 
+    def map_chunks(self, fn, tabulate):
+        """The list of fn(tab, loc2glob, ids, U, P, shifts) over the chunks
+        of `member_chunks(tabulate)`, in their order, in `threads` threads
+        (`ordered_map`): `fn` and what it calls must be thread-safe."""
+        return ordered_map(self.threads, lambda chunk: fn(*chunk),
+                           self.member_chunks(tabulate))
 
-def postprocess_solution(caches, skeleton, lam, rho):
+
+def postprocess_solution(caches, skeleton, lam, rho, threads=1):
     """Recombine the condensed basis: per element,
     u = sum_i sign_i lambda_i T(mu_i) + That(f) + rigid part, one matrix
     product per class.  The members' coordinates relative to their own
-    centroids are the class mesh's, so they share one rigid-mode matrix."""
+    centroids are the class mesh's, so they share one rigid-mode matrix.
+    `threads` is the thread count of the solve, which the solution's
+    evaluations reuse."""
     fields = {}
     for cache in caches:
         coef = cache.dof_signs * lam[cache.trace_dofs]         # (m, ntr)
@@ -253,4 +289,4 @@ def postprocess_solution(caches, skeleton, lam, rho):
                                         None if p is None else p[i],
                                         cache.shifts[i])
     return MHMSolution(skeleton, lam, rho, dict(sorted(fields.items())),
-                       caches)
+                       caches, threads)

@@ -4,14 +4,14 @@ parallel local solves, global solve, and reconstruction.
 
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .fem_core import MHMError, inverse_constant
 from .local_solver import MaterialField, build_class_caches, congruence_classes
 from .mesh import (build_matching_local_mesh, build_structured_triangulation,
                    check_refinement_conditions, refine_skeleton)
-from .mhm_global import assemble_global_saddle, postprocess_solution, solve_global
+from .mhm_global import (assemble_global_saddle, ordered_map,
+                         postprocess_solution, solve_global)
 
 __all__ = ["MHMConfig", "RunData", "default_depth", "solve_mhm"]
 
@@ -104,24 +104,21 @@ def solve_mhm(config, problem, g=None):
             "local meshes fail the refinement conditions for well-posedness "
             f"(set override_wellposedness to force): {bad}")
 
-    def one_class(local_mesh, members):
+    def one_class(mesh_and_members):
+        local_mesh, members = mesh_and_members
         return build_class_caches(part, local_mesh, members, skeleton,
                                   material, config.k, kind=config.kind,
                                   theta=config.theta, f=problem.f, g=g)
 
     threads = config.threads or default_threads()
-    if threads > 1:
-        if config.kind == "gals":
-            # estimate once, not in each thread that finds the cache cold
-            inverse_constant(config.k)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one_class, local_meshes, classes))
-    else:
-        records = list(map(one_class, local_meshes, classes))
+    if threads > 1 and config.kind == "gals":
+        # estimate once, not in each thread that finds the cache cold
+        inverse_constant(config.k)
+    records = ordered_map(threads, one_class, zip(local_meshes, classes))
     caches = [c for class_records in records for c in class_records]
 
     system = assemble_global_saddle(caches, skeleton, u_dirichlet=problem.u)
     lam, rho = solve_global(system)
-    solution = postprocess_solution(caches, skeleton, lam, rho)
+    solution = postprocess_solution(caches, skeleton, lam, rho, threads)
     data = RunData(part, skeleton, local_meshes, caches, system, report, config)
     return solution, data

@@ -3,8 +3,12 @@ convergence orders, and the numerical diagnostics (compressibility residual,
 saddle-point spectrum) that probe well-posedness and locking.
 
 A two-level solution is evaluated in one member-batched pass over the chunks
-of `MHMSolution.member_chunks`.  The exact stress is formed from `grad_u`,
-`p` and `G`; a problem's `sigma` serves only the skeleton traction error.
+of `MHMSolution.member_chunks`, in the thread count of its solve
+(`MHMSolution.map_chunks`), so the problem's fields must be thread-safe;
+the chunk results are summed in chunk order, which makes the result the
+same bitwise at every thread count.  The exact stress is formed from
+`grad_u`, `p` and `G`; a problem's `sigma` serves only the skeleton
+traction error.
 """
 
 from dataclasses import dataclass
@@ -219,9 +223,11 @@ def compute_errors(solution, problem):
     one tabulation per local mesh, or over one unshifted member."""
     traction_sq = 0.0
     if isinstance(solution, MHMSolution):
-        sq = sum(_error_squares(tab, l2g, U, P, problem, shifts)
-                 for tab, l2g, _, U, P, shifts
-                 in solution.member_chunks(_tabulation(4)))
+        # summed in chunk order, so equal bitwise at any thread count
+        sq = sum(solution.map_chunks(
+            lambda tab, l2g, _, U, P, shifts:
+            _error_squares(tab, l2g, U, P, problem, shifts),
+            _tabulation(4)))
         traction_sq = _traction_error_sq(solution, problem)
     elif isinstance(solution, SingleLevelSolution):
         P = None if solution.p is None else solution.p[None]
@@ -248,13 +254,13 @@ def convergence_orders(errors):
 def compressibility_residual(solution, material):
     """Per-element residual of the integrated compressibility relation
     int_K (div u + eps * p) dx, by element id."""
-    ids, res = [], []
-    for tab, l2g, eids, U, P, shifts in solution.member_chunks(_tabulation(2)):
+    def chunk(tab, l2g, eids, U, P, shifts):
         epsq = material.eps_at(tab.points + shifts[:, None, None])
         _, guh, ph = asm.field_values(tab.vals, tab.grads, l2g, U, P, epsq)
         div = guh[..., 0, 0] + guh[..., 1, 1]
-        ids.append(eids)
-        res.append(np.einsum("tq,mtq->m", tab.wdet, div + epsq * ph))
+        return eids, np.einsum("tq,mtq->m", tab.wdet, div + epsq * ph)
+
+    ids, res = zip(*solution.map_chunks(chunk, _tabulation(2)))
     return dict(sorted(zip(np.concatenate(ids).tolist(),
                            np.concatenate(res).tolist())))
 

@@ -1,18 +1,20 @@
 """Local element solvers: material data, stabilization parameter, rigid-body
 projection, and the condensed basis caches."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mhmelast import (InverseConstant, MaterialField, RigidModes,
-                      assemble_local_galerkin, assemble_local_gals,
-                      build_local_cache, build_matching_local_mesh,
+from mhmelast import (BrennerProblem, InverseConstant, MHMConfig,
+                      MaterialField, RigidModes, assemble_local_galerkin,
+                      assemble_local_gals, build_local_cache,
+                      build_matching_local_mesh,
                       build_structured_triangulation, compute_alpha,
                       inverse_constant, project_rm, refine_skeleton,
-                      solve_local_basis)
+                      solve_local_basis, solve_mhm)
 from mhmelast import _assembly as asm, local_solver
 from mhmelast.fem_core import reference_element
 from mhmelast.local_solver import LocalSolverError, _constraint_rows
@@ -397,8 +399,22 @@ def test_local_solve_residual_is_checked(monkeypatch):
     splu = local_solver.splu
     monkeypatch.setattr(local_solver, "splu", Perturbed)
     part, sk, lm = _element_setup()
-    with pytest.raises(LocalSolverError, match="local solve residual"):
+    with pytest.raises(LocalSolverError, match="^local solve residual .*; run "
+                                               "check_refinement_conditions$"):
         build_local_cache(part, lm, sk, MaterialField(1.0, 0.3), 1)
+
+
+def test_high_degree_residual_failure_names_the_kernel_defect():
+    # at k = 12 the equispaced basis holds the rigid modes in the kernel of
+    # the local operator only to about 3e-10 relative; the refinement
+    # conditions pass, so the message must not send the user to them
+    with pytest.raises(LocalSolverError) as info:
+        solve_mhm(MHMConfig(n=1, k=12, nu=0.4999), BrennerProblem(0.4999))
+    message = str(info.value)
+    assert message.startswith("local solve residual")
+    assert re.search(r"\|KZ\|/\(\|K\|\|Z\|\) = \d\.\de-1\d in the "
+                     r"degree-12 local operator", message)
+    assert "check_refinement_conditions" not in message
 
 
 def _neumann_stack(kind, k):

@@ -1,5 +1,8 @@
 """Global saddle-point assembly, solve, and field reconstruction."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -258,3 +261,39 @@ def test_asymmetric_cache_rejected():
     caches[0].pairing[0, 1] += 1.0
     with pytest.raises(GlobalSolverError):
         assemble_global_saddle(caches, sk)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_ordered_map_reads_items_as_calls_finish(threads):
+    # when the generator yields item j, the calls of the items before
+    # j - 2 threads have finished: at most 2 threads items are in flight
+    finished, ahead = [], []
+    lock = threading.Lock()
+
+    def items():
+        for j in range(40):
+            with lock:
+                ahead.append(j - len(finished))
+            yield j
+
+    def square(j):
+        time.sleep(0.002 * (j % 3))         # finish out of order
+        with lock:
+            finished.append(j)
+        return j * j
+
+    assert mhm_global.ordered_map(threads, square, items()) == \
+        [j * j for j in range(40)]
+    assert max(ahead) <= (0 if threads == 1 else 2 * threads)
+    assert sorted(finished) == list(range(40))
+
+
+def test_ordered_map_raises_a_call_error():
+    def fail_at_five(j):
+        if j == 5:
+            raise ValueError("item 5")
+        return j
+
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match="item 5"):
+            mhm_global.ordered_map(threads, fail_at_five, iter(range(20)))

@@ -15,6 +15,7 @@ from mhmelast import (BrennerProblem, LinearProblem, MHMConfig, MHMError,
                       estimate_inverse_constant, fem_core, inverse_constant,
                       refine_skeleton, solve_global, solve_mhm,
                       unit_square_mesh)
+from mhmelast import local_solver
 from mhmelast.local_solver import LocalSolverError
 from mhmelast.mhm_global import GlobalSolverError
 from mhmelast.cli import _parse_args, _parse_levels, _read_config_file, main
@@ -137,6 +138,17 @@ def test_thread_count_does_not_change_result():
             base = sol.lam
         else:
             assert np.abs(sol.lam - base).max() < 1e-12
+
+
+def test_solution_records_the_thread_count(monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "3")
+    for threads, want in ((2, 2), (1, 1), (None, 3)):
+        cfg = MHMConfig(n=2, level=0, k=1, ell=1, nu=0.3, threads=threads)
+        sol, _ = solve_mhm(cfg, PATCH)
+        assert sol.threads == want
+    monkeypatch.delenv(THREADS_ENV)
+    sol, _ = solve_mhm(MHMConfig(n=2, level=0, k=1, ell=1, nu=0.3), PATCH)
+    assert sol.threads == 1
 
 
 def test_threads_estimate_inverse_constant_once(monkeypatch):
@@ -353,6 +365,19 @@ def test_export_fields_command(tmp_path):
     assert traction[0] == "segment,component,mode,coefficient"
     # one row per trace dof: 16 faces on the n=2 grid, 4 dofs each
     assert len(traction) == 1 + 4 * 16
+
+
+def test_export_fields_identical_across_threads(tmp_path, monkeypatch):
+    # one member per chunk: the 8 chunks of the two meshes run in parallel
+    monkeypatch.setattr(local_solver, "SAMPLE_POINTS", 1)
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["export-fields", "--n", "2", "--nu", "0.3", "--k", "2",
+                     "--threads", threads, "--out", str(out)]) == 0
+        files.append([(out / name).read_bytes()
+                      for name in ("fields.csv", "traction.csv")])
+    assert files[0] == files[1]
 
 
 @pytest.mark.parametrize("k", [1, 2])

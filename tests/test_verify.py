@@ -345,6 +345,24 @@ def test_member_chunks_match_per_member_reference(monkeypatch, kind):
         assert abs(res[eid] - want) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("problem, G", [(BrennerProblem(0.4999), 1.0),
+                                        (_TwoPhaseBrenner(0.49), _two_phase)])
+def test_evaluation_is_bitwise_equal_across_threads(monkeypatch, problem, G):
+    # the two classes of the n = 4 grid, or their material groups under the
+    # two-phase G, in chunks of one member: 32 chunks, summed in order
+    monkeypatch.setattr(local_solver, "SAMPLE_POINTS", 1)
+    results = []
+    for threads in (1, 2):
+        sol, data = solve_mhm(MHMConfig(n=4, level=1, k=1, nu=problem.nu,
+                                        G=G, threads=threads), problem)
+        assert sol.threads == threads
+        results.append((compute_errors(sol, problem),
+                        compressibility_residual(sol, problem.material)))
+    assert len({c.dofh for c in data.caches}) == 2
+    assert len(data.caches) == (2 if G == 1.0 else 4)
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("solve", [solve_gals_dirichlet,
                                    solve_galerkin_dirichlet])
 def test_single_level_is_one_member_of_the_batch(solve):
