@@ -1,6 +1,8 @@
-"""Internal vectorized assembly helpers shared by the local solvers and the
-single-level methods: continuous P_k dof handling, affine-map geometry, and
-the element kernels of the displacement-pressure and displacement forms.
+"""Internal vectorized assembly helpers, one path for the local solvers,
+the single-level methods and the inverse-constant estimate: continuous P_k
+dof handling, affine-map geometry, the element kernels of the
+displacement-pressure and displacement forms, their scatter into
+block-diagonal CSC matrices, pinned dofs and the checked sparse solve.
 """
 
 import numpy as np
@@ -212,23 +214,16 @@ def gals_element_matrices(tab, Gq, epsq, alpha):
     vv = (tab.vals[:, :, None] * tab.vals[:, None, :]).reshape(nq, -1)
     A[..., 2 * nb:, 2 * nb:] = -((w * epsq) @ vv).reshape(lead + (nt, nb, nb))
 
-    Dall = stress_divergence_rows_full(tab, 2.0 * Gq)
+    # div(2G eps(u) - p I) rows of the [u; p] unknowns: (..., nt, nq, 3nb, 2)
+    Dall = np.empty(Gq.shape + (ndl, 2))
+    Dall[..., :2 * nb, :] = stress_divergence_rows(tab, 2.0 * Gq)
+    Dall[..., 2 * nb:, :] = -tab.grads
     ls_w = _ls_weights(tab, alpha, lead)
     # rows (a) against columns (q, i) of the least-squares operator
     D = np.moveaxis(Dall, -2, -3).reshape(lead + (nt, ndl, 2 * nq))
     lw = np.repeat(ls_w[..., None] * w, 2, axis=-1)
     A -= (D * lw[..., None, :]) @ np.swapaxes(D, -1, -2)
     return A, Dall
-
-
-def stress_divergence_rows_full(tab, twoG):
-    """div(2G eps(u) - p I) rows for the combined [u; p] local unknowns:
-    (..., nt, nq, 3nb, 2) for `twoG` (..., nt, nq)."""
-    nb = tab.ref.n_basis
-    Dall = np.empty(twoG.shape + (3 * nb, 2))
-    Dall[..., :2 * nb, :] = stress_divergence_rows(tab, twoG)
-    Dall[..., 2 * nb:, :] = -tab.grads
-    return Dall
 
 
 def galerkin_element_matrices(tab, Gq, epsq):
@@ -239,6 +234,25 @@ def galerkin_element_matrices(tab, Gq, epsq):
     d = divergence_rows(tab)
     A += (np.swapaxes(d, 1, 2) * (tab.wdet / epsq)[..., None, :]) @ d
     return A
+
+
+def unknown_map(dofh, kind):
+    """Element map (nt, nl) of the unknowns of the `kind` form ("gals" or
+    "galerkin") on the numbering `dofh`: the interleaved displacement dofs,
+    then for "gals" the pressure dofs, offset by all of u's 2 * n_dofs."""
+    l2g = dofh.vector_loc2glob()
+    if kind == "gals":
+        l2g = np.concatenate([l2g, 2 * dofh.n_dofs + dofh.loc2glob], axis=1)
+    return l2g
+
+
+def element_matrices(tab, kind, Gq, epsq, alpha):
+    """Element matrices (..., nt, nl, nl) of the `kind` form over the
+    unknowns of `unknown_map`, and the least-squares rows `Dall` of
+    `gals_element_matrices` (None for "galerkin", which ignores `alpha`)."""
+    if kind == "gals":
+        return gals_element_matrices(tab, Gq, epsq, alpha)
+    return galerkin_element_matrices(tab, Gq, epsq), None
 
 
 def load_vector(tab, fq, Dall=None, alpha=None):
@@ -345,10 +359,31 @@ def block_triplets(matrices, loc2glob):
             np.tile(loc2glob, (1, nl)).ravel(), matrices.ravel())
 
 
-def scatter(matrices, loc2glob, shape):
-    """Accumulate per-triangle dense blocks into a CSR matrix."""
-    rows, cols, vals = block_triplets(matrices, loc2glob)
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+def scatter(blocks, loc2glob, n):
+    """Accumulate element blocks (..., nt, nl, nl) on the element map
+    `loc2glob` (nt, nl) into a CSC matrix with one diagonal block of `n`
+    unknowns per leading index of `blocks`, in their order."""
+    ng, nl = int(np.prod(blocks.shape[:-3])), loc2glob.shape[1]
+    offset = n * np.arange(ng)[:, None, None]
+    rows, cols, vals = block_triplets(blocks.reshape(-1, nl, nl),
+                                      (loc2glob + offset).reshape(-1, nl))
+    return sp.csc_matrix((vals, (rows, cols)), shape=(ng * n,) * 2)
+
+
+def pinned(K, fixed):
+    """The CSC matrix K with the rows and columns `fixed` replaced by those
+    of the identity, taken from K's arrays: K's diagonal entries at the
+    fixed dofs become 1 and the other entries of their rows and columns are
+    dropped."""
+    cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
+    mask = np.zeros(K.shape[0], dtype=bool)
+    mask[fixed] = True
+    unit = mask[cols] & (K.indices == cols)
+    keep = ~(mask[K.indices] | mask[cols]) | unit
+    indptr = np.zeros(K.shape[1] + 1, dtype=K.indptr.dtype)
+    np.cumsum(np.bincount(cols[keep], minlength=K.shape[1]), out=indptr[1:])
+    return sp.csc_matrix((np.where(unit, 1.0, K.data)[keep],
+                          K.indices[keep], indptr), shape=K.shape)
 
 
 def scatter_vector(vectors, loc2glob, n):

@@ -170,12 +170,12 @@ def _solve_single(method, n, k, nu, theta, problem):
                                 u_dirichlet=problem.u, theta=theta)
 
 
-def _solve_mhm_level(method, args, level, problem):
-    cfg = MHMConfig(n=args.n, level=level, k=args.k, ell=args.ell, nu=args.nu,
-                    theta=args.theta, kind=MHM_METHODS[method],
-                    threads=args.threads,
-                    override_wellposedness=args.override_wellposedness)
-    return solve_mhm(cfg, problem)
+def _mhm_config(args, **overrides):
+    """The MHMConfig of the solve options `args`, with `overrides`."""
+    fields = dict(n=args.n, level=args.level, k=args.k, ell=args.ell,
+                  nu=args.nu, theta=args.theta, threads=args.threads,
+                  override_wellposedness=args.override_wellposedness)
+    return MHMConfig(**{**fields, **overrides})
 
 
 def cmd_convergence(args):
@@ -186,7 +186,8 @@ def cmd_convergence(args):
     records, Hs = [], []
     for level in levels:
         if method in MHM_METHODS:
-            sol, data = _solve_mhm_level(method, args, level, problem)
+            sol, data = solve_mhm(_mhm_config(
+                args, level=level, kind=MHM_METHODS[method]), problem)
             H = data.skeleton.h_skeleton
         else:
             n = int(round(2 ** (5 - args.k))) * 2 ** level
@@ -233,9 +234,8 @@ def cmd_nu_sweep(args):
         for nu in nus:
             problem = BrennerProblem(nu)
             if method in MHM_METHODS:
-                ns = argparse.Namespace(**vars(args))
-                ns.nu = nu
-                sol, _ = _solve_mhm_level(method, ns, args.level, problem)
+                sol, _ = solve_mhm(_mhm_config(
+                    args, nu=nu, kind=MHM_METHODS[method]), problem)
             else:
                 n = int(round(2 ** (5 - args.k)))  # h = sqrt(2)/n = 2^(k-4.5)
                 sol = _solve_single(method, n, args.k, nu, args.theta, problem)
@@ -286,10 +286,7 @@ def cmd_patch_test(args):
 
 def cmd_diagnose(args):
     problem = BrennerProblem(args.nu)
-    cfg = MHMConfig(n=args.n, level=args.level, k=args.k, ell=args.ell,
-                    nu=args.nu, theta=args.theta, threads=args.threads,
-                    override_wellposedness=args.override_wellposedness)
-    sol, data = solve_mhm(cfg, problem)
+    sol, data = solve_mhm(_mhm_config(args), problem)
     spec = spectral_diagnostics(data.system, skeleton=data.skeleton)
     comp = compressibility_residual(sol, problem.material)
     print(f"refinement conditions: {'pass' if data.refinement.ok else 'FAIL'}")
@@ -305,9 +302,7 @@ def cmd_diagnose(args):
 def cmd_export_fields(args):
     os.makedirs(args.out, exist_ok=True)
     problem = BrennerProblem(args.nu)
-    cfg = MHMConfig(n=args.n, level=args.level, k=args.k, ell=args.ell,
-                    nu=args.nu, theta=args.theta, threads=args.threads)
-    sol, data = solve_mhm(cfg, problem)
+    sol, data = solve_mhm(_mhm_config(args), problem)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
     def at_corners(dofh):
@@ -345,15 +340,20 @@ def cmd_export_fields(args):
     return 0
 
 
-def _add_common(p):
+def _add_common(p, solve_options=True):
+    """The options of the commands; without `solve_options`, only those the
+    patch test reads: it fixes k, ell, nu and the level, and never overrides
+    the refinement conditions."""
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--threads", type=_integer(1),
                    help=f"default ${THREADS_ENV} or 1")
     p.add_argument("--theta", type=_inside(0, 1, "a fraction"), default=0.5)
+    p.add_argument("--n", type=_integer(1), default=4)
+    if not solve_options:
+        return
     p.add_argument("--override-wellposedness", action="store_true",
                    dest="override_wellposedness")
-    p.add_argument("--n", type=_integer(1), default=4)
     p.add_argument("--k", type=_integer(1), default=1)
     p.add_argument("--ell", type=_integer(1), default=1)
     p.add_argument("--nu", type=_inside(0, 0.5, "a Poisson ratio"),
@@ -382,7 +382,7 @@ def _build_parser():
     p.set_defaults(func=cmd_nu_sweep)
 
     p = sub.add_parser("patch-test", help="linear-solution exactness test")
-    _add_common(p)
+    _add_common(p, solve_options=False)
     p.set_defaults(func=cmd_patch_test)
 
     p = sub.add_parser("diagnose", help="well-posedness diagnostics")

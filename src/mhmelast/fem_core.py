@@ -87,13 +87,10 @@ class ReferenceElement:
         b = self.exponents[:, 1].astype(float)
         x = pts[:, 0:1]
         y = pts[:, 1:2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xa = x ** a
-            yb = y ** b
-            xam1 = np.where(a >= 1, x ** np.maximum(a - 1, 0), 0.0)
-            ybm1 = np.where(b >= 1, y ** np.maximum(b - 1, 0), 0.0)
-            xam2 = np.where(a >= 2, x ** np.maximum(a - 2, 0), 0.0)
-            ybm2 = np.where(b >= 2, y ** np.maximum(b - 2, 0), 0.0)
+        # where an exponent is clipped at 0, its term's factor a, a - 1, b
+        # or b - 1 is 0
+        xa, xam1, xam2 = (x ** np.maximum(a - d, 0) for d in range(3))
+        yb, ybm1, ybm2 = (y ** np.maximum(b - d, 0) for d in range(3))
         mono = xa * yb
         dx = a * xam1 * yb
         dy = b * xa * ybm1
@@ -208,9 +205,9 @@ def estimate_inverse_constant(k, sample_mesh, safety=0.9):
     D = asm.stress_divergence_rows(tab, np.ones(tab.wdet.shape))
     DD = np.einsum("tq,tqai,tqbi->tab", tab.wdet, D, D)
     l2g = dofh.vector_loc2glob()
-    M = asm.scatter(E, l2g, (nd, nd)).toarray()
+    M = asm.scatter(E, l2g, nd).toarray()
     Q = asm.scatter(h_tau[:, None, None] ** 2 * (E / h_K**2 + DD), l2g,
-                    (nd, nd)).toarray()
+                    nd).toarray()
 
     # both forms vanish on the rigid modes
     xy = dofh.dof_coords

@@ -306,9 +306,7 @@ def _local_geometry(partition, local_mesh, skeleton, k, kind):
     ref = reference_element(k)
     dofh = asm.DofHandler(local_mesh.mesh, ref)
     tab = asm.Tabulation(local_mesh.mesh, ref, 2 * k + 2)
-    l2g = dofh.vector_loc2glob()
-    if kind == "gals":                  # the pressure dofs after all of u's
-        l2g = np.concatenate([l2g, 2 * dofh.n_dofs + dofh.loc2glob], axis=1)
+    l2g = asm.unknown_map(dofh, kind)
     n = l2g.max() + 1
     rm = RigidModes(_centroids(partition, [local_mesh.element_id])[0])
     Z = np.zeros((n, 3))
@@ -325,19 +323,9 @@ def _local_operator(geo, material, Gq, epsq, alpha):
     the material samples `Gq`, `epsq` (ng, nt, nq) and parameters `alpha`
     (ng,): the groups' matrices are the diagonal blocks of one matrix."""
     alpha = np.asarray(alpha, dtype=float)
-    if geo.kind == "gals":
-        A_el, Dall = asm.gals_element_matrices(geo.tab, Gq, epsq, alpha)
-    else:
-        A_el, Dall = asm.galerkin_element_matrices(geo.tab, Gq, epsq), None
-    # block g's unknowns are offset by g * n
-    n = len(geo.Z)
-    offset = n * np.arange(len(alpha))[:, None, None]
-    nl = geo.l2g.shape[1]
-    rows, cols, vals = asm.block_triplets(A_el.reshape(-1, nl, nl),
-                                          (geo.l2g + offset).reshape(-1, nl))
-    A = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(n * len(alpha),) * 2).tocsc()
-    return replace(geo, material=material, alpha=alpha, matrix=A, Dall=Dall)
+    A_el, Dall = asm.element_matrices(geo.tab, geo.kind, Gq, epsq, alpha)
+    return replace(geo, material=material, alpha=alpha,
+                   matrix=asm.scatter(A_el, geo.l2g, len(geo.Z)), Dall=Dall)
 
 
 def _one_group(geo, material, alpha, c_inverse):
@@ -441,21 +429,6 @@ def _subtract_rank3(X, P, Q):
         X[:, j:j + 32] -= P @ (Q @ X[:, j:j + 32])
 
 
-def _pinned(K, pins):
-    """The CSC matrix K with the rows and columns `pins` replaced by those of
-    the identity, taken from K's arrays: K's diagonal entries at the pins
-    become 1 and the other entries of their rows and columns are dropped."""
-    cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
-    pinned = np.zeros(K.shape[0], dtype=bool)
-    pinned[pins] = True
-    unit = pinned[cols] & (K.indices == cols)
-    keep = ~(pinned[K.indices] | pinned[cols]) | unit
-    indptr = np.zeros(K.shape[1] + 1, dtype=K.indptr.dtype)
-    np.cumsum(np.bincount(cols[keep], minlength=K.shape[1]), out=indptr[1:])
-    return sp.csc_matrix((np.where(unit, 1.0, K.data)[keep],
-                          K.indices[keep], indptr), shape=K.shape)
-
-
 class _PinnedSolve:
     """Solutions x of the stacked Neumann blocks K x = r with C x = 0, for
     right-hand sides compatible with the rigid modes (Z^T r = 0), from the
@@ -504,13 +477,10 @@ def _residual_hint(op):
 def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     """Factorize the operator `op` once and solve, in one multi-RHS call, for
     every trace basis function and the load of every member, translates of
-    the element `op` was assembled on.  For an operator of one group,
-    `element_ids` are its members and the result is their basis record; for
-    a stack, `element_ids` is a list of each group's member ids, block by
-    block, and the result is a list of records, one per group."""
-    single = np.ndim(element_ids[0]) == 0
-    groups = [np.asarray(ids, dtype=int)
-              for ids in ([element_ids] if single else element_ids)]
+    the element `op` was assembled on.  `element_ids` lists each group's
+    member ids, block by block, and the result is a list of basis records,
+    one per group."""
+    groups = [np.asarray(ids, dtype=int) for ids in element_ids]
     sizes = np.array([len(ids) for ids in groups])
     ng, S = len(groups), sizes.max()
     ids = np.concatenate(groups)
@@ -544,7 +514,7 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     pins = (op.pins + n * np.arange(ng)[:, None]).ravel()
     X = asm.checked_solve(
         lambda: _PinnedSolve(
-            splu(_pinned(op.matrix, pins), permc_spec="MMD_AT_PLUS_A",
+            splu(asm.pinned(op.matrix, pins), permc_spec="MMD_AT_PLUS_A",
                  diag_pivot_thresh=0.0, options={"SymmetricMode": True}),
             op.pins, op.Z, np.linalg.solve(CZ, op.C)),
         op.matrix, rhs, LocalSolverError, "local",
@@ -585,7 +555,7 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
             load_pairing=load_u @ op.R.T,
             rm_load=rm_load[i, :m],
         ))
-    return records[0] if single else records
+    return records
 
 
 def congruence_classes(partition, skeleton, depth):

@@ -49,10 +49,20 @@ class SaddleSystem:
     rhs_lambda: np.ndarray
     rhs_rm: np.ndarray
 
-    def full_matrix(self):
-        """The saddle matrix in CSC form, unknowns [lambda; rho] in their own
-        order (`solve_global` factors it in `_face_order`)."""
-        return sp.bmat([[self.A, self.B], [self.B.T, None]], format="csc")
+    def full_matrix(self, order=None):
+        """The saddle matrix in CSC form, built from the COO triplets of A
+        and B, with the unknowns [lambda; rho] taken in `order` (their own
+        order by default; `solve_global` factors it in `_face_order`)."""
+        n, m = self.B.shape
+        A, B = self.A.tocoo(), self.B.tocoo()
+        rows = np.concatenate([A.row, B.row, n + B.col])
+        cols = np.concatenate([A.col, n + B.col, B.row])
+        if order is not None:
+            position = np.empty(n + m, dtype=rows.dtype)
+            position[order] = np.arange(n + m)
+            rows, cols = position[rows], position[cols]
+        return sp.csc_matrix((np.concatenate([A.data, B.data, B.data]),
+                              (rows, cols)), shape=(n + m,) * 2)
 
     def full_rhs(self):
         return np.concatenate([self.rhs_lambda, self.rhs_rm])
@@ -171,7 +181,7 @@ def solve_global(system):
     fill.  The pivot threshold is 0.1, not 0: an under-refined local mesh
     makes A singular, and diagonal pivots then fail the residual check."""
     order = _face_order(system.B)
-    M = _saddle_in_order(system, order)
+    M = system.full_matrix(order)
     x = np.empty(len(order))
     x[order] = asm.checked_solve(
         lambda: splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.1,
@@ -181,19 +191,6 @@ def solve_global(system):
         "check_refinement_conditions)")
     n = system.A.shape[0]
     return x[:n], x[n:].reshape(-1, 3)
-
-
-def _saddle_in_order(system, order):
-    """The saddle matrix (CSC) with its unknowns taken in `order`, built from
-    the COO triplets of A and B."""
-    n = system.A.shape[0]
-    position = np.empty(len(order), dtype=np.int32)
-    position[order] = np.arange(len(order))
-    A, B = system.A.tocoo(), system.B.tocoo()
-    rows = position[np.concatenate([A.row, B.row, n + B.col])]
-    cols = position[np.concatenate([A.col, n + B.col, B.row])]
-    return sp.csc_matrix((np.concatenate([A.data, B.data, B.data]),
-                          (rows, cols)), shape=(len(order),) * 2)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 parallel local solves, global solve, and reconstruction.
 """
 
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -61,12 +62,18 @@ class MHMConfig:
                 raise ValueError(f"{name} must be an integer >= {low}"
                                  f"{' or None' if optional else ''}, got "
                                  f"{value!r}")
-        if not 0 < self.theta < 1:
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta!r}")
-        if not callable(self.G) and not self.G > 0:
-            raise ValueError(f"shear modulus must be positive, got {self.G!r}")
-        if not callable(self.nu) and not 0 < self.nu < 0.5:
-            raise ValueError("Poisson ratio must lie in (0, 1/2)")
+        for name, what, high in (("theta", "theta", 1),
+                                 ("G", "shear modulus G", math.inf),
+                                 ("nu", "Poisson ratio nu", 0.5)):
+            value, field = getattr(self, name), name != "theta"
+            if not (field and callable(value)
+                    or isinstance(value, numbers.Real) and 0 < value < high):
+                raise ValueError(f"{what} must be a number in (0, {high:g})"
+                                 f"{' or a callable' if field else ''}, got "
+                                 f"{value!r}")
+        if self.boundary_tag is not None and not callable(self.boundary_tag):
+            raise ValueError(f"boundary_tag must be a callable or None, got "
+                             f"{self.boundary_tag!r}")
         if self.kind not in ("gals", "galerkin"):
             raise ValueError(f"unknown solver kind {self.kind!r}")
 

@@ -1,7 +1,8 @@
 """Single-level reference discretizations on a triangulation of the whole
 domain: the displacement-only method (which locks for low orders as the
 material becomes incompressible) and its stabilized displacement-pressure
-counterpart, both with strong Dirichlet conditions.
+counterpart, both with strong Dirichlet conditions.  They share the local
+operators' assembly path in `_assembly`: the same forms on another mesh.
 """
 
 from dataclasses import dataclass
@@ -42,12 +43,13 @@ def _dirichlet_values(dofh, u_dirichlet):
 
 
 def spsolve(K, b):
-    """Solve a reduced single-level system with one SuperLU factorization in
-    a minimum-degree order of K + K^T that pivots on the diagonal, and
-    verify the residual (`checked_solve`).
+    """Solve a single-level system, its Dirichlet dofs pinned, with one
+    SuperLU factorization in a minimum-degree order of K + K^T that pivots
+    on the diagonal, and verify the residual (`checked_solve`).
 
     Both systems are symmetric: the displacement one is positive definite
-    and the stabilized one quasi-definite for an admissible alpha, so every
+    and the stabilized one quasi-definite for an admissible alpha, and so
+    are they with identity rows and columns at the pinned dofs; every
     symmetric permutation of them factors without pivoting (Vanderbei,
     SIAM J. Optim. 5, 1995).  Row exchanges would only add fill, and the
     symmetric order holds less fill than COLAMD's column order."""
@@ -58,45 +60,35 @@ def spsolve(K, b):
         "definite, well-conditioned system")
 
 
-def _solve_constrained(K, F, fixed, fixed_vals):
-    """Eliminate prescribed dofs from K x = F and solve the reduced system."""
-    n = K.shape[0]
-    free = np.setdiff1d(np.arange(n), fixed)
-    x = np.zeros(n)
-    x[fixed] = fixed_vals
-    K = K.tocsr()
-    rhs = F[free] - K[np.ix_(free, fixed)] @ fixed_vals
-    x[free] = spsolve(K[np.ix_(free, free)].tocsc(), rhs)
-    return x
-
-
 def _solve_single(mesh, material, k, f, u_dirichlet, theta=None):
     """The displacement-only method or, with `theta`, the stabilized
-    displacement-pressure method on one mesh."""
+    displacement-pressure method on one mesh, assembled as the local
+    operators are, with the Dirichlet dofs pinned to their values."""
+    kind = "galerkin" if theta is None else "gals"
     ref = reference_element(k)
     dofh = asm.DofHandler(mesh, ref)
     tab = asm.Tabulation(mesh, ref, 2 * k + 2)
-    Gq = material.G_at(tab.points)
-    epsq = material.eps_at(tab.points)
-    fq = np.asarray(f(tab.points), dtype=float)
-    nu = 2 * dofh.n_dofs
-    l2g = dofh.vector_loc2glob()
-    if theta is None:
-        A_el = asm.galerkin_element_matrices(tab, Gq, epsq)
-        F_el = asm.load_vector(tab, fq)
-    else:
-        # each triangle is a group of its own, with its own alpha
-        alpha = _group_alphas(Gq, inverse_constant(k), theta)
-        A_el, Dall = asm.gals_element_matrices(tab, Gq, epsq, alpha)
-        F_el = asm.load_vector(tab, fq, Dall=Dall, alpha=alpha)
-        l2g = np.concatenate([l2g, nu + dofh.loc2glob], axis=1)
+    Gq, epsq = material.samples(tab.points)
+    # each triangle is a group of its own, with its own alpha
+    alpha = (None if theta is None
+             else _group_alphas(Gq, inverse_constant(k), theta))
+    A_el, Dall = asm.element_matrices(tab, kind, Gq, epsq, alpha)
+    F_el = asm.load_vector(tab, np.asarray(f(tab.points), dtype=float),
+                           Dall=Dall, alpha=alpha)
+    l2g = asm.unknown_map(dofh, kind)
     n = l2g.max() + 1
-    x = _solve_constrained(asm.scatter(A_el, l2g, (n, n)),
-                           asm.scatter_vector(F_el, l2g, n),
-                           *_dirichlet_values(dofh, u_dirichlet))
+    K = asm.scatter(A_el, l2g, n)
+    rhs = asm.scatter_vector(F_el, l2g, n)
+    del tab, A_el, Dall, F_el     # release them before the factorization
+    fixed, vals = _dirichlet_values(dofh, u_dirichlet)
+    rhs -= K[:, fixed] @ vals
+    rhs[fixed] = vals
+    K = asm.pinned(K, fixed)
+    x = spsolve(K, rhs)
+    nu = 2 * dofh.n_dofs
     return SingleLevelSolution(mesh, dofh, material, k, x[:nu],
                                p=None if theta is None else x[nu:],
-                               kind="galerkin" if theta is None else "gals")
+                               kind=kind)
 
 
 def solve_galerkin_dirichlet(mesh, material, k, f, u_dirichlet=None):

@@ -167,6 +167,65 @@ def test_field_values_match_einsum(k):
                       gph)
 
 
+@pytest.mark.parametrize("lead", [(), (1,), (3,)])
+def test_scatter_stacks_diagonal_blocks(lead):
+    # each leading index of the blocks is one diagonal block of n unknowns,
+    # bitwise as scattered alone; duplicates of shared dofs sum
+    mesh = unit_square_mesh(2)
+    dofh = asm.DofHandler(mesh, reference_element(2))
+    l2g = asm.unknown_map(dofh, "gals")
+    n, nl = 3 * dofh.n_dofs + 2, l2g.shape[1]   # two unknowns on no element
+    blocks = np.random.default_rng(7).standard_normal(
+        lead + (mesh.n_triangles, nl, nl))
+    M = asm.scatter(blocks, l2g, n)
+    assert M.format == "csc"
+    singles = [sp.coo_matrix((b.ravel(), (np.repeat(l2g, nl, axis=1).ravel(),
+                                          np.tile(l2g, (1, nl)).ravel())),
+                             shape=(n, n)).tocsc()
+               for b in blocks.reshape((-1,) + blocks.shape[-3:])]
+    want = sp.block_diag(singles, format="csc")
+    assert M.shape == want.shape
+    M.sort_indices()
+    want.sort_indices()
+    assert np.array_equal(M.indptr, want.indptr)
+    assert np.array_equal(M.indices, want.indices)
+    assert M.data.tobytes() == want.data.tobytes()
+    if lead in ((), (1,)):
+        dense = np.zeros((n, n))
+        for t in range(mesh.n_triangles):
+            dense[np.ix_(l2g[t], l2g[t])] += blocks.reshape(-1, nl, nl)[t]
+        assert np.abs(M.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_unknown_map_puts_pressure_after_displacement(k):
+    dofh = asm.DofHandler(unit_square_mesh(2), reference_element(k))
+    nsd, nb = dofh.n_dofs, dofh.ref.n_basis
+    u = asm.unknown_map(dofh, "galerkin")
+    assert np.array_equal(u, asm.vector_dofs(dofh.loc2glob))
+    assert np.array_equal(u[:, 0::2], 2 * dofh.loc2glob)
+    assert np.array_equal(u[:, 1::2], 2 * dofh.loc2glob + 1)
+    up = asm.unknown_map(dofh, "gals")
+    assert up.shape == (len(dofh.loc2glob), 3 * nb)
+    assert np.array_equal(up[:, :2 * nb], u)
+    assert np.array_equal(up[:, 2 * nb:], 2 * nsd + dofh.loc2glob)
+    assert up.max() + 1 == 3 * nsd
+
+
+def test_pinned_matrix_has_identity_rows_and_columns():
+    rng = np.random.default_rng(2)
+    K = rng.standard_normal((6, 6))
+    K[0, 4] = K[4, 0] = 0.0
+    P = asm.pinned(sp.csc_matrix(K), [1, 4])
+    want = K.copy()
+    want[[1, 4]] = 0.0
+    want[:, [1, 4]] = 0.0
+    want[1, 1] = want[4, 4] = 1.0
+    assert P.format == "csc" and P.has_canonical_format
+    assert np.array_equal(P.toarray(), want)
+    assert P.nnz == 16 + 2
+
+
 def test_inf_norm_matches_scipy():
     rng = np.random.default_rng(5)
     for n, m, density in ((1, 1, 1.0), (7, 5, 0.4), (40, 40, 0.1),

@@ -57,6 +57,25 @@ def test_config_validation():
     MHMConfig(threads=None)
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"theta": "x"}, "theta must be a number in \\(0, 1\\), got 'x'"),
+    ({"theta": None}, "theta must be a number"),
+    ({"G": "1"}, "shear modulus G must be a number in \\(0, inf\\) or a "
+                 "callable, got '1'"),
+    ({"G": None}, "shear modulus G must be a number"),
+    ({"G": [1.0]}, "shear modulus G must be a number"),
+    ({"nu": None}, "Poisson ratio nu must be a number in \\(0, 0.5\\) or a "
+                   "callable, got None"),
+    ({"nu": "0.3"}, "Poisson ratio nu must be a number"),
+    ({"nu": float("nan")}, "Poisson ratio nu must be a number"),
+    ({"boundary_tag": 3}, "boundary_tag must be a callable or None, got 3"),
+    ({"boundary_tag": "neumann"}, "boundary_tag must be a callable"),
+])
+def test_config_names_a_non_numeric_or_non_callable_field(bad, match):
+    with pytest.raises(ValueError, match=f"^{match}"):
+        MHMConfig(**bad)
+
+
 def test_threads_environment_variable(monkeypatch):
     monkeypatch.delenv(THREADS_ENV, raising=False)
     assert default_threads() == 1
@@ -218,6 +237,30 @@ def test_bad_levels_and_methods_exit_with_usage(argv, from_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", [["--k", "2"], ["--ell", "2"],
+                                    ["--nu", "0.4"], ["--level", "1"],
+                                    ["--override-wellposedness"]])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_patch_test_rejects_the_options_it_fixes(option, from_file, tmp_path,
+                                                 capsys):
+    # the patch test always runs (k, ell) in {(1, 1), (2, 1)}, nu = 0.3 at
+    # level 0, so these options would be ignored
+    if from_file:
+        key = option[0].lstrip("-")
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {option[1] if len(option) > 1 else 'yes'}"
+                        "\n")
+        option = ["--config", str(path)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["patch-test", *option, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert ("unknown config key" if from_file else "unrecognized") in err
+    assert not out.exists()
+
+
 def test_config_file_rejects_bad_choice_and_value(tmp_path, capsys):
     for text, match in (("method = typo", "config key method: invalid "
                          "choice 'typo'"),
@@ -365,6 +408,19 @@ def test_export_fields_command(tmp_path):
     assert traction[0] == "segment,component,mode,coefficient"
     # one row per trace dof: 16 faces on the n=2 grid, 4 dofs each
     assert len(traction) == 1 + 4 * 16
+
+
+def test_export_fields_honours_override_wellposedness(tmp_path):
+    # k = ell = 2 on the default local meshes of n = 2, level 0 fails the
+    # refinement conditions; as for diagnose, the flag forces the solve
+    argv = ["export-fields", "--n", "2", "--k", "2", "--ell", "2", "--nu",
+            "0.3", "--threads", "1"]
+    with pytest.raises(MHMError, match="refinement conditions"):
+        main(argv + ["--out", str(tmp_path / "a")])
+    out = tmp_path / "b"
+    assert main(argv + ["--override-wellposedness", "--out", str(out)]) == 0
+    assert (out / "fields.csv").read_text().startswith("element,x,y,")
+    assert (out / "traction.csv").exists()
 
 
 def test_export_fields_identical_across_threads(tmp_path, monkeypatch):

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 from mhmelast import (BrennerProblem, LinearProblem, MaterialField, MHMError,
                       compute_errors, solve_galerkin_dirichlet,
                       solve_gals_dirichlet, unit_square_mesh)
-from mhmelast import singlelevel
+from mhmelast import _assembly as asm, local_solver, singlelevel
+from mhmelast.fem_core import inverse_constant, reference_element
 
 
 def _zero(x):
@@ -73,9 +74,71 @@ def test_methods_agree_away_from_incompressibility():
     assert 0.5 < e[0] / e[1] < 2.0
 
 
+def _eliminated_solution(mesh, material, k, f, u_dirichlet, theta):
+    """The single-level solution by dense elimination of the Dirichlet
+    dofs: element blocks added triangle by triangle, unknowns
+    [u (interleaved); p] with p only for `theta`, and the free dofs solved
+    from the reduced system K_ff x_f = F_f - K_fc x_c."""
+    ref = reference_element(k)
+    dofh = asm.DofHandler(mesh, ref)
+    tab = asm.Tabulation(mesh, ref, 2 * k + 2)
+    Gq, epsq = material.G_at(tab.points), material.eps_at(tab.points)
+    fq = f(tab.points)
+    nsd, nb = dofh.n_dofs, ref.n_basis
+    l2g = np.empty((mesh.n_triangles, 2 * nb), dtype=int)
+    l2g[:, 0::2], l2g[:, 1::2] = 2 * dofh.loc2glob, 2 * dofh.loc2glob + 1
+    if theta is None:
+        A_el = asm.galerkin_element_matrices(tab, Gq, epsq)
+        F_el = asm.load_vector(tab, fq)
+    else:
+        alpha = local_solver._group_alphas(Gq, inverse_constant(k), theta)
+        A_el, Dall = asm.gals_element_matrices(tab, Gq, epsq, alpha)
+        F_el = asm.load_vector(tab, fq, Dall=Dall, alpha=alpha)
+        l2g = np.hstack([l2g, 2 * nsd + dofh.loc2glob])
+    n = l2g.max() + 1
+    K, F = np.zeros((n, n)), np.zeros(n)
+    for t in range(mesh.n_triangles):
+        K[np.ix_(l2g[t], l2g[t])] += A_el[t]
+        F[l2g[t]] += F_el[t]
+    bdofs = dofh.boundary_scalar_dofs()
+    fixed = np.sort(np.concatenate([2 * bdofs, 2 * bdofs + 1]))
+    x = np.zeros(n)
+    x[fixed] = u_dirichlet(dofh.dof_coords[fixed // 2])[
+        np.arange(len(fixed)), fixed % 2]
+    free = np.setdiff1d(np.arange(n), fixed)
+    x[free] = np.linalg.solve(K[np.ix_(free, free)],
+                              F[free] - K[np.ix_(free, fixed)] @ x[fixed])
+    return x
+
+
+@pytest.mark.parametrize("theta", [None, 0.5])
+@pytest.mark.parametrize("k", [1, 2])
+def test_pinned_solve_matches_dense_elimination(theta, k):
+    # nonzero Dirichlet data and a varying G: the pinned system carries the
+    # data in its right-hand side, and its solution is the eliminated one
+    problem = BrennerProblem(0.3)
+    mat = MaterialField(lambda x: 1.0 + 0.5 * x[..., 0] * x[..., 1], 0.3)
+    mesh = unit_square_mesh(3)
+
+    def ud(x):
+        return np.stack([1.0 + x[..., 0] * x[..., 1],
+                         np.sin(2 * x[..., 0]) - x[..., 1] ** 2], axis=-1)
+
+    if theta is None:
+        sol = solve_galerkin_dirichlet(mesh, mat, k, problem.f, u_dirichlet=ud)
+        got = sol.u
+    else:
+        sol = solve_gals_dirichlet(mesh, mat, k, problem.f, u_dirichlet=ud,
+                                   theta=theta)
+        got = np.concatenate([sol.u, sol.p])
+    want = _eliminated_solution(mesh, mat, k, problem.f, ud, theta)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def _reduced_systems(monkeypatch):
-    """Record every reduced system (K, b, x) the single-level solvers
-    hand to `singlelevel.spsolve`."""
+    """Record every pinned system (K, b, x) the single-level solvers hand
+    to `singlelevel.spsolve`."""
     seen = []
     solve = singlelevel.spsolve
 
@@ -113,7 +176,7 @@ def test_reduced_gals_matrix_is_quasi_definite(monkeypatch, nu, theta):
     (K, b, x), = seen
     K = K.toarray()
     assert np.abs(K - K.T).max() <= 1e-14 * np.abs(K).max()
-    m = K.shape[0] - sol.dofh.n_dofs          # free displacement unknowns
+    m = K.shape[0] - sol.dofh.n_dofs          # displacement unknowns
     assert np.linalg.eigvalsh(K[:m, :m])[0] > 0
     assert np.linalg.eigvalsh(K[m:, m:])[-1] < 0
     # near nu = 1/2 the conditioning leaves only the residual to compare
