@@ -179,7 +179,6 @@ def _mhm_config(args, **overrides):
 
 
 def cmd_convergence(args):
-    os.makedirs(args.out, exist_ok=True)
     method = args.method
     problem = BrennerProblem(args.nu)
     levels = args.levels
@@ -197,6 +196,7 @@ def cmd_convergence(args):
         records.append(compute_errors(sol, problem))
         Hs.append(H)
     rows, orders = _errors_to_rows(Hs, records)
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"convergence_{method}_k{args.k}.csv")
     with open(csv_path, "w") as f:
         f.write(CSV_HEADER + "\n")
@@ -225,7 +225,6 @@ def cmd_convergence(args):
 
 
 def cmd_nu_sweep(args):
-    os.makedirs(args.out, exist_ok=True)
     methods = args.methods
     nus = args.nus
     results = {}
@@ -253,6 +252,7 @@ def cmd_nu_sweep(args):
             failed = True
         if method == "stdgalerkin" and args.k == 1 and ratio < 5:
             failed = True
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "nu_sweep.csv"), "w") as f:
         f.write("\n".join(rows) + "\n")
     with open(os.path.join(args.out, "summary_nu_sweep.json"), "w") as f:
@@ -262,7 +262,6 @@ def cmd_nu_sweep(args):
 
 
 def cmd_patch_test(args):
-    os.makedirs(args.out, exist_ok=True)
     problem = LinearProblem([[0.3, 0.1], [-0.2, 0.4]], [0.05, -0.02],
                             nu=0.3)
     scale = max(np.abs(problem.A).max(), 1.0)
@@ -277,6 +276,7 @@ def cmd_patch_test(args):
         rows.append(f"{k},{ell}," + ",".join(_fmt(v) for v in vals))
         if max(vals) > 1e-9 * scale:
             failed = True
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "patch_test.csv"), "w") as f:
         f.write("\n".join(rows) + "\n")
     print("\n".join(rows))
@@ -300,7 +300,6 @@ def cmd_diagnose(args):
 
 
 def cmd_export_fields(args):
-    os.makedirs(args.out, exist_ok=True)
     problem = BrennerProblem(args.nu)
     sol, data = solve_mhm(_mhm_config(args), problem)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -326,6 +325,7 @@ def cmd_export_fields(args):
     table = np.concatenate(tables)[np.argsort(ids, kind="stable")]
     rows = [",".join([str(eid)] + [_fmt(v) for v in r])
             for eid, r in zip(np.sort(ids).tolist(), table)]
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "fields.csv"), "w") as f:
         f.write("\n".join(["element,x,y,u1,u2,p,s11,s12,s22"] + rows) + "\n")
     # trace dof d is local dof d % dps of segment d // dps

@@ -10,7 +10,7 @@ constant material) shares one alpha and one operator.  The operators of
 groups of similar member counts are stacked as the diagonal blocks of one
 matrix, up to BATCH_UNKNOWNS unknowns, and factored and solved at once, for
 the trace right-hand sides and every member's load column: one record per
-group, with the members as arrays.
+stack, with the groups along a leading axis and the members as arrays.
 
 Each block is a pure Neumann operator K, singular on the three rigid modes
 Z, and the basis is the solution orthogonal to them, C x = 0 with C the
@@ -163,27 +163,28 @@ def _check_alpha(alpha, Gq, c_inverse):
 
 @dataclass
 class LocalBasisCache:
-    """Condensed multiscale basis of the members of one congruence class
-    that share their material samples, solved on the mesh of `dofh` in one
-    stacked solve with other groups of the class.
+    """Condensed multiscale basis of one stack of material groups of a
+    congruence class, solved on the mesh of `dofh` (`solve_local_basis`).
 
-    Columns of `trace_u`/`trace_p` hold the displacement/pressure solutions
-    for every trace basis function on the element boundary; `pairing` and
-    `rm_pairing` close the global saddle-point problem.  The members are
-    translates of that mesh by `shifts`, and row i of every member array
-    belongs to element `element_ids[i]`.
+    Columns of `trace_u[g]`/`trace_p[g]` hold group g's displacement/pressure
+    solutions for every trace basis function on the element boundary;
+    `pairing` and `rm_pairing` close the global saddle-point problem.  The
+    members are translates of that mesh by `shifts`: row i of every member
+    array belongs to element `element_ids[i]`, which holds the i-th `filled`
+    slot of the stack's (group, slot) grid in row-major, so group, order.
     """
     kind: str                       # "gals" | "galerkin"
     degree: int
-    alpha: float
+    alpha: np.ndarray               # (ng,)
     material: MaterialField
     dofh: object                    # numbering of the class's local mesh
     rigid_modes: RigidModes         # about that mesh's element centroid
-    trace_u: np.ndarray             # (2*nsd, ntr)
-    trace_p: np.ndarray             # (nsd, ntr); None for "galerkin"
-    pairing: np.ndarray             # (ntr, ntr), <mu_i, T_h(mu_j)>
+    trace_u: np.ndarray             # (ng, 2*nsd, ntr)
+    trace_p: np.ndarray             # (ng, nsd, ntr); None for "galerkin"
+    pairing: np.ndarray             # (ng, ntr, ntr), <mu_i, T_h(mu_j)>
     rm_pairing: np.ndarray          # (ntr, 3), <mu_i, v_rm>
     element_ids: np.ndarray         # (m,) members
+    filled: np.ndarray              # (ng, S) the slots that hold members
     shifts: np.ndarray              # (m, 2) member centroid - mesh centroid
     trace_dofs: np.ndarray          # (m, ntr) global trace dof indices
     dof_signs: np.ndarray           # (m, ntr) orientation sign n_F . n^K
@@ -194,7 +195,7 @@ class LocalBasisCache:
 
     @property
     def n_trace(self):
-        return self.trace_u.shape[1]
+        return self.trace_u.shape[2]
 
 
 @dataclass
@@ -411,9 +412,9 @@ def element_load(op, shifts, f=None, g=None, filled=None):
 
 
 def _blocks(M, ng):
-    """The Fortran-ordered stacked columns M (ng * n, c) as a view (n, ng, c):
-    row i of block g."""
-    return M.reshape(-1, ng, M.shape[1], order="F")
+    """The Fortran-ordered stacked columns M (ng * n, c) as a view (ng, c, n):
+    column j of block g."""
+    return np.moveaxis(M.reshape(-1, ng, M.shape[1], order="F"), 0, -1)
 
 
 def _columns(M, n):
@@ -454,13 +455,13 @@ def _residual_hint(op):
     modes Z span the kernel of every block K only up to the defect
     ||K Z|| / (||K|| ||Z||) (infinity norms, largest over the blocks), and
     the final projection of the pinned solve leaves a relative residual of
-    about the defect times ||Z c|| / ||x||, which measured 1.0-1.1 at
-    k = 8..12.  With equispaced nodes the round-off of the basis makes the
-    defect grow with the degree: on the two elements of the n = 1 grid,
-    level 0, it is 3e-13 at k = 8, 5e-11 and 8e-11 at k = 11, and 3.3e-10
-    at k = 12, where the check fails.  A defect within a tenth of the
-    residual bound is named as the cause; a smaller one points at the
-    local mesh."""
+    about the defect times ||Z c|| / ||x||.  With equispaced nodes the
+    round-off of the basis makes the defect grow with the degree: on the
+    two elements of the n = 1 grid, level 0, it is 2e-14 at k = 8, 1e-12
+    and 2e-12 at k = 11, 5e-12 and 7e-12 at k = 12, 3e-11 and 5e-11 at
+    k = 13, and 1.2e-10 and 1.7e-10 at k = 14, where the check fails.  A
+    defect within a tenth of the residual bound is named as the cause; a
+    smaller one points at the local mesh."""
     ng = op.n_groups
     KZ = np.abs(op.matrix @ np.tile(op.Z, (ng, 1))).sum(axis=1)
     K = asm.abs_row_sums(op.matrix)
@@ -478,8 +479,8 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     """Factorize the operator `op` once and solve, in one multi-RHS call, for
     every trace basis function and the load of every member, translates of
     the element `op` was assembled on.  `element_ids` lists each group's
-    member ids, block by block, and the result is a list of basis records,
-    one per group."""
+    member ids, block by block, and the result is the stack's basis
+    record."""
     groups = [np.asarray(ids, dtype=int) for ids in element_ids]
     sizes = np.array([len(ids) for ids in groups])
     ng, S = len(groups), sizes.max()
@@ -500,7 +501,7 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     # the trace columns, whose block g holds R.T in every block, then the
     # load columns; Fortran order, as the solve takes and returns them
     rhs = np.zeros((ng * n, ntr + S), order="F")
-    _blocks(rhs, ng)[:nu, :, :ntr] = op.R.T[:, None]
+    _blocks(rhs, ng)[:, :ntr, :nu] = op.R
     rhs[:, ntr:] = loads
     del loads
     # each column r less C^T tau, tau = (CZ)^-T Z^T r the multipliers of the
@@ -523,39 +524,34 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     del rhs
     has_p = op.kind == "gals"
     Xb = _blocks(X, ng)
-    rm_load = rm_load.reshape(ng, S, 3)
+    trace = np.swapaxes(Xb[:, :ntr], 1, 2)
+    # the members' load solutions (m, n), a view when the grid is one group
+    # or one slot wide and full
+    loads = Xb[:, ntr:]
+    loads = loads.reshape(-1, n) if filled.all() else loads[filled]
+    trace_u, load_u = trace[:, :nu], loads[:, :nu]
     seg_ids, seg_signs = _member_segments(partition, skeleton, ids)
-    trace_dofs = skeleton.segment_dofs(seg_ids).reshape(len(ids), -1)
-    dof_signs = np.repeat(seg_signs, skeleton.dofs_per_segment, axis=1)
-    records = []
-    for i, (members, start) in enumerate(zip(groups,
-                                             np.cumsum(sizes) - sizes)):
-        m = len(members)
-        rows = slice(start, start + m)
-        x = Xb[:, i]                        # block i: trace, then load slots
-        trace_u = x[:nu, :ntr]
-        load_u = x[:nu, ntr:ntr + m].T
-        records.append(LocalBasisCache(
-            kind=op.kind,
-            degree=op.dofh.ref.degree,
-            alpha=float(op.alpha[i]),
-            material=op.material,
-            dofh=op.dofh,
-            rigid_modes=op.rigid_modes,
-            trace_u=trace_u,
-            trace_p=x[nu:nu + nsd, :ntr] if has_p else None,
-            pairing=op.R @ trace_u,
-            rm_pairing=op.Grm,
-            element_ids=members,
-            shifts=shifts[rows],
-            trace_dofs=trace_dofs[rows],
-            dof_signs=dof_signs[rows],
-            load_u=load_u,
-            load_p=x[nu:nu + nsd, ntr:ntr + m].T if has_p else None,
-            load_pairing=load_u @ op.R.T,
-            rm_load=rm_load[i, :m],
-        ))
-    return records
+    return LocalBasisCache(
+        kind=op.kind,
+        degree=op.dofh.ref.degree,
+        alpha=op.alpha,
+        material=op.material,
+        dofh=op.dofh,
+        rigid_modes=op.rigid_modes,
+        trace_u=trace_u,
+        trace_p=trace[:, nu:] if has_p else None,
+        pairing=op.R @ trace_u,
+        rm_pairing=op.Grm,
+        element_ids=ids,
+        filled=filled,
+        shifts=shifts,
+        trace_dofs=skeleton.segment_dofs(seg_ids).reshape(len(ids), -1),
+        dof_signs=np.repeat(seg_signs, skeleton.dofs_per_segment, axis=1),
+        load_u=load_u,
+        load_p=loads[:, nu:] if has_p else None,
+        load_pairing=load_u @ op.R.T,
+        rm_load=rm_load[filled.ravel()],
+    )
 
 
 def congruence_classes(partition, skeleton, depth):
@@ -627,12 +623,12 @@ def _batches(sizes, n):
 def build_class_caches(partition, local_mesh, element_ids, skeleton,
                        material, k, kind="gals", theta=0.5, f=None, g=None):
     """Basis records of the congruence class `element_ids`, whose members
-    share the geometry on `local_mesh` (of one member): one record per group
-    of members with equal material samples, each with its own alpha and
-    operator, in order of first appearance.  The operators of groups of
-    similar member counts (`_batches`) are stacked into block-diagonal
-    matrices of at most BATCH_UNKNOWNS unknowns, each factored and solved
-    once by `solve_local_basis`."""
+    share the geometry on `local_mesh` (of one member).  The members are
+    split into groups with equal material samples, each with its own alpha
+    and operator, and the operators of groups of similar member counts
+    (`_batches`) are stacked into block-diagonal matrices of at most
+    BATCH_UNKNOWNS unknowns, each factored and solved once by
+    `solve_local_basis`: one record per stack, in the order of `_batches`."""
     if kind not in ("gals", "galerkin"):
         raise ValueError(f"unknown local solver kind {kind!r}")
     element_ids = np.asarray(element_ids, dtype=int)
@@ -645,15 +641,10 @@ def build_class_caches(partition, local_mesh, element_ids, skeleton,
         _check_alpha(alpha, Gq, ci)
     else:
         alpha = np.zeros(len(groups))
-    records = [None] * len(groups)
-    for batch in _batches([len(ids) for ids in groups], len(geo.Z)):
-        op = _local_operator(geo, material, Gq[batch], epsq[batch],
-                             alpha[batch])
-        for i, record in zip(batch, solve_local_basis(
-                op, partition, skeleton,
-                [element_ids[groups[i]] for i in batch], f=f, g=g)):
-            records[i] = record
-    return records
+    return [solve_local_basis(
+        _local_operator(geo, material, Gq[batch], epsq[batch], alpha[batch]),
+        partition, skeleton, [element_ids[groups[i]] for i in batch], f=f,
+        g=g) for batch in _batches([len(ids) for ids in groups], len(geo.Z))]
 
 
 def build_local_cache(partition, local_mesh, skeleton, material, k,

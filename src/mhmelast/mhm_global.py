@@ -87,14 +87,14 @@ def _csr(triplets, shape):
 
 
 def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
-    """Condense the class basis records into the global system.
+    """Condense the stacks' basis records into the global system.
 
     The trace unknown is single-valued per skeleton segment; each element
-    contributes through its orientation signs, and element K owns rigid-mode
-    unknowns 3K to 3K + 2.  On Dirichlet faces the continuity equation is
-    driven by the boundary displacement data.  The element blocks are
-    gathered as COO triplets; duplicates sum when each block matrix is
-    built.
+    contributes its group's pairing through its orientation signs, and
+    element K owns rigid-mode unknowns 3K to 3K + 2.  On Dirichlet faces the
+    continuity equation is driven by the boundary displacement data.  The
+    element blocks are gathered as COO triplets; duplicates sum when each
+    block matrix is built.
     """
     n_lambda = skeleton.n_dofs
     n_rm = 3 * sum(len(c.element_ids) for c in caches)
@@ -104,8 +104,11 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
     for cache in caches:
         idx, s = cache.trace_dofs, cache.dof_signs       # (m, ntr) each
         rm = 3 * cache.element_ids[:, None] + np.arange(3)
-        a.append(asm.block_triplets(
-            s[:, :, None] * _symmetric(cache.pairing) * s[:, None, :], idx))
+        blocks = np.repeat(_symmetric(cache.pairing),        # (m, ntr, ntr)
+                           cache.filled.sum(axis=1), axis=0)
+        blocks *= s[:, :, None]
+        blocks *= s[:, None, :]
+        a.append(asm.block_triplets(blocks, idx))
         b.append((np.repeat(idx, 3, axis=1).ravel(),
                   np.tile(rm, cache.n_trace).ravel(),
                   (s[:, :, None] * cache.rm_pairing).ravel()))
@@ -120,13 +123,17 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
 
 
 def _symmetric(pairing):
-    """The symmetric part of a class's trace pairing, which is symmetric up
-    to round-off; the sum of exactly symmetric blocks is exactly symmetric."""
-    asym = np.abs(pairing - pairing.T).max(initial=0.0)
-    if asym > 1e-10 * max(np.abs(pairing).max(initial=0.0), 1.0):
+    """The symmetric parts of a stack's trace pairings (ng, ntr, ntr), each
+    symmetric up to round-off relative to its own scale; the sum of exactly
+    symmetric blocks is exactly symmetric."""
+    T = np.swapaxes(pairing, 1, 2)
+    asym = np.abs(pairing - T).max(axis=(1, 2), initial=0.0)
+    bad = asym > 1e-10 * np.maximum(np.abs(pairing).max(axis=(1, 2),
+                                                        initial=0.0), 1.0)
+    if bad.any():
         raise GlobalSolverError(f"pairing block not symmetric "
-                                f"(|A-A'|={asym})")
-    return 0.5 * (pairing + pairing.T)
+                                f"(|A-A'|={asym[bad][0]})")
+    return 0.5 * (pairing + T)
 
 
 def _face_order(B):
@@ -268,19 +275,20 @@ class MHMSolution:
 
 def postprocess_solution(caches, skeleton, lam, rho, threads=1):
     """Recombine the condensed basis: per element,
-    u = sum_i sign_i lambda_i T(mu_i) + That(f) + rigid part, one matrix
-    product per class.  The members' coordinates relative to their own
-    centroids are the class mesh's, so they share one rigid-mode matrix.
-    `threads` is the thread count of the solve, which the solution's
-    evaluations reuse."""
+    u = sum_i sign_i lambda_i T(mu_i) + That(f) + rigid part, one batched
+    matrix product per record over its (group, slot) grid.  The members'
+    coordinates relative to their own centroids are the class mesh's, so
+    they share one rigid-mode matrix.  `threads` is the thread count of the
+    solve, which the solution's evaluations reuse."""
     fields = {}
     for cache in caches:
-        coef = cache.dof_signs * lam[cache.trace_dofs]         # (m, ntr)
+        coef = np.zeros(cache.filled.shape + (cache.n_trace,))
+        coef[cache.filled] = cache.dof_signs * lam[cache.trace_dofs]
         rm_nodal = cache.rigid_modes.nodal_coefficients(cache.dofh.dof_coords)
-        u = (coef @ cache.trace_u.T + cache.load_u
-             + rho[cache.element_ids] @ rm_nodal.T)
-        p = (coef @ cache.trace_p.T + cache.load_p
-             if cache.trace_p is not None else None)
+        u = ((coef @ np.swapaxes(cache.trace_u, 1, 2))[cache.filled]
+             + cache.load_u + rho[cache.element_ids] @ rm_nodal.T)
+        p = ((coef @ np.swapaxes(cache.trace_p, 1, 2))[cache.filled]
+             + cache.load_p if cache.trace_p is not None else None)
         for i, eid in enumerate(cache.element_ids.tolist()):
             fields[eid] = ElementFields(cache, u[i],
                                         None if p is None else p[i],

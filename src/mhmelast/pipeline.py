@@ -84,7 +84,7 @@ class RunData:
     partition: object
     skeleton: object
     local_meshes: list           # one per geometric congruence class
-    caches: list                 # the basis records, one per material group
+    caches: list                 # the basis records, one per local stack
     system: object
     refinement: object
     config: MHMConfig

@@ -91,13 +91,25 @@ def _shared_and_single(problem, G=1.0, g=None, k=2, kind="gals",
             (sol1, compute_errors(sol1, problem)))
 
 
-def _check_against_per_element_path(G, records, n_meshes=2, **cfg):
+def _groups(caches):
+    """The number of material groups of the records, over their group
+    axes."""
+    return sum(len(c.alpha) for c in caches)
+
+
+def _group_sizes(caches):
+    """The member counts of the records' groups, record by record."""
+    return [size for c in caches for size in c.filled.sum(axis=1).tolist()]
+
+
+def _check_against_per_element_path(G, groups, n_meshes=2, **cfg):
     problem = BrennerProblem(NU)
     (sol, data, err), (sol1, err1) = _shared_and_single(problem, G=G, **cfg)
-    # 32 elements in two shapes: one record per class and material group,
-    # its members as rows; one local mesh per class
-    assert len({id(c.trace_u) for c in data.caches}) == records
-    assert len({id(c.trace_u) for c in sol1.caches}) == 32
+    # 32 elements in two shapes: one record per stack of material groups of
+    # a class, its groups along the group axis and its members as rows; one
+    # local mesh per class
+    assert _groups(data.caches) == groups
+    assert len(sol1.caches) == _groups(sol1.caches) == 32
     assert len(data.local_meshes) == len({id(c.dofh) for c in data.caches})
     assert len(data.local_meshes) == n_meshes
     for caches, meshes in ((data.caches, [lm.element_id
@@ -106,10 +118,17 @@ def _check_against_per_element_path(G, records, n_meshes=2, **cfg):
         ids = np.concatenate([c.element_ids for c in caches])
         assert sorted(ids.tolist()) == list(range(32))
         for c in caches:
-            m = len(c.element_ids)
+            m, ng = len(c.element_ids), len(c.alpha)
             assert c.trace_dofs.shape == c.dof_signs.shape == (m, c.n_trace)
-            assert c.load_u.shape == (m, c.trace_u.shape[0])
+            assert c.load_u.shape == (m, c.trace_u.shape[1])
             assert c.shifts.shape == (m, 2)
+            assert c.trace_u.shape[0] == ng
+            assert c.pairing.shape == (ng, c.n_trace, c.n_trace)
+            # each group's members in its first slots
+            sizes = c.filled.sum(axis=1)
+            assert sizes.sum() == m and len(sizes) == ng
+            assert np.array_equal(c.filled, np.arange(c.filled.shape[1])
+                                  < sizes[:, None])
         # the elements the meshes were built on sit at shift zero
         shifts = np.concatenate([c.shifts for c in caches])
         assert sorted(ids[np.all(shifts == 0, axis=1)]) == sorted(meshes)
@@ -126,7 +145,7 @@ def test_shared_classes_match_per_element_path(kind, k):
 @pytest.mark.parametrize("kind", ["gals", "galerkin"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_varying_material_matches_per_element_path(kind, k):
-    # no two elements sample G alike: one record per element, still on the
+    # no two elements sample G alike: one group per element, still on the
     # two class meshes
     _check_against_per_element_path(_linear, 32, k=k, kind=kind)
 
@@ -142,7 +161,8 @@ def test_proportional_samples_form_their_own_groups(left, right):
     # both classes split at x = 1/2 into two groups with their own operator
     (sol, data, _), (sol1, _) = _shared_and_single(
         BrennerProblem(NU), G=_two_phase(left, right), k=1)
-    assert len(data.caches) == 4
+    assert _groups(data.caches) == 4
+    assert [len(c.alpha) for c in data.caches] == [2, 2]
     assert _rel(sol.lam, sol1.lam) <= 1e-10
 
 
@@ -163,7 +183,7 @@ def test_uneven_material_groups_match_per_element_path(monkeypatch, kind,
 
     def recording_build(*args, **kwargs):
         records = build(*args, **kwargs)
-        sizes.append([len(c.element_ids) for c in records])
+        sizes.append(_group_sizes(records))
         return records
 
     monkeypatch.setattr(pipeline, "build_class_caches", recording_build)
@@ -279,7 +299,7 @@ def test_one_factorization_per_class(monkeypatch):
         calls.clear()
         sol, data = solve_mhm(MHMConfig(n=4, level=0, k=1, ell=1, nu=NU,
                                         G=G), problem)
-        assert len(data.caches) == 2 * groups
+        assert [len(c.alpha) for c in data.caches] == [groups] * 2
         n = data.caches[0].dofh.n_dofs * 3
         assert calls == [(groups * n, groups * n)] * 2
         lam[groups, callable(G)] = sol.lam
@@ -302,7 +322,7 @@ def test_stacks_respect_the_unknown_bound(monkeypatch):
         monkeypatch.setattr(local_solver, "BATCH_UNKNOWNS", bound)
         sol1, data1 = solve_mhm(config, problem)
         assert calls == [(stack * n, stack * n)] * (32 // stack)
-        assert len(data1.caches) == 32
+        assert [len(c.alpha) for c in data1.caches] == [stack] * (32 // stack)
         assert _rel(sol1.lam, sol.lam) <= 1e-12
 
 
@@ -318,20 +338,22 @@ def test_batches_bound_padding_and_unknowns(monkeypatch):
 
 def test_stacks_bound_the_padding(monkeypatch):
     # the 12-member group of each class is factored alone, its 4 single
-    # members in one stack, and the records keep their first-appearance order
+    # members in one stack, one record each, and the groups keep their order
     calls = _counting_splu(monkeypatch)
     problem = BrennerProblem(NU)
     config = MHMConfig(n=4, level=0, k=1, ell=1, nu=NU, G=_inclusion)
     sol, data = solve_mhm(config, problem)
     n = 3 * data.caches[0].dofh.n_dofs
     assert calls == [(n, n), (4 * n, 4 * n)] * 2
-    sizes = [len(c.element_ids) for c in data.caches]
+    assert [len(c.element_ids) for c in data.caches] == [12, 4] * 2
+    sizes = _group_sizes(data.caches)
     assert sorted(sizes) == [1] * 8 + [12] * 2
     calls.clear()
     monkeypatch.setattr(local_solver, "BATCH_UNKNOWNS", 1)
     sol1, data1 = solve_mhm(config, problem)
     assert calls == [(n, n)] * 10
-    assert [len(c.element_ids) for c in data1.caches] == sizes
+    assert len(data1.caches) == 10
+    assert _group_sizes(data1.caches) == sizes
     assert _rel(sol1.lam, sol.lam) <= 1e-12
 
 
@@ -383,12 +405,12 @@ def test_one_local_mesh_per_class(monkeypatch):
     assert built == [c.element_ids[0] for c in data.caches]
 
 
-@pytest.mark.parametrize("G, records", [(1.0, 2), (_linear, 32)])
-def test_error_evaluation_tabulates_once_per_class(monkeypatch, G, records):
+@pytest.mark.parametrize("G, groups", [(1.0, 2), (_linear, 32)])
+def test_error_evaluation_tabulates_once_per_class(monkeypatch, G, groups):
     problem = BrennerProblem(NU)
     sol, data = solve_mhm(MHMConfig(n=4, level=1, k=1, ell=1, nu=NU, G=G,
                                     theta=THETA), problem)
-    assert len(data.caches) == records
+    assert _groups(data.caches) == groups
     built = []
 
     class CountingTabulation(asm.Tabulation):

@@ -73,9 +73,10 @@ def test_degree_validation():
 
 def _guarded_tabulation(ref, pts):
     """Values, gradients and Hessians with every power of a zero exponent
-    factor set to 0, the formula that predates the clipped exponents."""
+    factor set to 0, the formula that predates the clipped exponents, in the
+    centred monomial coordinates 3 (x - 1/3), 3 (y - 1/3)."""
     a, b = (ref.exponents[:, i].astype(float) for i in (0, 1))
-    x, y = pts[:, 0:1], pts[:, 1:2]
+    x, y = 3 * (pts[:, 0:1] - 1 / 3), 3 * (pts[:, 1:2] - 1 / 3)
     with np.errstate(divide="ignore", invalid="ignore"):
         xa, yb = x ** a, y ** b
         xam1 = np.where(a >= 1, x ** np.maximum(a - 1, 0), 0.0)
@@ -84,22 +85,24 @@ def _guarded_tabulation(ref, pts):
         ybm2 = np.where(b >= 2, y ** np.maximum(b - 2, 0), 0.0)
     C = ref.coeffs
     hess = np.empty((len(pts), ref.n_basis, 2, 2))
-    hess[..., 0, 0] = (a * (a - 1) * xam2 * yb) @ C
-    hess[..., 1, 1] = (b * (b - 1) * xa * ybm2) @ C
-    hess[..., 0, 1] = hess[..., 1, 0] = (a * b * xam1 * ybm1) @ C
+    hess[..., 0, 0] = 9 * ((a * (a - 1) * xam2 * yb) @ C)
+    hess[..., 1, 1] = 9 * ((b * (b - 1) * xa * ybm2) @ C)
+    hess[..., 0, 1] = hess[..., 1, 0] = 9 * ((a * b * xam1 * ybm1) @ C)
     return ((xa * yb) @ C,
-            np.stack([(a * xam1 * yb) @ C, (b * xa * ybm1) @ C], axis=-1),
+            3 * np.stack([(a * xam1 * yb) @ C, (b * xa * ybm1) @ C],
+                         axis=-1),
             hess)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_tabulation_equals_guarded_formula_bitwise(k):
-    # the nodes put points on x = 0, y = 0 and both, where a power of a
-    # clipped exponent is 1 rather than 0; the random points are interior
+    # points on x = 1/3, y = 1/3 and both, where a centred coordinate is 0
+    # and a power of a clipped exponent is 1 rather than 0; the nodes and
+    # the random points are elsewhere too
     ref = reference_element(k)
-    pts = np.vstack([ref.nodes, [[0.0, 0.5], [0.5, 0.0]],
+    pts = np.vstack([ref.nodes, [[1 / 3, 0.5], [0.5, 1 / 3], [1 / 3, 1 / 3]],
                      _random_reference_points(np.random.default_rng(k), 20)])
-    assert (pts == 0).any(axis=0).all()
+    assert (3 * (pts - 1 / 3) == 0).any(axis=0).all()
     for got, want in zip(ref.tabulate(pts), _guarded_tabulation(ref, pts)):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()

@@ -44,7 +44,8 @@ def _dense_saddle(caches, sk, u_dirichlet, exactness):
     d = np.zeros(n_rm)
     for j, (_, cache, i) in enumerate(members):
         idx, s = cache.trace_dofs[i], cache.dof_signs[i]
-        A[np.ix_(idx, idx)] += s[:, None] * cache.pairing * s[None, :]
+        pairing = cache.pairing[np.nonzero(cache.filled)[0][i]]
+        A[np.ix_(idx, idx)] += s[:, None] * pairing * s[None, :]
         B[idx, 3 * j:3 * j + 3] += s[:, None] * cache.rm_pairing
         c[idx] -= s * cache.load_pairing[i]
         d[3 * j:3 * j + 3] = -cache.rm_load[i]
@@ -258,9 +259,27 @@ def test_under_refined_configuration_is_flagged():
 
 def test_asymmetric_cache_rejected():
     part, sk, caches = _caches()
-    caches[0].pairing[0, 1] += 1.0
+    caches[0].pairing[0, 0, 1] += 1.0
     with pytest.raises(GlobalSolverError):
         assemble_global_saddle(caches, sk)
+
+
+def test_pairing_symmetry_is_checked_per_group():
+    # each class of this two-phase medium is one stack of two groups whose
+    # pairings differ in scale by the compliance ratio 1e6: an asymmetry of
+    # 100 times the small group's bound, 1e-10 of its scale (at least 1), is
+    # rejected, though it lies within the large group's bound
+    def G(x):
+        return np.where(x[..., 0] < 0.5, 1e-6, 1.0)
+
+    _, data = solve_mhm(MHMConfig(n=4, level=0, k=1, ell=1, nu=0.3, G=G),
+                        BrennerProblem(0.3))
+    cache = data.caches[0]
+    scale = np.maximum(np.abs(cache.pairing).max(axis=(1, 2)), 1.0)
+    assert len(scale) == 2 and 100 * scale.min() < scale.max()
+    cache.pairing[np.argmin(scale), 0, 1] += 100 * 1e-10 * scale.min()
+    with pytest.raises(GlobalSolverError, match="not symmetric"):
+        assemble_global_saddle(data.caches, data.skeleton)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

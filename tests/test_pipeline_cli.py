@@ -261,6 +261,20 @@ def test_patch_test_rejects_the_options_it_fixes(option, from_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["export-fields"],
+    ["convergence", "--method", "mhm-gals", "--levels", "0"],
+    ["nu-sweep", "--methods", "mhm-gals", "--nus", "0.3"]])
+def test_failed_solve_leaves_no_output_directory(command, tmp_path):
+    # k = ell = 2 on the default local meshes of n = 2 fails the refinement
+    # conditions before any result exists
+    out = tmp_path / "d"
+    with pytest.raises(MHMError, match="refinement conditions"):
+        main(command + ["--n", "2", "--k", "2", "--ell", "2", "--nu", "0.3",
+                        "--threads", "1", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_config_file_rejects_bad_choice_and_value(tmp_path, capsys):
     for text, match in (("method = typo", "config key method: invalid "
                          "choice 'typo'"),
