@@ -2,7 +2,7 @@
 incompressible materials, with stabilized locking-free local solvers and a
 verification harness."""
 
-from .fem_core import (InverseConstant, MHMError, QuadratureRule,
+from .fem_core import (K_MAX, InverseConstant, MHMError, QuadratureRule,
                        ReferenceElement, estimate_inverse_constant,
                        inverse_constant, quad_rule, reference_element)
 from .local_solver import (LocalBasisCache, LocalOperator, MaterialField,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BrennerProblem", "ErrorRecord", "GlobalPartition", "InverseConstant",
-    "LinearProblem", "LocalBasisCache", "LocalMesh", "LocalOperator",
+    "K_MAX", "LinearProblem", "LocalBasisCache", "LocalMesh", "LocalOperator",
     "MHMConfig", "MHMError",
     "MHMSolution", "MaterialField", "QuadratureRule", "ReferenceElement",
     "RigidModes", "SaddleSystem", "SingleLevelSolution", "SkeletonMesh",

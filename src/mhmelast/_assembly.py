@@ -128,22 +128,38 @@ class RigidModes:
 
 
 class Tabulation:
-    """Reference-element tabulation pushed to every triangle of a mesh."""
+    """Reference-element tables at the points of a quadrature rule, with the
+    affine maps of every triangle of a mesh: shape values `vals` (nq, nb),
+    reference gradients `ref_grads` (nq, nb, 2) and Hessians `ref_hess`
+    (nq, nb, 2, 2).  The pushed gradients `grads` (nt, nq, nb, 2) and
+    Hessians `hess` (nt, nq, nb, 2, 2) are built on first use, by the
+    element kernels (threads that race there build equal tables); field
+    evaluation (`field_values`) reads only the reference tables."""
 
     def __init__(self, mesh, ref, exactness):
         self.mesh = mesh
         self.ref = ref
         self.rule = quad_rule("triangle", exactness)
         self.geo = Geometry(mesh)
-        vals, grads, hess = ref.tabulate(self.rule.points)
-        self.vals = vals                                    # (nq, nb)
-        self.grads = self.geo.push_gradients(grads)
-        hs = np.einsum("tji,qbim,tml->tqbjl", self.geo.jinv_t, hess,
-                       self.geo.jinv, optimize=True)
-        self.hess = hs
-        self.lap = hs[..., 0, 0] + hs[..., 1, 1]
+        self.vals, self.ref_grads, self.ref_hess = ref.tabulate(
+            self.rule.points)
         self.wdet = self.rule.weights[None, :] * self.geo.detj[:, None]
         self.points = self.geo.physical_points(self.rule.points)
+        self._grads = self._hess = None
+
+    @property
+    def grads(self):
+        if self._grads is None:
+            self._grads = self.geo.push_gradients(self.ref_grads)
+        return self._grads
+
+    @property
+    def hess(self):
+        if self._hess is None:
+            self._hess = np.einsum("tji,qbim,tml->tqbjl", self.geo.jinv_t,
+                                   self.ref_hess, self.geo.jinv,
+                                   optimize=True)
+        return self._hess
 
 
 def strain_product_blocks(tab, factor):
@@ -173,10 +189,11 @@ def stress_divergence_rows(tab, twoG):
     """div(2G eps(phi_I)) for vector basis functions, with G treated as
     constant per triangle at quadrature points: (..., nt, nq, 2nb, 2) for
     `twoG` (..., nt, nq)."""
-    nt, nq, nb, _, _ = tab.hess.shape
+    hess = tab.hess
+    nt, nq, nb, _, _ = hess.shape
+    lap = hess[..., 0, 0] + hess[..., 1, 1]
     # component i of div eps(N_b e_c) is 0.5 (H_b[i, c] + delta_ic lap_b)
-    D = 0.5 * (np.swapaxes(tab.hess, -1, -2)
-               + tab.lap[..., None, None] * np.eye(2))
+    D = 0.5 * (np.swapaxes(hess, -1, -2) + lap[..., None, None] * np.eye(2))
     return D.reshape(nt, nq, 2 * nb, 2) * twoG[..., None, None]
 
 
@@ -278,28 +295,64 @@ def load_vector(tab, fq, Dall=None, alpha=None):
     return F
 
 
-def field_values(vals, grads, loc2glob, U, P, eps):
-    """The discrete fields of m members at tabulated points: u_h
-    (m, nt, nq, 2), grad u_h (m, nt, nq, 2, 2) and p_h (m, nt, nq), from
-    shape values (nq, nb), physical gradients (nt, nq, nb, 2) and the
-    members' interleaved coefficients `U` (m, 2nsd).  With pressure
-    coefficients `P` (m, nsd) None, p_h is the implied -div u_h / eps."""
-    un = U.reshape(len(U), -1, 2)[:, loc2glob]          # (m, nt, nb, 2)
-    uh = vals @ un
-    guh = np.swapaxes(un, -1, -2)[:, :, None] @ grads
+def field_values(tab, loc2glob, U, P, eps, grad_p=False):
+    """The discrete fields of m members at the points of `tab`: u_h
+    (m, nt, nq, 2), grad u_h (m, nt, nq, 2, 2), p_h (m, nt, nq) and, with
+    `grad_p`, grad p_h (m, nt, nq, 2) (else None), from the members'
+    interleaved coefficients `U` (m, 2nsd) and pressure coefficients `P`
+    (m, nsd).  With `P` None, p_h is the implied -div u_h / eps, `eps`
+    broadcasting against (m, nt, nq).
+
+    The gathered coefficients meet the reference tables of `tab` (`vals`,
+    `ref_grads` and, for the gradient of an implied pressure, `ref_hess`)
+    in one matrix product; each triangle's map `tab.geo.jinv` then gives
+    the gradients J^-T grad and the Hessians J^-T Hess J^-1."""
+    nq, nb = tab.vals.shape
+    m, nt = len(U), len(loc2glob)
+    tables = [tab.vals[..., None], tab.ref_grads]
+    if grad_p and P is None:                   # Hessians xx, xy, yy
+        tables.append(tab.ref_hess.reshape(nq, nb, 4)[..., [0, 1, 3]])
+    R = np.moveaxis(np.concatenate(tables, axis=-1), 0, -1).reshape(nb, -1)
+    # rows (member, triangle, component): u_x, u_y and then p
+    rows = 2 * loc2glob[:, None] + np.arange(2)[:, None]       # (nt, 2, nb)
+    coef = U
     if P is not None:
-        ph = P[:, loc2glob] @ vals.T
-    else:
-        ph = -(guh[..., 0, 0] + guh[..., 1, 1]) / eps
-    return uh, guh, ph
+        rows = np.concatenate([rows, U.shape[1] + loc2glob[:, None]], axis=1)
+        coef = np.concatenate([U, P], axis=1)
+    F = (coef[:, rows].reshape(-1, nb) @ R).reshape(m, nt, rows.shape[1],
+                                                     -1, nq)
+    # J^-T against the reference gradients (m, nt, c, 2, nq) of each row
+    g = tab.geo.jinv_t[:, None] @ F[:, :, :, 1:3]
+    uh = np.moveaxis(F[:, :, :2, 0], 2, -1)
+    guh = np.moveaxis(g[:, :, :2], -1, 2)
+    gph = None
+    if P is not None:
+        ph = F[:, :, 2, 0]
+        if grad_p:
+            gph = np.moveaxis(g[:, :, 2], -1, 2)
+        return uh, guh, ph, gph
+    ph = -(g[:, :, 0, 0] + g[:, :, 1, 1]) / eps
+    if grad_p:
+        # grad div u_h = J^-T a, a_l = sum_(c, i) jinv[i, c] H^_c[i, l]: the
+        # map N = J^-T M (nt, 2, (c, xx|xy|yy)) against the Hessian rows
+        M = np.zeros((nt, 2, 2, 3))
+        M[:, 0, :, :2] = M[:, 1, :, 1:] = tab.geo.jinv_t
+        N = tab.geo.jinv_t @ M.reshape(nt, 2, 6)
+        H = F[:, :, :2, 3:].reshape(m, nt, 6, nq)
+        gph = -np.moveaxis(N @ H, -1, 2) / np.asarray(eps)[..., None]
+    return uh, guh, ph, gph
 
 
 def stress(G, grad_u, p):
     """The stress 2 G eps(u) - p I (..., 2, 2) of a displacement gradient
-    (..., 2, 2) and a pressure (...), with G broadcasting against p."""
-    s = np.asarray(G)[..., None, None] * (grad_u + np.swapaxes(grad_u, -1, -2))
-    s[..., 0, 0] -= p
-    s[..., 1, 1] -= p
+    (..., 2, 2) and a pressure (...), with G broadcasting against p; formed
+    component by component, as the 2 x 2 axes are too short for a loop."""
+    G, g = np.asarray(G), grad_u
+    s = np.empty(np.broadcast_shapes(G.shape, g.shape[:-2], np.shape(p))
+                 + (2, 2))
+    s[..., 0, 0] = 2 * G * g[..., 0, 0] - p
+    s[..., 1, 1] = 2 * G * g[..., 1, 1] - p
+    s[..., 0, 1] = s[..., 1, 0] = G * (g[..., 0, 1] + g[..., 1, 0])
     return s
 
 
@@ -327,8 +380,10 @@ def checked_solve(factor, M, B, error, what, hint, blocks=1,
     vector norms taken over the block's rows; a non-finite value fails.  A
     singular factor or a failed check raises `error`, naming the `what`
     system and ending with `hint`, or for a failed check with the string
-    `residual_hint()` when that function is given.  The residuals are
-    formed 32 columns at a time, which keeps the memory of the solve."""
+    `residual_hint()` when that function is given; a failed check names the
+    largest ratio of a residual to its reference and the bound.  The
+    residuals are formed 32 columns at a time, which keeps the memory of
+    the solve."""
     try:
         X = factor().solve(B)
     except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
@@ -344,10 +399,12 @@ def checked_solve(factor, M, B, error, what, hint, blocks=1,
         ref[:, cols] = (_block_norms(B2[:, cols], blocks)
                         + scale[:, None] * _block_norms(X2[:, cols], blocks))
     # a NaN fails the comparison, an infinite x makes its reference infinite
-    if not np.all(np.isfinite(ref)
-                  & (res <= RESIDUAL_RTOL * np.maximum(ref, 1e-300))):
-        raise error(f"{what} solve residual {res.max():.3e} exceeds "
-                    f"tolerance; "
+    finite, ref = np.isfinite(ref), np.maximum(ref, 1e-300)
+    if not np.all(finite & (res <= RESIDUAL_RTOL * ref)):
+        with np.errstate(all="ignore"):
+            worst = np.max(np.where(finite, res / ref, np.inf))
+        raise error(f"{what} solve residual {worst:.3e} (relative, bound "
+                    f"{RESIDUAL_RTOL:.0e}) exceeds tolerance; "
                     f"{hint if residual_hint is None else residual_hint()}")
     return X
 

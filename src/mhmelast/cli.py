@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _assembly as asm
+from .fem_core import K_MAX
 from .mesh import unit_square_mesh
 from .pipeline import THREADS_ENV, MHMConfig, default_threads, solve_mhm
 from .singlelevel import solve_galerkin_dirichlet, solve_gals_dirichlet
@@ -79,13 +80,14 @@ def _parse_nus(text):
     return nus
 
 
-def _integer(low):
-    """An argparse type: integers >= low."""
+def _integer(low, high=None):
+    """An argparse type: integers >= low and, if given, <= high."""
     def parse(text):
         value = int(text)
-        if value < low:
+        if value < low or high is not None and value > high:
             raise argparse.ArgumentTypeError(
-                f"expected an integer >= {low}, got {text!r}")
+                f"expected an integer >= {low}"
+                f"{'' if high is None else f' and <= {high}'}, got {text!r}")
         return value
     parse.__name__ = "int"          # argparse's "invalid int value" message
     return parse
@@ -308,12 +310,11 @@ def cmd_export_fields(args):
         # one geometry per local mesh; members are its translates
         geo = asm.Geometry(dofh.mesh)
         vals, grads, _ = dofh.ref.tabulate(corners)
-        return SimpleNamespace(vals=vals, grads=geo.push_gradients(grads),
+        return SimpleNamespace(geo=geo, vals=vals, ref_grads=grads,
                                points=geo.physical_points(corners))
 
     def chunk(tab, l2g, eids, U, P, shifts):
-        uh, guh, ph = asm.field_values(tab.vals, tab.grads, l2g, U, P,
-                                       problem.epsilon)
+        uh, guh, ph, _ = asm.field_values(tab, l2g, U, P, problem.epsilon)
         sh = asm.stress(problem.G, guh, ph)
         return np.repeat(eids, ph[0].size), np.concatenate([
             tab.points + shifts[:, None, None], uh, ph[..., None],
@@ -354,7 +355,8 @@ def _add_common(p, solve_options=True):
         return
     p.add_argument("--override-wellposedness", action="store_true",
                    dest="override_wellposedness")
-    p.add_argument("--k", type=_integer(1), default=1)
+    p.add_argument("--k", type=_integer(1, K_MAX), default=1,
+                   help=f"local degree, 1 to {K_MAX}")
     p.add_argument("--ell", type=_integer(1), default=1)
     p.add_argument("--nu", type=_inside(0, 0.5, "a Poisson ratio"),
                    default=0.4999)

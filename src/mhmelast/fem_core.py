@@ -11,6 +11,7 @@ import numpy as np
 from scipy.linalg import eigh, null_space
 
 __all__ = [
+    "K_MAX",
     "MHMError",
     "ReferenceElement",
     "QuadratureRule",
@@ -24,6 +25,12 @@ __all__ = [
 
 class MHMError(RuntimeError):
     """Base class of the failures that stop a solve."""
+
+
+# the highest local degree whose solves pass their 1e-10 residual check: on
+# the n = 1 grid the kernel defect of the equispaced basis reaches 5e-11 at
+# k = 13 and 1.7e-10 at k = 14 (see `local_solver._residual_hint`)
+K_MAX = 13
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +60,8 @@ class ReferenceElement:
 
     Shape functions are represented in the monomial basis of the centred
     coordinates 3 (x - 1/3), 3 (y - 1/3) through the inverse of the node
-    Vandermonde matrix; the local solves pass their residual check to k = 13.
+    Vandermonde matrix; the local solves pass their residual check to
+    k = K_MAX = 13.
     """
 
     def __init__(self, k):

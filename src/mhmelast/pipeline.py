@@ -7,7 +7,7 @@ import numbers
 import os
 from dataclasses import dataclass
 
-from .fem_core import MHMError, inverse_constant
+from .fem_core import K_MAX, MHMError, inverse_constant
 from .local_solver import MaterialField, build_class_caches, congruence_classes
 from .mesh import (build_matching_local_mesh, build_structured_triangulation,
                    check_refinement_conditions, refine_skeleton)
@@ -62,6 +62,10 @@ class MHMConfig:
                 raise ValueError(f"{name} must be an integer >= {low}"
                                  f"{' or None' if optional else ''}, got "
                                  f"{value!r}")
+        if self.k > K_MAX:
+            raise ValueError(f"k must be at most K_MAX = {K_MAX}, the highest "
+                             f"degree whose local solves pass their residual "
+                             f"check, got {self.k!r}")
         for name, what, high in (("theta", "theta", 1),
                                  ("G", "shear modulus G", math.inf),
                                  ("nu", "Poisson ratio nu", 0.5)):

@@ -3,12 +3,13 @@ convergence orders, and the numerical diagnostics (compressibility residual,
 saddle-point spectrum) that probe well-posedness and locking.
 
 A two-level solution is evaluated in one member-batched pass over the chunks
-of `MHMSolution.member_chunks`, in the thread count of its solve
-(`MHMSolution.map_chunks`), so the problem's fields must be thread-safe;
-the chunk results are summed in chunk order, which makes the result the
-same bitwise at every thread count.  The exact stress is formed from
-`grad_u`, `p` and `G`; a problem's `sigma` serves only the skeleton
-traction error.
+of `MHMSolution.member_chunks`, each through `_assembly.field_values` (the
+reference tables in one matrix product, then each triangle's affine map),
+in the thread count of its solve (`MHMSolution.map_chunks`), so the
+problem's fields must be thread-safe; the chunk results are summed in chunk
+order, which makes the result the same bitwise at every thread count.  The
+stress error is the stress of the errors of `grad_u` and `p`, with `G`; a
+problem's `sigma` serves only the skeleton traction error.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,10 @@ class BrennerProblem:
     (shear modulus G = 1, displacement clamped on the whole boundary).
 
     All fields are mutually consistent closed forms: the pressure equals
-    -(2 G nu / (1 - 2 nu)) div u and the load equals -div sigma(u).
+    -(2 G nu / (1 - 2 nu)) div u and the load equals -div sigma(u).  `u`,
+    `grad_u` and `f` each take sin and cos of pi x and pi y once and form
+    their 2 pi terms from the double-angle identities: four transcendental
+    calls per point.
     """
 
     def __init__(self, nu, G=1.0):
@@ -48,30 +52,36 @@ class BrennerProblem:
         self.epsilon = (1 - 2 * self.nu) / (2 * self.G * self.nu)
         self.material = MaterialField(self.G, self.nu)
 
-    def u(self, x):
+    def _half_angles(self, x):
+        """sin and cos of pi x and pi y: the only transcendental calls of
+        u, grad_u and f, whose 2 pi terms follow from the double angles
+        sin 2a = 2 sin a cos a and cos 2a = 1 - 2 sin^2 a."""
         x = np.asarray(x, dtype=float)
-        X, Y = x[..., 0], x[..., 1]
-        c = (1 - 2 * self.nu) / 2
-        bump = c * np.sin(np.pi * X) * np.sin(np.pi * Y)
-        u1 = (np.cos(2 * np.pi * X) - 1) * np.sin(2 * np.pi * Y) + bump
-        u2 = (1 - np.cos(2 * np.pi * Y)) * np.sin(2 * np.pi * X) + bump
+        X, Y = np.pi * x[..., 0], np.pi * x[..., 1]
+        return np.sin(X), np.cos(X), np.sin(Y), np.cos(Y)
+
+    def u(self, x):
+        sx, cx, sy, cy = self._half_angles(x)
+        bump = (1 - 2 * self.nu) / 2 * sx * sy
+        # u1 = (cos 2 pi x - 1) sin 2 pi y, u2 = (1 - cos 2 pi y) sin 2 pi x
+        u1 = -4 * sx * sx * sy * cy + bump
+        u2 = 4 * sy * sy * sx * cx + bump
         return np.stack([u1, u2], axis=-1)
 
     def grad_u(self, x):
         """Jacobian du_i/dx_j with shape (..., 2, 2)."""
-        x = np.asarray(x, dtype=float)
-        X, Y = x[..., 0], x[..., 1]
+        sx, cx, sy, cy = self._half_angles(x)
         p2 = 2 * np.pi
-        c = (1 - 2 * self.nu) / 2
-        bx = c * np.pi * np.cos(np.pi * X) * np.sin(np.pi * Y)
-        by = c * np.pi * np.sin(np.pi * X) * np.cos(np.pi * Y)
-        sx, cx = np.sin(p2 * X), np.cos(p2 * X)
-        sy, cy = np.sin(p2 * Y), np.cos(p2 * Y)
-        g = np.empty(X.shape + (2, 2))
-        g[..., 0, 0] = -p2 * sx * sy + bx
-        g[..., 0, 1] = p2 * (cx - 1) * cy + by
-        g[..., 1, 0] = p2 * cx * (1 - cy) + bx
-        g[..., 1, 1] = p2 * sx * sy + by
+        c = (1 - 2 * self.nu) / 2 * np.pi
+        bx = c * cx * sy
+        by = c * sx * cy
+        s2x, s2y = 2 * sx * cx, 2 * sy * cy
+        c2x, c2y = 1 - 2 * sx * sx, 1 - 2 * sy * sy
+        g = np.empty(sx.shape + (2, 2))
+        g[..., 0, 0] = -p2 * s2x * s2y + bx
+        g[..., 0, 1] = -2 * p2 * sx * sx * c2y + by
+        g[..., 1, 0] = 2 * p2 * c2x * sy * sy + bx
+        g[..., 1, 1] = p2 * s2x * s2y + by
         return g
 
     def div_u(self, x):
@@ -92,13 +102,11 @@ class BrennerProblem:
         return asm.stress(self.G, self.grad_u(x), self.p(x))
 
     def f(self, x):
-        x = np.asarray(x, dtype=float)
-        X, Y = x[..., 0], x[..., 1]
-        p2 = 2 * np.pi
-        com = ((1 - 2 * self.nu) * np.sin(np.pi * X) * np.sin(np.pi * Y)
-               - 0.5 * np.cos(np.pi * (X + Y)))
-        f1 = 4 * np.sin(p2 * Y) * (2 * np.cos(p2 * X) - 1) + com
-        f2 = 4 * np.sin(p2 * X) * (1 - 2 * np.cos(p2 * Y)) + com
+        sx, cx, sy, cy = self._half_angles(x)
+        # cos pi (x + y) = cos pi x cos pi y - sin pi x sin pi y
+        com = ((1.5 - 2 * self.nu) * sx * sy - 0.5 * cx * cy)
+        f1 = 8 * sy * cy * (1 - 4 * sx * sx) + com
+        f2 = 8 * sx * cx * (4 * sy * sy - 1) + com
         return self.G * np.pi**2 * np.stack([f1, f2], axis=-1)
 
 
@@ -160,43 +168,31 @@ class ErrorRecord:
     p_h: float             # h-weighted broken H1 seminorm of pressure error
 
 
-def _pressure_gradient(tab, l2g, U, P, eps):
-    """Elementwise gradient (m, nt, nq, 2) of the members' p_h or, with `P`
-    None, of the implied pressure -(1/eps) div u_h."""
-    if P is not None:
-        return (P[:, l2g][:, :, None, None] @ tab.grads)[..., 0, :]
-    nt, nq, nb = tab.hess.shape[:3]
-    un = U[:, asm.vector_dofs(l2g)]                     # (m, nt, 2nb)
-    return -(un[:, :, None, None] @ tab.hess.reshape(nt, nq, 2 * nb, 2)
-             )[..., 0, :] / eps
+def _sum_sq(w, e):
+    """sum_(m, t, q, ...) w[t, q] e[m, t, q, ...]^2, without a squared
+    temporary."""
+    e = e.reshape(e.shape[:3] + (-1,))
+    return np.einsum("tq,mtqi,mtqi->", w, e, e)
 
 
 def _error_squares(tab, l2g, U, P, problem, shifts):
     """The six squared error norms of m translates of the tabulated mesh by
-    `shifts` (m, 2), with coefficients `U` (m, 2nsd) and `P` (m, nsd)/None."""
+    `shifts` (m, 2), with coefficients `U` (m, 2nsd) and `P` (m, nsd)/None.
+    The stress is linear, so its error is the stress of the errors."""
     eps = problem.epsilon
-    uh, guh, ph = asm.field_values(tab.vals, tab.grads, l2g, U, P, eps)
-    gph = _pressure_gradient(tab, l2g, U, P, eps)
-    w = tab.wdet
+    uh, guh, ph, gph = asm.field_values(tab, l2g, U, P, eps, grad_p=True)
     pts = tab.points + shifts[:, None, None]
-
-    gue = problem.grad_u(pts)
-    pe = problem.p(pts)
-    Gq = problem.material.G_at(pts)
-
-    eu = problem.u(pts) - uh
-    egu = gue - guh
-    eph = pe - ph
-    egp = problem.grad_p(pts) - gph
-    es = asm.stress(Gq, gue, pe) - asm.stress(Gq, guh, ph)
-
-    h2 = tab.geo.diameters**2
-    return np.array([np.einsum("tq,mtqc->", w, eu**2),
-                     np.einsum("tq,mtqcj->", w, egu**2),
-                     np.einsum("tq,mtqcj->", w, es**2),
-                     np.einsum("tq,mtq->", w, eph**2),
-                     np.einsum("tq,mtq->", w * (1 + eps), eph**2),
-                     np.einsum("t,tq,mtqj->", h2, w, egp**2)])
+    egu = problem.grad_u(pts) - guh
+    eph = problem.p(pts) - ph
+    w = tab.wdet
+    return np.array([
+        _sum_sq(w, problem.u(pts) - uh),
+        _sum_sq(w, egu),
+        _sum_sq(w, asm.stress(problem.material.G_at(pts), egu, eph)),
+        _sum_sq(w, eph),
+        _sum_sq(w * (1 + eps), eph),
+        _sum_sq(tab.geo.diameters[:, None]**2 * w,
+                problem.grad_p(pts) - gph)])
 
 
 def _traction_error_sq(solution, problem):
@@ -220,7 +216,9 @@ def _tabulation(extra):
 def compute_errors(solution, problem):
     """Error norms of a two-level or single-level solution against the
     closed-form fields, by elementwise quadrature over the member chunks of
-    one tabulation per local mesh, or over one unshifted member."""
+    one tabulation per local mesh, or over one unshifted member.  Each chunk
+    is evaluated once by `_assembly.field_values` (the discrete fields and
+    the pressure gradient) and each exact field once per point."""
     traction_sq = 0.0
     if isinstance(solution, MHMSolution):
         # summed in chunk order, so equal bitwise at any thread count
@@ -256,7 +254,7 @@ def compressibility_residual(solution, material):
     int_K (div u + eps * p) dx, by element id."""
     def chunk(tab, l2g, eids, U, P, shifts):
         epsq = material.eps_at(tab.points + shifts[:, None, None])
-        _, guh, ph = asm.field_values(tab.vals, tab.grads, l2g, U, P, epsq)
+        _, guh, ph, _ = asm.field_values(tab, l2g, U, P, epsq)
         div = guh[..., 0, 0] + guh[..., 1, 1]
         return eids, np.einsum("tq,mtq->m", tab.wdet, div + epsq * ph)
 

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sparse_norm, splu
 
 from mhmelast import TriMesh, unit_square_mesh
-from mhmelast import _assembly as asm, verify
+from mhmelast import _assembly as asm
 from mhmelast.fem_core import reference_element
 
 
@@ -159,12 +159,69 @@ def test_field_values_match_einsum(k):
              (None, -(guh[..., 0, 0] + guh[..., 1, 1]) / eps,
               -np.einsum("tqbcj,mtbc->mtqj", tab.hess, un) / eps)]
     for pcoef, ph, gph in cases:
-        got = asm.field_values(tab.vals, tab.grads, l2g, U, pcoef, eps)
+        got = asm.field_values(tab, l2g, U, pcoef, eps, grad_p=True)
         assert _close(got[0], np.einsum("qb,mtbc->mtqc", tab.vals, un))
         assert _close(got[1], guh)
         assert _close(got[2], ph)
-        assert _close(verify._pressure_gradient(tab, l2g, U, pcoef, eps),
-                      gph)
+        assert _close(got[3], gph)
+
+
+def _jittered_mesh(n, seed):
+    """The n x n unit-square mesh with every interior vertex moved by up to
+    0.3 / n in each direction, so that no two triangles share a map."""
+    mesh = unit_square_mesh(n)
+    v = mesh.vertices.copy()
+    inner = np.all((v > 1e-12) & (v < 1 - 1e-12), axis=1)
+    v[inner] += np.random.default_rng(seed).uniform(-0.3 / n, 0.3 / n,
+                                                    (inner.sum(), 2))
+    return TriMesh(v, mesh.triangles)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_field_values_on_a_jittered_mesh(k):
+    # the reference-table evaluation against sums over the pushed tables,
+    # with and without pressure coefficients, for a scalar eps and for one
+    # per point (the implied pressure and its Hessian path)
+    mesh = _jittered_mesh(4, seed=k)
+    ref = reference_element(k)
+    tab = asm.Tabulation(mesh, ref, 2 * k + 4)
+    l2g = asm.DofHandler(mesh, ref).loc2glob
+    rng = np.random.default_rng(10 + k)
+    m = 2
+    U = rng.standard_normal((m, 2 * (l2g.max() + 1)))
+    P = rng.standard_normal((m, l2g.max() + 1))
+    un = U.reshape(m, -1, 2)[:, l2g]
+    uh = np.einsum("qb,mtbc->mtqc", tab.vals, un)
+    guh = np.einsum("tqbj,mtbc->mtqcj", tab.grads, un)
+    graddiv = np.einsum("tqbcj,mtbc->mtqj", tab.hess, un)
+    if k > 1:
+        assert np.abs(graddiv).max() > 1.0
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    for eps in (0.3, 1e-3 + rng.random((m,) + tab.wdet.shape)):
+        for pcoef in (P, None):
+            got = asm.field_values(tab, l2g, U, pcoef, eps, grad_p=True)
+            assert close(got[0], uh) and close(got[1], guh)
+            if pcoef is None:
+                e = np.asarray(eps)
+                assert close(got[2], -(guh[..., 0, 0] + guh[..., 1, 1]) / e)
+                want = -graddiv / e[..., None]
+                if k == 1:
+                    assert np.array_equal(got[3], want)
+                else:
+                    assert close(got[3], want)
+            else:
+                assert close(got[2], np.einsum("qb,mtb->mtq", tab.vals,
+                                               P[:, l2g]))
+                assert close(got[3], np.einsum("tqbj,mtb->mtqj", tab.grads,
+                                               P[:, l2g]))
+            assert got[3].shape == (m,) + tab.wdet.shape + (2,)
+            # without grad_p, the same fields and no pressure gradient
+            less = asm.field_values(tab, l2g, U, pcoef, eps)
+            assert less[3] is None
+            assert all(close(a, b) for a, b in zip(less[:3], got[:3]))
 
 
 @pytest.mark.parametrize("lead", [(), (1,), (3,)])
@@ -305,6 +362,20 @@ def test_checked_solve_vector_right_hand_side():
         assert x.shape == (M.shape[0],)
         want = np.linalg.solve(M.toarray(), B[:, 2])
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_checked_solve_message_names_the_ratio_and_the_bound():
+    # x = (1, 2e-6) for M = I, b = (1, 0): residual 2e-6 against the
+    # reference ||b|| + ||M|| ||x|| = 2 (to 1e-12), a ratio of 1e-6
+    M = sp.identity(2, format="csc")
+
+    def offset(X):
+        X[1] = 2e-6
+
+    with pytest.raises(ValueError) as info:
+        _solve(M, np.array([1.0, 0.0]), offset)
+    assert str(info.value) == ("test solve residual 1.000e-06 (relative, "
+                               "bound 1e-10) exceeds tolerance; a hint")
 
 
 def test_checked_solve_names_a_singular_system():

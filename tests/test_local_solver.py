@@ -409,9 +409,13 @@ def test_local_solve_residual_is_checked(monkeypatch):
 def test_high_degree_residual_failure_names_the_kernel_defect():
     # at k = 15 the equispaced basis holds the rigid modes in the kernel of
     # the local operator only to about 7e-10 relative; the refinement
-    # conditions pass, so the message must not send the user to them
+    # conditions pass, so the message must not send the user to them.
+    # MHMConfig stops at K_MAX = 13, so an element of the n = 1 grid is
+    # solved directly, on the depth-0 mesh that solve_mhm would give it
+    problem = BrennerProblem(0.4999)
+    part, sk, lm = _element_setup(n=1, depth=0)
     with pytest.raises(LocalSolverError) as info:
-        solve_mhm(MHMConfig(n=1, k=15, nu=0.4999), BrennerProblem(0.4999))
+        build_local_cache(part, lm, sk, problem.material, 15, f=problem.f)
     message = str(info.value)
     assert message.startswith("local solve residual")
     assert re.search(r"\|KZ\|/\(\|K\|\|Z\|\) = \d\.\de-(09|1\d) in the "

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mhmelast import (BrennerProblem, LinearProblem, MHMConfig, MHMError,
-                      MaterialField, SaddleSystem, assemble_local_gals,
-                      build_matching_local_mesh,
+from mhmelast import (K_MAX, BrennerProblem, LinearProblem, MHMConfig,
+                      MHMError, MaterialField, SaddleSystem,
+                      assemble_local_gals, build_matching_local_mesh,
                       build_structured_triangulation, default_depth,
                       estimate_inverse_constant, fem_core, inverse_constant,
                       refine_skeleton, solve_global, solve_mhm,
@@ -55,6 +55,37 @@ def test_config_validation():
     MHMConfig(n=np.int64(3), depth=None, G=lambda x: 1.0 + x[..., 0])
     MHMConfig(level=np.int64(1), k=2, ell=np.int32(1), depth=3, threads=2)
     MHMConfig(threads=None)
+
+
+def test_config_caps_the_degree_at_k_max():
+    assert K_MAX == 13
+    with pytest.raises(ValueError, match="^k must be at most K_MAX = 13, .*"
+                                         "got 14$"):
+        MHMConfig(k=14)
+    assert MHMConfig(k=np.int64(13)).k == 13
+
+
+@pytest.mark.parametrize("source", ["command line", "config file"])
+def test_cli_rejects_a_degree_above_k_max(tmp_path, capsys, source):
+    out = tmp_path / "out"
+    for k in (14, 13):
+        if source == "config file":
+            path = tmp_path / "run.cfg"
+            path.write_text(f"k = {k}\n")
+            argv = ["diagnose", "--config", str(path)]
+        else:
+            argv = ["diagnose", "--k", str(k)]
+        if k == 13:
+            # accepted, and passed on to the solve unchanged
+            assert _parse_args(argv + ["--out", str(out)]).k == 13
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "expected an integer >= 1 and <= 13, " \
+            "got '14'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad, match", [

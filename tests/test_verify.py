@@ -42,10 +42,16 @@ def test_benchmark_vanishes_on_boundary():
         assert np.abs(prob.u(pts)).max() < 1e-13
 
 
+def _close_to(got, want):
+    # a few units in the last place of the largest value
+    return np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("nu", [0.3, 0.4999])
 def test_benchmark_gradient_matches_closed_form(nu):
-    # grad_u shares its sines and cosines; the values are those of the
-    # expressions written out term by term
+    # grad_u takes its 2 pi terms from the double angles of sin and cos of
+    # pi x and pi y; the values are those of the expressions written out
+    # term by term, to round-off
     prob = BrennerProblem(nu)
     x = np.random.default_rng(4).random((50, 7, 2))
     X, Y = x[..., 0], x[..., 1]
@@ -58,7 +64,27 @@ def test_benchmark_gradient_matches_closed_form(nu):
     want[..., 0, 1] = p2 * (np.cos(p2 * X) - 1) * np.cos(p2 * Y) + by
     want[..., 1, 0] = p2 * np.cos(p2 * X) * (1 - np.cos(p2 * Y)) + bx
     want[..., 1, 1] = p2 * np.sin(p2 * X) * np.sin(p2 * Y) + by
-    assert np.array_equal(prob.grad_u(x), want)
+    assert _close_to(prob.grad_u(x), want)
+
+
+@pytest.mark.parametrize("nu, G", [(0.3, 1.0), (0.4999, 2.5)])
+def test_benchmark_displacement_and_load_match_closed_form(nu, G):
+    # u and f from the double angles, against the closed forms written with
+    # sin and cos of 2 pi x, 2 pi y and pi (x + y)
+    prob = BrennerProblem(nu, G=G)
+    x = np.random.default_rng(5).random((40, 9, 2))
+    X, Y = x[..., 0], x[..., 1]
+    p2 = 2 * np.pi
+    bump = (1 - 2 * nu) / 2 * np.sin(np.pi * X) * np.sin(np.pi * Y)
+    u = np.stack([(np.cos(p2 * X) - 1) * np.sin(p2 * Y) + bump,
+                  (1 - np.cos(p2 * Y)) * np.sin(p2 * X) + bump], axis=-1)
+    com = ((1 - 2 * nu) * np.sin(np.pi * X) * np.sin(np.pi * Y)
+           - 0.5 * np.cos(np.pi * (X + Y)))
+    f = G * np.pi**2 * np.stack(
+        [4 * np.sin(p2 * Y) * (2 * np.cos(p2 * X) - 1) + com,
+         4 * np.sin(p2 * X) * (1 - 2 * np.cos(p2 * Y)) + com], axis=-1)
+    assert _close_to(prob.u(x), u)
+    assert _close_to(prob.f(x), f)
 
 
 @pytest.mark.parametrize("nu", [0.3, 0.4999])
