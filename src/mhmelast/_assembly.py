@@ -5,6 +5,8 @@ displacement-pressure and displacement forms, their scatter into
 block-diagonal CSC matrices, pinned dofs and the checked sparse solve.
 """
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -134,7 +136,9 @@ class Tabulation:
     (nq, nb, 2, 2).  The pushed gradients `grads` (nt, nq, nb, 2) and
     Hessians `hess` (nt, nq, nb, 2, 2) are built on first use, by the
     element kernels (threads that race there build equal tables); field
-    evaluation (`field_values`) reads only the reference tables."""
+    evaluation (`field_values`) reads only the reference tables.  `take`
+    gives the tabulation of a subset of the triangles, on which the element
+    kernels run once per distinct triangle (`element_matrices`)."""
 
     def __init__(self, mesh, ref, exactness):
         self.mesh = mesh
@@ -146,6 +150,20 @@ class Tabulation:
         self.wdet = self.rule.weights[None, :] * self.geo.detj[:, None]
         self.points = self.geo.physical_points(self.rule.points)
         self._grads = self._hess = None
+
+    def take(self, idx):
+        """The tabulation of the triangles `idx` alone, in that order: the
+        reference tables are shared, the per-triangle arrays taken.  Its
+        `mesh` stays the whole mesh.  A copy of this object, so that no
+        constructor runs."""
+        out = copy.copy(self)
+        out.geo = copy.copy(self.geo)
+        for name in ("origin", "j", "detj", "jinv", "jinv_t", "diameters"):
+            setattr(out.geo, name, getattr(self.geo, name)[idx])
+        out.wdet, out.points = self.wdet[idx], self.points[idx]
+        out._grads = None if self._grads is None else self._grads[idx]
+        out._hess = None if self._hess is None else self._hess[idx]
+        return out
 
     @property
     def grads(self):
@@ -263,13 +281,51 @@ def unknown_map(dofh, kind):
     return l2g
 
 
+def _distinct_rows(rows):
+    """The first of each set of bitwise-equal rows of `rows` (n, c), and the
+    set of each row: rows == rows[first][inverse].  The rows are compared as
+    one opaque value each, which sorts far faster than a record of c
+    fields."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True,
+                                  return_inverse=True)
+    return first, inverse.ravel()
+
+
 def element_matrices(tab, kind, Gq, epsq, alpha):
     """Element matrices (..., nt, nl, nl) of the `kind` form over the
     unknowns of `unknown_map`, and the least-squares rows `Dall` of
-    `gals_element_matrices` (None for "galerkin", which ignores `alpha`)."""
+    `gals_element_matrices` (None for "galerkin", which ignores `alpha`).
+
+    The kernels run once per distinct triangle, on `tab.take`, and their
+    results are gathered back along the triangle axis.  Two triangles are
+    the same when their Jacobians, diameters, every group's samples of
+    `Gq` and `epsq` and, where it is given per triangle, `alpha` match
+    bitwise: under a constant material the lattice of a local mesh has two
+    (the reference-tensor idea of Kirby & Logg, ACM TOMS 32, 2006)."""
+    lead, nt = Gq.shape[:-2], Gq.shape[-2]
+    epsq = np.broadcast_to(epsq, Gq.shape)
+    per_triangle = kind == "gals" and np.ndim(alpha) > len(lead)
+    keyed = [(tab.geo.j, 0), (tab.geo.diameters, 0), (Gq, -2), (epsq, -2)]
+    if per_triangle:
+        alpha = np.asarray(alpha, dtype=float)
+        keyed.append((alpha, -1))
+    first, inverse = _distinct_rows(np.concatenate(
+        [np.moveaxis(a, axis, 0).reshape(nt, -1) for a, axis in keyed],
+        axis=1))
+    if len(first) < nt:
+        tab, Gq, epsq = tab.take(first), Gq[..., first, :], epsq[..., first, :]
+        if per_triangle:
+            alpha = alpha[..., first]
     if kind == "gals":
-        return gals_element_matrices(tab, Gq, epsq, alpha)
-    return galerkin_element_matrices(tab, Gq, epsq), None
+        A, Dall = gals_element_matrices(tab, Gq, epsq, alpha)
+    else:
+        A, Dall = galerkin_element_matrices(tab, Gq, epsq), None
+    if len(first) < nt:
+        A = A[..., inverse, :, :]
+        Dall = None if Dall is None else Dall[..., inverse, :, :, :]
+    return A, Dall
 
 
 def load_vector(tab, fq, Dall=None, alpha=None):

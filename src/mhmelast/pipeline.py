@@ -28,11 +28,16 @@ def default_threads():
     return int(value)
 
 
-def default_depth(k, level):
+def default_depth(k, level, ell=1):
     """Local refinement depth giving fine edges of length 2^(k-3) times the
-    skeleton segment length (the minimum compatible with well-posedness for
-    the degrees used here), and never coarser than the segments."""
-    return max(0, level + 3 - k)
+    skeleton segment length, and never coarser than the segments.  For
+    k = ell (case 2 of `check_refinement_conditions`) it is raised to the
+    smallest depth whose segments hold the 4 - min(k, 3) interior fine
+    nodes that case 2 needs, 2^(depth - level) - 1 per segment."""
+    depth = max(0, level + 3 - k)
+    if k == ell:
+        depth = max(depth, level + (4 - min(k, 3)).bit_length())
+    return depth
 
 
 @dataclass
@@ -101,7 +106,7 @@ def solve_mhm(config, problem, g=None):
                                          boundary_tag=config.boundary_tag)
     skeleton = refine_skeleton(part, config.level, config.ell)
     depth = config.depth if config.depth is not None else \
-        default_depth(config.k, config.level)
+        default_depth(config.k, config.level, config.ell)
     material = MaterialField(config.G, config.nu)
     classes = congruence_classes(part, skeleton, depth)
     local_meshes = [build_matching_local_mesh(part, members[0], skeleton,

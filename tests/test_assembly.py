@@ -224,6 +224,110 @@ def test_field_values_on_a_jittered_mesh(k):
             assert all(close(a, b) for a, b in zip(less[:3], got[:3]))
 
 
+def _kernel_sizes(monkeypatch):
+    """The number of triangles each element kernel is handed."""
+    sizes = []
+    for name in ("gals_element_matrices", "galerkin_element_matrices"):
+        def counting(tab, *args, kernel=getattr(asm, name)):
+            sizes.append(len(tab.wdet))
+            return kernel(tab, *args)
+        monkeypatch.setattr(asm, name, counting)
+    return sizes
+
+
+def _kernel_case(case, k):
+    """A tabulation, samples (..., nt, nq) and alpha of one case of
+    `test_element_matrices_match_the_full_kernels`."""
+    mesh = _jittered_mesh(6, seed=k) if case == "jittered" else \
+        unit_square_mesh(8)
+    tab = asm.Tabulation(mesh, reference_element(k), 2 * k + 2)
+    x, y = tab.points[..., 0], tab.points[..., 1]
+    Gq, epsq, alpha = np.ones_like(x), np.full_like(x, 1e-3), 0.02
+    if case == "variable G":
+        Gq = 1.0 + 0.5 * x * y
+    elif case == "variable eps":
+        epsq = 1e-3 * (1.0 + x + y ** 2)
+    elif case == "stacked groups":
+        Gq = np.array([1.0, 2.0, 1.0])[:, None, None] * Gq
+        epsq = np.array([1e-3, 1e-3, 0.3])[:, None, None] * np.ones_like(Gq)
+        alpha = np.array([0.01, 0.02, 0.02])
+    elif case == "per-triangle alpha":
+        alpha = np.where(np.arange(mesh.n_triangles) % 3 == 0, 0.01, 0.02)
+    return tab, Gq, epsq, alpha
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("case", ["structured", "jittered", "variable G",
+                                  "variable eps", "stacked groups",
+                                  "per-triangle alpha"])
+def test_element_matrices_match_the_full_kernels(monkeypatch, case, k):
+    # the kernels run once per distinct triangle and are gathered back: the
+    # same matrices and least-squares rows as on every triangle
+    tab, Gq, epsq, alpha = _kernel_case(case, k)
+    nt = tab.mesh.n_triangles
+    full, _, _, _ = _kernel_case(case, k)
+    A_gals, D_gals = asm.gals_element_matrices(full, Gq, epsq, alpha)
+    A_galerkin = asm.galerkin_element_matrices(full, Gq, epsq)
+    sizes = _kernel_sizes(monkeypatch)
+    A, Dall = asm.element_matrices(tab, "gals", Gq, epsq, alpha)
+    assert A.shape == A_gals.shape and Dall.shape == D_gals.shape
+    assert _close(A, A_gals) and _close(Dall, D_gals)
+    A, none = asm.element_matrices(tab, "galerkin", Gq, epsq, alpha)
+    assert none is None and A.shape == A_galerkin.shape
+    assert _close(A, A_galerkin)
+    # no two triangles of the jittered mesh or under a varying G or eps
+    # are alike; the unit square's maps repeat
+    if case in ("jittered", "variable G", "variable eps"):
+        assert sizes == [nt, nt]
+    else:
+        assert sizes[0] < nt and sizes[1] <= sizes[0]
+        # the whole tabulation built no pushed tables
+        assert tab._grads is None and tab._hess is None
+
+
+def test_take_selects_triangles_of_the_tabulation():
+    tab = asm.Tabulation(_jittered_mesh(3, seed=1), reference_element(2), 6)
+    tab.grads                                  # built: taken, not rebuilt
+    idx = np.array([4, 0, 4, 7])
+    sub = tab.take(idx)
+    assert np.array_equal(sub.wdet, tab.wdet[idx])
+    assert np.array_equal(sub.points, tab.points[idx])
+    assert np.array_equal(sub.geo.diameters, tab.geo.diameters[idx])
+    assert np.array_equal(sub.grads, tab.grads[idx])
+    assert _close(sub.hess, tab.hess[idx])
+    assert sub.vals is tab.vals and sub.mesh is tab.mesh
+    assert len(tab.wdet) == tab.mesh.n_triangles      # the original is kept
+
+
+def test_solves_with_a_function_in_place_of_the_tabulation_class(
+        monkeypatch):
+    # a tracer may replace the class by a function that builds it; the
+    # kernels' tabulations of distinct triangles are copies, built by no
+    # call of the name
+    from mhmelast import BrennerProblem, MHMConfig, solve_mhm
+    from mhmelast.singlelevel import solve_gals_dirichlet
+
+    problem = BrennerProblem(0.3)
+
+    def solve():
+        single = solve_gals_dirichlet(unit_square_mesh(4), problem.material,
+                                      2, problem.f, u_dirichlet=problem.u)
+        two_level, _ = solve_mhm(MHMConfig(n=2, nu=0.3, threads=1), problem)
+        return single.u, two_level.lam
+
+    want = solve()
+    cls, calls = asm.Tabulation, []
+
+    def tabulation(*args):
+        calls.append(args)
+        return cls(*args)
+
+    monkeypatch.setattr(asm, "Tabulation", tabulation)
+    got = solve()
+    assert calls
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("lead", [(), (1,), (3,)])
 def test_scatter_stacks_diagonal_blocks(lead):
     # each leading index of the blocks is one diagonal block of n unknowns,

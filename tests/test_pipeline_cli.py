@@ -11,7 +11,9 @@ import scipy.sparse as sp
 from mhmelast import (K_MAX, BrennerProblem, LinearProblem, MHMConfig,
                       MHMError, MaterialField, SaddleSystem,
                       assemble_local_gals, build_matching_local_mesh,
-                      build_structured_triangulation, default_depth,
+                      build_structured_triangulation,
+                      check_refinement_conditions, congruence_classes,
+                      default_depth,
                       estimate_inverse_constant, fem_core, inverse_constant,
                       refine_skeleton, solve_global, solve_mhm,
                       unit_square_mesh)
@@ -36,6 +38,39 @@ def test_default_depth_values():
     assert default_depth(4, 0) == 0
     assert default_depth(1, 2) == 4
     assert default_depth(2, 1) == 2
+
+
+def test_default_depth_meets_the_refinement_conditions():
+    # every pair 1 <= ell <= k <= K_MAX passes on its default local meshes;
+    # k = ell is case 2, which needs 4 - min(k, 3) interior nodes per segment
+    # (the meshes and classes of `solve_mhm`, built once per depth)
+    part = build_structured_triangulation(2)
+    for level in range(4):
+        meshes = {}
+        for ell in range(1, K_MAX + 1):
+            sk = refine_skeleton(part, level, ell)
+            for k in range(ell, K_MAX + 1):
+                depth = default_depth(k, level, ell)
+                if depth not in meshes:
+                    classes = congruence_classes(part, sk, depth)
+                    meshes[depth] = classes, [
+                        build_matching_local_mesh(part, members[0], sk, depth)
+                        for members in classes]
+                classes, local = meshes[depth]
+                report = check_refinement_conditions(k, ell, local, sk,
+                                                     members=classes)
+                assert report.ok, (k, ell, level, report.element_status)
+        assert default_depth(2, level, 2) == level + 2
+        assert default_depth(3, level, 3) == default_depth(K_MAX, level,
+                                                           K_MAX) == level + 1
+        assert default_depth(1, level, 1) == default_depth(1, level)
+
+
+def test_diagnose_runs_at_k_equal_to_ell(tmp_path, capsys):
+    rc = main(["diagnose", "--n", "2", "--k", "2", "--ell", "2", "--out",
+               str(tmp_path)])
+    assert rc == 0
+    assert "diagnostics: PASS" in capsys.readouterr().out
 
 
 def test_config_validation():
@@ -297,11 +332,11 @@ def test_patch_test_rejects_the_options_it_fixes(option, from_file, tmp_path,
     ["convergence", "--method", "mhm-gals", "--levels", "0"],
     ["nu-sweep", "--methods", "mhm-gals", "--nus", "0.3"]])
 def test_failed_solve_leaves_no_output_directory(command, tmp_path):
-    # k = ell = 2 on the default local meshes of n = 2 fails the refinement
-    # conditions before any result exists
+    # k = 1 < ell = 2 fails the refinement conditions on every local mesh,
+    # before any result exists
     out = tmp_path / "d"
     with pytest.raises(MHMError, match="refinement conditions"):
-        main(command + ["--n", "2", "--k", "2", "--ell", "2", "--nu", "0.3",
+        main(command + ["--n", "2", "--k", "1", "--ell", "2", "--nu", "0.3",
                         "--threads", "1", "--out", str(out)])
     assert not out.exists()
 
@@ -456,9 +491,9 @@ def test_export_fields_command(tmp_path):
 
 
 def test_export_fields_honours_override_wellposedness(tmp_path):
-    # k = ell = 2 on the default local meshes of n = 2, level 0 fails the
-    # refinement conditions; as for diagnose, the flag forces the solve
-    argv = ["export-fields", "--n", "2", "--k", "2", "--ell", "2", "--nu",
+    # k = 1 < ell = 2 fails the refinement conditions on every local mesh;
+    # as for diagnose, the flag forces the solve
+    argv = ["export-fields", "--n", "2", "--k", "1", "--ell", "2", "--nu",
             "0.3", "--threads", "1"]
     with pytest.raises(MHMError, match="refinement conditions"):
         main(argv + ["--out", str(tmp_path / "a")])

@@ -1,5 +1,10 @@
 """Single-level reference discretizations on a global mesh."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +12,7 @@ import scipy.sparse as sp
 from mhmelast import (BrennerProblem, LinearProblem, MaterialField, MHMError,
                       compute_errors, solve_galerkin_dirichlet,
                       solve_gals_dirichlet, unit_square_mesh)
+import mhmelast
 from mhmelast import _assembly as asm, local_solver, singlelevel
 from mhmelast.fem_core import inverse_constant, reference_element
 
@@ -222,6 +228,66 @@ def test_reduced_factor_uses_symmetric_order(monkeypatch):
         assert options["diag_pivot_thresh"] == 0.0
         colamd = splu(K, permc_spec="COLAMD", diag_pivot_thresh=0.0)
         assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+def test_node_order_cuts_the_fill_of_the_dof_handler_order(monkeypatch):
+    # the same systems factored in the DofHandler numbering (an identity
+    # `_node_order`) fill more, and solve to the same fields
+    fills, solutions = {}, {}
+    splu = singlelevel.splu
+
+    def recording(matrix, **options):
+        lu = splu(matrix, **options)
+        fills[order].append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(singlelevel, "splu", recording)
+    problem = BrennerProblem(0.49999)
+    for order in ("reverse Cuthill-McKee", "DofHandler"):
+        if order == "DofHandler":
+            monkeypatch.setattr(singlelevel, "_node_order",
+                                lambda dofh, fixed: np.arange(dofh.n_dofs))
+        fills[order] = []
+        solutions[order] = [
+            solver(unit_square_mesh(16), problem.material, 2, problem.f,
+                   u_dirichlet=problem.u)
+            for solver in (solve_gals_dirichlet, solve_galerkin_dirichlet)]
+    for rcm, dofh in zip(fills["reverse Cuthill-McKee"], fills["DofHandler"]):
+        assert rcm < dofh
+    for got, want in zip(*solutions.values()):
+        assert np.abs(got.u - want.u).max() <= 1e-10 * np.abs(want.u).max()
+        if want.p is not None:
+            assert (np.abs(got.p - want.p).max()
+                    <= 1e-8 * np.abs(want.p).max())
+
+
+def test_node_order_is_a_banded_permutation_with_fixed_dofs_last():
+    # a permutation of the scalar dofs with the fixed dofs last; each
+    # triangle's free dofs lie within a band far narrower than the system
+    mesh = unit_square_mesh(8)
+    dofh = asm.DofHandler(mesh, reference_element(2))
+    fixed = dofh.boundary_scalar_dofs()
+    position = singlelevel._node_order(dofh, fixed)
+    n = dofh.n_dofs
+    assert np.array_equal(np.sort(position), np.arange(n))
+    assert np.array_equal(np.sort(position[fixed]),
+                          np.arange(n - len(fixed), n))
+    at = np.where(np.isin(dofh.loc2glob, fixed), np.nan,
+                  position[dofh.loc2glob])
+    band = np.nanmax(at, axis=1) - np.nanmin(at, axis=1)
+    assert band.max() < n // 4
+
+
+def test_package_import_leaves_csgraph_unloaded():
+    # the reverse Cuthill-McKee order imports scipy.sparse.csgraph when a
+    # single-level system is solved, not with the package
+    code = ("import sys, mhmelast; "
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    src = Path(mhmelast.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_singular_single_level_system_is_named():
