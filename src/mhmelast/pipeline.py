@@ -63,7 +63,9 @@ class MHMConfig:
             value = getattr(self, name)
             if optional and value is None:
                 continue
-            if not isinstance(value, numbers.Integral) or value < low:
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)
+                    or value < low):
                 raise ValueError(f"{name} must be an integer >= {low}"
                                  f"{' or None' if optional else ''}, got "
                                  f"{value!r}")
@@ -76,7 +78,8 @@ class MHMConfig:
                                  ("nu", "Poisson ratio nu", 0.5)):
             value, field = getattr(self, name), name != "theta"
             if not (field and callable(value)
-                    or isinstance(value, numbers.Real) and 0 < value < high):
+                    or isinstance(value, numbers.Real)
+                    and not isinstance(value, bool) and 0 < value < high):
                 raise ValueError(f"{what} must be a number in (0, {high:g})"
                                  f"{' or a callable' if field else ''}, got "
                                  f"{value!r}")

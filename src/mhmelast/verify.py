@@ -8,8 +8,11 @@ reference tables in one matrix product, then each triangle's affine map),
 in the thread count of its solve (`MHMSolution.map_chunks`), so the
 problem's fields must be thread-safe; the chunk results are summed in chunk
 order, which makes the result the same bitwise at every thread count.  The
-stress error is the stress of the errors of `grad_u` and `p`, with `G`; a
-problem's `sigma` serves only the skeleton traction error.
+exact fields of a chunk come from one `problem.fields` call (u, grad u, p
+and grad p together; a problem without it is asked for each), and the
+discrete ones are subtracted in place.  The stress error is the stress of
+the errors of grad u and p, with `G`; a problem's `sigma` serves only the
+skeleton traction error.
 """
 
 from dataclasses import dataclass
@@ -40,10 +43,12 @@ class BrennerProblem:
     (shear modulus G = 1, displacement clamped on the whole boundary).
 
     All fields are mutually consistent closed forms: the pressure equals
-    -(2 G nu / (1 - 2 nu)) div u and the load equals -div sigma(u).  `u`,
-    `grad_u` and `f` each take sin and cos of pi x and pi y once and form
-    their 2 pi terms from the double-angle identities: four transcendental
-    calls per point.
+    -(2 G nu / (1 - 2 nu)) div u and the load equals -div sigma(u).  Each
+    closed form is written once, as a function of sin and cos of pi x and
+    pi y (`_half_angles`): the 2 pi terms follow from the double angles and
+    the pi (x + y) terms of div u, p and grad p from the angle sums.  Every
+    public field takes one `_half_angles` call, four transcendental calls
+    per point, and `fields` gives u, grad u, p and grad p from one.
     """
 
     def __init__(self, nu, G=1.0):
@@ -53,24 +58,24 @@ class BrennerProblem:
         self.material = MaterialField(self.G, self.nu)
 
     def _half_angles(self, x):
-        """sin and cos of pi x and pi y: the only transcendental calls of
-        u, grad_u and f, whose 2 pi terms follow from the double angles
-        sin 2a = 2 sin a cos a and cos 2a = 1 - 2 sin^2 a."""
+        """sin and cos of pi x and pi y, the only transcendental calls of
+        the fields: sin 2a = 2 sin a cos a, cos 2a = 1 - 2 sin^2 a,
+        sin pi (x + y) = sx cy + cx sy and cos pi (x + y) = cx cy - sx sy
+        give the rest."""
         x = np.asarray(x, dtype=float)
         X, Y = np.pi * x[..., 0], np.pi * x[..., 1]
         return np.sin(X), np.cos(X), np.sin(Y), np.cos(Y)
 
-    def u(self, x):
-        sx, cx, sy, cy = self._half_angles(x)
+    def _u(self, h):
+        sx, cx, sy, cy = h
         bump = (1 - 2 * self.nu) / 2 * sx * sy
         # u1 = (cos 2 pi x - 1) sin 2 pi y, u2 = (1 - cos 2 pi y) sin 2 pi x
         u1 = -4 * sx * sx * sy * cy + bump
         u2 = 4 * sy * sy * sx * cx + bump
         return np.stack([u1, u2], axis=-1)
 
-    def grad_u(self, x):
-        """Jacobian du_i/dx_j with shape (..., 2, 2)."""
-        sx, cx, sy, cy = self._half_angles(x)
+    def _grad_u(self, h):
+        sx, cx, sy, cy = h
         p2 = 2 * np.pi
         c = (1 - 2 * self.nu) / 2 * np.pi
         bx = c * cx * sy
@@ -84,22 +89,44 @@ class BrennerProblem:
         g[..., 1, 1] = p2 * s2x * s2y + by
         return g
 
-    def div_u(self, x):
-        x = np.asarray(x, dtype=float)
-        s = np.sin(np.pi * (x[..., 0] + x[..., 1]))
-        return (1 - 2 * self.nu) / 2 * np.pi * s
+    def _div_u(self, h):
+        sx, cx, sy, cy = h
+        return (1 - 2 * self.nu) / 2 * np.pi * (sx * cy + cx * sy)
 
-    def p(self, x):
-        return -self.div_u(x) / self.epsilon
+    def _p(self, h):
+        return -self._div_u(h) / self.epsilon
 
-    def grad_p(self, x):
-        x = np.asarray(x, dtype=float)
+    def _grad_p(self, h):
+        sx, cx, sy, cy = h
         c = -(1 - 2 * self.nu) / (2 * self.epsilon) * np.pi**2
-        g = c * np.cos(np.pi * (x[..., 0] + x[..., 1]))
+        g = c * (cx * cy - sx * sy)
         return np.stack([g, g], axis=-1)
 
+    def u(self, x):
+        return self._u(self._half_angles(x))
+
+    def grad_u(self, x):
+        """Jacobian du_i/dx_j with shape (..., 2, 2)."""
+        return self._grad_u(self._half_angles(x))
+
+    def div_u(self, x):
+        return self._div_u(self._half_angles(x))
+
+    def p(self, x):
+        return self._p(self._half_angles(x))
+
+    def grad_p(self, x):
+        return self._grad_p(self._half_angles(x))
+
+    def fields(self, x):
+        """(u, grad u, p, grad p) at `x`, new arrays, from one
+        `_half_angles` call."""
+        h = self._half_angles(x)
+        return self._u(h), self._grad_u(h), self._p(h), self._grad_p(h)
+
     def sigma(self, x):
-        return asm.stress(self.G, self.grad_u(x), self.p(x))
+        h = self._half_angles(x)
+        return asm.stress(self.G, self._grad_u(h), self._p(h))
 
     def f(self, x):
         sx, cx, sy, cy = self._half_angles(x)
@@ -148,6 +175,10 @@ class LinearProblem:
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (2,))
 
+    def fields(self, x):
+        """(u, grad u, p, grad p) at `x`, new arrays."""
+        return self.u(x), self.grad_u(x), self.p(x), self.grad_p(x)
+
     def sigma(self, x):
         return asm.stress(self.G, self.grad_u(x), self.p(x))
 
@@ -175,24 +206,37 @@ def _sum_sq(w, e):
     return np.einsum("tq,mtqi,mtqi->", w, e, e)
 
 
+def _exact_errors(problem, pts, discrete):
+    """The exact (u, grad u, p, grad p) at `pts` minus the `discrete` ones:
+    from one `problem.fields(pts)` call, whose new arrays take the
+    differences in place, or from the four methods of a problem without
+    `fields`."""
+    fields = getattr(problem, "fields", None)
+    if fields is None:
+        return [exact(pts) - d for exact, d in zip(
+            (problem.u, problem.grad_u, problem.p, problem.grad_p), discrete)]
+    errors = fields(pts)
+    for e, d in zip(errors, discrete):
+        e -= d
+    return errors
+
+
 def _error_squares(tab, l2g, U, P, problem, shifts):
-    """The six squared error norms of m translates of the tabulated mesh by
-    `shifts` (m, 2), with coefficients `U` (m, 2nsd) and `P` (m, nsd)/None.
-    The stress is linear, so its error is the stress of the errors."""
-    eps = problem.epsilon
-    uh, guh, ph, gph = asm.field_values(tab, l2g, U, P, eps, grad_p=True)
+    """The squared L2 norms of the errors of u, grad u, the stress and p,
+    and the h-weighted one of grad p, of m translates of the tabulated mesh
+    by `shifts` (m, 2), with coefficients `U` (m, 2nsd) and `P` (m, nsd) or
+    None.  The stress is linear, so its error is the stress of the
+    errors."""
+    discrete = asm.field_values(tab, l2g, U, P, problem.epsilon, grad_p=True)
     pts = tab.points + shifts[:, None, None]
-    egu = problem.grad_u(pts) - guh
-    eph = problem.p(pts) - ph
+    eu, egu, ep, egp = _exact_errors(problem, pts, discrete)
     w = tab.wdet
     return np.array([
-        _sum_sq(w, problem.u(pts) - uh),
+        _sum_sq(w, eu),
         _sum_sq(w, egu),
-        _sum_sq(w, asm.stress(problem.material.G_at(pts), egu, eph)),
-        _sum_sq(w, eph),
-        _sum_sq(w * (1 + eps), eph),
-        _sum_sq(tab.geo.diameters[:, None]**2 * w,
-                problem.grad_p(pts) - gph)])
+        _sum_sq(w, asm.stress(problem.material.G_at(pts), egu, ep)),
+        _sum_sq(w, ep),
+        _sum_sq(tab.geo.diameters[:, None]**2 * w, egp)])
 
 
 def _traction_error_sq(solution, problem):
@@ -218,7 +262,9 @@ def compute_errors(solution, problem):
     closed-form fields, by elementwise quadrature over the member chunks of
     one tabulation per local mesh, or over one unshifted member.  Each chunk
     is evaluated once by `_assembly.field_values` (the discrete fields and
-    the pressure gradient) and each exact field once per point."""
+    the pressure gradient) and once by `problem.fields`, or by `u`,
+    `grad_u`, `p` and `grad_p` for a problem without it.  The scalar
+    `problem.epsilon` makes p_eps = sqrt(1 + eps) l2_p."""
     traction_sq = 0.0
     if isinstance(solution, MHMSolution):
         # summed in chunk order, so equal bitwise at any thread count
@@ -236,7 +282,8 @@ def compute_errors(solution, problem):
         raise TypeError(f"unsupported solution type {type(solution)!r}")
     r = np.sqrt(sq)
     return ErrorRecord(l2_u=r[0], h1_u=r[1], l2_sigma=r[2], l2_p=r[3],
-                       p_eps=r[4], p_h=r[5], traction=np.sqrt(traction_sq))
+                       p_eps=np.sqrt(1 + problem.epsilon) * r[3], p_h=r[4],
+                       traction=np.sqrt(traction_sq))
 
 
 def convergence_orders(errors):

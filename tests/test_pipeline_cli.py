@@ -12,8 +12,8 @@ from mhmelast import (K_MAX, BrennerProblem, LinearProblem, MHMConfig,
                       MHMError, MaterialField, SaddleSystem,
                       assemble_local_gals, build_matching_local_mesh,
                       build_structured_triangulation,
-                      check_refinement_conditions, congruence_classes,
-                      default_depth,
+                      check_refinement_conditions, compute_errors,
+                      congruence_classes, convergence_orders, default_depth,
                       estimate_inverse_constant, fem_core, inverse_constant,
                       refine_skeleton, solve_global, solve_mhm,
                       unit_square_mesh)
@@ -64,6 +64,20 @@ def test_default_depth_meets_the_refinement_conditions():
         assert default_depth(3, level, 3) == default_depth(K_MAX, level,
                                                            K_MAX) == level + 1
         assert default_depth(1, level, 1) == default_depth(1, level)
+
+
+@pytest.mark.parametrize("k, ell", [(2, 2), (3, 2), (3, 3)])
+def test_higher_trace_degrees_converge_at_order_k(k, ell):
+    # the criterion-2 study (n = 4, nu = 0.4999, theta = 0.25, levels 0-3)
+    # on the default depths of ell > 1: the last-step H1 order is k to
+    # criterion 2's tolerance of 0.15
+    problem = BrennerProblem(0.4999)
+    h1 = [compute_errors(solve_mhm(MHMConfig(n=4, level=level, k=k, ell=ell,
+                                             nu=0.4999, theta=0.25),
+                                   problem)[0], problem).h1_u
+          for level in range(4)]
+    order = convergence_orders(h1)[-1]
+    assert abs(order - k) <= 0.15, (k, ell, convergence_orders(h1))
 
 
 def test_diagnose_runs_at_k_equal_to_ell(tmp_path, capsys):
@@ -139,6 +153,25 @@ def test_cli_rejects_a_degree_above_k_max(tmp_path, capsys, source):
 ])
 def test_config_names_a_non_numeric_or_non_callable_field(bad, match):
     with pytest.raises(ValueError, match=f"^{match}"):
+        MHMConfig(**bad)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"n": True}, "n must be an integer >= 1, got True"),
+    ({"level": False}, "level must be an integer >= 0, got False"),
+    ({"k": True}, "k must be an integer >= 1, got True"),
+    ({"ell": True}, "ell must be an integer >= 1, got True"),
+    ({"depth": False}, "depth must be an integer >= 0 or None, got False"),
+    ({"threads": True}, "threads must be an integer >= 1 or None, got True"),
+    ({"theta": True}, "theta must be a number in \\(0, 1\\), got True"),
+    ({"G": True}, "shear modulus G must be a number in \\(0, inf\\) or a "
+                  "callable, got True"),
+    ({"nu": False}, "Poisson ratio nu must be a number in \\(0, 0.5\\) or a "
+                    "callable, got False"),
+])
+def test_config_rejects_booleans(bad, match):
+    # bool is an Integral and a Real, but True is no grid size or modulus
+    with pytest.raises(ValueError, match=f"^{match}$"):
         MHMConfig(**bad)
 
 

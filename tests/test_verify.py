@@ -87,6 +87,49 @@ def test_benchmark_displacement_and_load_match_closed_form(nu, G):
     assert _close_to(prob.f(x), f)
 
 
+def _interior_and_side_points(seed):
+    """Random points of the unit square, and of its sides x, y in {0, 1}
+    (corners included)."""
+    rng = np.random.default_rng(seed)
+    t = np.append(rng.random(12), [0.0, 1.0])
+    sides = [np.column_stack([t, np.full_like(t, v)]) for v in (0.0, 1.0)]
+    sides += [np.column_stack([np.full_like(t, v), t]) for v in (0.0, 1.0)]
+    return np.concatenate([rng.random((60, 2))] + sides)
+
+
+@pytest.mark.parametrize("nu, G", [(0.3, 1.0), (0.4999, 2.5)])
+def test_benchmark_fields_match_each_field(nu, G):
+    prob = BrennerProblem(nu, G=G)
+    x = _interior_and_side_points(7)
+    want = (prob.u(x), prob.grad_u(x), prob.p(x), prob.grad_p(x))
+    got = prob.fields(x)
+    assert len(got) == 4
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and _close_to(g, w)
+
+
+@pytest.mark.parametrize("nu, G", [(0.3, 1.0), (0.4999, 2.5)])
+def test_benchmark_pressure_from_the_angle_sums(nu, G):
+    # div u, p and grad p take sin and cos of pi (x + y) from the angle
+    # sums of the half angles; against sin and cos of pi (x + y) directly
+    prob = BrennerProblem(nu, G=G)
+    x = _interior_and_side_points(8)
+    s = x[..., 0] + x[..., 1]
+    div = (1 - 2 * nu) / 2 * np.pi * np.sin(np.pi * s)
+    gp = -(1 - 2 * nu) / (2 * prob.epsilon) * np.pi**2 * np.cos(np.pi * s)
+    assert _close_to(prob.div_u(x), div)
+    assert _close_to(prob.p(x), -div / prob.epsilon)
+    assert _close_to(prob.grad_p(x), np.stack([gp, gp], axis=-1))
+
+
+def test_linear_problem_fields_match_each_field():
+    prob = LinearProblem([[0.2, -0.1], [0.3, 0.4]], [1.0, -1.0], nu=0.3)
+    x = np.random.default_rng(9).random((3, 7, 2))
+    want = (prob.u(x), prob.grad_u(x), prob.p(x), prob.grad_p(x))
+    for g, w in zip(prob.fields(x), want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("nu", [0.3, 0.4999])
 def test_benchmark_derivative_consistency(nu):
     # closed-form gradients, divergence and pressure gradient agree with
@@ -217,6 +260,37 @@ def test_implied_pressure_branch_matches_explicit():
     rec = compute_errors(without_p, prob)
     assert rec.l2_p < 1e-12
     assert rec.l2_sigma < 1e-11
+
+
+class _WithoutFields:
+    """A problem that gives its exact fields one method at a time, with no
+    `fields`."""
+
+    def __init__(self, problem):
+        for name in ("u", "grad_u", "p", "grad_p", "sigma", "material",
+                     "epsilon"):
+            setattr(self, name, getattr(problem, name))
+
+
+@pytest.mark.parametrize("case", ["gals", "galerkin", "single-level"])
+def test_errors_without_fields_match_the_fields_path(case):
+    problem = BrennerProblem(0.45)
+    if case == "single-level":
+        sol = solve_gals_dirichlet(unit_square_mesh(4), problem.material, 2,
+                                   problem.f, u_dirichlet=problem.u)
+    else:
+        sol, _ = solve_mhm(MHMConfig(n=2, level=1, k=2, nu=0.45, theta=0.25,
+                                     kind=case), problem)
+    methods_only = _WithoutFields(problem)
+    assert not hasattr(methods_only, "fields")
+    want = vars(compute_errors(sol, problem))
+    got = vars(compute_errors(sol, methods_only))
+    assert want["l2_u"] > 0 and want["p_eps"] > want["l2_p"] > 0
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-14 * abs(value), name
+    # the scalar eps weights p_eps: the weighted norm is a multiple of l2_p
+    for rec in (want, got):
+        assert rec["p_eps"] == np.sqrt(1 + problem.epsilon) * rec["l2_p"]
 
 
 def test_compute_errors_rejects_unknown_solution():
