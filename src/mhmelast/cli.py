@@ -291,7 +291,11 @@ def cmd_diagnose(args):
     sol, data = solve_mhm(_mhm_config(args), problem)
     spec = spectral_diagnostics(data.system, skeleton=data.skeleton)
     comp = compressibility_residual(sol, problem.material)
+    system = data.system
     print(f"refinement conditions: {'pass' if data.refinement.ok else 'FAIL'}")
+    print(f"global unknowns: {len(system.order)} ({system.n_lambda} trace, "
+          f"{len(system.rhs_rm)} rigid-mode)")
+    print(f"saddle matrix nonzeros: {system.matrix.nnz}")
     print(f"lambda_min on ker(B'): {spec.lambda_min:.6e}")
     print(f"lambda_min, deviatoric: {spec.lambda_min_deviatoric:.6e}")
     print(f"smallest singular value of B: {spec.inf_sup:.6e}")

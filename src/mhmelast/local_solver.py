@@ -23,6 +23,7 @@ compatible with the modes and the pinned solution is then projected onto
 C x = 0; see `solve_local_basis`.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,10 +87,17 @@ class MaterialField:
 
     G is treated as piecewise constant on the fine mesh (its gradient does
     not enter the least-squares terms), so the broken W^{1,inf} norm reduces
-    to the max of |G| over quadrature points.
+    to the max of |G| over quadrature points.  A modulus that is neither a
+    real number (`bool` excluded) nor a callable is rejected with a
+    ValueError; the ranges are checked where the moduli are evaluated.
     """
 
     def __init__(self, G, nu):
+        for what, value in (("shear modulus G", G), ("Poisson ratio nu", nu)):
+            if not (callable(value) or isinstance(value, numbers.Real)
+                    and not isinstance(value, bool)):
+                raise ValueError(f"{what} must be a number or a callable, "
+                                 f"got {value!r}")
         self._G = G
         self._nu = nu
 

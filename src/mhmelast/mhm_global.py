@@ -2,9 +2,12 @@
 coupling the trace (traction) unknowns with the per-element rigid-body
 modes, its solution, and the reconstruction of the element-wise fields.
 
-The system is factored in a symmetric order of its faces in which every
-element's rigid modes follow its trace dofs, so that the factorization
-needs no row exchanges (`solve_global`).
+The system is stored as the one matrix that is factored: the saddle matrix
+in a symmetric order of its faces in which every element's rigid modes
+follow their trace dofs, so that the factorization needs no row exchanges
+(`solve_global`).  It is built by a single COO to CSC conversion of the
+pairing triplets and of B and its transpose, with every index taken to its
+position in that order; the blocks A and B are derived from it on demand.
 """
 
 from collections import deque
@@ -39,33 +42,69 @@ class SaddleSystem:
         [A  B] [lambda]   [c]
         [B' 0] [rho   ] = [d]
 
-    with A the trace/trace pairing and B the trace/rigid-mode pairing (both
-    CSR: each element couples only its own trace dofs and its three rigid
-    modes), and the right-hand side built from the load solutions and the
-    boundary data.
+    with A the trace/trace pairing and B the trace/rigid-mode pairing (each
+    element couples only its own trace dofs and its three rigid modes), and
+    the right-hand side built from the load solutions and the boundary data.
+
+    The matrix is stored once, as `matrix`, the CSC matrix that
+    `solve_global` factors: its unknown i is the unknown order[i] of
+    [lambda; rho] (`_face_order`).  A, B and the matrix in the natural order
+    (`full_matrix`) are derived from it on demand.  `from_blocks` builds a
+    system from given blocks A and B, through the same conversion.
     """
-    A: sp.csr_matrix
-    B: sp.csr_matrix
+    matrix: sp.csc_matrix
+    order: np.ndarray
     rhs_lambda: np.ndarray
     rhs_rm: np.ndarray
 
-    def full_matrix(self, order=None):
-        """The saddle matrix in CSC form, built from the COO triplets of A
-        and B, with the unknowns [lambda; rho] taken in `order` (their own
-        order by default; `solve_global` factors it in `_face_order`)."""
-        n, m = self.B.shape
-        A, B = self.A.tocoo(), self.B.tocoo()
-        rows = np.concatenate([A.row, B.row, n + B.col])
-        cols = np.concatenate([A.col, n + B.col, B.row])
-        if order is not None:
-            position = np.empty(n + m, dtype=rows.dtype)
-            position[order] = np.arange(n + m)
-            rows, cols = position[rows], position[cols]
-        return sp.csc_matrix((np.concatenate([A.data, B.data, B.data]),
-                              (rows, cols)), shape=(n + m,) * 2)
+    @classmethod
+    def from_blocks(cls, A, B, rhs_lambda, rhs_rm):
+        """The system of the blocks A and B (any matrix form) and the
+        right-hand sides, built as `assemble_global_saddle` builds one."""
+        A = sp.coo_matrix(A)
+        return cls(*_face_ordered_matrix(
+            lambda position: [(position[A.row], position[A.col], A.data)],
+            sp.csr_matrix(B)), rhs_lambda, rhs_rm)
+
+    @property
+    def n_lambda(self):
+        return len(self.rhs_lambda)
+
+    def full_matrix(self):
+        """The saddle matrix (CSR) with the unknowns in their own order."""
+        M = self.matrix.tocoo()
+        return sp.csr_matrix((M.data, (self.order[M.row], self.order[M.col])),
+                             shape=M.shape)
+
+    @property
+    def A(self):
+        return self.full_matrix()[:self.n_lambda, :self.n_lambda]
+
+    @property
+    def B(self):
+        return self.full_matrix()[:self.n_lambda, self.n_lambda:]
 
     def full_rhs(self):
         return np.concatenate([self.rhs_lambda, self.rhs_rm])
+
+
+def _face_ordered_matrix(pairing_triplets, B):
+    """The saddle matrix (CSC) of the trace/rigid-mode block B (CSR) and
+    the pairing A given by `pairing_triplets(position)`, and its order
+    `_face_order(B)`.  `pairing_triplets` returns A's COO triplets with each
+    unknown i of [lambda; rho] at its position[i] (int32) in that order;
+    they, B and B' become the matrix in one COO to CSC conversion, in which
+    duplicates sum."""
+    n, m = B.shape
+    order = _face_order(B)
+    position = np.empty(n + m, dtype=np.int32)
+    position[order] = np.arange(n + m, dtype=np.int32)
+    B = B.tocoo()
+    r, c = position[B.row], position[n + B.col]
+    rows, cols, vals = map(np.concatenate, zip(*pairing_triplets(position),
+                                               (r, c, B.data),
+                                               (c, r, B.data)))
+    return sp.csc_matrix((vals, (rows, cols)), shape=(n + m,) * 2), order
 
 
 def _dirichlet_data_vector(skeleton, u_dirichlet, exactness):
@@ -92,23 +131,19 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
     The trace unknown is single-valued per skeleton segment; each element
     contributes its group's pairing through its orientation signs, and
     element K owns rigid-mode unknowns 3K to 3K + 2.  On Dirichlet faces the
-    continuity equation is driven by the boundary displacement data.  The
-    element blocks are gathered as COO triplets; duplicates sum when each
-    block matrix is built.
+    continuity equation is driven by the boundary displacement data.  B is
+    built first, as CSR, for the face order; the element blocks of A are
+    then gathered as COO triplets at their positions in that order and
+    converted together with B (`_face_ordered_matrix`).
     """
     n_lambda = skeleton.n_dofs
     n_rm = 3 * sum(len(c.element_ids) for c in caches)
-    a, b = [], []                       # COO triplets of A and B
+    b = []                              # COO triplets of B
     c = np.zeros(n_lambda)
     d = np.zeros(n_rm)
     for cache in caches:
         idx, s = cache.trace_dofs, cache.dof_signs       # (m, ntr) each
         rm = 3 * cache.element_ids[:, None] + np.arange(3)
-        blocks = np.repeat(_symmetric(cache.pairing),        # (m, ntr, ntr)
-                           cache.filled.sum(axis=1), axis=0)
-        blocks *= s[:, :, None]
-        blocks *= s[:, None, :]
-        a.append(asm.block_triplets(blocks, idx))
         b.append((np.repeat(idx, 3, axis=1).ravel(),
                   np.tile(rm, cache.n_trace).ravel(),
                   (s[:, :, None] * cache.rm_pairing).ravel()))
@@ -118,8 +153,20 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
         deg = max(cache.degree for cache in caches)
         c += _dirichlet_data_vector(skeleton, u_dirichlet,
                                     deg + skeleton.degree + 2)
-    return SaddleSystem(_csr(a, (n_lambda, n_lambda)),
-                        _csr(b, (n_lambda, n_rm)), c, d)
+    B = _csr(b, (n_lambda, n_rm))
+
+    def pairing_triplets(position):
+        a = []
+        for cache in caches:
+            s = cache.dof_signs
+            blocks = np.repeat(_symmetric(cache.pairing),    # (m, ntr, ntr)
+                               cache.filled.sum(axis=1), axis=0)
+            blocks *= s[:, :, None]
+            blocks *= s[:, None, :]
+            a.append(asm.block_triplets(blocks, position[cache.trace_dofs]))
+        return a
+
+    return SaddleSystem(*_face_ordered_matrix(pairing_triplets, B), c, d)
 
 
 def _symmetric(pairing):
@@ -178,8 +225,9 @@ def _face_order(B):
 
 def solve_global(system):
     """Solve the saddle-point system with one sparse LU factorization
-    (SuperLU) in a symmetric order that puts each element's rigid modes
-    after its trace dofs (`_face_order`), and verify the residual.
+    (SuperLU) of its stored matrix, whose symmetric order puts each
+    element's rigid modes after its trace dofs (`_face_order`), and verify
+    the residual.
 
     With A positive definite, every trace pivot of that order is positive
     and every rigid-mode pivot -b^T S^-1 b negative, so the factorization
@@ -187,8 +235,7 @@ def solve_global(system):
     and the minimum-degree order of the faces holds about half of COLAMD's
     fill.  The pivot threshold is 0.1, not 0: an under-refined local mesh
     makes A singular, and diagonal pivots then fail the residual check."""
-    order = _face_order(system.B)
-    M = system.full_matrix(order)
+    M, order = system.matrix, system.order
     x = np.empty(len(order))
     x[order] = asm.checked_solve(
         lambda: splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.1,
@@ -196,7 +243,7 @@ def solve_global(system):
         M, system.full_rhs()[order], GlobalSolverError, "global",
         "the local meshes may be too coarse for the trace space (see "
         "check_refinement_conditions)")
-    n = system.A.shape[0]
+    n = system.n_lambda
     return x[:n], x[n:].reshape(-1, 3)
 
 

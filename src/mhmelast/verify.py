@@ -360,15 +360,14 @@ def spectral_diagnostics(system, skeleton=None, threshold=1e-12):
     more than SPECTRAL_MAX_UNKNOWNS = 6000 global unknowns (trace dofs plus
     rigid modes) with a ValueError instead of exhausting memory.
     """
-    A, B = system.A, system.B
-    if A.shape[0] == 0:
+    if system.n_lambda == 0:
         return SpectralReport(0.0, 0.0, 0.0, 0.0, True)
-    n = A.shape[0] + B.shape[1]
+    n = len(system.order)
     if n > SPECTRAL_MAX_UNKNOWNS:
         raise ValueError(
             f"spectral_diagnostics densifies the saddle system: {n} global "
             f"unknowns exceed the limit of {SPECTRAL_MAX_UNKNOWNS}")
-    A, B = A.toarray(), B.toarray()
+    A, B = system.A.toarray(), system.B.toarray()
     norm_A = float(np.linalg.norm(A, 2))
     Z = null_space(B.T)
     lam_min = _projected_min_eig(A, Z)

@@ -87,6 +87,19 @@ def test_diagnose_runs_at_k_equal_to_ell(tmp_path, capsys):
     assert "diagnostics: PASS" in capsys.readouterr().out
 
 
+def test_diagnose_prints_the_global_problem_size(tmp_path, capsys):
+    rc = main(["diagnose", "--n", "2", "--level", "1", "--k", "2", "--out",
+               str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    # 2 n^2 = 8 elements; 16 faces of 2 segments with 2 (ell + 1) = 4 dofs
+    assert "global unknowns: 152 (128 trace, 24 rigid-mode)" in out
+    _, data = solve_mhm(MHMConfig(n=2, level=1, k=2, nu=0.4999),
+                        BrennerProblem(0.4999))
+    nnz = data.system.matrix.nnz
+    assert nnz > 152 and f"saddle matrix nonzeros: {nnz}\n" in out
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MHMConfig(k=0)
@@ -197,8 +210,8 @@ def test_solver_failures_are_mhm_errors(monkeypatch):
     # global: a rigid mode coupled to no trace dof
     B = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(MHMError, match="singular global system"):
-        solve_global(SaddleSystem(sp.identity(2, format="csr"), B,
-                                  np.ones(2), np.ones(2)))
+        solve_global(SaddleSystem.from_blocks(sp.identity(2, format="csr"),
+                                              B, np.ones(2), np.ones(2)))
     # pipeline: local meshes failing the refinement conditions
     with pytest.raises(MHMError, match="refinement conditions"):
         solve_mhm(MHMConfig(n=1, level=0, k=1, ell=1, depth=0), PATCH)

@@ -32,6 +32,19 @@ def test_zero_data_gives_zero_solution():
             assert np.abs(sol.p).max() < 1e-13
 
 
+@pytest.mark.parametrize("G, nu, message", [
+    (True, 0.3, "shear modulus G must be a number or a callable, got True"),
+    (np.True_, 0.3, "shear modulus G must be a number .*, got np.True_"),
+    ("1", 0.3, "shear modulus G must be a number .*, got '1'"),
+    (1.0, False, "Poisson ratio nu must be a number or a callable, got "
+                 "False")])
+def test_moduli_that_are_not_numbers_are_rejected(G, nu, message):
+    # float(True) is 1.0: a boolean G would pass as G = 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_gals_dirichlet(unit_square_mesh(2), MaterialField(G, nu), 1,
+                             _zero)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_linear_patch_exactness(k):
     problem = LinearProblem([[0.3, 0.1], [-0.2, 0.4]], [0.05, -0.02], nu=0.3)

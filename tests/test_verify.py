@@ -574,8 +574,8 @@ def test_hydrostatic_trace_vector_normalized():
 def test_spectral_diagnostics_empty_system():
     from mhmelast import SaddleSystem
 
-    empty = SaddleSystem(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0),
-                         np.zeros(0))
+    empty = SaddleSystem.from_blocks(np.zeros((0, 0)), np.zeros((0, 0)),
+                                     np.zeros(0), np.zeros(0))
     rep = spectral_diagnostics(empty)
     assert rep.ok
 
@@ -584,8 +584,9 @@ def test_spectral_diagnostics_refuses_large_system():
     from mhmelast import SaddleSystem
 
     n = SPECTRAL_MAX_UNKNOWNS
-    big = SaddleSystem(sp.csr_matrix((n, n)), sp.csr_matrix((n, 3)),
-                       np.zeros(n), np.zeros(3))
+    big = SaddleSystem.from_blocks(sp.csr_matrix((n, n)),
+                                   sp.csr_matrix((n, 3)), np.zeros(n),
+                                   np.zeros(3))
     with pytest.raises(ValueError, match=f"{n + 3} global unknowns exceed "
                                          f"the limit of {n}"):
         spectral_diagnostics(big)
