@@ -22,7 +22,7 @@ from .singlelevel import (SingleLevelSolution, solve_galerkin_dirichlet,
                           solve_gals_dirichlet)
 from .verify import (BrennerProblem, ErrorRecord, LinearProblem,
                      compressibility_residual, compute_errors,
-                     convergence_orders, exact_brenner, spectral_diagnostics)
+                     convergence_orders, spectral_diagnostics)
 
 __version__ = "0.1.0"
 
@@ -38,10 +38,9 @@ __all__ = [
     "check_refinement_conditions", "compressibility_residual",
     "compute_alpha", "compute_errors", "congruence_classes",
     "convergence_orders", "default_depth", "element_load",
-    "estimate_inverse_constant", "exact_brenner",
-    "inverse_constant", "postprocess_solution", "project_rm", "quad_rule",
-    "read_partition", "reference_element", "refine_skeleton",
-    "solve_galerkin_dirichlet", "solve_gals_dirichlet", "solve_global",
-    "solve_local_basis", "solve_mhm", "spectral_diagnostics",
+    "estimate_inverse_constant", "inverse_constant", "postprocess_solution",
+    "project_rm", "quad_rule", "read_partition", "reference_element",
+    "refine_skeleton", "solve_galerkin_dirichlet", "solve_gals_dirichlet",
+    "solve_global", "solve_local_basis", "solve_mhm", "spectral_diagnostics",
     "unit_square_mesh", "write_partition",
 ]

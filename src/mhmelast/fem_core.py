@@ -115,15 +115,6 @@ class ReferenceElement:
         hess[:, :, 1, 0] = hess[:, :, 0, 1]
         return vals, grads, hess
 
-    def shape_eval(self, point):
-        """Values, gradients and Hessians of all shape functions at one
-        point of the closed reference triangle."""
-        p = np.asarray(point, dtype=float)
-        if p[0] < -1e-12 or p[1] < -1e-12 or p[0] + p[1] > 1 + 1e-12:
-            raise ValueError(f"point {point} outside reference triangle")
-        vals, grads, hess = self.tabulate(p[None, :])
-        return vals[0], grads[0], hess[0]
-
 
 @lru_cache(maxsize=None)
 def reference_element(k):

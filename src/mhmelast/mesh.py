@@ -11,7 +11,6 @@ partition's elements (n_el, 3) and `Faces`, the skeleton's `Segments`, and
 a local mesh's `BoundaryEdges`.
 """
 
-import io
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -593,13 +592,3 @@ def read_partition(stream_or_path):
         return tag_at.get(tuple(mid.tolist()), "dirichlet")
 
     return GlobalPartition(verts, elements, boundary_tag=boundary_tag)
-
-
-def partition_to_string(partition):
-    buf = io.StringIO()
-    write_partition(partition, buf)
-    return buf.getvalue()
-
-
-def partition_from_string(text):
-    return read_partition(io.StringIO(text))

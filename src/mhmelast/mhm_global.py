@@ -13,6 +13,7 @@ position in that order; the blocks A and B are derived from it on demand.
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -247,15 +248,6 @@ def solve_global(system):
     return x[:n], x[n:].reshape(-1, 3)
 
 
-@dataclass
-class ElementFields:
-    """Fine-space coefficients of one coarse element: its class mesh + shift."""
-    cache: object
-    u: np.ndarray          # interleaved vector coefficients (2*nsd,)
-    p: np.ndarray          # scalar coefficients (nsd,); None without pressure
-    shift: np.ndarray      # (2,) element centroid - class mesh centroid
-
-
 def ordered_map(threads, fn, items):
     """The list of fn(item) over `items`, in their order.  With one thread
     this is `map`; with more, the calls run in a pool of `threads` threads,
@@ -276,41 +268,45 @@ def ordered_map(threads, fn, items):
 
 class MHMSolution:
     """Reconstructed two-level solution: trace coefficients, rigid-body
-    coefficients per element, and the fine displacement/pressure fields,
-    per element and, for evaluation, as member arrays (`member_chunks`),
-    which `map_chunks` evaluates in the `threads` threads of the solve."""
+    coefficients per element, and the fine fields, stored once per local
+    mesh: `members[dofh]` is (element ids (m,), U (m, 2*nsd), P (m, nsd) or
+    None, shifts (m, 2)), with the rows of its records in `caches` order."""
 
-    def __init__(self, skeleton, lam, rho, fields, caches, threads=1):
+    def __init__(self, skeleton, lam, rho, members, caches, threads=1):
         self.skeleton = skeleton
         self.lam = lam
         self.rho = rho
-        self.fields = fields          # element_id -> ElementFields
-        self.caches = caches          # the class records of the fields
+        self.members = members
+        self.caches = caches          # the class records of the members
         self.threads = threads
 
     @property
-    def has_pressure(self):
-        return all(f.p is not None for f in self.fields.values())
+    def fields(self):
+        """A read-only mapping, built on each access and in increasing id
+        order, of element id to views of its rows: its record `cache`,
+        `u` (2*nsd,), `p` (nsd,) or None, and `shift` (2,), the element
+        centroid minus the class mesh centroid."""
+        fields, done = {}, dict.fromkeys(self.members, 0)
+        for c in self.caches:
+            _, U, P, shifts = self.members[c.dofh]
+            for i, eid in enumerate(c.element_ids.tolist(), done[c.dofh]):
+                fields[eid] = SimpleNamespace(cache=c, u=U[i], shift=shifts[i],
+                                              p=None if P is None else P[i])
+            done[c.dofh] += len(c.element_ids)
+        return MappingProxyType(dict(sorted(fields.items())))
 
     def member_chunks(self, tabulate):
-        """The members' fields as arrays, mesh by mesh: `tab = tabulate(dofh)`
+        """The member arrays in slices, mesh by mesh: `tab = tabulate(dofh)`
         once, whose `points` (nt, nq, 2) are a member's evaluation points,
-        then (tab, loc2glob, element ids (m,), U (m, 2*nsd), P (m, nsd) or
-        None, shifts (m, 2)) for 1 to SAMPLE_POINTS // (nt * nq) members."""
-        meshes = {}
-        for c in self.caches:
-            meshes.setdefault(c.dofh, []).extend(c.element_ids.tolist())
-        for dofh, eids in meshes.items():
+        then (tab, loc2glob, ids, U, P, shifts) of 1 to
+        SAMPLE_POINTS // (nt * nq) members, views of `members[dofh]`."""
+        for dofh, (ids, U, P, shifts) in self.members.items():
             tab = tabulate(dofh)
             per = max(1, local_solver.SAMPLE_POINTS // tab.points[..., 0].size)
-            for start in range(0, len(eids), per):
-                ids = eids[start:start + per]
-                fields = [self.fields[e] for e in ids]
-                P = (None if fields[0].p is None
-                     else np.stack([f.p for f in fields]))
-                yield (tab, dofh.loc2glob, np.array(ids),
-                       np.stack([f.u for f in fields]), P,
-                       np.stack([f.shift for f in fields]))
+            for start in range(0, len(ids), per):
+                rows = slice(start, start + per)
+                yield (tab, dofh.loc2glob, ids[rows], U[rows],
+                       None if P is None else P[rows], shifts[rows])
 
     def map_chunks(self, fn, tabulate):
         """The list of fn(tab, loc2glob, ids, U, P, shifts) over the chunks
@@ -325,9 +321,10 @@ def postprocess_solution(caches, skeleton, lam, rho, threads=1):
     u = sum_i sign_i lambda_i T(mu_i) + That(f) + rigid part, one batched
     matrix product per record over its (group, slot) grid.  The members'
     coordinates relative to their own centroids are the class mesh's, so
-    they share one rigid-mode matrix.  `threads` is the thread count of the
+    they share one rigid-mode matrix, and the records of one local mesh
+    are joined into its member arrays.  `threads` is the thread count of the
     solve, which the solution's evaluations reuse."""
-    fields = {}
+    parts = {}
     for cache in caches:
         coef = np.zeros(cache.filled.shape + (cache.n_trace,))
         coef[cache.filled] = cache.dof_signs * lam[cache.trace_dofs]
@@ -336,9 +333,9 @@ def postprocess_solution(caches, skeleton, lam, rho, threads=1):
              + cache.load_u + rho[cache.element_ids] @ rm_nodal.T)
         p = ((coef @ np.swapaxes(cache.trace_p, 1, 2))[cache.filled]
              + cache.load_p if cache.trace_p is not None else None)
-        for i, eid in enumerate(cache.element_ids.tolist()):
-            fields[eid] = ElementFields(cache, u[i],
-                                        None if p is None else p[i],
-                                        cache.shifts[i])
-    return MHMSolution(skeleton, lam, rho, dict(sorted(fields.items())),
-                       caches, threads)
+        parts.setdefault(cache.dofh, []).append(
+            (cache.element_ids, u, p, cache.shifts))
+    members = {dofh: tuple(None if a[0] is None else np.concatenate(a)
+                           for a in zip(*records))
+               for dofh, records in parts.items()}
+    return MHMSolution(skeleton, lam, rho, members, caches, threads)

@@ -2,17 +2,17 @@
 convergence orders, and the numerical diagnostics (compressibility residual,
 saddle-point spectrum) that probe well-posedness and locking.
 
-A two-level solution is evaluated in one member-batched pass over the chunks
-of `MHMSolution.member_chunks`, each through `_assembly.field_values` (the
-reference tables in one matrix product, then each triangle's affine map),
-in the thread count of its solve (`MHMSolution.map_chunks`), so the
-problem's fields must be thread-safe; the chunk results are summed in chunk
-order, which makes the result the same bitwise at every thread count.  The
-exact fields of a chunk come from one `problem.fields` call (u, grad u, p
-and grad p together; a problem without it is asked for each), and the
-discrete ones are subtracted in place.  The stress error is the stress of
-the errors of grad u and p, with `G`; a problem's `sigma` serves only the
-skeleton traction error.
+A two-level solution is evaluated in one member-batched pass over slices of
+its stored member arrays (`member_chunks`), each through
+`_assembly.field_values` (the reference tables in one matrix product, then
+each triangle's affine map), in the thread count of its solve
+(`MHMSolution.map_chunks`), so the problem's fields must be thread-safe;
+the chunk results are summed in chunk order, which makes the result the
+same bitwise at every thread count.  The exact fields of a chunk come from
+one `problem.fields` call (u, grad u, p and grad p together; a problem
+without it is asked for each), and the discrete ones are subtracted in
+place.  The stress error is the stress of the errors of grad u and p, with
+`G`; a problem's `sigma` serves only the skeleton traction error.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,6 @@ __all__ = [
     "LinearProblem",
     "ErrorRecord",
     "SpectralReport",
-    "exact_brenner",
     "compute_errors",
     "convergence_orders",
     "compressibility_residual",
@@ -135,14 +134,6 @@ class BrennerProblem:
         f1 = 8 * sy * cy * (1 - 4 * sx * sx) + com
         f2 = 8 * sx * cx * (4 * sy * sy - 1) + com
         return self.G * np.pi**2 * np.stack([f1, f2], axis=-1)
-
-
-def exact_brenner(nu, point, G=1.0):
-    """Closed-form benchmark fields (u, p, sigma, f) at one or more points
-    of the unit square."""
-    prob = BrennerProblem(nu, G=G)
-    x = np.asarray(point, dtype=float)
-    return prob.u(x), prob.p(x), prob.sigma(x), prob.f(x)
 
 
 class LinearProblem:

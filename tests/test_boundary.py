@@ -3,6 +3,8 @@ by `build_matching_local_mesh`, the segment node counts behind
 `check_refinement_conditions`, and the batched boundary pairings `R`, `Grm`
 and the Neumann load of the local operator."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,11 +14,10 @@ from mhmelast import (GlobalPartition, MaterialField, assemble_local_galerkin,
                       assemble_local_gals, build_matching_local_mesh,
                       build_structured_triangulation,
                       check_refinement_conditions, element_load,
-                      refine_skeleton)
+                      read_partition, refine_skeleton, write_partition)
 from mhmelast import _assembly as asm
 from mhmelast.fem_core import quad_rule, reference_element
-from mhmelast.mesh import (_segment_node_counts, partition_from_string,
-                           partition_to_string)
+from mhmelast.mesh import _segment_node_counts
 
 
 def _side_tag(neumann_sides):
@@ -53,8 +54,9 @@ def _renumbered(part, seed):
         for (a, b), t in tags.items():
             if np.linalg.norm(0.5 * (verts[a] + verts[b]) - mid) < 1e-12:
                 return t
-    return partition_from_string(partition_to_string(
-        GlobalPartition(verts, elements, boundary_tag=tag)))
+    buf = io.StringIO()
+    write_partition(GlobalPartition(verts, elements, boundary_tag=tag), buf)
+    return read_partition(io.StringIO(buf.getvalue()))
 
 
 # ---------------------------------------------------------------------------

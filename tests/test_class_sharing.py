@@ -3,6 +3,8 @@ elements: the shared path, for constant, periodic and varying materials,
 must reproduce the per-element path of one explicit `build_local_cache` per
 element on its own mesh."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from mhmelast import (BrennerProblem, InverseConstant, MHMConfig,
                       solve_mhm)
 from mhmelast import _assembly as asm, local_solver, pipeline
 from mhmelast.local_solver import LocalSolverError
-from mhmelast.mesh import GEOM_TOL, GlobalPartition, partition_from_string
+from mhmelast.mesh import GEOM_TOL, GlobalPartition, read_partition
 
 NU = 0.49
 THETA = 0.25
@@ -226,7 +228,7 @@ def _reoriented_partition():
     lines += [f"elements {len(elements)}"]
     lines += [" ".join(map(str, e)) for e in elements]
     lines += ["boundary_faces 0"]
-    return partition_from_string("\n".join(lines) + "\n")
+    return read_partition(io.StringIO("\n".join(lines) + "\n"))
 
 
 def _solve_partition(part, problem, material, shared, k=2, level=1,

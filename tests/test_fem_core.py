@@ -41,7 +41,8 @@ def test_kronecker_at_nodes(k):
 
 def test_p1_barycenter_values():
     ref = reference_element(1)
-    vals, grads, hess = ref.shape_eval([1 / 3, 1 / 3])
+    p = np.array([1 / 3, 1 / 3])
+    vals, grads, hess = (t[0] for t in ref.tabulate(p[None]))
     assert np.allclose(vals, [1 / 3, 1 / 3, 1 / 3], atol=1e-14)
     # P1 shape functions are affine
     assert np.abs(hess).max() < 1e-13
@@ -52,18 +53,11 @@ def test_p1_barycenter_values():
 def test_p2_edge_midpoint_kronecker():
     ref = reference_element(2)
     # node 3 is the midpoint of the edge from (0,0) to (1,0)
-    vals, _, _ = ref.shape_eval([0.5, 0.0])
+    p = np.array([0.5, 0.0])
+    vals = ref.tabulate(p[None])[0][0]
     expected = np.zeros(6)
     expected[3] = 1.0
     assert np.allclose(vals, expected, atol=1e-12)
-
-
-def test_shape_eval_rejects_outside_point():
-    ref = reference_element(2)
-    with pytest.raises(ValueError):
-        ref.shape_eval([0.7, 0.7])
-    with pytest.raises(ValueError):
-        ref.shape_eval([-0.1, 0.2])
 
 
 def test_degree_validation():

@@ -13,7 +13,7 @@ from mhmelast import (BrennerProblem, GlobalPartition,
                       check_refinement_conditions, quad_rule, read_partition,
                       refine_skeleton, unit_square_mesh, write_partition)
 from mhmelast import mesh as mesh_module
-from mhmelast.mesh import TriMesh, partition_from_string, partition_to_string
+from mhmelast.mesh import TriMesh
 from mhmelast.mhm_global import _dirichlet_data_vector
 from mhmelast.verify import _hydrostatic_trace_vector, _traction_error_sq
 
@@ -164,9 +164,10 @@ def _renumbered(n):
     elements = [e[r:] + e[:r] for e, r in
                 zip(elements, rng.integers(0, 3, len(elements)))]
     elements = [elements[i] for i in rng.permutation(len(elements))]
-    text = partition_to_string(GlobalPartition(
-        part.vertices[perm], elements, boundary_tag=_neumann_right))
-    return read_partition(io.StringIO(text)), elements
+    buf = io.StringIO()
+    write_partition(GlobalPartition(
+        part.vertices[perm], elements, boundary_tag=_neumann_right), buf)
+    return read_partition(io.StringIO(buf.getvalue())), elements
 
 
 def _jittered(n, seed):
@@ -528,10 +529,12 @@ def test_partition_roundtrip(tmp_path):
 
 def test_partition_string_roundtrip():
     part = build_structured_triangulation(1)
-    text = partition_to_string(part)
-    back = partition_from_string(text)
+    buf, again = io.StringIO(), io.StringIO()
+    write_partition(part, buf)
+    back = read_partition(io.StringIO(buf.getvalue()))
     assert np.array_equal(back.elements, part.elements)
-    assert partition_to_string(back) == text
+    write_partition(back, again)
+    assert again.getvalue() == buf.getvalue()
 
 
 def test_read_partition_rejects_half_square():
@@ -541,7 +544,7 @@ def test_read_partition_rejects_half_square():
             "boundary_faces 0\n")
     with pytest.raises(ValueError, match="sum to 0.5, not 1: the elements "
                        "must cover the unit square"):
-        partition_from_string(text)
+        read_partition(io.StringIO(text))
 
 
 def test_read_partition_rejects_garbage():
@@ -549,7 +552,9 @@ def test_read_partition_rejects_garbage():
         read_partition(io.StringIO("nonsense 3\n"))
 
 
-PARTITION_TEXT = partition_to_string(build_structured_triangulation(1))
+_BUF = io.StringIO()
+write_partition(build_structured_triangulation(1), _BUF)
+PARTITION_TEXT = _BUF.getvalue()
 FACES_AT = PARTITION_TEXT.index("boundary_faces")
 
 
@@ -569,7 +574,7 @@ FACES_AT = PARTITION_TEXT.index("boundary_faces")
 ])
 def test_read_partition_names_section_and_line(text, match):
     with pytest.raises(ValueError, match=match):
-        partition_from_string(text)
+        read_partition(io.StringIO(text))
 
 
 def _with_faces(rows):
@@ -597,11 +602,12 @@ def _with_faces(rows):
 ])
 def test_read_partition_rejects_bad_rows(text, match):
     with pytest.raises(ValueError, match=match):
-        partition_from_string(text)
+        read_partition(io.StringIO(text))
 
 
 def test_read_partition_tags_by_pair():
-    part = partition_from_string(_with_faces(["3 1 neumann", "0 2 neumann"]))
+    part = read_partition(io.StringIO(
+        _with_faces(["3 1 neumann", "0 2 neumann"])))
     tags = dict(zip(zip(part.faces.v0.tolist(), part.faces.v1.tolist()),
                     part.faces.tag.tolist()))
     assert tags == {(0, 1): "dirichlet", (0, 2): "neumann",

@@ -3,6 +3,7 @@
 import threading
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mhmelast import (BrennerProblem, LinearProblem, MHMConfig, MaterialField,
                       build_matching_local_mesh, build_structured_triangulation,
                       compute_errors, postprocess_solution, refine_skeleton,
                       solve_global, solve_mhm, spectral_diagnostics)
-from mhmelast import mhm_global
+from mhmelast import mhm_global, verify
 from mhmelast.mhm_global import GlobalSolverError, _dirichlet_data_vector
 
 
@@ -269,6 +270,36 @@ def test_rigid_coefficients_shift_solution_exactly():
         f0.cache.dofh.dof_coords) @ rho[0]
     assert np.abs(f0.u - expected).max() < 1e-13
     assert np.abs(sol.fields[1].u).max() < 1e-13
+
+
+def test_solution_stores_member_arrays_once():
+    # a varying G splits each of the 2 class meshes into 2 records, and
+    # each mesh's 64 members make one chunk, which spans both its records
+    cfg = MHMConfig(n=8, level=0, k=1, nu=0.3, threads=1,
+                    G=lambda x: 1 + 0.3 * x[..., 0] + 0.2 * x[..., 1])
+    sol, data = solve_mhm(cfg, BrennerProblem(0.3))
+    assert len(data.caches) == 4 and len(sol.members) == 2
+    assert sorted(Counter(c.dofh for c in data.caches).values()) == [2, 2]
+    assert "fields" not in vars(sol)
+    meshes = []
+
+    def tabulate(dofh):
+        meshes.append(dofh)
+        return verify._tabulation(4)(dofh)
+
+    chunks = list(sol.member_chunks(tabulate))
+    assert [len(chunk[2]) for chunk in chunks] == [64, 64]
+    fields = sol.fields
+    assert list(fields) == list(range(128))
+    for dofh, (_, _, ids, U, P, shifts) in zip(meshes, chunks):
+        for chunk_array, stored in zip((U, P, shifts), sol.members[dofh][1:]):
+            assert np.shares_memory(chunk_array, stored)
+        for i, eid in enumerate(ids.tolist()):
+            f = fields[eid]
+            assert f.cache.dofh is dofh and eid in f.cache.element_ids
+            assert f.u.tobytes() == U[i].tobytes()
+            assert f.p.tobytes() == P[i].tobytes()
+            assert f.shift.tobytes() == shifts[i].tobytes()
 
 
 def test_patch_solution_reproduces_constant_traction():

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from mhmelast import (BrennerProblem, LinearProblem, MaterialField,
                       MHMConfig, compressibility_residual, compute_errors,
-                      convergence_orders, exact_brenner, quad_rule,
+                      convergence_orders, quad_rule,
                       solve_galerkin_dirichlet, solve_gals_dirichlet,
                       solve_mhm, spectral_diagnostics, unit_square_mesh)
 from mhmelast import _assembly as asm, local_solver, verify
@@ -25,9 +25,10 @@ def _interior_points(rng, n):
 # ---------------------------------------------------------------------------
 
 def test_benchmark_point_values():
-    u, p, sigma, f = exact_brenner(0.25, [0.25, 0.25])
+    prob, x = BrennerProblem(0.25), np.array([0.25, 0.25])
+    u, sigma, f = prob.u(x), prob.sigma(x), prob.f(x)
     assert abs(u[0] - (-0.875)) < 1e-14
-    _, p_mid, _, _ = exact_brenner(0.3, [0.5, 0.5])
+    p_mid = BrennerProblem(0.3).p(np.array([0.5, 0.5]))
     assert abs(p_mid) < 1e-14
     assert sigma.shape == (2, 2) and f.shape == (2,)
 
