@@ -172,6 +172,12 @@ def _solve_single(method, n, k, nu, theta, problem):
                                 u_dirichlet=problem.u, theta=theta)
 
 
+def _single_mesh_size(k):
+    """Cells per side of the level-0 single-level mesh at degree k: 2^(5-k),
+    so that h = sqrt(2)/n = 2^(k-4.5), and one from k = 5 on."""
+    return max(1, int(round(2 ** (5 - k))))
+
+
 def _mhm_config(args, **overrides):
     """The MHMConfig of the solve options `args`, with `overrides`."""
     fields = dict(n=args.n, level=args.level, k=args.k, ell=args.ell,
@@ -191,7 +197,7 @@ def cmd_convergence(args):
                 args, level=level, kind=MHM_METHODS[method]), problem)
             H = data.skeleton.h_skeleton
         else:
-            n = int(round(2 ** (5 - args.k))) * 2 ** level
+            n = _single_mesh_size(args.k) * 2 ** level
             sol = _solve_single(method, n, args.k, args.nu, args.theta,
                                 problem)
             H = sol.mesh.h_max
@@ -238,8 +244,8 @@ def cmd_nu_sweep(args):
                 sol, _ = solve_mhm(_mhm_config(
                     args, nu=nu, kind=MHM_METHODS[method]), problem)
             else:
-                n = int(round(2 ** (5 - args.k)))  # h = sqrt(2)/n = 2^(k-4.5)
-                sol = _solve_single(method, n, args.k, nu, args.theta, problem)
+                sol = _solve_single(method, _single_mesh_size(args.k), args.k,
+                                    nu, args.theta, problem)
             h1.append(compute_errors(sol, problem).h1_u)
         results[method] = h1
     summary = {"nus": nus, "h1_errors": results, "ratios": {}}

@@ -7,7 +7,7 @@ the same boundary segment layout: they share one local mesh, numbering,
 tabulation and boundary pairings.  The members are split by their samples of
 G and eps, and each group with equal samples (the whole class under a
 constant material) shares one alpha and one operator.  The operators of
-groups of similar member counts are stacked as the diagonal blocks of one
+groups of equal member counts are stacked as the diagonal blocks of one
 matrix, up to BATCH_UNKNOWNS unknowns, and factored and solved at once, for
 the trace right-hand sides and every member's load column: one record per
 stack, with the groups along a leading axis and the members as arrays.
@@ -178,8 +178,8 @@ class LocalBasisCache:
     solutions for every trace basis function on the element boundary;
     `pairing` and `rm_pairing` close the global saddle-point problem.  The
     members are translates of that mesh by `shifts`: row i of every member
-    array belongs to element `element_ids[i]`, which holds the i-th `filled`
-    slot of the stack's (group, slot) grid in row-major, so group, order.
+    array belongs to element `element_ids[i]`.  The stack's ng groups have
+    S = m / ng members each, and rows g*S to (g+1)*S - 1 are group g's.
     """
     kind: str                       # "gals" | "galerkin"
     degree: int
@@ -192,7 +192,6 @@ class LocalBasisCache:
     pairing: np.ndarray             # (ng, ntr, ntr), <mu_i, T_h(mu_j)>
     rm_pairing: np.ndarray          # (ntr, 3), <mu_i, v_rm>
     element_ids: np.ndarray         # (m,) members
-    filled: np.ndarray              # (ng, S) the slots that hold members
     shifts: np.ndarray              # (m, 2) member centroid - mesh centroid
     trace_dofs: np.ndarray          # (m, ntr) global trace dof indices
     dof_signs: np.ndarray           # (m, ntr) orientation sign n_F . n^K
@@ -366,31 +365,24 @@ def assemble_local_galerkin(partition, local_mesh, skeleton, material, k):
     return _one_group(geo, material, 0.0, None)
 
 
-def _at_members(fn, x, grid, filled):
-    """`fn` at the points `x` translated by the shifts of the filled slots
-    of the grid (ng, S, 2): (ng, S) + its value shape, zero in empty slots."""
-    values = np.asarray(fn(x + grid[filled][:, None, None]), dtype=float)
-    if filled.all():                    # no copy
-        return values.reshape(grid.shape[:2] + values.shape[1:])
-    out = np.zeros(grid.shape[:2] + values.shape[1:])
-    out[filled] = values
-    return out
+def _at_members(fn, x, grid):
+    """`fn` at the points `x` translated by the member shifts `grid`
+    (ng, S, 2): (ng, S) + its value shape."""
+    values = np.asarray(fn(x + grid.reshape(-1, 1, 1, 2)), dtype=float)
+    return values.reshape(grid.shape[:2] + values.shape[1:])
 
 
-def element_load(op, shifts, f=None, g=None, filled=None):
+def element_load(op, shifts, f=None, g=None):
     """Load columns and rigid-mode loads of the members that share `op`,
     translates of its element by `shifts`: (m, 2) for an operator of one
-    group, or a (group, slot) grid (ng, S, 2) for a stack, of which the
-    slots `filled` (ng, S) hold members (all by default).  Column s of the
-    loads (N, S) holds slot s of group g in block g, zero for an empty slot;
-    the rigid-mode loads are (ng * S, 3) in (group, slot) order.  `f` and
-    `g` are called at the operator's points translated onto the members,
-    whose rigid modes take the operator's values, on chunks of slots of at
-    most SAMPLE_POINTS points (at least one slot)."""
+    group, or (ng, S, 2), S members of each of its ng groups, for a stack.
+    Column s of the loads (N, S) holds member s of group g in block g; the
+    rigid-mode loads are (ng * S, 3) in (group, member) order.  `f` and `g`
+    are called at the operator's points translated onto the members, whose
+    rigid modes take the operator's values, on chunks of at most
+    SAMPLE_POINTS points (at least one member a group)."""
     ng = op.n_groups
     grid = np.asarray(shifts, dtype=float).reshape(ng, -1, 2)
-    filled = (np.ones(grid.shape[:2], dtype=bool) if filled is None
-              else np.asarray(filled, dtype=bool))
     n = op.matrix.shape[0] // ng
     S = grid.shape[1]
     rhs = np.zeros((ng, S, n))
@@ -404,13 +396,13 @@ def element_load(op, shifts, f=None, g=None, filled=None):
     per = max(1, SAMPLE_POINTS // (ng * op.tab.points[..., 0].size))
     for c in (slice(s, s + per) for s in range(0, S, per)):
         if g is not None and len(w):
-            gq = _at_members(g, pts, grid[:, c], filled[:, c])
+            gq = _at_members(g, pts, grid[:, c])
             F = np.einsum("eq,gseqc,eqb->gsebc", w, gq, vals)
             rhs[:, c] += asm.scatter_vector(F.reshape(F.shape[:3] + (-1,)),
                                             dofs, n)
             d_rm[:, c] += gq.reshape(gq.shape[:2] + (-1,)) @ rm_g
         if f is not None:
-            fq = _at_members(f, op.tab.points, grid[:, c], filled[:, c])
+            fq = _at_members(f, op.tab.points, grid[:, c])
             Dall = None if op.Dall is None else op.Dall[:, None]
             F_el = asm.load_vector(op.tab, fq, Dall=Dall,
                                    alpha=op.alpha[:, None])
@@ -486,19 +478,18 @@ def _residual_hint(op):
 def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     """Factorize the operator `op` once and solve, in one multi-RHS call, for
     every trace basis function and the load of every member, translates of
-    the element `op` was assembled on.  `element_ids` lists each group's
-    member ids, block by block, and the result is the stack's basis
-    record."""
-    groups = [np.asarray(ids, dtype=int) for ids in element_ids]
-    sizes = np.array([len(ids) for ids in groups])
-    ng, S = len(groups), sizes.max()
-    ids = np.concatenate(groups)
+    the element `op` was assembled on.  `element_ids` (ng, S) holds each
+    group's member ids, block by block; a ValueError names the member counts
+    of groups that are not one per block of `op` or not of equal size.  The
+    result is the stack's basis record."""
+    sizes = [len(group) for group in element_ids]
+    if len(sizes) != op.n_groups or len(set(sizes)) != 1:
+        raise ValueError(f"a stack of {op.n_groups} groups takes as many "
+                         f"groups of equal member counts, got {sizes}")
+    ng, S = len(sizes), sizes[0]
+    ids = np.asarray(element_ids, dtype=int).ravel()
     shifts = _centroids(partition, ids) - op.rigid_modes.centroid
-    # the (group, slot) member grid of the load columns
-    filled = np.arange(S) < sizes[:, None]
-    grid = np.zeros((ng, S, 2))
-    grid[filled] = shifts
-    loads, rm_load = element_load(op, grid, f=f, g=g, filled=filled)
+    loads, rm_load = element_load(op, shifts, f=f, g=g)
     nsd, ntr = op.dofh.n_dofs, op.R.shape[0]
     nu, n = 2 * nsd, len(op.Z)
     CZ = op.C @ op.Z
@@ -533,10 +524,9 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     has_p = op.kind == "gals"
     Xb = _blocks(X, ng)
     trace = np.swapaxes(Xb[:, :ntr], 1, 2)
-    # the members' load solutions (m, n), a view when the grid is one group
-    # or one slot wide and full
-    loads = Xb[:, ntr:]
-    loads = loads.reshape(-1, n) if filled.all() else loads[filled]
+    # the members' load solutions (m, n), a view when the stack is one group
+    # or one member wide
+    loads = Xb[:, ntr:].reshape(-1, n)
     trace_u, load_u = trace[:, :nu], loads[:, :nu]
     seg_ids, seg_signs = _member_segments(partition, skeleton, ids)
     return LocalBasisCache(
@@ -551,14 +541,13 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
         pairing=op.R @ trace_u,
         rm_pairing=op.Grm,
         element_ids=ids,
-        filled=filled,
         shifts=shifts,
         trace_dofs=skeleton.segment_dofs(seg_ids).reshape(len(ids), -1),
         dof_signs=np.repeat(seg_signs, skeleton.dofs_per_segment, axis=1),
         load_u=load_u,
         load_p=loads[:, nu:] if has_p else None,
         load_pairing=load_u @ op.R.T,
-        rm_load=rm_load[filled.ravel()],
+        rm_load=rm_load,
     )
 
 
@@ -613,18 +602,14 @@ def _material_groups(material, points, shifts):
 
 def _batches(sizes, n):
     """Stacks of the groups with member counts `sizes`, of `n` unknowns
-    each: runs of groups in decreasing member count, cut where a group has
-    less than half the members of the run's first, so that at most half of
-    each block's load columns are padding, and then split as evenly as
-    possible into stacks of at most BATCH_UNKNOWNS unknowns (at least one
-    group)."""
-    order = np.argsort(-np.asarray(sizes), kind="stable")
-    cuts = [0]
-    for j in range(1, len(order)):
-        if 2 * sizes[order[j]] < sizes[order[cuts[-1]]]:
-            cuts.append(j)
+    each: the runs of groups of equal member count, in decreasing count,
+    each split as evenly as possible into stacks of at most BATCH_UNKNOWNS
+    unknowns (at least one group)."""
+    sizes = np.asarray(sizes)
+    order = np.argsort(-sizes, kind="stable")
     per = max(1, BATCH_UNKNOWNS // n)
-    return [stack for run in np.split(order, cuts[1:])
+    runs = np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1)
+    return [stack for run in runs
             for stack in np.array_split(run, -(-len(run) // per))]
 
 
@@ -633,7 +618,7 @@ def build_class_caches(partition, local_mesh, element_ids, skeleton,
     """Basis records of the congruence class `element_ids`, whose members
     share the geometry on `local_mesh` (of one member).  The members are
     split into groups with equal material samples, each with its own alpha
-    and operator, and the operators of groups of similar member counts
+    and operator, and the operators of groups of equal member counts
     (`_batches`) are stacked into block-diagonal matrices of at most
     BATCH_UNKNOWNS unknowns, each factored and solved once by
     `solve_local_basis`: one record per stack, in the order of `_batches`."""

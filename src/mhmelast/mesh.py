@@ -120,7 +120,7 @@ class GlobalPartition:
     faces, n_F is the outward normal.
     """
 
-    def __init__(self, vertices, elements, boundary_tag=None, domain_area=1.0):
+    def __init__(self, vertices, elements, boundary_tag=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.elements = np.array(elements, dtype=int, ndmin=2)
         if self.elements.shape[1:] != (3,):
@@ -134,10 +134,9 @@ class GlobalPartition:
             raise ValueError("coarse element is degenerate or not CCW") from None
         self.element_areas = mesh.areas
         total = self.element_areas.sum()
-        if abs(total - domain_area) > 1e-12 * max(domain_area, 1.0):
-            raise ValueError(f"element areas sum to {total:.15g}, not "
-                             f"{domain_area:.15g}: the elements must cover "
-                             "the unit square (or the given domain_area)")
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"element areas sum to {total:.15g}, not 1: the "
+                             "elements must cover the unit square")
         self.element_diameters = mesh.diameters
         self.h_coarse = float(self.element_diameters.max())
 

@@ -161,7 +161,7 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
         for cache in caches:
             s = cache.dof_signs
             blocks = np.repeat(_symmetric(cache.pairing),    # (m, ntr, ntr)
-                               cache.filled.sum(axis=1), axis=0)
+                               len(s) // len(cache.pairing), axis=0)
             blocks *= s[:, :, None]
             blocks *= s[:, None, :]
             a.append(asm.block_triplets(blocks, position[cache.trace_dofs]))
@@ -319,19 +319,20 @@ class MHMSolution:
 def postprocess_solution(caches, skeleton, lam, rho, threads=1):
     """Recombine the condensed basis: per element,
     u = sum_i sign_i lambda_i T(mu_i) + That(f) + rigid part, one batched
-    matrix product per record over its (group, slot) grid.  The members'
-    coordinates relative to their own centroids are the class mesh's, so
-    they share one rigid-mode matrix, and the records of one local mesh
-    are joined into its member arrays.  `threads` is the thread count of the
-    solve, which the solution's evaluations reuse."""
+    matrix product per record over its ng groups of S = m / ng members.
+    The members' coordinates relative to their own centroids are the class
+    mesh's, so they share one rigid-mode matrix, and the records of one
+    local mesh are joined into its member arrays.  `threads` is the thread
+    count of the solve, which the solution's evaluations reuse."""
     parts = {}
     for cache in caches:
-        coef = np.zeros(cache.filled.shape + (cache.n_trace,))
-        coef[cache.filled] = cache.dof_signs * lam[cache.trace_dofs]
+        m, ng = len(cache.element_ids), len(cache.pairing)
+        coef = (cache.dof_signs * lam[cache.trace_dofs]).reshape(
+            ng, m // ng, cache.n_trace)
         rm_nodal = cache.rigid_modes.nodal_coefficients(cache.dofh.dof_coords)
-        u = ((coef @ np.swapaxes(cache.trace_u, 1, 2))[cache.filled]
+        u = ((coef @ np.swapaxes(cache.trace_u, 1, 2)).reshape(m, -1)
              + cache.load_u + rho[cache.element_ids] @ rm_nodal.T)
-        p = ((coef @ np.swapaxes(cache.trace_p, 1, 2))[cache.filled]
+        p = ((coef @ np.swapaxes(cache.trace_p, 1, 2)).reshape(m, -1)
              + cache.load_p if cache.trace_p is not None else None)
         parts.setdefault(cache.dofh, []).append(
             (cache.element_ids, u, p, cache.shifts))

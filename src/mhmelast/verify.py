@@ -289,7 +289,11 @@ def convergence_orders(errors):
 
 def compressibility_residual(solution, material):
     """Per-element residual of the integrated compressibility relation
-    int_K (div u + eps * p) dx, by element id."""
+    int_K (div u + eps * p) dx, by element id, of an MHMSolution."""
+    if not isinstance(solution, MHMSolution):
+        raise TypeError(f"unsupported solution type {type(solution)!r}: "
+                        "compressibility_residual takes an MHMSolution")
+
     def chunk(tab, l2g, eids, U, P, shifts):
         epsq = material.eps_at(tab.points + shifts[:, None, None])
         _, guh, ph, _ = asm.field_values(tab, l2g, U, P, epsq)

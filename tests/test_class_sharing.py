@@ -7,6 +7,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhmelast import (BrennerProblem, InverseConstant, MHMConfig,
                       MaterialField, assemble_global_saddle, build_class_caches,
@@ -101,7 +103,8 @@ def _groups(caches):
 
 def _group_sizes(caches):
     """The member counts of the records' groups, record by record."""
-    return [size for c in caches for size in c.filled.sum(axis=1).tolist()]
+    return [len(c.element_ids) // len(c.alpha) for c in caches
+            for _ in c.alpha]
 
 
 def _check_against_per_element_path(G, groups, n_meshes=2, **cfg):
@@ -126,11 +129,8 @@ def _check_against_per_element_path(G, groups, n_meshes=2, **cfg):
             assert c.shifts.shape == (m, 2)
             assert c.trace_u.shape[0] == ng
             assert c.pairing.shape == (ng, c.n_trace, c.n_trace)
-            # each group's members in its first slots
-            sizes = c.filled.sum(axis=1)
-            assert sizes.sum() == m and len(sizes) == ng
-            assert np.array_equal(c.filled, np.arange(c.filled.shape[1])
-                                  < sizes[:, None])
+            # the groups of a stack have equal member counts
+            assert m % ng == 0
         # the elements the meshes were built on sit at shift zero
         shifts = np.concatenate([c.shifts for c in caches])
         assert sorted(ids[np.all(shifts == 0, axis=1)]) == sorted(meshes)
@@ -176,9 +176,8 @@ def _right_face_neumann(mid):
 @pytest.mark.parametrize("k", [1, 2])
 def test_uneven_material_groups_match_per_element_path(monkeypatch, kind,
                                                        k):
-    # the classes hold groups of 8 and 4 members, factored and solved in one
-    # stack whose load columns pad the 4-member groups to 8 slots, with a
-    # traction on the Neumann face x = 1
+    # the classes hold groups of 8 and 4 members, each size factored and
+    # solved in its own stack, with a traction on the Neumann face x = 1
     problem = BrennerProblem(NU)
     sizes = []
     build = pipeline.build_class_caches
@@ -328,14 +327,30 @@ def test_stacks_respect_the_unknown_bound(monkeypatch):
         assert _rel(sol1.lam, sol.lam) <= 1e-12
 
 
-def test_batches_bound_padding_and_unknowns(monkeypatch):
-    # groups by decreasing member count, cut where one has less than half
-    # of its run's first, then at most 3 groups of 30 unknowns a stack
+def test_batches_stack_equal_sizes_within_the_unknown_bound(monkeypatch):
+    # groups by decreasing member count, one run per count, then at most 3
+    # groups of 30 unknowns a stack
     monkeypatch.setattr(local_solver, "BATCH_UNKNOWNS", 100)
     sizes = [1, 16, 1, 2, 3, 8, 1, 4, 1, 1, 1]
     stacks = local_solver._batches(sizes, 30)
-    assert [s.tolist() for s in stacks] == [[1, 5], [7, 4, 3], [0, 2, 6],
-                                            [8, 9, 10]]
+    assert [s.tolist() for s in stacks] == [[1], [5], [7], [4], [3],
+                                            [0, 2, 6], [8, 9, 10]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=30),
+       n=st.integers(1, 120), bound=st.integers(1, 400))
+def test_batches_partition_groups_into_equal_size_stacks(sizes, n, bound):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_solver, "BATCH_UNKNOWNS", bound)
+        stacks = [s.tolist() for s in local_solver._batches(sizes, n)]
+    assert sorted(i for s in stacks for i in s) == list(range(len(sizes)))
+    counts = []
+    for stack in stacks:
+        assert len({sizes[i] for i in stack}) == 1
+        assert len(stack) == 1 or len(stack) * n <= bound
+        counts.append(sizes[stack[0]])
+    assert counts == sorted(counts, reverse=True)
 
 
 def test_stacks_bound_the_padding(monkeypatch):

@@ -470,7 +470,7 @@ def test_pinned_stack_matches_bordered_oracle(kind, k):
                             g=_traction)
     n, nu, ntr = len(op.Z), 2 * op.dofh.n_dofs, op.R.shape[0]
     assert op.matrix.shape == (2 * n, 2 * n)
-    assert rec.filled.tolist() == [[True], [True]]
+    assert rec.element_ids.tolist() == [eid, eid]
     loads, _ = local_solver.element_load(op, np.zeros((2, 1, 2)), f=_load,
                                          g=_traction)
     for g in range(2):
@@ -502,6 +502,18 @@ def test_ill_conditioned_rigid_modes_are_rejected(field, singular):
     with pytest.raises(LocalSolverError, match="ill-conditioned"):
         solve_local_basis(replace(op, **{field: singular(op)}), part, sk,
                           [[eid], [eid]])
+
+
+@pytest.mark.parametrize("groups, sizes", [(2, "[1, 2]"), (1, "[2]")],
+                         ids=["unequal", "one-of-two"])
+def test_stack_of_unequal_groups_is_rejected(groups, sizes):
+    # the stack has two blocks: its groups must be two, of equal size
+    part, sk, eid, op = _neumann_stack("gals", 1)
+    ids = [[eid], [eid, eid]] if groups == 2 else [[eid, eid]]
+    with pytest.raises(ValueError, match="^a stack of 2 groups takes as "
+                       "many groups of equal member counts, got "
+                       + re.escape(sizes)):
+        solve_local_basis(op, part, sk, ids)
 
 
 def test_pins_hold_the_rigid_modes():

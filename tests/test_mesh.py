@@ -297,10 +297,10 @@ def test_records_match_per_face_and_per_segment_loops(case, level):
 
 
 def test_partition_rejects_face_of_three_elements():
-    verts = [(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.6, 0.5)]
+    # areas 0.5, 0.25 and 0.25, which sum to the unit square's
+    verts = [(0, 0), (1, 0), (0.5, 1), (0.5, -0.5), (0.6, 0.5)]
     with pytest.raises(ValueError, match="more than two elements"):
-        GlobalPartition(verts, [(0, 1, 2), (0, 3, 1), (0, 1, 4)],
-                        domain_area=1.25)
+        GlobalPartition(verts, [(0, 1, 2), (0, 3, 1), (0, 1, 4)])
 
 
 def test_partition_rejects_unknown_boundary_tag():

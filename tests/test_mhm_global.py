@@ -46,7 +46,8 @@ def _dense_saddle(caches, sk, u_dirichlet, exactness):
     d = np.zeros(n_rm)
     for j, (_, cache, i) in enumerate(members):
         idx, s = cache.trace_dofs[i], cache.dof_signs[i]
-        pairing = cache.pairing[np.nonzero(cache.filled)[0][i]]
+        pairing = cache.pairing[i // (len(cache.element_ids)
+                                      // len(cache.pairing))]
         A[np.ix_(idx, idx)] += s[:, None] * pairing * s[None, :]
         B[idx, 3 * j:3 * j + 3] += s[:, None] * cache.rm_pairing
         c[idx] -= s * cache.load_pairing[i]
@@ -273,13 +274,13 @@ def test_rigid_coefficients_shift_solution_exactly():
 
 
 def test_solution_stores_member_arrays_once():
-    # a varying G splits each of the 2 class meshes into 2 records, and
+    # a varying G splits each of the 2 class meshes into 3 records, and
     # each mesh's 64 members make one chunk, which spans both its records
     cfg = MHMConfig(n=8, level=0, k=1, nu=0.3, threads=1,
                     G=lambda x: 1 + 0.3 * x[..., 0] + 0.2 * x[..., 1])
     sol, data = solve_mhm(cfg, BrennerProblem(0.3))
-    assert len(data.caches) == 4 and len(sol.members) == 2
-    assert sorted(Counter(c.dofh for c in data.caches).values()) == [2, 2]
+    assert len(data.caches) == 6 and len(sol.members) == 2
+    assert sorted(Counter(c.dofh for c in data.caches).values()) == [3, 3]
     assert "fields" not in vars(sol)
     meshes = []
 

@@ -513,6 +513,14 @@ def test_convergence_command_without_order_bands(tmp_path):
     assert len(summary["orders_last_step"]) == 4
 
 
+@pytest.mark.parametrize("command", [
+    ["convergence", "--method", "gals", "--levels", "0:1"],
+    ["nu-sweep", "--methods", "gals", "--nus", "0.3,0.4"]])
+def test_single_level_commands_at_high_degree(tmp_path, command):
+    # 2^(5-k) rounds to no cell at k = 6: the mesh keeps one cell a side
+    assert main([*command, "--k", "6", "--out", str(tmp_path)]) == 0
+
+
 def test_diagnose_command(tmp_path, capsys):
     rc = main(["diagnose", "--n", "2", "--nu", "0.3", "--out",
                str(tmp_path)])

@@ -299,6 +299,14 @@ def test_compute_errors_rejects_unknown_solution():
         compute_errors(object(), BrennerProblem(0.3))
 
 
+def test_compressibility_residual_rejects_single_level_solution():
+    problem = BrennerProblem(0.3)
+    sol = _zero_single_level_solution(unit_square_mesh(2), problem.material,
+                                      1, True)
+    with pytest.raises(TypeError, match="takes an MHMSolution"):
+        compressibility_residual(sol, problem.material)
+
+
 # ---------------------------------------------------------------------------
 # Member-batched evaluation against a per-member reference
 # ---------------------------------------------------------------------------
@@ -401,9 +409,9 @@ def test_member_chunks_match_per_member_reference(monkeypatch, kind):
                                     boundary_tag=_neumann_right), problem)
     meshes = {c.dofh for c in data.caches}
     # the upper and lower triangles in two groups each, and the lower ones
-    # on the Neumann face in one: one stack per mesh
-    assert len(meshes) == len(data.caches) == 3
-    assert sorted(len(c.alpha) for c in data.caches) == [1, 2, 2]
+    # on the Neumann face in one: a stack per mesh and group size
+    assert len(meshes) == 3 and len(data.caches) == 4
+    assert sorted(len(c.alpha) for c in data.caches) == [1, 1, 1, 2]
     # chunks of 3 members, so a mesh's members split unevenly
     npts = _tabulation(next(iter(meshes)), 4).points[..., 0].size
     monkeypatch.setattr(local_solver, "SAMPLE_POINTS", 3 * npts + 1)
