@@ -13,11 +13,13 @@ import numpy as np
 
 from . import _assembly as asm
 from .fem_core import K_MAX
-from .mesh import unit_square_mesh
+from .mesh import (build_structured_triangulation, refine_skeleton,
+                   unit_square_mesh)
 from .pipeline import THREADS_ENV, MHMConfig, default_threads, solve_mhm
 from .singlelevel import solve_galerkin_dirichlet, solve_gals_dirichlet
-from .verify import (BrennerProblem, LinearProblem, compressibility_residual,
-                     compute_errors, convergence_orders, spectral_diagnostics)
+from .verify import (SPECTRAL_MAX_UNKNOWNS, BrennerProblem, LinearProblem,
+                     compressibility_residual, compute_errors,
+                     convergence_orders, spectral_diagnostics)
 
 CSV_HEADER = "H,err_l2,ord_l2,err_h1,ord_h1,err_sigma,ord_sigma,err_p,ord_p"
 
@@ -200,7 +202,7 @@ def cmd_convergence(args):
             n = _single_mesh_size(args.k) * 2 ** level
             sol = _solve_single(method, n, args.k, args.nu, args.theta,
                                 problem)
-            H = sol.mesh.h_max
+            H = sol.dofh.mesh.h_max
         records.append(compute_errors(sol, problem))
         Hs.append(H)
     rows, orders = _errors_to_rows(Hs, records)
@@ -293,6 +295,14 @@ def cmd_patch_test(args):
 
 
 def cmd_diagnose(args):
+    # refuse before the solve what spectral_diagnostics refuses after it
+    part = build_structured_triangulation(args.n)
+    n = 3 * part.n_elements + refine_skeleton(part, args.level,
+                                              args.ell).n_dofs
+    if n > SPECTRAL_MAX_UNKNOWNS:
+        print(f"diagnose: {n} global unknowns exceed SPECTRAL_MAX_UNKNOWNS = "
+              f"{SPECTRAL_MAX_UNKNOWNS}", file=sys.stderr)
+        return 2
     problem = BrennerProblem(args.nu)
     sol, data = solve_mhm(_mhm_config(args), problem)
     spec = spectral_diagnostics(data.system, skeleton=data.skeleton)

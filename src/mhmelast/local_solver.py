@@ -89,7 +89,7 @@ class MaterialField:
     not enter the least-squares terms), so the broken W^{1,inf} norm reduces
     to the max of |G| over quadrature points.  A modulus that is neither a
     real number (`bool` excluded) nor a callable is rejected with a
-    ValueError; the ranges are checked where the moduli are evaluated.
+    ValueError; the ranges, which nan fails, are checked on evaluation.
     """
 
     def __init__(self, G, nu):
@@ -115,13 +115,13 @@ class MaterialField:
 
     def G_at(self, x):
         g = self._eval("G", self._G, x)
-        if np.any(g <= 0):
+        if not np.all(g > 0):
             raise ValueError("shear modulus must be positive")
         return g
 
     def nu_at(self, x):
         nu = self._eval("nu", self._nu, x)
-        if np.any(nu <= 0) or np.any(nu >= 0.5):
+        if not np.all((0 < nu) & (nu < 0.5)):
             raise ValueError("Poisson ratio must lie in (0, 1/2)")
         return nu
 
@@ -180,9 +180,8 @@ class LocalBasisCache:
     members are translates of that mesh by `shifts`: row i of every member
     array belongs to element `element_ids[i]`.  The stack's ng groups have
     S = m / ng members each, and rows g*S to (g+1)*S - 1 are group g's.
+    Its degree is `dofh.ref.degree`; a "galerkin" stack has no pressure.
     """
-    kind: str                       # "gals" | "galerkin"
-    degree: int
     alpha: np.ndarray               # (ng,)
     material: MaterialField
     dofh: object                    # numbering of the class's local mesh
@@ -530,8 +529,6 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     trace_u, load_u = trace[:, :nu], loads[:, :nu]
     seg_ids, seg_signs = _member_segments(partition, skeleton, ids)
     return LocalBasisCache(
-        kind=op.kind,
-        degree=op.dofh.ref.degree,
         alpha=op.alpha,
         material=op.material,
         dofh=op.dofh,

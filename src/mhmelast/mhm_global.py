@@ -13,6 +13,7 @@ position in that order; the blocks A and B are derived from it on demand.
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
@@ -50,22 +51,12 @@ class SaddleSystem:
     The matrix is stored once, as `matrix`, the CSC matrix that
     `solve_global` factors: its unknown i is the unknown order[i] of
     [lambda; rho] (`_face_order`).  A, B and the matrix in the natural order
-    (`full_matrix`) are derived from it on demand.  `from_blocks` builds a
-    system from given blocks A and B, through the same conversion.
+    (`full_matrix`) are derived from it on demand.
     """
     matrix: sp.csc_matrix
     order: np.ndarray
     rhs_lambda: np.ndarray
     rhs_rm: np.ndarray
-
-    @classmethod
-    def from_blocks(cls, A, B, rhs_lambda, rhs_rm):
-        """The system of the blocks A and B (any matrix form) and the
-        right-hand sides, built as `assemble_global_saddle` builds one."""
-        A = sp.coo_matrix(A)
-        return cls(*_face_ordered_matrix(
-            lambda position: [(position[A.row], position[A.col], A.data)],
-            sp.csr_matrix(B)), rhs_lambda, rhs_rm)
 
     @property
     def n_lambda(self):
@@ -89,25 +80,6 @@ class SaddleSystem:
         return np.concatenate([self.rhs_lambda, self.rhs_rm])
 
 
-def _face_ordered_matrix(pairing_triplets, B):
-    """The saddle matrix (CSC) of the trace/rigid-mode block B (CSR) and
-    the pairing A given by `pairing_triplets(position)`, and its order
-    `_face_order(B)`.  `pairing_triplets` returns A's COO triplets with each
-    unknown i of [lambda; rho] at its position[i] (int32) in that order;
-    they, B and B' become the matrix in one COO to CSC conversion, in which
-    duplicates sum."""
-    n, m = B.shape
-    order = _face_order(B)
-    position = np.empty(n + m, dtype=np.int32)
-    position[order] = np.arange(n + m, dtype=np.int32)
-    B = B.tocoo()
-    r, c = position[B.row], position[n + B.col]
-    rows, cols, vals = map(np.concatenate, zip(*pairing_triplets(position),
-                                               (r, c, B.data),
-                                               (c, r, B.data)))
-    return sp.csc_matrix((vals, (rows, cols)), shape=(n + m,) * 2), order
-
-
 def _dirichlet_data_vector(skeleton, u_dirichlet, exactness):
     """Pairing of the trace basis with the boundary displacement data on
     Dirichlet-face segments."""
@@ -120,12 +92,6 @@ def _dirichlet_data_vector(skeleton, u_dirichlet, exactness):
     return out
 
 
-def _csr(triplets, shape):
-    """CSR matrix of COO (rows, cols, values) parts; duplicates sum."""
-    rows, cols, vals = map(np.concatenate, zip(*triplets))
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
-
-
 def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
     """Condense the stacks' basis records into the global system.
 
@@ -133,9 +99,9 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
     contributes its group's pairing through its orientation signs, and
     element K owns rigid-mode unknowns 3K to 3K + 2.  On Dirichlet faces the
     continuity equation is driven by the boundary displacement data.  B is
-    built first, as CSR, for the face order; the element blocks of A are
-    then gathered as COO triplets at their positions in that order and
-    converted together with B (`_face_ordered_matrix`).
+    built first, as CSR, for `_face_order`; the blocks of A, B and B' are
+    then gathered as COO triplets at their positions in that order (int32),
+    and become the matrix in one COO to CSC conversion (duplicates sum).
     """
     n_lambda = skeleton.n_dofs
     n_rm = 3 * sum(len(c.element_ids) for c in caches)
@@ -151,23 +117,30 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
         np.add.at(c, idx.ravel(), -(s * cache.load_pairing).ravel())
         d[rm] = -cache.rm_load
     if u_dirichlet is not None:
-        deg = max(cache.degree for cache in caches)
+        deg = max(cache.dofh.ref.degree for cache in caches)
         c += _dirichlet_data_vector(skeleton, u_dirichlet,
                                     deg + skeleton.degree + 2)
-    B = _csr(b, (n_lambda, n_rm))
-
-    def pairing_triplets(position):
-        a = []
-        for cache in caches:
-            s = cache.dof_signs
-            blocks = np.repeat(_symmetric(cache.pairing),    # (m, ntr, ntr)
-                               len(s) // len(cache.pairing), axis=0)
-            blocks *= s[:, :, None]
-            blocks *= s[:, None, :]
-            a.append(asm.block_triplets(blocks, position[cache.trace_dofs]))
-        return a
-
-    return SaddleSystem(*_face_ordered_matrix(pairing_triplets, B), c, d)
+    rows, cols, vals = map(np.concatenate, zip(*b))
+    B = sp.csr_matrix((vals, (rows, cols)), shape=(n_lambda, n_rm))
+    del b, rows, cols, vals
+    order = _face_order(B)
+    position = np.empty(len(order), dtype=np.int32)
+    position[order] = np.arange(len(order), dtype=np.int32)
+    triplets = []
+    for cache in caches:
+        s = cache.dof_signs
+        blocks = np.repeat(_symmetric(cache.pairing),        # (m, ntr, ntr)
+                           len(s) // len(cache.pairing), axis=0)
+        blocks *= s[:, :, None]
+        blocks *= s[:, None, :]
+        triplets.append(asm.block_triplets(blocks, position[cache.trace_dofs]))
+    B = B.tocoo()
+    r, t = position[B.row], position[n_lambda + B.col]
+    triplets += [(r, t, B.data), (t, r, B.data)]
+    rows, cols, vals = map(np.concatenate, zip(*triplets))
+    del triplets, blocks, B, r, t       # release them before the conversion
+    matrix = sp.csc_matrix((vals, (rows, cols)), shape=(len(order),) * 2)
+    return SaddleSystem(matrix, order, c, d)
 
 
 def _symmetric(pairing):
@@ -280,9 +253,9 @@ class MHMSolution:
         self.caches = caches          # the class records of the members
         self.threads = threads
 
-    @property
+    @cached_property
     def fields(self):
-        """A read-only mapping, built on each access and in increasing id
+        """A read-only mapping, built once on first access, in increasing id
         order, of element id to views of its rows: its record `cache`,
         `u` (2*nsd,), `p` (nsd,) or None, and `shift` (2,), the element
         centroid minus the class mesh centroid."""

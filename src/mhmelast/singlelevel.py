@@ -24,13 +24,10 @@ __all__ = [
 
 @dataclass
 class SingleLevelSolution:
-    mesh: object
-    dofh: object
-    material: object
-    degree: int
+    """The coefficients of a single-level solve, numbered by `dofh`."""
+    dofh: object             # its mesh and degree: dofh.mesh, dofh.ref.degree
     u: np.ndarray            # interleaved vector coefficients (2 * nsd,)
     p: np.ndarray = None     # scalar coefficients (nsd,); None if implied
-    kind: str = "galerkin"
 
 
 def _dirichlet_values(dofh, bdofs, u_dirichlet):
@@ -124,9 +121,7 @@ def _solve_single(mesh, material, k, f, u_dirichlet, theta=None):
     rhs[fixed] = vals
     K = asm.pinned(K, fixed)
     x = spsolve(K, rhs)[position]
-    return SingleLevelSolution(mesh, dofh, material, k, x[:nu],
-                               p=None if theta is None else x[nu:],
-                               kind=kind)
+    return SingleLevelSolution(dofh, x[:nu], None if theta is None else x[nu:])
 
 
 def solve_galerkin_dirichlet(mesh, material, k, f, u_dirichlet=None):

@@ -53,8 +53,8 @@ class BrennerProblem:
     def __init__(self, nu, G=1.0):
         self.nu = float(nu)
         self.G = float(G)
-        self.epsilon = (1 - 2 * self.nu) / (2 * self.G * self.nu)
         self.material = MaterialField(self.G, self.nu)
+        self.epsilon = float(self.material.eps_at(np.zeros(2)))
 
     def _half_angles(self, x):
         """sin and cos of pi x and pi y, the only transcendental calls of
@@ -145,8 +145,8 @@ class LinearProblem:
         self.b = np.asarray(b, dtype=float)
         self.nu = float(nu)
         self.G = float(G)
-        self.epsilon = (1 - 2 * self.nu) / (2 * self.G * self.nu)
         self.material = MaterialField(self.G, self.nu)
+        self.epsilon = float(self.material.eps_at(np.zeros(2)))
 
     def u(self, x):
         return np.asarray(x, dtype=float) @ self.A.T + self.b
@@ -234,7 +234,7 @@ def _traction_error_sq(solution, problem):
     """Squared segment-wise L2 distance between the discrete traction and
     the exact normal stress (a proxy, not a dual-norm error)."""
     sk = solution.skeleton
-    deg = max(c.degree for c in solution.caches)
+    deg = max(c.dofh.ref.degree for c in solution.caches)
     sid = np.arange(len(sk.segments))
     pts, w, mu = sk.segment_quadrature(sid, 2 * (deg + sk.degree) + 2)
     lam_h = np.einsum("si,isqc->sqc", solution.lam[sk.segment_dofs(sid)], mu)

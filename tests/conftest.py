@@ -2,7 +2,13 @@
 
 The acceptance tests register one PASS/FAIL line per criterion here so the
 verdicts are echoed in the terminal summary even when output capture is on.
+`saddle_system` builds a global system from given blocks.
 """
+
+import numpy as np
+import scipy.sparse as sp
+
+from mhmelast import SaddleSystem
 
 ACCEPTANCE_LINES = []
 
@@ -12,3 +18,11 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def saddle_system(A, B, rhs_lambda, rhs_rm):
+    """The system [[A, B], [B', 0]] of the blocks A and B (any matrix form),
+    stored in the natural order of its unknowns."""
+    M = sp.bmat([[sp.csr_matrix(A), sp.csr_matrix(B)],
+                 [sp.csr_matrix(B).T, None]], format="csc")
+    return SaddleSystem(M, np.arange(M.shape[0]), rhs_lambda, rhs_rm)

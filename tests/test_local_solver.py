@@ -307,7 +307,6 @@ def test_galerkin_cache_has_no_pressure():
     cache = build_local_cache(part, lm, sk, MaterialField(1.0, 0.3), 1,
                               kind="galerkin")
     assert cache.trace_p is None and cache.load_p is None
-    assert cache.kind == "galerkin"
 
 
 def test_build_local_cache_rejects_unknown_kind():

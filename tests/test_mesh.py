@@ -289,8 +289,9 @@ def test_records_match_per_face_and_per_segment_loops(case, level):
         sk, faces, segments, problem, lam, degree)
     got = _dirichlet_data_vector(sk, problem.u, degree + sk.degree + 2)
     assert _rel(got, dirichlet) <= 1e-14
+    local_mesh = SimpleNamespace(ref=SimpleNamespace(degree=degree))
     solution = SimpleNamespace(skeleton=sk, lam=lam,
-                               caches=[SimpleNamespace(degree=degree)])
+                               caches=[SimpleNamespace(dofh=local_mesh)])
     assert abs(_traction_error_sq(solution, problem) - traction_sq) <= (
         1e-14 * traction_sq)
     assert _rel(_hydrostatic_trace_vector(sk), hydro) <= 1e-14

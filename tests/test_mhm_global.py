@@ -17,6 +17,8 @@ from mhmelast import (BrennerProblem, LinearProblem, MHMConfig, MaterialField,
 from mhmelast import mhm_global, verify
 from mhmelast.mhm_global import GlobalSolverError, _dirichlet_data_vector
 
+from conftest import saddle_system
+
 
 def _caches(n=2, level=0, ell=1, k=1, depth=2, nu=0.3, f=None, g=None,
             boundary_tag=None, kind="gals"):
@@ -121,8 +123,7 @@ def test_sparse_assembly_matches_dense_oracle():
 def test_singular_system_raises_global_solver_error():
     # the second rigid mode couples to no trace dof: an all-zero column of B
     B = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
-    system = SaddleSystem.from_blocks(sp.identity(3, format="csr"), B,
-                                      np.ones(3), np.ones(2))
+    system = saddle_system(sp.identity(3), B, np.ones(3), np.ones(2))
     with pytest.raises(GlobalSolverError, match="singular global system"):
         solve_global(system)
 
@@ -143,8 +144,7 @@ def test_global_solve_residual_is_checked(monkeypatch):
     system = assemble_global_saddle(caches, sk, u_dirichlet=problem.u)
     # a system built from given blocks takes the same factorization
     B = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    by_hand = SaddleSystem.from_blocks(sp.identity(3, format="csr"), B,
-                                       np.ones(3), np.ones(2))
+    by_hand = saddle_system(sp.identity(3), B, np.ones(3), np.ones(2))
     splu = mhm_global.splu
     monkeypatch.setattr(mhm_global, "splu", Perturbed)
     for s in (system, by_hand):
@@ -271,6 +271,17 @@ def test_rigid_coefficients_shift_solution_exactly():
         f0.cache.dofh.dof_coords) @ rho[0]
     assert np.abs(f0.u - expected).max() < 1e-13
     assert np.abs(sol.fields[1].u).max() < 1e-13
+
+
+def test_solution_fields_are_built_once():
+    part, sk, caches = _caches()
+    sol = postprocess_solution(caches, sk, np.zeros(sk.n_dofs),
+                               np.zeros((len(caches), 3)))
+    assert "fields" not in vars(sol)
+    assert sol.fields is sol.fields
+    assert list(sol.fields) == list(range(part.n_elements))
+    with pytest.raises(TypeError):
+        sol.fields[0] = None
 
 
 def test_solution_stores_member_arrays_once():

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from mhmelast import (K_MAX, BrennerProblem, LinearProblem, MHMConfig,
-                      MHMError, MaterialField, SaddleSystem,
+                      MHMError, MaterialField,
                       assemble_local_gals, build_matching_local_mesh,
                       build_structured_triangulation,
                       check_refinement_conditions, compute_errors,
@@ -17,11 +17,13 @@ from mhmelast import (K_MAX, BrennerProblem, LinearProblem, MHMConfig,
                       estimate_inverse_constant, fem_core, inverse_constant,
                       refine_skeleton, solve_global, solve_mhm,
                       unit_square_mesh)
-from mhmelast import local_solver
+from mhmelast import cli, local_solver
 from mhmelast.local_solver import LocalSolverError
 from mhmelast.mhm_global import GlobalSolverError
 from mhmelast.cli import _parse_args, _parse_levels, _read_config_file, main
 from mhmelast.pipeline import THREADS_ENV, default_threads
+
+from conftest import saddle_system
 
 
 PATCH = LinearProblem([[0.3, 0.1], [-0.2, 0.4]], [0.05, -0.02], nu=0.3)
@@ -210,8 +212,8 @@ def test_solver_failures_are_mhm_errors(monkeypatch):
     # global: a rigid mode coupled to no trace dof
     B = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(MHMError, match="singular global system"):
-        solve_global(SaddleSystem.from_blocks(sp.identity(2, format="csr"),
-                                              B, np.ones(2), np.ones(2)))
+        solve_global(saddle_system(sp.identity(2), B, np.ones(2),
+                                   np.ones(2)))
     # pipeline: local meshes failing the refinement conditions
     with pytest.raises(MHMError, match="refinement conditions"):
         solve_mhm(MHMConfig(n=1, level=0, k=1, ell=1, depth=0), PATCH)
@@ -519,6 +521,36 @@ def test_convergence_command_without_order_bands(tmp_path):
 def test_single_level_commands_at_high_degree(tmp_path, command):
     # 2^(5-k) rounds to no cell at k = 6: the mesh keeps one cell a side
     assert main([*command, "--k", "6", "--out", str(tmp_path)]) == 0
+
+
+def test_diagnose_refuses_a_large_system_before_solving(tmp_path, capsys,
+                                                       monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_mhm was called")
+
+    monkeypatch.setattr(cli, "solve_mhm", no_solve)
+    rc = main(["diagnose", "--n", "16", "--level", "1", "--out",
+               str(tmp_path)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("diagnose: 7936 global unknowns exceed "
+                   "SPECTRAL_MAX_UNKNOWNS = 6000\n")
+    # the count is the solved system's: 152 at n = 2, level 1, ell = 1
+    monkeypatch.setattr(cli, "SPECTRAL_MAX_UNKNOWNS", 151)
+    assert main(["diagnose", "--n", "2", "--level", "1", "--k", "2",
+                 "--out", str(tmp_path)]) == 2
+    assert "152 global unknowns" in capsys.readouterr().err
+
+
+def test_nan_shear_modulus_region_fails_before_alpha(recwarn):
+    # the range check names the fault before the material groups cast the
+    # samples to integers and alpha falls outside its interval
+    cfg = MHMConfig(n=2, level=0, k=1, nu=0.3, threads=1,
+                    G=lambda x: np.where(x[..., 0] < 0.5, 1.0, np.nan))
+    with pytest.raises(ValueError, match="^shear modulus must be positive$"):
+        solve_mhm(cfg, PATCH)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_diagnose_command(tmp_path, capsys):

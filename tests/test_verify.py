@@ -15,6 +15,8 @@ from mhmelast.singlelevel import SingleLevelSolution
 from mhmelast.verify import (SPECTRAL_MAX_UNKNOWNS, _hydrostatic_trace_vector,
                              _traction_error_sq)
 
+from conftest import saddle_system
+
 
 def _interior_points(rng, n):
     return 0.05 + 0.9 * rng.random((n, 2))
@@ -188,6 +190,27 @@ def test_benchmark_stress_structure():
     assert np.abs(tr - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("nu, G", [(0.0, 1.0), (0.5, 1.0), (-0.1, 1.0),
+                                   (np.nan, 1.0), (0.3, 0.0), (0.3, -1.0)])
+@pytest.mark.parametrize("make", [
+    lambda nu, G: BrennerProblem(nu, G=G),
+    lambda nu, G: LinearProblem(np.eye(2), np.zeros(2), nu, G=G)],
+    ids=["brenner", "linear"])
+def test_problems_reject_invalid_moduli(make, nu, G):
+    # eps would divide by zero at nu = 0 and vanish at nu = 1/2
+    with pytest.raises(ValueError, match="^(shear modulus must be positive|"
+                                         r"Poisson ratio must lie in \(0, "
+                                         r"1/2\))$"):
+        make(nu, G)
+
+
+@pytest.mark.parametrize("nu, G", [(0.3, 1.0), (0.4999, 2.5), (0.49999, 1.0)])
+def test_problem_eps_is_the_closed_form(nu, G):
+    want = (1 - 2 * nu) / (2 * G * nu)
+    assert BrennerProblem(nu, G=G).epsilon == want
+    assert LinearProblem(np.eye(2), np.zeros(2), nu, G=G).epsilon == want
+
+
 def test_linear_problem_fields():
     prob = LinearProblem([[0.2, -0.1], [0.3, 0.4]], [1.0, -1.0], nu=0.3)
     x = np.random.default_rng(9).random((7, 2))
@@ -201,13 +224,11 @@ def test_linear_problem_fields():
 # Error norms
 # ---------------------------------------------------------------------------
 
-def _zero_single_level_solution(mesh, material, k, with_pressure):
+def _zero_single_level_solution(mesh, k, with_pressure):
     ref = reference_element(k)
     dofh = asm.DofHandler(mesh, ref)
     p = np.zeros(dofh.n_dofs) if with_pressure else None
-    return SingleLevelSolution(mesh, dofh, material, k,
-                               np.zeros(2 * dofh.n_dofs), p=p,
-                               kind="gals" if with_pressure else "galerkin")
+    return SingleLevelSolution(dofh, np.zeros(2 * dofh.n_dofs), p=p)
 
 
 def test_zero_solution_errors_equal_exact_norms():
@@ -215,7 +236,7 @@ def test_zero_solution_errors_equal_exact_norms():
     # fields; cross-check the displacement L2 norm by direct quadrature
     prob = BrennerProblem(0.3)
     mesh = unit_square_mesh(8)
-    sol = _zero_single_level_solution(mesh, prob.material, 2, True)
+    sol = _zero_single_level_solution(mesh, 2, True)
     rec = compute_errors(sol, prob)
 
     rule = quad_rule("triangle", 24)
@@ -240,8 +261,7 @@ def test_interpolated_exact_solution_has_zero_errors():
     u[0::2] = ue[:, 0]
     u[1::2] = ue[:, 1]
     p = prob.p(dofh.dof_coords)
-    sol = SingleLevelSolution(mesh, dofh, prob.material, 1, u, p=p,
-                              kind="gals")
+    sol = SingleLevelSolution(dofh, u, p=p)
     rec = compute_errors(sol, prob)
     for v in (rec.l2_u, rec.h1_u, rec.l2_sigma, rec.l2_p, rec.p_eps, rec.p_h):
         assert v < 1e-12
@@ -257,7 +277,7 @@ def test_implied_pressure_branch_matches_explicit():
     ue = prob.u(dofh.dof_coords)
     u[0::2] = ue[:, 0]
     u[1::2] = ue[:, 1]
-    without_p = SingleLevelSolution(mesh, dofh, prob.material, 1, u)
+    without_p = SingleLevelSolution(dofh, u)
     rec = compute_errors(without_p, prob)
     assert rec.l2_p < 1e-12
     assert rec.l2_sigma < 1e-11
@@ -301,8 +321,7 @@ def test_compute_errors_rejects_unknown_solution():
 
 def test_compressibility_residual_rejects_single_level_solution():
     problem = BrennerProblem(0.3)
-    sol = _zero_single_level_solution(unit_square_mesh(2), problem.material,
-                                      1, True)
+    sol = _zero_single_level_solution(unit_square_mesh(2), 1, True)
     with pytest.raises(TypeError, match="takes an MHMSolution"):
         compressibility_residual(sol, problem.material)
 
@@ -533,7 +552,7 @@ def test_traction_error_matches_segment_loop():
     assert sum(t == "neumann" for t in sk.partition.faces.tag) == 4
     # the discrete traction of every segment against sigma n_F, one
     # segment at a time
-    deg = max(f.cache.degree for f in sol.fields.values())
+    deg = max(f.cache.dofh.ref.degree for f in sol.fields.values())
     rule = quad_rule("segment", 2 * (deg + sk.degree) + 2)
     want = 0.0
     seg = sk.segments
@@ -581,21 +600,16 @@ def test_hydrostatic_trace_vector_normalized():
 
 
 def test_spectral_diagnostics_empty_system():
-    from mhmelast import SaddleSystem
-
-    empty = SaddleSystem.from_blocks(np.zeros((0, 0)), np.zeros((0, 0)),
-                                     np.zeros(0), np.zeros(0))
+    empty = saddle_system(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0),
+                          np.zeros(0))
     rep = spectral_diagnostics(empty)
     assert rep.ok
 
 
 def test_spectral_diagnostics_refuses_large_system():
-    from mhmelast import SaddleSystem
-
     n = SPECTRAL_MAX_UNKNOWNS
-    big = SaddleSystem.from_blocks(sp.csr_matrix((n, n)),
-                                   sp.csr_matrix((n, 3)), np.zeros(n),
-                                   np.zeros(3))
+    big = saddle_system(sp.csr_matrix((n, n)), sp.csr_matrix((n, 3)),
+                        np.zeros(n), np.zeros(3))
     with pytest.raises(ValueError, match=f"{n + 3} global unknowns exceed "
                                          f"the limit of {n}"):
         spectral_diagnostics(big)
