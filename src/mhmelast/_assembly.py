@@ -129,6 +129,35 @@ class RigidModes:
         return np.moveaxis(self.evaluate(dof_coords), 0, -1).reshape(-1, 3)
 
 
+def map_points(maps, x):
+    """The points `x` (..., 2) under each member map x -> J x + b of `maps`
+    (m, 2, 3), the rows [J | b] with J = s I (`map_signs`):
+    (m, ...) + (2,)."""
+    x = np.asarray(x, dtype=float)
+    lead = (len(maps),) + (1,) * (x.ndim - 1)
+    y = map_signs(maps).reshape(lead + (1,)) * x
+    y += maps[:, :, 2].reshape(lead + (2,))
+    return y
+
+
+def map_signs(maps):
+    """The sign s (m,) of each member map of `maps` (m, 2, 3), whose linear
+    part is J = s I, s = +1 or -1: a translate or a point reflection.  The
+    gradient of a field on a member's image of a mesh takes J^-T = s, its
+    second derivatives do not."""
+    return maps[:, 0, 0]
+
+
+def rigid_signs(maps):
+    """(m, 3): the factors diag(s, s, 1) that take the rigid-mode
+    coefficients of a member's displacement u to those of its pullback
+    s (u o map) onto the class mesh, and back, under the member maps `maps`
+    (`map_signs`): the translations flip with s, the rotation about the
+    centroid does not."""
+    s = map_signs(maps)
+    return np.column_stack([s, s, np.ones_like(s)])
+
+
 class Tabulation:
     """Reference-element tables at the points of a quadrature rule, with the
     affine maps of every triangle of a mesh: shape values `vals` (nq, nb),
@@ -351,18 +380,21 @@ def load_vector(tab, fq, Dall=None, alpha=None):
     return F
 
 
-def field_values(tab, loc2glob, U, P, eps, grad_p=False):
-    """The discrete fields of m members at the points of `tab`: u_h
-    (m, nt, nq, 2), grad u_h (m, nt, nq, 2, 2), p_h (m, nt, nq) and, with
-    `grad_p`, grad p_h (m, nt, nq, 2) (else None), from the members'
-    interleaved coefficients `U` (m, 2nsd) and pressure coefficients `P`
-    (m, nsd).  With `P` None, p_h is the implied -div u_h / eps, `eps`
-    broadcasting against (m, nt, nq).
+def field_values(tab, loc2glob, U, P, eps, signs, grad_p=False):
+    """The discrete fields of m members at their images of the points of
+    `tab`: u_h (m, nt, nq, 2), grad u_h (m, nt, nq, 2, 2), p_h (m, nt, nq)
+    and, with `grad_p`, grad p_h (m, nt, nq, 2) (else None), from the
+    members' interleaved coefficients `U` (m, 2nsd) and pressure
+    coefficients `P` (m, nsd) at the images of the mesh's nodes.  With `P`
+    None, p_h is the implied -div u_h / eps, `eps` broadcasting against
+    (m, nt, nq).  Member i is the image of the tabulated mesh under a map
+    with the linear part J = s I, s = `signs[i]` (`map_signs`).
 
     The gathered coefficients meet the reference tables of `tab` (`vals`,
     `ref_grads` and, for the gradient of an implied pressure, `ref_hess`)
-    in one matrix product; each triangle's map `tab.geo.jinv` then gives
-    the gradients J^-T grad and the Hessians J^-T Hess J^-1."""
+    in one matrix product; each triangle's map `tab.geo.jinv` and the
+    member's J then give the gradients s J^-T grad and the Hessians
+    J^-T Hess J^-1 (s^2 = 1)."""
     nq, nb = tab.vals.shape
     m, nt = len(U), len(loc2glob)
     tables = [tab.vals[..., None], tab.ref_grads]
@@ -377,8 +409,9 @@ def field_values(tab, loc2glob, U, P, eps, grad_p=False):
         coef = np.concatenate([U, P], axis=1)
     F = (coef[:, rows].reshape(-1, nb) @ R).reshape(m, nt, rows.shape[1],
                                                      -1, nq)
-    # J^-T against the reference gradients (m, nt, c, 2, nq) of each row
-    g = tab.geo.jinv_t[:, None] @ F[:, :, :, 1:3]
+    # s J^-T against the reference gradients (m, nt, c, 2, nq) of each row
+    sjinv_t = np.reshape(signs, (m, 1, 1, 1)) * tab.geo.jinv_t
+    g = sjinv_t[:, :, None] @ F[:, :, :, 1:3]
     uh = np.moveaxis(F[:, :, :2, 0], 2, -1)
     guh = np.moveaxis(g[:, :, :2], -1, 2)
     gph = None

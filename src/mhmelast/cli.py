@@ -327,17 +327,18 @@ def cmd_export_fields(args):
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
     def at_corners(dofh):
-        # one geometry per local mesh; members are its translates
+        # one geometry per local mesh; members are its images
         geo = asm.Geometry(dofh.mesh)
         vals, grads, _ = dofh.ref.tabulate(corners)
         return SimpleNamespace(geo=geo, vals=vals, ref_grads=grads,
                                points=geo.physical_points(corners))
 
-    def chunk(tab, l2g, eids, U, P, shifts):
-        uh, guh, ph, _ = asm.field_values(tab, l2g, U, P, problem.epsilon)
+    def chunk(tab, l2g, eids, U, P, maps):
+        uh, guh, ph, _ = asm.field_values(tab, l2g, U, P, problem.epsilon,
+                                          asm.map_signs(maps))
         sh = asm.stress(problem.G, guh, ph)
         return np.repeat(eids, ph[0].size), np.concatenate([
-            tab.points + shifts[:, None, None], uh, ph[..., None],
+            asm.map_points(maps, tab.points), uh, ph[..., None],
             sh.reshape(sh.shape[:-2] + (4,))[..., [0, 1, 3]]],
             axis=-1).reshape(-1, 8)
 

@@ -2,15 +2,21 @@
 element: the stabilized displacement-pressure operators, the plain Galerkin
 variant, the rigid-body projection, and the stabilization parameter.
 
-The basis is built per congruence class of translated coarse elements with
-the same boundary segment layout: they share one local mesh, numbering,
-tabulation and boundary pairings.  The members are split by their samples of
-G and eps, and each group with equal samples (the whole class under a
-constant material) shares one alpha and one operator.  The operators of
-groups of equal member counts are stacked as the diagonal blocks of one
-matrix, up to BATCH_UNKNOWNS unknowns, and factored and solved at once, for
-the trace right-hand sides and every member's load column: one record per
-stack, with the groups along a leading axis and the members as arrays.
+The basis is built per congruence class of coarse elements that are
+translates and point reflections of each other, up to a cyclic relabeling
+of their vertices, with the same boundary segment layout: they share one
+local mesh, numbering, tabulation and boundary pairings.  Each member is the
+image of the class mesh under its own affine map x = c_m + s_m (x^ - c),
+s_m = +1 or -1, on which its displacement is s_m times the class field and
+its pressure the class field: the local operator is the same, and the
+member's loads are its f and g at the mapped points times s_m.  The members
+are split by their samples of G and eps, and each group with equal samples
+(the whole class under a constant material) shares one alpha and one
+operator.  The operators of groups of equal member counts are stacked as the
+diagonal blocks of one matrix, up to BATCH_UNKNOWNS unknowns, and factored
+and solved at once, for the trace right-hand sides and every member's load
+column: one record per stack, with the groups along a leading axis and the
+members as arrays.
 
 Each block is a pure Neumann operator K, singular on the three rigid modes
 Z, and the basis is the solution orthogonal to them, C x = 0 with C the
@@ -34,7 +40,7 @@ from . import _assembly as asm
 from ._assembly import RigidModes
 from .fem_core import (MHMError, inverse_constant, quad_rule,
                        reference_element)
-from .mesh import local_depths
+from .mesh import CONGRUENCE_RTOL, local_depths
 
 __all__ = [
     "MaterialField",
@@ -51,11 +57,6 @@ __all__ = [
     "build_class_caches",
     "build_local_cache",
 ]
-
-# Coarse vertices relative to the centroid are compared on a grid of this
-# size relative to the element diameter: coordinates such as k/n are not
-# exact in binary, so translated copies agree only to round-off.
-CONGRUENCE_RTOL = 1e-10
 
 # Material groups of a class are stacked into one block-diagonal
 # factorization of at most this many unknowns (a larger group is factored
@@ -117,6 +118,8 @@ class MaterialField:
         g = self._eval("G", self._G, x)
         if not np.all(g > 0):
             raise ValueError("shear modulus must be positive")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("shear modulus must be finite")
         return g
 
     def nu_at(self, x):
@@ -130,10 +133,16 @@ class MaterialField:
         return self.samples(x)[1]
 
     def samples(self, x):
-        """G and the compressibility coefficient eps at the points x."""
+        """G and the compressibility coefficient eps at the points x; an
+        eps that overflows (a subnormal nu) is rejected."""
         g = self.G_at(x)
         nu = self.nu_at(x)
-        return g, (1 - 2 * nu) / (2 * g * nu)
+        with np.errstate(over="ignore", divide="ignore"):
+            eps = (1 - 2 * nu) / (2 * g * nu)
+        if not np.all(np.isfinite(eps)):
+            raise ValueError("compressibility coefficient eps = (1 - 2 nu) / "
+                             "(2 G nu) overflows: nu is too close to 0")
+        return g, eps
 
 
 def compute_alpha(material, sample_points, c_inverse, theta=0.5):
@@ -177,9 +186,11 @@ class LocalBasisCache:
     Columns of `trace_u[g]`/`trace_p[g]` hold group g's displacement/pressure
     solutions for every trace basis function on the element boundary;
     `pairing` and `rm_pairing` close the global saddle-point problem.  The
-    members are translates of that mesh by `shifts`: row i of every member
-    array belongs to element `element_ids[i]`.  The stack's ng groups have
-    S = m / ng members each, and rows g*S to (g+1)*S - 1 are group g's.
+    members are the images of that mesh under `maps` (`_member_maps`): row
+    i of every member array belongs to element `element_ids[i]`, and its
+    load solutions are those of its problem pulled back onto the mesh.  The
+    stack's ng groups have S = m / ng members each, and rows g*S to
+    (g+1)*S - 1 are group g's.
     Its degree is `dofh.ref.degree`; a "galerkin" stack has no pressure.
     """
     alpha: np.ndarray               # (ng,)
@@ -191,9 +202,11 @@ class LocalBasisCache:
     pairing: np.ndarray             # (ng, ntr, ntr), <mu_i, T_h(mu_j)>
     rm_pairing: np.ndarray          # (ntr, 3), <mu_i, v_rm>
     element_ids: np.ndarray         # (m,) members
-    shifts: np.ndarray              # (m, 2) member centroid - mesh centroid
+    maps: np.ndarray                # (m, 2, 3) [J | b], x = J x^ + b, J = +-I
     trace_dofs: np.ndarray          # (m, ntr) global trace dof indices
-    dof_signs: np.ndarray           # (m, ntr) orientation sign n_F . n^K
+    dof_signs: np.ndarray           # (m, ntr) orientation sign n_F . n^K,
+                                    # times the map's sign and the parity of
+                                    # the mode on a reversed face
     load_u: np.ndarray              # (m, 2*nsd) load solutions
     load_p: np.ndarray              # (m, nsd); None for "galerkin"
     load_pairing: np.ndarray        # (m, ntr), <mu_i, That(f)>
@@ -214,13 +227,14 @@ class LocalOperator:
     block is singular on the rigid modes `Z`; the basis solves it subject to
     `C x = 0` with the dofs `pins` fixed (`solve_local_basis`)."""
     kind: str                       # "gals" | "galerkin"
+    element_id: int                 # the element it was assembled on
     dofh: object
     tab: object
     l2g: np.ndarray                 # element map of the n [u (; p)] unknowns
     R: np.ndarray                   # (ntr, 2*nsd) trace/displacement pairing
     Grm: np.ndarray                 # (ntr, 3) trace/rigid-mode pairing
     neumann_edges: tuple            # Neumann rows of _boundary_blocks
-    rigid_modes: RigidModes         # about the element it was assembled on
+    rigid_modes: RigidModes         # about that element's centroid
     C: np.ndarray                   # (3, n) moments of the rigid modes
     Z: np.ndarray                   # (n, 3) the modes, zero in p's rows
     pins: np.ndarray                # (3,) displacement dofs fixed in a solve
@@ -239,14 +253,66 @@ def _centroids(partition, element_ids):
     return partition.vertices[partition.elements[element_ids]].mean(axis=1)
 
 
-def _member_segments(partition, skeleton, element_ids):
-    """Skeleton segments on each element's boundary in local edge order,
-    and their orientation signs: (m, nseg) each, for one segment layout."""
-    segs = skeleton.face_segments[partition.elem_face_ids[element_ids]]
-    signs = np.broadcast_to(partition.elem_face_signs[element_ids][..., None],
-                            segs.shape)
-    on = segs[0] >= 0
-    return segs[:, on], signs[:, on]
+def _member_maps(partition, skeleton, rep, element_ids):
+    """The affine maps x = J x^ + b, J = s I (s = +-1), that take the
+    element `rep` onto each member of `element_ids`, as rows [J | b]
+    (m, 2, 3), and the roll r (m,) of each: the map takes vertex j of rep
+    to the member's vertex (j + r) % 3.  A ValueError names a member that is
+    no translate or point reflection of rep with its segment layout."""
+    ids = np.asarray(element_ids, dtype=int)
+    keys, signs, rolls = (a[np.append(rep, ids)]
+                          for a in skeleton.element_frames)
+    bad = np.flatnonzero(np.any(keys[1:] != keys[0], axis=1))
+    if len(bad):
+        raise ValueError(f"element {ids[bad[0]]} is not a translate or point "
+                         f"reflection of element {rep} with its segment "
+                         "layout")
+    s = signs[1:] * signs[0]
+    maps = np.zeros((len(ids), 2, 3))
+    maps[:, 0, 0] = maps[:, 1, 1] = s
+    maps[:, :, 2] = (_centroids(partition, ids)
+                     - s[:, None] * _centroids(partition, [rep]))
+    return maps, (rolls[1:] - rolls[0]) % 3
+
+
+def _member_segments(partition, skeleton, rep, element_ids, rolls):
+    """The skeleton segments on the boundary of each member, in the row
+    order of the element `rep`: its local edges in turn, each in the order
+    of its face, without Neumann faces.  A member with the roll r
+    (`_member_maps`) holds rep's edge j as its edge (j + r) % 3.  Returns
+    the segment ids, their orientation signs n_F . n^K, and whether the
+    member's face runs the other way along the edge than rep's face, which
+    reverses the order of its segments and flips its odd trace modes:
+    (m, nseg) each."""
+    ids = np.asarray(element_ids, dtype=int)
+    edge = (np.arange(3) + np.asarray(rolls)[:, None]) % 3         # (m, 3)
+    fids = np.take_along_axis(partition.elem_face_ids[ids], edge, axis=1)
+    against = partition.faces.v0[fids] != np.take_along_axis(
+        partition.elements[ids], edge, axis=1)
+    own = partition.elem_face_ids[rep]
+    flip = against != (partition.faces.v0[own] != partition.elements[rep])
+    segs = skeleton.face_segments[fids]
+    segs = np.where(flip[..., None], segs[..., ::-1], segs)
+    on = skeleton.face_segments[own] >= 0
+    signs = np.take_along_axis(partition.elem_face_signs[ids], edge, axis=1)
+    return (segs[:, on], np.broadcast_to(signs[..., None], segs.shape)[:, on],
+            np.broadcast_to(flip[..., None], segs.shape)[:, on])
+
+
+def _member_traces(partition, skeleton, rep, element_ids, maps, rolls):
+    """The global trace dofs of the members' rows of the trace basis of the
+    element `rep`, and their signs (m, ntr) each: the orientation sign of
+    the face, times the sign of the member's map, times -1 for an odd mode
+    on a face the member runs the other way (`_member_segments`)."""
+    segs, signs, flip = _member_segments(partition, skeleton, rep,
+                                         element_ids, rolls)
+    dps = skeleton.dofs_per_segment
+    odd = np.arange(dps) % (skeleton.degree + 1) % 2 == 1
+    dof_signs = (np.where(flip[..., None] & odd, -1.0, 1.0)
+                 * (signs * asm.map_signs(maps)[:, None])[..., None])
+    m = len(segs)
+    return (skeleton.segment_dofs(segs).reshape(m, -1),
+            dof_signs.reshape(m, -1))
 
 
 def _boundary_blocks(partition, local_mesh, skeleton, dofh, geo, ref, rm):
@@ -273,8 +339,8 @@ def _boundary_blocks(partition, local_mesh, skeleton, dofh, geo, ref, rm):
     s0, s1 = skeleton.segments.s0[sid, None], skeleton.segments.s1[sid, None]
     mu = skeleton.basis_values(sid[:, None], (fs - s0) / (s1 - s0))
 
-    seg_ids = _member_segments(partition, skeleton,
-                               [local_mesh.element_id])[0][0]
+    eid = local_mesh.element_id
+    seg_ids = _member_segments(partition, skeleton, eid, [eid], [0])[0][0]
     dps = skeleton.dofs_per_segment
     row_of = np.empty(len(skeleton.segments), dtype=int)
     row_of[seg_ids] = np.arange(len(seg_ids))
@@ -320,9 +386,9 @@ def _local_geometry(partition, local_mesh, skeleton, k, kind):
     Z[:2 * dofh.n_dofs] = rm.nodal_coefficients(dofh.dof_coords)
     R, Grm, neumann_edges = _boundary_blocks(partition, local_mesh, skeleton,
                                              dofh, tab.geo, ref, rm)
-    return LocalOperator(kind, dofh, tab, l2g, R, Grm, neumann_edges, rm,
-                         _constraint_rows(dofh, tab, rm, n), Z,
-                         _pin_dofs(dofh.dof_coords, rm.centroid, Z))
+    return LocalOperator(kind, local_mesh.element_id, dofh, tab, l2g, R, Grm,
+                         neumann_edges, rm, _constraint_rows(dofh, tab, rm, n),
+                         Z, _pin_dofs(dofh.dof_coords, rm.centroid, Z))
 
 
 def _local_operator(geo, material, Gq, epsq, alpha):
@@ -364,26 +430,30 @@ def assemble_local_galerkin(partition, local_mesh, skeleton, material, k):
     return _one_group(geo, material, 0.0, None)
 
 
-def _at_members(fn, x, grid):
-    """`fn` at the points `x` translated by the member shifts `grid`
-    (ng, S, 2): (ng, S) + its value shape."""
-    values = np.asarray(fn(x + grid.reshape(-1, 1, 1, 2)), dtype=float)
-    return values.reshape(grid.shape[:2] + values.shape[1:])
+def _at_members(fn, x, maps):
+    """`fn` at the points `x` mapped onto the members `maps` (ng, S, 2, 3),
+    times each member's sign: the load of the pulled-back problems,
+    (ng, S) + its value shape."""
+    flat = maps.reshape(-1, 2, 3)
+    values = np.asarray(fn(asm.map_points(flat, x)), dtype=float)
+    values = values * asm.map_signs(flat).reshape(
+        (-1,) + (1,) * (values.ndim - 1))
+    return values.reshape(maps.shape[:2] + values.shape[1:])
 
 
-def element_load(op, shifts, f=None, g=None):
+def element_load(op, maps, f=None, g=None):
     """Load columns and rigid-mode loads of the members that share `op`,
-    translates of its element by `shifts`: (m, 2) for an operator of one
-    group, or (ng, S, 2), S members of each of its ng groups, for a stack.
-    Column s of the loads (N, S) holds member s of group g in block g; the
-    rigid-mode loads are (ng * S, 3) in (group, member) order.  `f` and `g`
-    are called at the operator's points translated onto the members, whose
-    rigid modes take the operator's values, on chunks of at most
-    SAMPLE_POINTS points (at least one member a group)."""
+    the images of its element under `maps`: (m, 2, 3) for an operator of
+    one group, or (ng, S, 2, 3), S members of each of its ng groups, for a
+    stack.  Column s of the loads (N, S) holds member s of group g in block
+    g; the rigid-mode loads are (ng * S, 3) in (group, member) order, each
+    member's against its own modes (`_assembly.rigid_signs`).  `f` and `g`
+    are called at the operator's points mapped onto the members, on chunks
+    of at most SAMPLE_POINTS points (at least one member a group)."""
     ng = op.n_groups
-    grid = np.asarray(shifts, dtype=float).reshape(ng, -1, 2)
+    maps = np.asarray(maps, dtype=float).reshape(ng, -1, 2, 3)
     n = op.matrix.shape[0] // ng
-    S = grid.shape[1]
+    S = maps.shape[1]
     rhs = np.zeros((ng, S, n))
     d_rm = np.zeros((ng, S, 3))
     pts, w, vals, dofs = op.neumann_edges
@@ -395,19 +465,20 @@ def element_load(op, shifts, f=None, g=None):
     per = max(1, SAMPLE_POINTS // (ng * op.tab.points[..., 0].size))
     for c in (slice(s, s + per) for s in range(0, S, per)):
         if g is not None and len(w):
-            gq = _at_members(g, pts, grid[:, c])
+            gq = _at_members(g, pts, maps[:, c])
             F = np.einsum("eq,gseqc,eqb->gsebc", w, gq, vals)
             rhs[:, c] += asm.scatter_vector(F.reshape(F.shape[:3] + (-1,)),
                                             dofs, n)
             d_rm[:, c] += gq.reshape(gq.shape[:2] + (-1,)) @ rm_g
         if f is not None:
-            fq = _at_members(f, op.tab.points, grid[:, c])
+            fq = _at_members(f, op.tab.points, maps[:, c])
             Dall = None if op.Dall is None else op.Dall[:, None]
             F_el = asm.load_vector(op.tab, fq, Dall=Dall,
                                    alpha=op.alpha[:, None])
             rhs[:, c] += asm.scatter_vector(F_el, op.l2g, n)
             d_rm[:, c] += fq.reshape(fq.shape[:2] + (-1,)) @ rm_f
-    return np.swapaxes(rhs, 0, 1).reshape(S, ng * n).T, d_rm.reshape(-1, 3)
+    return (np.swapaxes(rhs, 0, 1).reshape(S, ng * n).T,
+            d_rm.reshape(-1, 3) * asm.rigid_signs(maps.reshape(-1, 2, 3)))
 
 
 def _blocks(M, ng):
@@ -476,19 +547,20 @@ def _residual_hint(op):
 
 def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     """Factorize the operator `op` once and solve, in one multi-RHS call, for
-    every trace basis function and the load of every member, translates of
-    the element `op` was assembled on.  `element_ids` (ng, S) holds each
-    group's member ids, block by block; a ValueError names the member counts
-    of groups that are not one per block of `op` or not of equal size.  The
-    result is the stack's basis record."""
+    every trace basis function and the load of every member, translates and
+    point reflections of the element `op` was assembled on
+    (`_member_maps`).  `element_ids` (ng, S) holds each group's member ids,
+    block by block; a ValueError names the member counts of groups that are
+    not one per block of `op` or not of equal size.  The result is the
+    stack's basis record."""
     sizes = [len(group) for group in element_ids]
     if len(sizes) != op.n_groups or len(set(sizes)) != 1:
         raise ValueError(f"a stack of {op.n_groups} groups takes as many "
                          f"groups of equal member counts, got {sizes}")
     ng, S = len(sizes), sizes[0]
     ids = np.asarray(element_ids, dtype=int).ravel()
-    shifts = _centroids(partition, ids) - op.rigid_modes.centroid
-    loads, rm_load = element_load(op, shifts, f=f, g=g)
+    maps, rolls = _member_maps(partition, skeleton, op.element_id, ids)
+    loads, rm_load = element_load(op, maps, f=f, g=g)
     nsd, ntr = op.dofh.n_dofs, op.R.shape[0]
     nu, n = 2 * nsd, len(op.Z)
     CZ = op.C @ op.Z
@@ -527,7 +599,8 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     # or one member wide
     loads = Xb[:, ntr:].reshape(-1, n)
     trace_u, load_u = trace[:, :nu], loads[:, :nu]
-    seg_ids, seg_signs = _member_segments(partition, skeleton, ids)
+    trace_dofs, dof_signs = _member_traces(partition, skeleton, op.element_id,
+                                           ids, maps, rolls)
     return LocalBasisCache(
         alpha=op.alpha,
         material=op.material,
@@ -538,9 +611,9 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
         pairing=op.R @ trace_u,
         rm_pairing=op.Grm,
         element_ids=ids,
-        shifts=shifts,
-        trace_dofs=skeleton.segment_dofs(seg_ids).reshape(len(ids), -1),
-        dof_signs=np.repeat(seg_signs, skeleton.dofs_per_segment, axis=1),
+        maps=maps,
+        trace_dofs=trace_dofs,
+        dof_signs=dof_signs,
         load_u=load_u,
         load_p=loads[:, nu:] if has_p else None,
         load_pairing=load_u @ op.R.T,
@@ -551,19 +624,17 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
 def congruence_classes(partition, skeleton, depth):
     """Group the element ids, in increasing order, into classes sharing one
     local mesh at `depth`, in order of their first element, before any local
-    mesh is built.  Members are translates (on a grid of CONGRUENCE_RTOL
-    times the diameter) with one local depth and boundary segment layout:
-    per local edge, the level of the face's segments (-1 on Neumann faces)
-    and whether the face runs against the edge, which fixes the segment
-    order and the sign of the odd trace modes.  The classes are purely
-    geometric: `build_class_caches` splits them by material."""
-    elements, face_ids = partition.elements, partition.elem_face_ids
-    p = partition.vertices[elements]                        # (n, 3, 2)
-    grid = CONGRUENCE_RTOL * partition.element_diameters[:, None, None]
-    shape = np.round((p - p.mean(axis=1, keepdims=True)) / grid)
-    levels, need = local_depths(skeleton, face_ids, depth)
-    keys = np.column_stack([shape.reshape(-1, 6).astype(np.int64), levels,
-                            partition.faces.v0[face_ids] != elements, need])
+    mesh is built.  Members are translates and point reflections of each
+    other (on a grid of CONGRUENCE_RTOL times the diameter), up to a cyclic
+    relabeling of their vertices, with one local depth and boundary segment
+    layout: per mapped local edge, the level of the face's segments (-1 on
+    Neumann faces) (`SkeletonMesh.element_frames`).  The direction of a
+    face along the edge is not in the key: it reverses the segment order
+    and flips the sign of the odd trace modes of the member
+    (`_member_segments`).  The classes are purely geometric:
+    `build_class_caches` splits them by material."""
+    need = local_depths(skeleton, partition.elem_face_ids, depth)[1]
+    keys = np.column_stack([skeleton.element_frames[0], need])
     _, first, inverse = np.unique(keys, axis=0, return_index=True,
                                   return_inverse=True)
     rank = np.argsort(np.argsort(first))[inverse.ravel()]
@@ -572,8 +643,8 @@ def congruence_classes(partition, skeleton, depth):
                                          np.cumsum(np.bincount(rank))[:-1])]
 
 
-def _material_groups(material, points, shifts):
-    """Split the members, translates of `points` by `shifts`, into groups
+def _material_groups(material, points, maps):
+    """Split the members, the images of `points` under `maps`, into groups
     whose samples of G and eps agree on a grid of CONGRUENCE_RTOL relative
     to each sample (their logarithms rounded on a grid of that size; both
     fields are positive), so that they share one local operator: the member
@@ -582,9 +653,9 @@ def _material_groups(material, points, shifts):
     SAMPLE_POINTS points at a time."""
     groups, firsts = {}, []
     per = max(1, SAMPLE_POINTS // points[..., 0].size)
-    for start in range(0, len(shifts), per):
-        samples = material.samples(points + shifts[start:start + per, None,
-                                                   None])
+    for start in range(0, len(maps), per):
+        samples = material.samples(asm.map_points(maps[start:start + per],
+                                                  points))
         keys = [np.round(np.log(q) / CONGRUENCE_RTOL).astype(np.int64)
                 for q in samples]
         for i, key in enumerate(zip(*keys)):
@@ -613,18 +684,19 @@ def _batches(sizes, n):
 def build_class_caches(partition, local_mesh, element_ids, skeleton,
                        material, k, kind="gals", theta=0.5, f=None, g=None):
     """Basis records of the congruence class `element_ids`, whose members
-    share the geometry on `local_mesh` (of one member).  The members are
-    split into groups with equal material samples, each with its own alpha
-    and operator, and the operators of groups of equal member counts
-    (`_batches`) are stacked into block-diagonal matrices of at most
-    BATCH_UNKNOWNS unknowns, each factored and solved once by
-    `solve_local_basis`: one record per stack, in the order of `_batches`."""
+    share the geometry on `local_mesh` (of one member), each through its
+    map (`_member_maps`).  The members are split into groups with equal
+    material samples, each with its own alpha and operator, and the
+    operators of groups of equal member counts (`_batches`) are stacked into
+    block-diagonal matrices of at most BATCH_UNKNOWNS unknowns, each
+    factored and solved once by `solve_local_basis`: one record per stack,
+    in the order of `_batches`."""
     if kind not in ("gals", "galerkin"):
         raise ValueError(f"unknown local solver kind {kind!r}")
     element_ids = np.asarray(element_ids, dtype=int)
     geo = _local_geometry(partition, local_mesh, skeleton, k, kind)
-    shifts = _centroids(partition, element_ids) - geo.rigid_modes.centroid
-    groups, Gq, epsq = _material_groups(material, geo.tab.points, shifts)
+    maps, _ = _member_maps(partition, skeleton, geo.element_id, element_ids)
+    groups, Gq, epsq = _material_groups(material, geo.tab.points, maps)
     if kind == "gals":
         ci = inverse_constant(k)
         alpha = _group_alphas(Gq, ci, theta)

@@ -21,6 +21,12 @@ from .fem_core import quad_rule
 
 GEOM_TOL = 1e-12
 
+# Coarse vertices relative to the centroid are compared on a grid of this
+# size relative to the element diameter: coordinates such as k/n are not
+# exact in binary, so translated or reflected copies agree only to
+# round-off.
+CONGRUENCE_RTOL = 1e-10
+
 
 __all__ = [
     "TriMesh",
@@ -258,6 +264,40 @@ class SkeletonMesh:
         self.dofs_per_segment = 2 * (degree + 1)
         self.n_dofs = len(face) * self.dofs_per_segment
 
+    @cached_property
+    def element_frames(self):
+        """The congruence frame of every element of the partition, computed
+        once: its key, sign s = +-1 and roll r, (n_el, 9), (n_el,) and
+        (n_el,).  The key holds the rounded centroid-relative vertices (on a
+        grid of CONGRUENCE_RTOL times the diameter) and per local edge the
+        level of its face's segments (-1 on Neumann faces, `local_depths`),
+        taken in the frame, of the six, in which it is least: vertex j of
+        the key is s times the element's vertex (j + r) % 3, and edge j its
+        edge (j + r) % 3.  Elements with equal keys are congruent by the map
+        that takes the frame of one onto the frame of the other, and their
+        matching local meshes, whose lattices start at vertex r
+        (`build_matching_local_mesh`), are images of each other under it,
+        triangle by triangle."""
+        part = self.partition
+        p = part.vertices[part.elements]                        # (n, 3, 2)
+        grid = CONGRUENCE_RTOL * part.element_diameters[:, None, None]
+        shape = np.round((p - p.mean(axis=1, keepdims=True)) / grid).astype(
+            np.int64)
+        levels = local_depths(self, part.elem_face_ids, 0)[0]
+        roll = (np.arange(3)[:, None] + np.arange(3)) % 3     # [r, j]
+        keys = np.concatenate([np.concatenate(
+            [s * shape[:, roll].reshape(-1, 3, 6), levels[:, roll]], axis=2)
+            for s in (1, -1)], axis=1)                        # (n, 6, 9)
+        # the least of each element's six keys (the sort is stable, so the
+        # first of equal ones); round(-x) = -round(x), so a reflected copy
+        # has the same six keys
+        n = len(keys)
+        rows = keys.reshape(-1, 9)
+        frame = np.lexsort(tuple(rows.T[::-1]) + (np.repeat(np.arange(n), 6),)
+                           )[::6] % 6
+        return (keys[np.arange(n), frame], np.where(frame < 3, 1.0, -1.0),
+                frame % 3)
+
     def segment_dofs(self, seg_id):
         """Trace dofs of a segment id, or of an array of ids (last axis)."""
         dps = self.dofs_per_segment
@@ -381,14 +421,21 @@ def local_depths(skeleton, face_ids, depth):
 
 def build_matching_local_mesh(partition, element_id, skeleton, depth):
     """Red-refine coarse element `element_id` to `depth`, then refine further
-    until every skeleton segment on its boundary is a union of fine edges."""
+    until every skeleton segment on its boundary is a union of fine edges.
+    The lattice starts at the vertex r of the element's congruence frame
+    (`SkeletonMesh.element_frames`), so that the meshes of congruent
+    elements are images of each other, triangle by triangle and vertex by
+    vertex, and share their quadrature points."""
     fids = partition.elem_face_ids[element_id]
     need = int(local_depths(skeleton, fids, depth)[1])
+    r = int(skeleton.element_frames[2][element_id])
     e = partition.elements[element_id]
 
-    mesh, _, chains = _lattice_triangulation(partition.vertices[e], need)
+    mesh, _, chains = _lattice_triangulation(
+        partition.vertices[np.roll(e, -r)], need)
     N = 2 ** need
-    chain = np.asarray(chains)                          # (3, N + 1)
+    # chain c runs along local edge (c + r) % 3
+    chain = np.asarray(chains)[(np.arange(3) - r) % 3]  # (3, N + 1)
     v0, v1 = chain[:, :-1].ravel(), chain[:, 1:].ravel()
 
     # the owning triangle of each chain edge, by sorted vertex pair

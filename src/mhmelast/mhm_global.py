@@ -96,8 +96,9 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
     """Condense the stacks' basis records into the global system.
 
     The trace unknown is single-valued per skeleton segment; each element
-    contributes its group's pairing through its orientation signs, and
-    element K owns rigid-mode unknowns 3K to 3K + 2.  On Dirichlet faces the
+    contributes its group's pairing through its dof signs, and element K
+    owns rigid-mode unknowns 3K to 3K + 2, which B pairs through the rigid
+    signs of its map (`_assembly.rigid_signs`).  On Dirichlet faces the
     continuity equation is driven by the boundary displacement data.  B is
     built first, as CSR, for `_face_order`; the blocks of A, B and B' are
     then gathered as COO triplets at their positions in that order (int32),
@@ -113,7 +114,8 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
         rm = 3 * cache.element_ids[:, None] + np.arange(3)
         b.append((np.repeat(idx, 3, axis=1).ravel(),
                   np.tile(rm, cache.n_trace).ravel(),
-                  (s[:, :, None] * cache.rm_pairing).ravel()))
+                  (s[:, :, None] * cache.rm_pairing
+                   * asm.rigid_signs(cache.maps)[:, None]).ravel()))
         np.add.at(c, idx.ravel(), -(s * cache.load_pairing).ravel())
         d[rm] = -cache.rm_load
     if u_dirichlet is not None:
@@ -145,12 +147,11 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
 
 def _symmetric(pairing):
     """The symmetric parts of a stack's trace pairings (ng, ntr, ntr), each
-    symmetric up to round-off relative to its own scale; the sum of exactly
-    symmetric blocks is exactly symmetric."""
+    symmetric up to 1e-10 relative to its own largest entry, whatever its
+    scale; the sum of exactly symmetric blocks is exactly symmetric."""
     T = np.swapaxes(pairing, 1, 2)
     asym = np.abs(pairing - T).max(axis=(1, 2), initial=0.0)
-    bad = asym > 1e-10 * np.maximum(np.abs(pairing).max(axis=(1, 2),
-                                                        initial=0.0), 1.0)
+    bad = asym > 1e-10 * np.abs(pairing).max(axis=(1, 2), initial=0.0)
     if bad.any():
         raise GlobalSolverError(f"pairing block not symmetric "
                                 f"(|A-A'|={asym[bad][0]})")
@@ -243,7 +244,9 @@ class MHMSolution:
     """Reconstructed two-level solution: trace coefficients, rigid-body
     coefficients per element, and the fine fields, stored once per local
     mesh: `members[dofh]` is (element ids (m,), U (m, 2*nsd), P (m, nsd) or
-    None, shifts (m, 2)), with the rows of its records in `caches` order."""
+    None, maps (m, 2, 3)), with the rows of its records in `caches` order:
+    the coefficients of each member's fields at the images of the mesh's
+    nodes under its map."""
 
     def __init__(self, skeleton, lam, rho, members, caches, threads=1):
         self.skeleton = skeleton
@@ -257,13 +260,15 @@ class MHMSolution:
     def fields(self):
         """A read-only mapping, built once on first access, in increasing id
         order, of element id to views of its rows: its record `cache`,
-        `u` (2*nsd,), `p` (nsd,) or None, and `shift` (2,), the element
-        centroid minus the class mesh centroid."""
+        `u` (2*nsd,), `p` (nsd,) or None, and `map` (2, 3), the rows
+        [J | b] of the affine map x = J x^ + b, J = +-I, of the class mesh
+        onto the element: `u` and `p` are the element's coefficients at the
+        nodes map(cache.dofh.dof_coords)."""
         fields, done = {}, dict.fromkeys(self.members, 0)
         for c in self.caches:
-            _, U, P, shifts = self.members[c.dofh]
+            _, U, P, maps = self.members[c.dofh]
             for i, eid in enumerate(c.element_ids.tolist(), done[c.dofh]):
-                fields[eid] = SimpleNamespace(cache=c, u=U[i], shift=shifts[i],
+                fields[eid] = SimpleNamespace(cache=c, u=U[i], map=maps[i],
                                               p=None if P is None else P[i])
             done[c.dofh] += len(c.element_ids)
         return MappingProxyType(dict(sorted(fields.items())))
@@ -271,18 +276,18 @@ class MHMSolution:
     def member_chunks(self, tabulate):
         """The member arrays in slices, mesh by mesh: `tab = tabulate(dofh)`
         once, whose `points` (nt, nq, 2) are a member's evaluation points,
-        then (tab, loc2glob, ids, U, P, shifts) of 1 to
+        then (tab, loc2glob, ids, U, P, maps) of 1 to
         SAMPLE_POINTS // (nt * nq) members, views of `members[dofh]`."""
-        for dofh, (ids, U, P, shifts) in self.members.items():
+        for dofh, (ids, U, P, maps) in self.members.items():
             tab = tabulate(dofh)
             per = max(1, local_solver.SAMPLE_POINTS // tab.points[..., 0].size)
             for start in range(0, len(ids), per):
                 rows = slice(start, start + per)
                 yield (tab, dofh.loc2glob, ids[rows], U[rows],
-                       None if P is None else P[rows], shifts[rows])
+                       None if P is None else P[rows], maps[rows])
 
     def map_chunks(self, fn, tabulate):
-        """The list of fn(tab, loc2glob, ids, U, P, shifts) over the chunks
+        """The list of fn(tab, loc2glob, ids, U, P, maps) over the chunks
         of `member_chunks(tabulate)`, in their order, in `threads` threads
         (`ordered_map`): `fn` and what it calls must be thread-safe."""
         return ordered_map(self.threads, lambda chunk: fn(*chunk),
@@ -293,10 +298,13 @@ def postprocess_solution(caches, skeleton, lam, rho, threads=1):
     """Recombine the condensed basis: per element,
     u = sum_i sign_i lambda_i T(mu_i) + That(f) + rigid part, one batched
     matrix product per record over its ng groups of S = m / ng members.
-    The members' coordinates relative to their own centroids are the class
-    mesh's, so they share one rigid-mode matrix, and the records of one
-    local mesh are joined into its member arrays.  `threads` is the thread
-    count of the solve, which the solution's evaluations reuse."""
+    The basis holds the members' displacements pulled back onto the class
+    mesh as s (u o map), so the members share its rigid-mode matrix, each
+    member's coefficients rho taken through the rigid signs of its map
+    (`_assembly.rigid_signs`), and the sign s of the map takes the sum back
+    to the member's coefficients.  The records of one local mesh are joined
+    into its member arrays.  `threads` is the thread count of the solve,
+    which the solution's evaluations reuse."""
     parts = {}
     for cache in caches:
         m, ng = len(cache.element_ids), len(cache.pairing)
@@ -304,11 +312,14 @@ def postprocess_solution(caches, skeleton, lam, rho, threads=1):
             ng, m // ng, cache.n_trace)
         rm_nodal = cache.rigid_modes.nodal_coefficients(cache.dofh.dof_coords)
         u = ((coef @ np.swapaxes(cache.trace_u, 1, 2)).reshape(m, -1)
-             + cache.load_u + rho[cache.element_ids] @ rm_nodal.T)
+             + cache.load_u
+             + (rho[cache.element_ids] * asm.rigid_signs(cache.maps))
+             @ rm_nodal.T)
+        u *= asm.map_signs(cache.maps)[:, None]
         p = ((coef @ np.swapaxes(cache.trace_p, 1, 2)).reshape(m, -1)
              + cache.load_p if cache.trace_p is not None else None)
         parts.setdefault(cache.dofh, []).append(
-            (cache.element_ids, u, p, cache.shifts))
+            (cache.element_ids, u, p, cache.maps))
     members = {dofh: tuple(None if a[0] is None else np.concatenate(a)
                            for a in zip(*records))
                for dofh, records in parts.items()}

@@ -130,10 +130,14 @@ def solve_mhm(config, problem, g=None):
                                   theta=config.theta, f=problem.f, g=g)
 
     threads = config.threads or default_threads()
-    if threads > 1 and config.kind == "gals":
+    # a thread per class at most: a lone class (the structured grid) runs
+    # on this thread; on a pool thread it measured slower, and so did the
+    # global solve that reads its records on this one
+    pool = min(threads, len(classes))
+    if pool > 1 and config.kind == "gals":
         # estimate once, not in each thread that finds the cache cold
         inverse_constant(config.k)
-    records = ordered_map(threads, one_class, zip(local_meshes, classes))
+    records = ordered_map(pool, one_class, zip(local_meshes, classes))
     caches = [c for class_records in records for c in class_records]
 
     system = assemble_global_saddle(caches, skeleton, u_dirichlet=problem.u)

@@ -5,13 +5,13 @@ saddle-point spectrum) that probe well-posedness and locking.
 A two-level solution is evaluated in one member-batched pass over slices of
 its stored member arrays (`member_chunks`), each through
 `_assembly.field_values` (the reference tables in one matrix product, then
-each triangle's affine map), in the thread count of its solve
-(`MHMSolution.map_chunks`), so the problem's fields must be thread-safe;
-the chunk results are summed in chunk order, which makes the result the
-same bitwise at every thread count.  The exact fields of a chunk come from
-one `problem.fields` call (u, grad u, p and grad p together; a problem
-without it is asked for each), and the discrete ones are subtracted in
-place.  The stress error is the stress of the errors of grad u and p, with
+each triangle's affine map and the member's), in the thread count of its
+solve (`MHMSolution.map_chunks`), so the problem's fields must be
+thread-safe; the chunk results are summed in chunk order, which makes the
+result the same bitwise at every thread count.  The exact fields of a chunk
+come from one `problem.fields` call (u, grad u, p and grad p together; a
+problem without it is asked for each), and the discrete ones are subtracted
+in place.  The stress error is the stress of the errors of grad u and p, with
 `G`; a problem's `sigma` serves only the skeleton traction error.
 """
 
@@ -212,14 +212,15 @@ def _exact_errors(problem, pts, discrete):
     return errors
 
 
-def _error_squares(tab, l2g, U, P, problem, shifts):
+def _error_squares(tab, l2g, U, P, problem, maps):
     """The squared L2 norms of the errors of u, grad u, the stress and p,
-    and the h-weighted one of grad p, of m translates of the tabulated mesh
-    by `shifts` (m, 2), with coefficients `U` (m, 2nsd) and `P` (m, nsd) or
-    None.  The stress is linear, so its error is the stress of the
-    errors."""
-    discrete = asm.field_values(tab, l2g, U, P, problem.epsilon, grad_p=True)
-    pts = tab.points + shifts[:, None, None]
+    and the h-weighted one of grad p, of the m images of the tabulated mesh
+    under `maps` (m, 2, 3), with coefficients `U` (m, 2nsd) and `P`
+    (m, nsd) or None.  The stress is linear, so its error is the stress of
+    the errors."""
+    discrete = asm.field_values(tab, l2g, U, P, problem.epsilon,
+                                asm.map_signs(maps), grad_p=True)
+    pts = asm.map_points(maps, tab.points)
     eu, egu, ep, egp = _exact_errors(problem, pts, discrete)
     w = tab.wdet
     return np.array([
@@ -251,7 +252,7 @@ def _tabulation(extra):
 def compute_errors(solution, problem):
     """Error norms of a two-level or single-level solution against the
     closed-form fields, by elementwise quadrature over the member chunks of
-    one tabulation per local mesh, or over one unshifted member.  Each chunk
+    one tabulation per local mesh, or over one unmapped member.  Each chunk
     is evaluated once by `_assembly.field_values` (the discrete fields and
     the pressure gradient) and once by `problem.fields`, or by `u`,
     `grad_u`, `p` and `grad_p` for a problem without it.  The scalar
@@ -260,15 +261,15 @@ def compute_errors(solution, problem):
     if isinstance(solution, MHMSolution):
         # summed in chunk order, so equal bitwise at any thread count
         sq = sum(solution.map_chunks(
-            lambda tab, l2g, _, U, P, shifts:
-            _error_squares(tab, l2g, U, P, problem, shifts),
+            lambda tab, l2g, _, U, P, maps:
+            _error_squares(tab, l2g, U, P, problem, maps),
             _tabulation(4)))
         traction_sq = _traction_error_sq(solution, problem)
     elif isinstance(solution, SingleLevelSolution):
         P = None if solution.p is None else solution.p[None]
         sq = _error_squares(_tabulation(4)(solution.dofh),
                             solution.dofh.loc2glob, solution.u[None], P,
-                            problem, np.zeros((1, 2)))
+                            problem, np.eye(2, 3)[None])
     else:
         raise TypeError(f"unsupported solution type {type(solution)!r}")
     r = np.sqrt(sq)
@@ -294,9 +295,10 @@ def compressibility_residual(solution, material):
         raise TypeError(f"unsupported solution type {type(solution)!r}: "
                         "compressibility_residual takes an MHMSolution")
 
-    def chunk(tab, l2g, eids, U, P, shifts):
-        epsq = material.eps_at(tab.points + shifts[:, None, None])
-        _, guh, ph, _ = asm.field_values(tab, l2g, U, P, epsq)
+    def chunk(tab, l2g, eids, U, P, maps):
+        epsq = material.eps_at(asm.map_points(maps, tab.points))
+        _, guh, ph, _ = asm.field_values(tab, l2g, U, P, epsq,
+                                         asm.map_signs(maps))
         div = guh[..., 0, 0] + guh[..., 1, 1]
         return eids, np.einsum("tq,mtq->m", tab.wdet, div + epsq * ph)
 

@@ -140,7 +140,9 @@ def test_kernels_stack_material_groups(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_field_values_match_einsum(k):
     # the matmul forms of the field and pressure-gradient evaluation of a
-    # stack of members against the einsum contractions they replace
+    # stack of members against the einsum contractions they replace; the
+    # second member is a point reflection of the mesh, whose gradients take
+    # its sign and second derivatives do not
     mesh = _sheared_mesh()
     ref = reference_element(k)
     tab = asm.Tabulation(mesh, ref, 2 * k + 2)
@@ -150,16 +152,18 @@ def test_field_values_match_einsum(k):
     U = rng.standard_normal((m, 2 * (l2g.max() + 1)))
     P = rng.standard_normal((m, l2g.max() + 1))
     eps = 0.3
+    signs = np.array([1.0, -1.0, 1.0])
+    s = signs[:, None, None, None]
     un = U.reshape(m, -1, 2)[:, l2g]
-    guh = np.einsum("tqbj,mtbc->mtqcj", tab.grads, un)
+    guh = s[..., None] * np.einsum("tqbj,mtbc->mtqcj", tab.grads, un)
     cases = [(P, np.einsum("qb,mtb->mtq", tab.vals, P[:, l2g]),
-              np.einsum("tqbj,mtb->mtqj", tab.grads, P[:, l2g])),
+              s * np.einsum("tqbj,mtb->mtqj", tab.grads, P[:, l2g])),
              # without pressure coefficients, the implied -div u_h / eps
              # (k = 1 has zero Hessians, so its gradient is 0)
              (None, -(guh[..., 0, 0] + guh[..., 1, 1]) / eps,
               -np.einsum("tqbcj,mtbc->mtqj", tab.hess, un) / eps)]
     for pcoef, ph, gph in cases:
-        got = asm.field_values(tab, l2g, U, pcoef, eps, grad_p=True)
+        got = asm.field_values(tab, l2g, U, pcoef, eps, signs, grad_p=True)
         assert _close(got[0], np.einsum("qb,mtbc->mtqc", tab.vals, un))
         assert _close(got[1], guh)
         assert _close(got[2], ph)
@@ -181,7 +185,8 @@ def _jittered_mesh(n, seed):
 def test_field_values_on_a_jittered_mesh(k):
     # the reference-table evaluation against sums over the pushed tables,
     # with and without pressure coefficients, for a scalar eps and for one
-    # per point (the implied pressure and its Hessian path)
+    # per point (the implied pressure and its Hessian path), on a point
+    # reflection of the mesh and on the mesh
     mesh = _jittered_mesh(4, seed=k)
     ref = reference_element(k)
     tab = asm.Tabulation(mesh, ref, 2 * k + 4)
@@ -190,9 +195,11 @@ def test_field_values_on_a_jittered_mesh(k):
     m = 2
     U = rng.standard_normal((m, 2 * (l2g.max() + 1)))
     P = rng.standard_normal((m, l2g.max() + 1))
+    signs = np.array([-1.0, 1.0])
+    s = signs[:, None, None, None]
     un = U.reshape(m, -1, 2)[:, l2g]
     uh = np.einsum("qb,mtbc->mtqc", tab.vals, un)
-    guh = np.einsum("tqbj,mtbc->mtqcj", tab.grads, un)
+    guh = s[..., None] * np.einsum("tqbj,mtbc->mtqcj", tab.grads, un)
     graddiv = np.einsum("tqbcj,mtbc->mtqj", tab.hess, un)
     if k > 1:
         assert np.abs(graddiv).max() > 1.0
@@ -202,7 +209,8 @@ def test_field_values_on_a_jittered_mesh(k):
 
     for eps in (0.3, 1e-3 + rng.random((m,) + tab.wdet.shape)):
         for pcoef in (P, None):
-            got = asm.field_values(tab, l2g, U, pcoef, eps, grad_p=True)
+            got = asm.field_values(tab, l2g, U, pcoef, eps, signs,
+                                   grad_p=True)
             assert close(got[0], uh) and close(got[1], guh)
             if pcoef is None:
                 e = np.asarray(eps)
@@ -215,11 +223,11 @@ def test_field_values_on_a_jittered_mesh(k):
             else:
                 assert close(got[2], np.einsum("qb,mtb->mtq", tab.vals,
                                                P[:, l2g]))
-                assert close(got[3], np.einsum("tqbj,mtb->mtqj", tab.grads,
-                                               P[:, l2g]))
+                assert close(got[3], s * np.einsum("tqbj,mtb->mtqj",
+                                                   tab.grads, P[:, l2g]))
             assert got[3].shape == (m,) + tab.wdet.shape + (2,)
             # without grad_p, the same fields and no pressure gradient
-            less = asm.field_values(tab, l2g, U, pcoef, eps)
+            less = asm.field_values(tab, l2g, U, pcoef, eps, signs)
             assert less[3] is None
             assert all(close(a, b) for a, b in zip(less[:3], got[:3]))
 

@@ -1,9 +1,11 @@
-"""Sharing of the local basis across congruence classes of translated coarse
-elements: the shared path, for constant, periodic and varying materials,
-must reproduce the per-element path of one explicit `build_local_cache` per
-element on its own mesh."""
+"""Sharing of the local basis across congruence classes of coarse elements
+that are translates and point reflections of each other: the shared path,
+for constant, periodic and varying materials, must reproduce the
+per-element path of one explicit `build_local_cache` per element on its own
+mesh."""
 
 import io
+import threading
 
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ def _uneven(x):
 
 def _inclusion(x):
     """A shear modulus equal except in the right column of the n = 4 mesh,
-    where it varies: each class holds one group of 12 and 4 of one."""
+    where it varies: the class holds one group of 24 and 8 of one."""
     return 1.0 + 0.2 * np.maximum(x[..., 0] - 0.75, 0.0) * (1.0 + x[..., 1])
 
 
@@ -107,12 +109,13 @@ def _group_sizes(caches):
             for _ in c.alpha]
 
 
-def _check_against_per_element_path(G, groups, n_meshes=2, **cfg):
+def _check_against_per_element_path(G, groups, n_meshes=1, **cfg):
     problem = BrennerProblem(NU)
     (sol, data, err), (sol1, err1) = _shared_and_single(problem, G=G, **cfg)
-    # 32 elements in two shapes: one record per stack of material groups of
-    # a class, its groups along the group axis and its members as rows; one
-    # local mesh per class
+    # 32 elements in one shape, the upper triangles point reflections of
+    # the lower ones: one record per stack of material groups of a class,
+    # its groups along the group axis and its members as rows; one local
+    # mesh per class
     assert _groups(data.caches) == groups
     assert len(sol1.caches) == _groups(sol1.caches) == 32
     assert len(data.local_meshes) == len({id(c.dofh) for c in data.caches})
@@ -126,14 +129,15 @@ def _check_against_per_element_path(G, groups, n_meshes=2, **cfg):
             m, ng = len(c.element_ids), len(c.alpha)
             assert c.trace_dofs.shape == c.dof_signs.shape == (m, c.n_trace)
             assert c.load_u.shape == (m, c.trace_u.shape[1])
-            assert c.shifts.shape == (m, 2)
+            assert c.maps.shape == (m, 2, 3)
             assert c.trace_u.shape[0] == ng
             assert c.pairing.shape == (ng, c.n_trace, c.n_trace)
             # the groups of a stack have equal member counts
             assert m % ng == 0
-        # the elements the meshes were built on sit at shift zero
-        shifts = np.concatenate([c.shifts for c in caches])
-        assert sorted(ids[np.all(shifts == 0, axis=1)]) == sorted(meshes)
+        # the elements the meshes were built on map by the identity
+        maps = np.concatenate([c.maps for c in caches])
+        assert sorted(ids[np.all(maps == np.eye(2, 3), axis=(1, 2))]) == \
+            sorted(meshes)
     _assert_same_solution(sol, sol1)
     _assert_same_errors(err, err1)
 
@@ -141,14 +145,14 @@ def _check_against_per_element_path(G, groups, n_meshes=2, **cfg):
 @pytest.mark.parametrize("kind", ["gals", "galerkin"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_shared_classes_match_per_element_path(kind, k):
-    _check_against_per_element_path(1.0, 2, k=k, kind=kind)
+    _check_against_per_element_path(1.0, 1, k=k, kind=kind)
 
 
 @pytest.mark.parametrize("kind", ["gals", "galerkin"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_varying_material_matches_per_element_path(kind, k):
     # no two elements sample G alike: one group per element, still on the
-    # two class meshes
+    # one class mesh
     _check_against_per_element_path(_linear, 32, k=k, kind=kind)
 
 
@@ -160,11 +164,11 @@ def _two_phase(left, right):
 
 @pytest.mark.parametrize("left, right", [(1.0, 2.0), (1e-6, 1.0)])
 def test_proportional_samples_form_their_own_groups(left, right):
-    # both classes split at x = 1/2 into two groups with their own operator
+    # the class splits at x = 1/2 into two groups with their own operator
     (sol, data, _), (sol1, _) = _shared_and_single(
         BrennerProblem(NU), G=_two_phase(left, right), k=1)
-    assert _groups(data.caches) == 4
-    assert [len(c.alpha) for c in data.caches] == [2, 2]
+    assert _groups(data.caches) == 2
+    assert [len(c.alpha) for c in data.caches] == [2]
     assert _rel(sol.lam, sol1.lam) <= 1e-10
 
 
@@ -176,8 +180,10 @@ def _right_face_neumann(mid):
 @pytest.mark.parametrize("k", [1, 2])
 def test_uneven_material_groups_match_per_element_path(monkeypatch, kind,
                                                        k):
-    # the classes hold groups of 8 and 4 members, each size factored and
-    # solved in its own stack, with a traction on the Neumann face x = 1
+    # the class without the Neumann face x = 1 holds groups of 16 (x < 1/2)
+    # and 4 (a column of lower or upper triangles), each size factored and
+    # solved in its own stack, the one with it a group of 4, loaded by a
+    # traction
     problem = BrennerProblem(NU)
     sizes = []
     build = pipeline.build_class_caches
@@ -189,10 +195,10 @@ def test_uneven_material_groups_match_per_element_path(monkeypatch, kind,
 
     monkeypatch.setattr(pipeline, "build_class_caches", recording_build)
     _check_against_per_element_path(
-        _uneven, 6, n_meshes=3, k=k, kind=kind,
+        _uneven, 5, n_meshes=2, k=k, kind=kind,
         g=lambda x: problem.sigma(x)[..., :, 0],
         boundary_tag=_right_face_neumann)
-    assert sorted(sizes) == [[4], [8, 4], [8, 4, 4]]
+    assert sorted(sizes) == [[4], [16, 4, 4, 4]]
 
 
 def test_shared_classes_match_with_mixed_boundary():
@@ -206,8 +212,9 @@ def test_shared_classes_match_with_mixed_boundary():
 
     (sol, data, err), (sol1, err1) = _shared_and_single(
         problem, g=traction, k=2, boundary_tag=tag)
-    # lower triangles with and without a Neumann face, and upper triangles
-    assert len({id(c.trace_u) for c in data.caches}) == 3
+    # lower triangles with a Neumann face, and the others: the upper
+    # triangles are point reflections of the lower ones
+    assert len({id(c.trace_u) for c in data.caches}) == 2
     _assert_same_solution(sol, sol1)
     _assert_same_errors(err, err1)
 
@@ -269,13 +276,21 @@ def test_shared_classes_respect_vertex_order_and_face_orientation():
         p = part.vertices[part.elements[eid]]
         return p - p.mean(axis=0)
 
-    # the lower triangles 0, 2, 4 are translates listed in the same vertex
-    # order; 0 and 4 share a class, while 2 sees two faces reversed
+    # one class: the lower triangles 0, 2, 4 are translates listed in the
+    # same vertex order, and 2 runs its three faces the other way than 0
+    # and 4 (two against its edges, where 0 and 4 have one); the upper
+    # ones are point reflections of them, and element 1 is a translate of
+    # element 3 listed from another corner
     for eid in (2, 4):
         assert np.abs(rel_vertices(eid) - rel_vertices(0)).max() < 1e-14
-    assert [0, 4] in classes and [2] in classes
-    # element 1 is a translate of element 3 listed from another corner
-    assert [1] in classes
+    assert classes == [list(range(8))]
+    sk = refine_skeleton(part, 1, 1)
+    maps, rolls = local_solver._member_maps(part, sk, 0, range(8))
+    reversed_faces = local_solver._member_segments(
+        part, sk, 0, range(8), rolls)[2].reshape(8, 3, -1)[:, :, 0]
+    assert maps[:, 0, 0].tolist() == [1, -1] * 4
+    assert rolls[[0, 2, 4]].tolist() == [0, 0, 0] and rolls[1] != rolls[3]
+    assert reversed_faces[[0, 2, 4]].sum(axis=1).tolist() == [0, 3, 0]
     _assert_same_solution(sol, sol1)
 
 
@@ -295,14 +310,14 @@ def test_one_factorization_per_class(monkeypatch):
     calls = _counting_splu(monkeypatch)
     problem = BrennerProblem(NU)
     lam = {}
-    # the 16 groups of each class under _linear are stacked into one matrix
-    for G, groups in ((1.0, 1), (_constant(1.0), 1), (_linear, 16)):
+    # the 32 groups of the class under _linear are stacked into one matrix
+    for G, groups in ((1.0, 1), (_constant(1.0), 1), (_linear, 32)):
         calls.clear()
         sol, data = solve_mhm(MHMConfig(n=4, level=0, k=1, ell=1, nu=NU,
                                         G=G), problem)
-        assert [len(c.alpha) for c in data.caches] == [groups] * 2
+        assert [len(c.alpha) for c in data.caches] == [groups]
         n = data.caches[0].dofh.n_dofs * 3
-        assert calls == [(groups * n, groups * n)] * 2
+        assert calls == [(groups * n, groups * n)]
         lam[groups, callable(G)] = sol.lam
     # a callable constant is the constant: every sample is equal
     assert _rel(lam[1, True], lam[1, False]) <= 1e-12
@@ -314,16 +329,16 @@ def test_stacks_respect_the_unknown_bound(monkeypatch):
     config = MHMConfig(n=4, level=0, k=1, ell=1, nu=NU, G=_linear)
     sol, data = solve_mhm(config, problem)
     n = 3 * data.caches[0].dofh.n_dofs
-    assert 16 * n <= local_solver.BATCH_UNKNOWNS
-    assert calls == [(16 * n, 16 * n)] * 2
-    # at most 5 groups a stack: the 16 groups of a class make 4 stacks of
-    # 4; a bound below one group factors every group alone
-    for bound, stack in ((5 * n + 1, 4), (1, 1)):
+    assert 32 * n <= local_solver.BATCH_UNKNOWNS
+    assert calls == [(32 * n, 32 * n)]
+    # at most 5 groups a stack: the 32 groups of the class make 7 stacks,
+    # 4 of 5 and 3 of 4; a bound below one group factors every group alone
+    for bound, stacks in ((5 * n + 1, [5] * 4 + [4] * 3), (1, [1] * 32)):
         calls.clear()
         monkeypatch.setattr(local_solver, "BATCH_UNKNOWNS", bound)
         sol1, data1 = solve_mhm(config, problem)
-        assert calls == [(stack * n, stack * n)] * (32 // stack)
-        assert [len(c.alpha) for c in data1.caches] == [stack] * (32 // stack)
+        assert calls == [(stack * n, stack * n) for stack in stacks]
+        assert [len(c.alpha) for c in data1.caches] == stacks
         assert _rel(sol1.lam, sol.lam) <= 1e-12
 
 
@@ -354,22 +369,22 @@ def test_batches_partition_groups_into_equal_size_stacks(sizes, n, bound):
 
 
 def test_stacks_bound_the_padding(monkeypatch):
-    # the 12-member group of each class is factored alone, its 4 single
+    # the 24-member group of the class is factored alone, its 8 single
     # members in one stack, one record each, and the groups keep their order
     calls = _counting_splu(monkeypatch)
     problem = BrennerProblem(NU)
     config = MHMConfig(n=4, level=0, k=1, ell=1, nu=NU, G=_inclusion)
     sol, data = solve_mhm(config, problem)
     n = 3 * data.caches[0].dofh.n_dofs
-    assert calls == [(n, n), (4 * n, 4 * n)] * 2
-    assert [len(c.element_ids) for c in data.caches] == [12, 4] * 2
+    assert calls == [(n, n), (8 * n, 8 * n)]
+    assert [len(c.element_ids) for c in data.caches] == [24, 8]
     sizes = _group_sizes(data.caches)
-    assert sorted(sizes) == [1] * 8 + [12] * 2
+    assert sorted(sizes) == [1] * 8 + [24]
     calls.clear()
     monkeypatch.setattr(local_solver, "BATCH_UNKNOWNS", 1)
     sol1, data1 = solve_mhm(config, problem)
-    assert calls == [(n, n)] * 10
-    assert len(data1.caches) == 10
+    assert calls == [(n, n)] * 9
+    assert len(data1.caches) == 9
     assert _group_sizes(data1.caches) == sizes
     assert _rel(sol1.lam, sol.lam) <= 1e-12
 
@@ -395,9 +410,10 @@ def test_periodic_medium_shares_one_operator_per_class(monkeypatch, k, nu):
     config = MHMConfig(n=8, level=1, k=k, ell=1, nu=nu, G=_periodic,
                        theta=THETA)
     sol, data = solve_mhm(config, problem)
-    # the 128 elements are translates by whole periods in two shapes
-    assert len(data.caches) == len(data.local_meshes) == 2
-    assert len(calls) == 2
+    # the 128 elements are translates by whole periods and point
+    # reflections in one shape, under which G is even
+    assert len(data.caches) == len(data.local_meshes) == 1
+    assert len(calls) == 1
     sol1, _ = _solve_partition(data.partition, problem,
                                MaterialField(_periodic, nu), shared=False,
                                k=k)
@@ -418,11 +434,11 @@ def test_one_local_mesh_per_class(monkeypatch):
     monkeypatch.setattr(pipeline, "build_matching_local_mesh", counting_build)
     _, data = solve_mhm(MHMConfig(n=4, level=1, k=1, ell=1, nu=NU,
                                   theta=THETA), BrennerProblem(NU))
-    assert len(data.caches) == 2
+    assert len(data.caches) == 1
     assert built == [c.element_ids[0] for c in data.caches]
 
 
-@pytest.mark.parametrize("G, groups", [(1.0, 2), (_linear, 32)])
+@pytest.mark.parametrize("G, groups", [(1.0, 1), (_linear, 32)])
 def test_error_evaluation_tabulates_once_per_class(monkeypatch, G, groups):
     problem = BrennerProblem(NU)
     sol, data = solve_mhm(MHMConfig(n=4, level=1, k=1, ell=1, nu=NU, G=G,
@@ -437,10 +453,10 @@ def test_error_evaluation_tabulates_once_per_class(monkeypatch, G, groups):
 
     monkeypatch.setattr(asm, "Tabulation", CountingTabulation)
     compute_errors(sol, problem)
-    assert len(built) == 2
+    assert len(built) == 1
     built.clear()
     compressibility_residual(sol, problem.material)
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def _side_tag(mid):
@@ -491,21 +507,25 @@ def _per_element_depth(partition, eid, skeleton, depth):
 
 
 def _per_element_classes(partition, skeleton, depth):
-    """The congruence classes from one key per element: the rounded
-    centroid-relative vertices, per local edge the segment count and whether
-    the face runs against it, and the local depth."""
+    """The congruence classes from one key per element: the least, over the
+    signs s = +-1 and the rolls r = 0, 1, 2, of the rounded
+    centroid-relative vertices times s and the segment levels of the faces
+    (-1 without segments), each from vertex and edge r on; and the local
+    depth."""
     classes = {}
     for eid, e in enumerate(partition.elements.tolist()):
+        need = _per_element_depth(partition, eid, skeleton, depth)
         p = partition.vertices[e]
         grid = local_solver.CONGRUENCE_RTOL * partition.element_diameters[eid]
-        shape = tuple(np.round((p - p.mean(axis=0)) / grid).astype(
-            np.int64).ravel())
-        layout = tuple((int(np.sum(skeleton.face_segments[fid] >= 0)),
-                        bool(partition.faces.v0[fid] != e[le]))
-                       for le, fid in enumerate(partition.elem_face_ids[eid]))
-        key = shape, layout, _per_element_depth(partition, eid, skeleton,
-                                                depth)
-        classes.setdefault(key, []).append(eid)
+        shape = np.round((p - p.mean(axis=0)) / grid).astype(np.int64)
+        levels = []
+        for fid in partition.elem_face_ids[eid]:
+            count = int(np.sum(skeleton.face_segments[fid] >= 0))
+            levels.append(count.bit_length() - 1)
+        key = min(tuple((s * np.roll(shape, -r, axis=0)).ravel().tolist())
+                  + tuple(np.roll(levels, -r).tolist())
+                  for s in (1, -1) for r in range(3))
+        classes.setdefault((key, need), []).append(eid)
     return list(classes.values())
 
 
@@ -568,4 +588,139 @@ def test_run_reports_one_verdict_per_element(boundary_tag):
         config.k, config.ell, [build_matching_local_mesh(part, e, sk, depth)
                                for e in range(part.n_elements)], sk)
     assert data.refinement.element_status == per_element.element_status
-    assert len(data.caches) == (2 if boundary_tag is None else 5)
+    assert len(data.caches) == (1 if boundary_tag is None else 4)
+
+
+def _point_symmetric_jitter(n, seed, boundary_tag=None):
+    """The n x n structured partition with every interior vertex moved by up
+    to 0.2 / n in each direction, each by the negative of the move of its
+    point reflection about (1/2, 1/2): a lower triangle stays the point
+    reflection of the upper triangle opposite it, and no other two elements
+    are congruent."""
+    part = build_structured_triangulation(n)
+    v = part.vertices.copy()
+    inner = np.all((v > 1e-12) & (v < 1 - 1e-12), axis=1)
+    move = np.random.default_rng(seed).uniform(-0.2 / n, 0.2 / n, v.shape)
+    # vertex i (n + 1) + j reflects onto vertex (n - i) (n + 1) + n - j
+    move = 0.5 * (move - move[::-1])
+    v[inner] += move[inner]
+    return GlobalPartition(v, part.elements, boundary_tag=boundary_tag)
+
+
+def _left_right_tag(mid):
+    return "neumann" if mid[0] < 1e-12 or mid[0] > 1 - 1e-12 else "dirichlet"
+
+
+ORACLE_PARTITIONS = {
+    "structured": lambda: build_structured_triangulation(4),
+    "neumann": lambda: build_structured_triangulation(4,
+                                                      boundary_tag=_side_tag),
+    "reoriented": _reoriented_partition,
+    "jittered": lambda: _point_symmetric_jitter(4, 2,
+                                                boundary_tag=_left_right_tag),
+}
+
+
+@pytest.mark.parametrize("name, level, k", [
+    (name, level, k) for name in ("structured", "neumann")
+    for level in (0, 1, 2) for k in (1, 3)] + [
+    (name, 1, k) for name in ("reoriented", "jittered") for k in (1, 3)])
+def test_merged_classes_match_one_element_classes(name, level, k):
+    # the classes hold translates and point reflections, listed from any
+    # vertex and with faces either way along their edges, loaded by f and,
+    # on the Neumann faces, by a traction
+    part = ORACLE_PARTITIONS[name]()
+    problem = BrennerProblem(NU)
+    material = MaterialField(1.0, NU)
+
+    def g(x):
+        return problem.sigma(x)[..., :, 0]
+
+    sol, classes = _solve_partition(part, problem, material, shared=True,
+                                    k=k, level=level, g=g)
+    sol1, _ = _solve_partition(part, problem, material, shared=False, k=k,
+                               level=level, g=g)
+    assert len(classes) < part.n_elements
+    assert any(np.any(c.maps[:, 0, 0] < 0) for c in sol.caches)
+    _assert_same_solution(sol, sol1)
+
+
+def _transformed(part, reflect, rolls):
+    """`part` point-reflected about (1/2, 1/2), or not, with the vertices
+    of element e listed from its vertex rolls[e] on, and the boundary tags
+    of its faces."""
+    v = 1.0 - part.vertices if reflect else part.vertices
+    elements = [np.roll(e, -r) for e, r in zip(part.elements, rolls)]
+    faces = part.faces
+    tags = {tuple(np.round(0.5 * (v[a] + v[b]), 9)): t
+            for a, b, t in zip(faces.v0, faces.v1, faces.tag)}
+    return GlobalPartition(v, elements,
+                           boundary_tag=lambda m: tags[tuple(np.round(m, 9))])
+
+
+@pytest.mark.parametrize("level, depth", [(0, 0), (1, 1), (2, 1)])
+def test_classes_are_invariant_under_reflection_and_relabeling(level,
+                                                               depth):
+    rng = np.random.default_rng(level)
+    for part in _partitions():
+        want = congruence_classes(part, refine_skeleton(part, level, 1),
+                                  depth)
+        rolls = rng.integers(0, 3, part.n_elements)
+        for reflect, r in ((True, 0 * rolls), (False, rolls), (True, rolls)):
+            moved = _transformed(part, reflect, r)
+            assert congruence_classes(
+                moved, refine_skeleton(moved, level, 1), depth) == want
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_acceptance_grid_factors_once(monkeypatch, k):
+    # criterion 2's and 3's level-3 grid: its 32 elements are translates
+    # and point reflections of one, solved on one mesh with one factor
+    calls = _counting_splu(monkeypatch)
+    built = []
+    build = pipeline.build_matching_local_mesh
+
+    def counting_build(part, eid, *args):
+        built.append(eid)
+        return build(part, eid, *args)
+
+    monkeypatch.setattr(pipeline, "build_matching_local_mesh", counting_build)
+    _, data = solve_mhm(MHMConfig(n=4, level=3, k=k, ell=1, nu=0.4999,
+                                  theta=0.25), BrennerProblem(0.4999))
+    assert built == [0] and len(calls) == 1
+    assert [len(c.element_ids) for c in data.caches] == [32]
+
+
+@pytest.mark.parametrize("boundary_tag, on_caller", [(None, True),
+                                                     (_side_tag, False)])
+def test_a_lone_class_runs_on_the_calling_thread(monkeypatch, boundary_tag,
+                                                 on_caller):
+    # at threads = 2 the classes run one a pool thread, but the lone class
+    # of the structured grid runs on the calling thread
+    where = []
+    build = pipeline.build_class_caches
+
+    def recording_build(*args, **kwargs):
+        where.append(threading.current_thread() is threading.main_thread())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_class_caches", recording_build)
+    _, data = solve_mhm(MHMConfig(n=4, level=0, k=1, nu=NU, threads=2,
+                                  boundary_tag=boundary_tag),
+                        BrennerProblem(NU))
+    assert len(where) == len(data.local_meshes) > 0
+    assert len(where) > 1 or on_caller
+    assert set(where) == {on_caller}
+
+
+def test_members_must_be_congruent_to_the_class_mesh():
+    # element 24 (a lower triangle on the Neumann face x = 1) is no
+    # translate or point reflection of element 0 with its segment layout
+    part = build_structured_triangulation(4, boundary_tag=_side_tag)
+    sk = refine_skeleton(part, 1, 1)
+    lm = build_matching_local_mesh(part, 0, sk, 2)
+    assert [0, 24] not in congruence_classes(part, sk, 2)
+    with pytest.raises(ValueError, match="^element 24 is not a translate or "
+                       "point reflection of element 0 with its segment "
+                       "layout$"):
+        build_class_caches(part, lm, [0, 24], sk, MaterialField(1.0, NU), 1)

@@ -470,8 +470,8 @@ def test_pinned_stack_matches_bordered_oracle(kind, k):
     n, nu, ntr = len(op.Z), 2 * op.dofh.n_dofs, op.R.shape[0]
     assert op.matrix.shape == (2 * n, 2 * n)
     assert rec.element_ids.tolist() == [eid, eid]
-    loads, _ = local_solver.element_load(op, np.zeros((2, 1, 2)), f=_load,
-                                         g=_traction)
+    identity = np.tile(np.eye(2, 3), (2, 1, 1, 1))
+    loads, _ = local_solver.element_load(op, identity, f=_load, g=_traction)
     for g in range(2):
         K = op.matrix[g * n:(g + 1) * n, g * n:(g + 1) * n].toarray()
         rhs = np.zeros((n + 3, ntr + 1))

@@ -285,13 +285,14 @@ def test_solution_fields_are_built_once():
 
 
 def test_solution_stores_member_arrays_once():
-    # a varying G splits each of the 2 class meshes into 3 records, and
-    # each mesh's 64 members make one chunk, which spans both its records
+    # a varying G splits the class mesh of all 128 elements into 3
+    # records, and its members make two chunks of 64, which span the
+    # records
     cfg = MHMConfig(n=8, level=0, k=1, nu=0.3, threads=1,
                     G=lambda x: 1 + 0.3 * x[..., 0] + 0.2 * x[..., 1])
     sol, data = solve_mhm(cfg, BrennerProblem(0.3))
-    assert len(data.caches) == 6 and len(sol.members) == 2
-    assert sorted(Counter(c.dofh for c in data.caches).values()) == [3, 3]
+    assert len(data.caches) == 3 and len(sol.members) == 1
+    assert sorted(Counter(c.dofh for c in data.caches).values()) == [3]
     assert "fields" not in vars(sol)
     meshes = []
 
@@ -303,15 +304,17 @@ def test_solution_stores_member_arrays_once():
     assert [len(chunk[2]) for chunk in chunks] == [64, 64]
     fields = sol.fields
     assert list(fields) == list(range(128))
-    for dofh, (_, _, ids, U, P, shifts) in zip(meshes, chunks):
-        for chunk_array, stored in zip((U, P, shifts), sol.members[dofh][1:]):
+    assert len(meshes) == 1
+    dofh = meshes[0]
+    for _, _, ids, U, P, maps in chunks:
+        for chunk_array, stored in zip((U, P, maps), sol.members[dofh][1:]):
             assert np.shares_memory(chunk_array, stored)
         for i, eid in enumerate(ids.tolist()):
             f = fields[eid]
             assert f.cache.dofh is dofh and eid in f.cache.element_ids
             assert f.u.tobytes() == U[i].tobytes()
             assert f.p.tobytes() == P[i].tobytes()
-            assert f.shift.tobytes() == shifts[i].tobytes()
+            assert f.map.tobytes() == maps[i].tobytes()
 
 
 def test_patch_solution_reproduces_constant_traction():
@@ -359,19 +362,38 @@ def test_asymmetric_cache_rejected():
 def test_pairing_symmetry_is_checked_per_group():
     # each class of this two-phase medium is one stack of two groups whose
     # pairings differ in scale by the compliance ratio 1e6: an asymmetry of
-    # 100 times the small group's bound, 1e-10 of its scale (at least 1), is
-    # rejected, though it lies within the large group's bound
+    # 100 times the small group's bound, 1e-10 of its scale, is rejected,
+    # though it lies within the large group's bound
     def G(x):
         return np.where(x[..., 0] < 0.5, 1e-6, 1.0)
 
     _, data = solve_mhm(MHMConfig(n=4, level=0, k=1, ell=1, nu=0.3, G=G),
                         BrennerProblem(0.3))
     cache = data.caches[0]
-    scale = np.maximum(np.abs(cache.pairing).max(axis=(1, 2)), 1.0)
+    scale = np.abs(cache.pairing).max(axis=(1, 2))
     assert len(scale) == 2 and 100 * scale.min() < scale.max()
     cache.pairing[np.argmin(scale), 0, 1] += 100 * 1e-10 * scale.min()
     with pytest.raises(GlobalSolverError, match="not symmetric"):
         assemble_global_saddle(data.caches, data.skeleton)
+
+
+@pytest.mark.parametrize("scale, asymmetry, ok", [
+    (1e-3, 1e-13, True), (1e-3, 1e-8, False), (1.0, 1e-6, False),
+    (1e3, 1e-13, True)])
+def test_pairing_symmetry_bound_is_relative(scale, asymmetry, ok):
+    # a block whose largest entry is `scale`, with one entry off its
+    # transpose by `asymmetry` relative: 1e-10 of the block's own scale
+    # bounds it, also below 1, where 1e-8 relative is 1e-11 absolute
+    A = np.random.default_rng(3).standard_normal((6, 6))
+    A = scale * (A + A.T) / np.abs(A + A.T).max()
+    A[0, 1] += asymmetry * scale
+    if ok:
+        sym = mhm_global._symmetric(A[None])
+        assert np.array_equal(sym, np.swapaxes(sym, 1, 2))
+        assert np.abs(sym[0] - A).max() <= asymmetry * scale
+    else:
+        with pytest.raises(GlobalSolverError, match="not symmetric"):
+            mhm_global._symmetric(A[None])
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

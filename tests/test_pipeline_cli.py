@@ -620,7 +620,8 @@ def test_export_fields_corner_values_are_vertex_coefficients(tmp_path, k):
         u = fld.u.reshape(-1, 2)[vertex_dofs]
         expected.append(np.column_stack([
             np.full(len(vertex_dofs), eid),
-            fld.cache.dofh.dof_coords[vertex_dofs] + fld.shift, u,
+            fld.cache.dofh.dof_coords[vertex_dofs] @ fld.map[:, :2].T
+            + fld.map[:, 2], u,
             fld.p[vertex_dofs]]))
     expected = np.concatenate(expected)
     assert rows.shape[0] == expected.shape[0]

@@ -65,6 +65,27 @@ def test_nan_moduli_are_rejected(G, nu, message):
                              _zero)
 
 
+INF_G = "shear modulus must be finite"
+EPS_OVERFLOW = (r"compressibility coefficient eps = \(1 - 2 nu\) / \(2 G nu\) "
+                "overflows: nu is too close to 0")
+
+
+@pytest.mark.parametrize("G, nu, message", [
+    (np.inf, 0.3, INF_G),
+    (lambda x: np.where(x[..., 0] < 0.5, 1.0, np.inf), 0.3, INF_G),
+    (1.0, 1e-320, EPS_OVERFLOW),
+    (1.0, lambda x: np.where(x[..., 1] < 0.5, 0.3, 1e-320), EPS_OVERFLOW)])
+def test_unbounded_moduli_are_rejected(G, nu, message):
+    # an infinite G, and a subnormal nu whose eps overflows, are named where
+    # the fields are evaluated, before any element matrix is formed
+    x = np.array([[0.25, 0.25], [0.75, 0.75]])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MaterialField(G, nu).samples(x)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_gals_dirichlet(unit_square_mesh(2), MaterialField(G, nu), 1,
+                             _zero)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_linear_patch_exactness(k):
     problem = LinearProblem([[0.3, 0.1], [-0.2, 0.4]], [0.05, -0.02], nu=0.3)

@@ -204,6 +204,20 @@ def test_problems_reject_invalid_moduli(make, nu, G):
         make(nu, G)
 
 
+@pytest.mark.parametrize("nu, G, message", [
+    (0.3, np.inf, "shear modulus must be finite"),
+    (1e-320, 1.0, r"compressibility coefficient eps = .* overflows: nu is "
+                  "too close to 0")])
+@pytest.mark.parametrize("make", [
+    lambda nu, G: BrennerProblem(nu, G=G),
+    lambda nu, G: LinearProblem(np.eye(2), np.zeros(2), nu, G=G)],
+    ids=["brenner", "linear"])
+def test_problems_reject_unbounded_moduli(make, nu, G, message):
+    # an infinite G would give eps = 0, a subnormal nu an infinite eps
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(nu, G)
+
+
 @pytest.mark.parametrize("nu, G", [(0.3, 1.0), (0.4999, 2.5), (0.49999, 1.0)])
 def test_problem_eps_is_the_closed_form(nu, G):
     want = (1 - 2 * nu) / (2 * G * nu)
@@ -371,26 +385,30 @@ class _AffineGProblem(LinearProblem):
                 - self.p(x)[..., None, None] * np.eye(2))
 
 
-def _member_fields(tab, l2g, u, p, eps):
-    """u_h, grad u_h, p_h and grad p_h of one member, one einsum each."""
+def _member_fields(tab, l2g, u, p, eps, s=1.0):
+    """u_h, grad u_h, p_h and grad p_h of one member, one einsum each, on
+    the image of the tabulated mesh under a map x = s x^ + b."""
     un = u.reshape(-1, 2)[l2g]
-    guh = np.einsum("tqbj,tbc->tqcj", tab.grads, un)
+    guh = s * np.einsum("tqbj,tbc->tqcj", tab.grads, un)
     if p is None:
         ph = -(guh[..., 0, 0] + guh[..., 1, 1]) / eps
         gph = (-np.einsum("tqbcj,tbc->tqj", tab.hess, un)
                / np.asarray(eps)[..., None])
     else:
         ph = np.einsum("qb,tb->tq", tab.vals, p[l2g])
-        gph = np.einsum("tqbj,tb->tqj", tab.grads, p[l2g])
+        gph = s * np.einsum("tqbj,tb->tqj", tab.grads, p[l2g])
     return np.einsum("qb,tbc->tqc", tab.vals, un), guh, ph, gph
 
 
-def _member_error_squares(tab, l2g, u, p, problem, shift):
-    """The six squared error norms of one member from their definitions,
-    with the problem's own exact stress."""
+def _member_error_squares(tab, l2g, u, p, problem, fmap):
+    """The six squared error norms of one member, the image of the
+    tabulated mesh under x = s x^ + b (`fmap` = [s I | b]), from their
+    definitions, with the problem's own exact stress: the gradients take
+    the sign s, an implied pressure's Hessians do not."""
     eps = problem.epsilon
-    uh, guh, ph, gph = _member_fields(tab, l2g, u, p, eps)
-    pts = tab.points + shift
+    s = fmap[0, 0]
+    uh, guh, ph, gph = _member_fields(tab, l2g, u, p, eps, s)
+    pts = s * tab.points + fmap[:, 2]
     G = problem.material.G_at(pts)[..., None, None]
     sh = G * (guh + np.swapaxes(guh, -1, -2)) - ph[..., None, None] * np.eye(2)
     w = tab.wdet
@@ -427,10 +445,13 @@ def test_member_chunks_match_per_member_reference(monkeypatch, kind):
                                     theta=0.25, kind=kind,
                                     boundary_tag=_neumann_right), problem)
     meshes = {c.dofh for c in data.caches}
-    # the upper and lower triangles in two groups each, and the lower ones
-    # on the Neumann face in one: a stack per mesh and group size
-    assert len(meshes) == 3 and len(data.caches) == 4
-    assert sorted(len(c.alpha) for c in data.caches) == [1, 1, 1, 2]
+    # the lower triangles on the Neumann face in one group, and the other
+    # triangles, upper ones point reflections of lower ones, in groups of
+    # 16 (x < 1/2), 8 (upper) and 4 (lower): a stack per mesh and group size
+    assert len(meshes) == 2 and len(data.caches) == 4
+    assert sorted(len(c.alpha) for c in data.caches) == [1, 1, 1, 1]
+    assert sorted(-1.0 in c.maps[:, 0, 0] for c in data.caches) == \
+        [False, False, True, True]
     # chunks of 3 members, so a mesh's members split unevenly
     npts = _tabulation(next(iter(meshes)), 4).points[..., 0].size
     monkeypatch.setattr(local_solver, "SAMPLE_POINTS", 3 * npts + 1)
@@ -456,7 +477,7 @@ def test_member_chunks_match_per_member_reference(monkeypatch, kind):
     for eid, f in sol.fields.items():
         tab = _tabulation(f.cache.dofh, 4)
         sq += _member_error_squares(tab, f.cache.dofh.loc2glob, f.u, f.p,
-                                    problem, f.shift)
+                                    problem, f.map)
     _assert_record(rec, sq, _traction_error_sq(sol, problem))
 
     built.clear()
@@ -465,9 +486,10 @@ def test_member_chunks_match_per_member_reference(monkeypatch, kind):
     assert list(res) == sorted(sol.fields)
     for eid, f in sol.fields.items():
         tab = _tabulation(f.cache.dofh, 2)
-        epsq = problem.material.eps_at(tab.points + f.shift)
+        s = f.map[0, 0]
+        epsq = problem.material.eps_at(s * tab.points + f.map[:, 2])
         _, guh, ph, _ = _member_fields(tab, f.cache.dofh.loc2glob, f.u, f.p,
-                                       epsq)
+                                       epsq, s)
         div = guh[..., 0, 0] + guh[..., 1, 1]
         scale = np.sum(tab.wdet * (np.abs(div) + np.abs(epsq * ph)))
         want = np.sum(tab.wdet * (div + epsq * ph))
@@ -477,7 +499,7 @@ def test_member_chunks_match_per_member_reference(monkeypatch, kind):
 @pytest.mark.parametrize("problem, G", [(BrennerProblem(0.4999), 1.0),
                                         (_TwoPhaseBrenner(0.49), _two_phase)])
 def test_evaluation_is_bitwise_equal_across_threads(monkeypatch, problem, G):
-    # the two classes of the n = 4 grid, or their material groups under the
+    # the one class of the n = 4 grid, or its material groups under the
     # two-phase G, in chunks of one member: 32 chunks, summed in order
     monkeypatch.setattr(local_solver, "SAMPLE_POINTS", 1)
     results = []
@@ -487,8 +509,9 @@ def test_evaluation_is_bitwise_equal_across_threads(monkeypatch, problem, G):
         assert sol.threads == threads
         results.append((compute_errors(sol, problem),
                         compressibility_residual(sol, problem.material)))
-    assert len({c.dofh for c in data.caches}) == 2
-    assert [len(c.alpha) for c in data.caches] == [1 if G == 1.0 else 2] * 2
+    assert len({c.dofh for c in data.caches}) == 1
+    assert [len(c.alpha) for c in data.caches] == ([1] if G == 1.0
+                                                   else [1, 2])
     assert results[0] == results[1]
 
 
@@ -500,7 +523,7 @@ def test_single_level_is_one_member_of_the_batch(solve):
                 u_dirichlet=problem.u)
     tab = _tabulation(sol.dofh, 4)
     sq = _member_error_squares(tab, sol.dofh.loc2glob, sol.u, sol.p,
-                               problem, np.zeros(2))
+                               problem, np.eye(2, 3))
     _assert_record(compute_errors(sol, problem), sq, 0.0)
 
 
