@@ -498,11 +498,14 @@ def checked_solve(factor, M, B, error, what, hint, blocks=1,
     return X
 
 
-def block_triplets(matrices, loc2glob):
-    """COO rows, columns and values of per-triangle dense blocks."""
+def block_triplets(matrices, loc2glob, n):
+    """COO rows, columns and values of per-triangle dense blocks of an n x n
+    matrix, the indices in scipy's index dtype for n and the entry count:
+    int32 while both fit, which its COO to CSC conversion takes uncopied."""
     nt, nl, _ = matrices.shape
-    return (np.repeat(loc2glob, nl, axis=1).ravel(),
-            np.tile(loc2glob, (1, nl)).ravel(), matrices.ravel())
+    idx = loc2glob.astype(sp.get_index_dtype(maxval=max(n, matrices.size)))
+    return (np.repeat(idx, nl, axis=1).ravel(),
+            np.tile(idx, (1, nl)).ravel(), matrices.ravel())
 
 
 def scatter(blocks, loc2glob, n):
@@ -512,7 +515,8 @@ def scatter(blocks, loc2glob, n):
     ng, nl = int(np.prod(blocks.shape[:-3])), loc2glob.shape[1]
     offset = n * np.arange(ng)[:, None, None]
     rows, cols, vals = block_triplets(blocks.reshape(-1, nl, nl),
-                                      (loc2glob + offset).reshape(-1, nl))
+                                      (loc2glob + offset).reshape(-1, nl),
+                                      ng * n)
     return sp.csc_matrix((vals, (rows, cols)), shape=(ng * n,) * 2)
 
 

@@ -199,7 +199,8 @@ class LocalBasisCache:
     rigid_modes: RigidModes         # about that mesh's element centroid
     trace_u: np.ndarray             # (ng, 2*nsd, ntr)
     trace_p: np.ndarray             # (ng, nsd, ntr); None for "galerkin"
-    pairing: np.ndarray             # (ng, ntr, ntr), <mu_i, T_h(mu_j)>
+    pairing: np.ndarray             # (ng, ntr, ntr), <mu_i, T_h(mu_j)>,
+                                    # symmetrized
     rm_pairing: np.ndarray          # (ntr, 3), <mu_i, v_rm>
     element_ids: np.ndarray         # (m,) members
     maps: np.ndarray                # (m, 2, 3) [J | b], x = J x^ + b, J = +-I
@@ -601,6 +602,10 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
     trace_u, load_u = trace[:, :nu], loads[:, :nu]
     trace_dofs, dof_signs = _member_traces(partition, skeleton, op.element_id,
                                            ids, maps, rolls)
+    # R X is symmetric up to the solve's residual E (entries i, j and j, i
+    # differ by x_i.e_j - x_j.e_i); the global system takes its symmetric part
+    pairing = op.R @ trace_u
+    pairing = 0.5 * (pairing + np.swapaxes(pairing, 1, 2))
     return LocalBasisCache(
         alpha=op.alpha,
         material=op.material,
@@ -608,7 +613,7 @@ def solve_local_basis(op, partition, skeleton, element_ids, f=None, g=None):
         rigid_modes=op.rigid_modes,
         trace_u=trace_u,
         trace_p=trace[:, nu:] if has_p else None,
-        pairing=op.R @ trace_u,
+        pairing=pairing,
         rm_pairing=op.Grm,
         element_ids=ids,
         maps=maps,

@@ -135,7 +135,8 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
                            len(s) // len(cache.pairing), axis=0)
         blocks *= s[:, :, None]
         blocks *= s[:, None, :]
-        triplets.append(asm.block_triplets(blocks, position[cache.trace_dofs]))
+        triplets.append(asm.block_triplets(blocks, position[cache.trace_dofs],
+                                           len(order)))
     B = B.tocoo()
     r, t = position[B.row], position[n_lambda + B.col]
     triplets += [(r, t, B.data), (t, r, B.data)]
@@ -248,13 +249,12 @@ class MHMSolution:
     the coefficients of each member's fields at the images of the mesh's
     nodes under its map."""
 
-    def __init__(self, skeleton, lam, rho, members, caches, threads=1):
+    def __init__(self, skeleton, lam, rho, members, caches):
         self.skeleton = skeleton
         self.lam = lam
         self.rho = rho
         self.members = members
         self.caches = caches          # the class records of the members
-        self.threads = threads
 
     @cached_property
     def fields(self):
@@ -286,15 +286,8 @@ class MHMSolution:
                 yield (tab, dofh.loc2glob, ids[rows], U[rows],
                        None if P is None else P[rows], maps[rows])
 
-    def map_chunks(self, fn, tabulate):
-        """The list of fn(tab, loc2glob, ids, U, P, maps) over the chunks
-        of `member_chunks(tabulate)`, in their order, in `threads` threads
-        (`ordered_map`): `fn` and what it calls must be thread-safe."""
-        return ordered_map(self.threads, lambda chunk: fn(*chunk),
-                           self.member_chunks(tabulate))
 
-
-def postprocess_solution(caches, skeleton, lam, rho, threads=1):
+def postprocess_solution(caches, skeleton, lam, rho):
     """Recombine the condensed basis: per element,
     u = sum_i sign_i lambda_i T(mu_i) + That(f) + rigid part, one batched
     matrix product per record over its ng groups of S = m / ng members.
@@ -303,8 +296,7 @@ def postprocess_solution(caches, skeleton, lam, rho, threads=1):
     member's coefficients rho taken through the rigid signs of its map
     (`_assembly.rigid_signs`), and the sign s of the map takes the sum back
     to the member's coefficients.  The records of one local mesh are joined
-    into its member arrays.  `threads` is the thread count of the solve,
-    which the solution's evaluations reuse."""
+    into its member arrays."""
     parts = {}
     for cache in caches:
         m, ng = len(cache.element_ids), len(cache.pairing)
@@ -323,4 +315,4 @@ def postprocess_solution(caches, skeleton, lam, rho, threads=1):
     members = {dofh: tuple(None if a[0] is None else np.concatenate(a)
                            for a in zip(*records))
                for dofh, records in parts.items()}
-    return MHMSolution(skeleton, lam, rho, members, caches, threads)
+    return MHMSolution(skeleton, lam, rho, members, caches)

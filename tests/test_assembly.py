@@ -366,6 +366,20 @@ def test_scatter_stacks_diagonal_blocks(lead):
         assert np.abs(M.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
 
 
+@pytest.mark.parametrize("n, dtype", [(5, np.int32), (2**31 - 1, np.int32),
+                                      (2**31, np.int64)])
+def test_block_triplets_take_the_index_dtype_of_the_dimension(n, dtype):
+    # int32 indices while the dimension fits, as scipy's COO to CSC
+    # conversion would cast them, and int64 beyond; the map stays small
+    blocks = np.arange(18.0).reshape(2, 3, 3)
+    l2g = np.array([[0, 1, 2], [2, 3, 4]])
+    rows, cols, vals = asm.block_triplets(blocks, l2g, n)
+    assert rows.dtype == cols.dtype == dtype
+    assert rows.tolist() == np.repeat([0, 1, 2, 2, 3, 4], 3).tolist()
+    assert cols.tolist() == [0, 1, 2] * 3 + [2, 3, 4] * 3
+    assert np.array_equal(vals, blocks.ravel())
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_unknown_map_puts_pressure_after_displacement(k):
     dofh = asm.DofHandler(unit_square_mesh(2), reference_element(k))

@@ -396,6 +396,25 @@ def test_pairing_symmetry_bound_is_relative(scale, asymmetry, ok):
             mhm_global._symmetric(A[None])
 
 
+@pytest.mark.parametrize("k, nu, theta", [(13, 0.3, 0.5),
+                                          (12, 0.4999, 0.25)])
+def test_pairing_at_the_highest_degrees_is_symmetric(k, nu, theta):
+    # R X is symmetric up to the local solve's residual, which exceeded the
+    # global check's 1e-10 of scale here; the records hold its symmetric part
+    problem = BrennerProblem(nu)
+    sol, data = solve_mhm(MHMConfig(n=2, level=2, k=k, ell=k, nu=nu,
+                                    theta=theta), problem)
+    for cache in data.caches:
+        assert np.array_equal(cache.pairing, np.swapaxes(cache.pairing, 1, 2))
+    system = data.system
+    M, x = system.full_matrix(), np.concatenate([sol.lam, sol.rho.ravel()])
+    b = system.full_rhs()
+    res = np.abs(M @ x - b).max()
+    assert res <= 1e-10 * (np.abs(b).max()
+                           + abs(M).sum(axis=1).max() * np.abs(x).max())
+    assert compute_errors(sol, problem).h1_u < 1e-5
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_ordered_map_reads_items_as_calls_finish(threads):
     # when the generator yields item j, the calls of the items before

@@ -1,5 +1,7 @@
 """Benchmark problems, error norms, convergence orders, and diagnostics."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -496,22 +498,29 @@ def test_member_chunks_match_per_member_reference(monkeypatch, kind):
         assert abs(res[eid] - want) <= 1e-12 * scale
 
 
+def _refuse(thread):
+    raise AssertionError(f"thread {thread.name} started")
+
+
 @pytest.mark.parametrize("problem, G", [(BrennerProblem(0.4999), 1.0),
                                         (_TwoPhaseBrenner(0.49), _two_phase)])
 def test_evaluation_is_bitwise_equal_across_threads(monkeypatch, problem, G):
-    # the one class of the n = 4 grid, or its material groups under the
-    # two-phase G, in chunks of one member: 32 chunks, summed in order
+    # the two classes of the n = 4 grid with a Neumann face, solved in a
+    # pool of 2 threads or on the calling thread, then evaluated on the
+    # calling thread in chunks of one member: 32 chunks, summed in order
     monkeypatch.setattr(local_solver, "SAMPLE_POINTS", 1)
     results = []
     for threads in (1, 2):
         sol, data = solve_mhm(MHMConfig(n=4, level=1, k=1, nu=problem.nu,
-                                        G=G, threads=threads), problem)
-        assert sol.threads == threads
-        results.append((compute_errors(sol, problem),
-                        compressibility_residual(sol, problem.material)))
-    assert len({c.dofh for c in data.caches}) == 1
-    assert [len(c.alpha) for c in data.caches] == ([1] if G == 1.0
-                                                   else [1, 2])
+                                        G=G, threads=threads,
+                                        boundary_tag=_neumann_right), problem)
+        with monkeypatch.context() as m:
+            m.setattr(threading.Thread, "start", _refuse)
+            results.append((sol.lam.tobytes(), sol.rho.tobytes(),
+                            compute_errors(sol, problem),
+                            compressibility_residual(sol, problem.material)))
+    assert len({c.dofh for c in data.caches}) == 2
+    assert len(results[0][3]) == 32
     assert results[0] == results[1]
 
 
