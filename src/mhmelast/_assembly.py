@@ -498,25 +498,25 @@ def checked_solve(factor, M, B, error, what, hint, blocks=1,
     return X
 
 
-def block_triplets(matrices, loc2glob, n):
-    """COO rows, columns and values of per-triangle dense blocks of an n x n
-    matrix, the indices in scipy's index dtype for n and the entry count:
-    int32 while both fit, which its COO to CSC conversion takes uncopied."""
+def block_triplets(matrices, loc2glob):
+    """COO rows, columns and values of per-triangle dense blocks."""
     nt, nl, _ = matrices.shape
-    idx = loc2glob.astype(sp.get_index_dtype(maxval=max(n, matrices.size)))
-    return (np.repeat(idx, nl, axis=1).ravel(),
-            np.tile(idx, (1, nl)).ravel(), matrices.ravel())
+    return (np.repeat(loc2glob, nl, axis=1).ravel(),
+            np.tile(loc2glob, (1, nl)).ravel(), matrices.ravel())
 
 
 def scatter(blocks, loc2glob, n):
     """Accumulate element blocks (..., nt, nl, nl) on the element map
     `loc2glob` (nt, nl) into a CSC matrix with one diagonal block of `n`
-    unknowns per leading index of `blocks`, in their order."""
+    unknowns per leading index of `blocks`, in their order.  The indices
+    take scipy's index dtype for the dimension and the entry count (int32
+    while both fit), which the conversion then uses uncopied."""
     ng, nl = int(np.prod(blocks.shape[:-3])), loc2glob.shape[1]
     offset = n * np.arange(ng)[:, None, None]
+    idx = (loc2glob + offset).astype(
+        sp.get_index_dtype(maxval=max(ng * n, blocks.size)))
     rows, cols, vals = block_triplets(blocks.reshape(-1, nl, nl),
-                                      (loc2glob + offset).reshape(-1, nl),
-                                      ng * n)
+                                      idx.reshape(-1, nl))
     return sp.csc_matrix((vals, (rows, cols)), shape=(ng * n,) * 2)
 
 

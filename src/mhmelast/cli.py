@@ -342,7 +342,7 @@ def cmd_export_fields(args):
             sh.reshape(sh.shape[:-2] + (4,))[..., [0, 1, 3]]],
             axis=-1).reshape(-1, 8)
 
-    ids, tables = zip(*(chunk(*c) for c in sol.member_chunks(at_corners)))
+    ids, tables = zip(*sol.map_chunks(chunk, at_corners))
     ids = np.concatenate(ids)
     table = np.concatenate(tables)[np.argsort(ids, kind="stable")]
     rows = [",".join([str(eid)] + [_fmt(v) for v in r])

@@ -10,10 +10,10 @@ pairing triplets and of B and its transpose, with every index taken to its
 position in that order; the blocks A and B are derived from it on demand.
 """
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
@@ -135,8 +135,7 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
                            len(s) // len(cache.pairing), axis=0)
         blocks *= s[:, :, None]
         blocks *= s[:, None, :]
-        triplets.append(asm.block_triplets(blocks, position[cache.trace_dofs],
-                                           len(order)))
+        triplets.append(asm.block_triplets(blocks, position[cache.trace_dofs]))
     B = B.tocoo()
     r, t = position[B.row], position[n_lambda + B.col]
     triplets += [(r, t, B.data), (t, r, B.data)]
@@ -147,16 +146,17 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
 
 
 def _symmetric(pairing):
-    """The symmetric parts of a stack's trace pairings (ng, ntr, ntr), each
-    symmetric up to 1e-10 relative to its own largest entry, whatever its
-    scale; the sum of exactly symmetric blocks is exactly symmetric."""
+    """A stack's trace pairings (ng, ntr, ntr), checked to be symmetric up
+    to 1e-10 relative to each block's own largest entry, whatever its
+    scale.  `solve_local_basis` stores exactly symmetric blocks, whose sum
+    is exactly symmetric; the check guards records built otherwise."""
     T = np.swapaxes(pairing, 1, 2)
     asym = np.abs(pairing - T).max(axis=(1, 2), initial=0.0)
     bad = asym > 1e-10 * np.abs(pairing).max(axis=(1, 2), initial=0.0)
     if bad.any():
         raise GlobalSolverError(f"pairing block not symmetric "
                                 f"(|A-A'|={asym[bad][0]})")
-    return 0.5 * (pairing + T)
+    return pairing
 
 
 def _face_order(B):
@@ -223,22 +223,49 @@ def solve_global(system):
     return x[:n], x[n:].reshape(-1, 3)
 
 
+@cache
+def _helpers(n):
+    """A pool of n threads kept for the life of the process: every
+    `ordered_map` of its size reuses the same threads, and with them the
+    malloc arenas that their allocations have grown."""
+    return ThreadPoolExecutor(max_workers=n, thread_name_prefix="mhmelast")
+
+
 def ordered_map(threads, fn, items):
     """The list of fn(item) over `items`, in their order.  With one thread
-    this is `map`; with more, the calls run in a pool of `threads` threads,
-    and `items` is read only as calls finish, at most 2 * threads items in
-    flight, so that a generator of large items is never drained ahead of the
-    work (`ThreadPoolExecutor.map` would read it to the end at once)."""
+    this is `map`; with more, the calling thread and `threads - 1` helper
+    threads (`_helpers`) each take the next item as they finish one,
+    advancing `items` under a lock, so at most `threads` items are in
+    flight and a generator of large items is never drained ahead of the
+    work.  The first error stops the others taking items, and is raised
+    once they have finished theirs."""
     if threads == 1:
         return list(map(fn, items))
-    results, pending = [], deque()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for item in items:
-            if len(pending) == 2 * threads:
-                results.append(pending.popleft().result())
-            pending.append(pool.submit(fn, item))
-        results.extend(future.result() for future in pending)
-    return results
+    lock, results, source = threading.Lock(), {}, [enumerate(items)]
+
+    def work():
+        while True:
+            with lock:
+                i, item = next(source[0], (None, None))
+            if i is None:
+                return
+            try:
+                results[i] = fn(item)
+            except BaseException:
+                source[0] = iter(())
+                raise
+
+    helpers = [_helpers(threads - 1).submit(work)
+               for _ in range(threads - 1)]
+    try:
+        work()
+    finally:
+        # a helper still queued behind other work takes no item: drop it
+        started = [h for h in helpers if not h.cancel()]
+        wait(started)
+    for h in started:
+        h.result()                      # a helper's error
+    return [results[i] for i in range(len(results))]
 
 
 class MHMSolution:
@@ -249,12 +276,13 @@ class MHMSolution:
     the coefficients of each member's fields at the images of the mesh's
     nodes under its map."""
 
-    def __init__(self, skeleton, lam, rho, members, caches):
+    def __init__(self, skeleton, lam, rho, members, caches, threads=1):
         self.skeleton = skeleton
         self.lam = lam
         self.rho = rho
         self.members = members
         self.caches = caches          # the class records of the members
+        self.threads = threads
 
     @cached_property
     def fields(self):
@@ -286,8 +314,15 @@ class MHMSolution:
                 yield (tab, dofh.loc2glob, ids[rows], U[rows],
                        None if P is None else P[rows], maps[rows])
 
+    def map_chunks(self, fn, tabulate):
+        """The list of fn(tab, loc2glob, ids, U, P, maps) over the chunks
+        of `member_chunks(tabulate)`, in their order, in `threads` threads
+        (`ordered_map`): `fn` and what it calls must be thread-safe."""
+        return ordered_map(self.threads, lambda chunk: fn(*chunk),
+                           self.member_chunks(tabulate))
 
-def postprocess_solution(caches, skeleton, lam, rho):
+
+def postprocess_solution(caches, skeleton, lam, rho, threads=1):
     """Recombine the condensed basis: per element,
     u = sum_i sign_i lambda_i T(mu_i) + That(f) + rigid part, one batched
     matrix product per record over its ng groups of S = m / ng members.
@@ -296,7 +331,8 @@ def postprocess_solution(caches, skeleton, lam, rho):
     member's coefficients rho taken through the rigid signs of its map
     (`_assembly.rigid_signs`), and the sign s of the map takes the sum back
     to the member's coefficients.  The records of one local mesh are joined
-    into its member arrays."""
+    into its member arrays.  `threads` is the thread count of the solve,
+    which the solution's evaluations reuse."""
     parts = {}
     for cache in caches:
         m, ng = len(cache.element_ids), len(cache.pairing)
@@ -315,4 +351,4 @@ def postprocess_solution(caches, skeleton, lam, rho):
     members = {dofh: tuple(None if a[0] is None else np.concatenate(a)
                            for a in zip(*records))
                for dofh, records in parts.items()}
-    return MHMSolution(skeleton, lam, rho, members, caches)
+    return MHMSolution(skeleton, lam, rho, members, caches, threads)

@@ -142,6 +142,6 @@ def solve_mhm(config, problem, g=None):
 
     system = assemble_global_saddle(caches, skeleton, u_dirichlet=problem.u)
     lam, rho = solve_global(system)
-    solution = postprocess_solution(caches, skeleton, lam, rho)
+    solution = postprocess_solution(caches, skeleton, lam, rho, threads)
     data = RunData(part, skeleton, local_meshes, caches, system, report, config)
     return solution, data

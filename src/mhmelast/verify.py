@@ -2,16 +2,17 @@
 convergence orders, and the numerical diagnostics (compressibility residual,
 saddle-point spectrum) that probe well-posedness and locking.
 
-A two-level solution is evaluated on the calling thread, in one
-member-batched pass over slices of its stored member arrays
-(`MHMSolution.member_chunks`), each through `_assembly.field_values` (the
-reference tables in one matrix product, then each triangle's affine map and
-the member's), and the chunk results are summed in chunk order.  The exact
-fields of a chunk come from one `problem.fields` call (u, grad u, p and
-grad p together; a problem without it is asked for each), and the discrete
-ones are subtracted in place.  The stress error is the stress of the errors
-of grad u and p, with `G`; a problem's `sigma` serves only the skeleton
-traction error.
+A two-level solution is evaluated in one member-batched pass over slices of
+its stored member arrays (`member_chunks`), each through
+`_assembly.field_values` (the reference tables in one matrix product, then
+each triangle's affine map and the member's), in the thread count of its
+solve (`MHMSolution.map_chunks`), so the problem's fields must be
+thread-safe; the chunk results are summed in chunk order, which makes the
+result the same bitwise at every thread count.  The exact fields of a chunk
+come from one `problem.fields` call (u, grad u, p and grad p together; a
+problem without it is asked for each), and the discrete ones are subtracted
+in place.  The stress error is the stress of the errors of grad u and p, with
+`G`; a problem's `sigma` serves only the skeleton traction error.
 """
 
 from dataclasses import dataclass
@@ -258,9 +259,11 @@ def compute_errors(solution, problem):
     `problem.epsilon` makes p_eps = sqrt(1 + eps) l2_p."""
     traction_sq = 0.0
     if isinstance(solution, MHMSolution):
-        sq = sum(_error_squares(tab, l2g, U, P, problem, maps)
-                 for tab, l2g, _, U, P, maps
-                 in solution.member_chunks(_tabulation(4)))
+        # summed in chunk order, so equal bitwise at any thread count
+        sq = sum(solution.map_chunks(
+            lambda tab, l2g, _, U, P, maps:
+            _error_squares(tab, l2g, U, P, problem, maps),
+            _tabulation(4)))
         traction_sq = _traction_error_sq(solution, problem)
     elif isinstance(solution, SingleLevelSolution):
         P = None if solution.p is None else solution.p[None]
@@ -299,8 +302,7 @@ def compressibility_residual(solution, material):
         div = guh[..., 0, 0] + guh[..., 1, 1]
         return eids, np.einsum("tq,mtq->m", tab.wdet, div + epsq * ph)
 
-    ids, res = zip(*(chunk(*c)
-                     for c in solution.member_chunks(_tabulation(2))))
+    ids, res = zip(*solution.map_chunks(chunk, _tabulation(2)))
     return dict(sorted(zip(np.concatenate(ids).tolist(),
                            np.concatenate(res).tolist())))
 

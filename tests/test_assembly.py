@@ -366,17 +366,27 @@ def test_scatter_stacks_diagonal_blocks(lead):
         assert np.abs(M.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
 
 
-@pytest.mark.parametrize("n, dtype", [(5, np.int32), (2**31 - 1, np.int32),
-                                      (2**31, np.int64)])
-def test_block_triplets_take_the_index_dtype_of_the_dimension(n, dtype):
-    # int32 indices while the dimension fits, as scipy's COO to CSC
-    # conversion would cast them, and int64 beyond; the map stays small
-    blocks = np.arange(18.0).reshape(2, 3, 3)
+@pytest.mark.parametrize("n, dtype", [(5, np.int32), (2**30 - 1, np.int32),
+                                      (2**30, np.int64)])
+def test_scatter_takes_the_index_dtype_of_the_dimension(monkeypatch, n,
+                                                        dtype):
+    # two diagonal blocks of n unknowns: int32 indices while 2 n fits, as
+    # the COO to CSC conversion would cast them, and int64 beyond; the
+    # conversion is captured, so nothing of size n is allocated
+    seen = {}
+    monkeypatch.setattr(asm.sp, "csc_matrix",
+                        lambda arg, shape: seen.update(arg=arg, shape=shape))
+    blocks = np.arange(36.0).reshape(2, 2, 3, 3)
     l2g = np.array([[0, 1, 2], [2, 3, 4]])
-    rows, cols, vals = asm.block_triplets(blocks, l2g, n)
+    asm.scatter(blocks, l2g, n)
+    vals, (rows, cols) = seen["arg"]
+    assert seen["shape"] == (2 * n, 2 * n)
     assert rows.dtype == cols.dtype == dtype
-    assert rows.tolist() == np.repeat([0, 1, 2, 2, 3, 4], 3).tolist()
-    assert cols.tolist() == [0, 1, 2] * 3 + [2, 3, 4] * 3
+    dofs = [0, 1, 2, 2, 3, 4]
+    assert rows.tolist() == np.repeat(dofs + [n + d for d in dofs],
+                                      3).tolist()
+    assert cols.tolist() == ([0, 1, 2] * 3 + [2, 3, 4] * 3) + \
+        ([n, n + 1, n + 2] * 3 + [n + 2, n + 3, n + 4] * 3)
     assert np.array_equal(vals, blocks.ravel())
 
 

@@ -1,5 +1,6 @@
 """Global saddle-point assembly, solve, and field reconstruction."""
 
+import sys
 import threading
 import time
 import tracemalloc
@@ -388,9 +389,8 @@ def test_pairing_symmetry_bound_is_relative(scale, asymmetry, ok):
     A = scale * (A + A.T) / np.abs(A + A.T).max()
     A[0, 1] += asymmetry * scale
     if ok:
-        sym = mhm_global._symmetric(A[None])
-        assert np.array_equal(sym, np.swapaxes(sym, 1, 2))
-        assert np.abs(sym[0] - A).max() <= asymmetry * scale
+        P = A[None]
+        assert mhm_global._symmetric(P) is P
     else:
         with pytest.raises(GlobalSolverError, match="not symmetric"):
             mhm_global._symmetric(A[None])
@@ -418,8 +418,9 @@ def test_pairing_at_the_highest_degrees_is_symmetric(k, nu, theta):
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_ordered_map_reads_items_as_calls_finish(threads):
     # when the generator yields item j, the calls of the items before
-    # j - 2 threads have finished: at most 2 threads items are in flight
-    finished, ahead = [], []
+    # j - (threads - 1) have finished: each thread holds at most one item,
+    # and the calls run on the calling thread and threads - 1 others
+    finished, ahead, idents = [], [], set()
     lock = threading.Lock()
 
     def items():
@@ -432,20 +433,82 @@ def test_ordered_map_reads_items_as_calls_finish(threads):
         time.sleep(0.002 * (j % 3))         # finish out of order
         with lock:
             finished.append(j)
+            idents.add(threading.get_ident())
         return j * j
 
     assert mhm_global.ordered_map(threads, square, items()) == \
         [j * j for j in range(40)]
-    assert max(ahead) <= (0 if threads == 1 else 2 * threads)
+    assert max(ahead) <= threads - 1
     assert sorted(finished) == list(range(40))
+    assert threading.get_ident() in idents and len(idents) <= threads
 
 
 def test_ordered_map_raises_a_call_error():
+    # the error stops the other threads taking items, and no call runs
+    # once it is raised
+    calls = []
+
     def fail_at_five(j):
+        time.sleep(0.001)
+        calls.append(j)
         if j == 5:
             raise ValueError("item 5")
         return j
 
-    for threads in (1, 2):
+    for threads in (1, 2, 3):
+        calls.clear()
         with pytest.raises(ValueError, match="item 5"):
             mhm_global.ordered_map(threads, fail_at_five, iter(range(20)))
+        done = len(calls)
+        time.sleep(0.01)
+        assert len(calls) == done <= 5 + threads
+
+
+def test_ordered_map_keeps_its_helper_threads(monkeypatch):
+    # the helper threads are started once per process and size: a second
+    # map of the same size starts no thread
+    mhm_global.ordered_map(2, abs, range(8))
+
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert mhm_global.ordered_map(2, abs, range(-8, 0)) == \
+        list(range(8, 0, -1))
+
+
+def test_ordered_map_nests_without_deadlock():
+    # a call that maps again from a helper thread finds the helper busy: it
+    # does the inner items itself and drops its queued helper task
+    def inner_sum(j):
+        return sum(mhm_global.ordered_map(2, lambda i: i * i, range(j)))
+
+    out = []
+    runner = threading.Thread(target=lambda: out.append(
+        mhm_global.ordered_map(2, inner_sum, range(12))), daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert out == [[sum(i * i for i in range(j)) for j in range(12)]]
+
+
+def test_ordered_map_takes_each_item_once_under_switching():
+    # more threads than cores and a short switch interval: the generator is
+    # advanced by one thread at a time, every item is taken once, and its
+    # result lands at its place
+    taken = []
+
+    def items():
+        for j in range(3000):
+            for _ in range(200):        # bytecodes where a switch can fall
+                pass
+            yield j
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = mhm_global.ordered_map(4, lambda j: taken.append(j) or -j,
+                                     items())
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [-j for j in range(3000)]
+    assert sorted(taken) == list(range(3000))

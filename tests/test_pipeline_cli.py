@@ -2,7 +2,6 @@
 
 import json
 import os
-import threading
 import time
 
 import numpy as np
@@ -272,6 +271,17 @@ def test_thread_count_does_not_change_result():
             base = sol.lam
         else:
             assert np.abs(sol.lam - base).max() < 1e-12
+
+
+def test_solution_records_the_thread_count(monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "3")
+    for threads, want in ((2, 2), (1, 1), (None, 3)):
+        cfg = MHMConfig(n=2, level=0, k=1, ell=1, nu=0.3, threads=threads)
+        sol, _ = solve_mhm(cfg, PATCH)
+        assert sol.threads == want
+    monkeypatch.delenv(THREADS_ENV)
+    sol, _ = solve_mhm(MHMConfig(n=2, level=0, k=1, ell=1, nu=0.3), PATCH)
+    assert sol.threads == 1
 
 
 def test_threads_estimate_inverse_constant_once(monkeypatch):
@@ -580,14 +590,8 @@ def test_export_fields_honours_override_wellposedness(tmp_path):
 
 
 def test_export_fields_identical_across_threads(tmp_path, monkeypatch):
-    # one member per chunk: the 8 chunks of the grid's lone class, which is
-    # solved and evaluated on the calling thread at either count
+    # one member per chunk: the 8 chunks of the two meshes run in parallel
     monkeypatch.setattr(local_solver, "SAMPLE_POINTS", 1)
-
-    def refuse(thread):
-        raise AssertionError(f"thread {thread.name} started")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
     files = []
     for threads in ("1", "2"):
         out = tmp_path / threads

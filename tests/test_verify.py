@@ -498,30 +498,40 @@ def test_member_chunks_match_per_member_reference(monkeypatch, kind):
         assert abs(res[eid] - want) <= 1e-12 * scale
 
 
-def _refuse(thread):
-    raise AssertionError(f"thread {thread.name} started")
-
-
 @pytest.mark.parametrize("problem, G", [(BrennerProblem(0.4999), 1.0),
                                         (_TwoPhaseBrenner(0.49), _two_phase)])
 def test_evaluation_is_bitwise_equal_across_threads(monkeypatch, problem, G):
-    # the two classes of the n = 4 grid with a Neumann face, solved in a
-    # pool of 2 threads or on the calling thread, then evaluated on the
-    # calling thread in chunks of one member: 32 chunks, summed in order
+    # the one class of the n = 4 grid, or its material groups under the
+    # two-phase G, in chunks of one member: 32 chunks, summed in order
     monkeypatch.setattr(local_solver, "SAMPLE_POINTS", 1)
     results = []
     for threads in (1, 2):
         sol, data = solve_mhm(MHMConfig(n=4, level=1, k=1, nu=problem.nu,
-                                        G=G, threads=threads,
-                                        boundary_tag=_neumann_right), problem)
-        with monkeypatch.context() as m:
-            m.setattr(threading.Thread, "start", _refuse)
-            results.append((sol.lam.tobytes(), sol.rho.tobytes(),
-                            compute_errors(sol, problem),
-                            compressibility_residual(sol, problem.material)))
-    assert len({c.dofh for c in data.caches}) == 2
-    assert len(results[0][3]) == 32
+                                        G=G, threads=threads), problem)
+        assert sol.threads == threads
+        results.append((compute_errors(sol, problem),
+                        compressibility_residual(sol, problem.material)))
+    assert len({c.dofh for c in data.caches}) == 1
+    assert [len(c.alpha) for c in data.caches] == ([1] if G == 1.0
+                                                   else [1, 2])
     assert results[0] == results[1]
+
+
+def test_evaluation_reuses_its_threads(monkeypatch):
+    # a 2-thread solution's evaluations share the helper thread of the
+    # first: later calls start none, so no call grows a new thread's memory
+    monkeypatch.setattr(local_solver, "SAMPLE_POINTS", 1)
+    problem = BrennerProblem(0.4999)
+    sol, _ = solve_mhm(MHMConfig(n=4, level=1, k=1, nu=problem.nu,
+                                 threads=2), problem)
+    first = compute_errors(sol, problem)
+
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert compute_errors(sol, problem) == first
+    assert len(compressibility_residual(sol, problem.material)) == 32
 
 
 @pytest.mark.parametrize("solve", [solve_gals_dirichlet,
