@@ -164,10 +164,10 @@ class Tabulation:
     reference gradients `ref_grads` (nq, nb, 2) and Hessians `ref_hess`
     (nq, nb, 2, 2).  The pushed gradients `grads` (nt, nq, nb, 2) and
     Hessians `hess` (nt, nq, nb, 2, 2) are built on first use, by the
-    element kernels (threads that race there build equal tables); field
-    evaluation (`field_values`) reads only the reference tables.  `take`
-    gives the tabulation of a subset of the triangles, on which the element
-    kernels run once per distinct triangle (`element_matrices`)."""
+    element kernels; field evaluation (`field_values`) reads only the
+    reference tables.  `take` gives the tabulation of a subset of the
+    triangles, on which the element kernels run once per distinct triangle
+    (`element_matrices`)."""
 
     def __init__(self, mesh, ref, exactness):
         self.mesh = mesh

@@ -15,7 +15,7 @@ from . import _assembly as asm
 from .fem_core import K_MAX
 from .mesh import (build_structured_triangulation, refine_skeleton,
                    unit_square_mesh)
-from .pipeline import THREADS_ENV, MHMConfig, default_threads, solve_mhm
+from .pipeline import MHMConfig, solve_mhm
 from .singlelevel import solve_galerkin_dirichlet, solve_gals_dirichlet
 from .verify import (SPECTRAL_MAX_UNKNOWNS, BrennerProblem, LinearProblem,
                      compressibility_residual, compute_errors,
@@ -122,7 +122,13 @@ def _read_config_file(path):
 
 
 def _flag(text):
-    return text.lower() in ("1", "true", "yes", "on")
+    """A switch's config value: 1/true/yes/on or 0/false/no/off, any case."""
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
 
 
 def _apply_config_file(command, path):
@@ -368,8 +374,8 @@ def _add_common(p, solve_options=True):
     the refinement conditions."""
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--threads", type=_integer(1),
-                   help=f"default ${THREADS_ENV} or 1")
+    p.add_argument("--threads", type=_integer(1), default=1,
+                   help="threads of the error evaluation")
     p.add_argument("--theta", type=_inside(0, 1, "a fraction"), default=0.5)
     p.add_argument("--n", type=_integer(1), default=4)
     if not solve_options:
@@ -420,17 +426,14 @@ def _build_parser():
 
 
 def _parse_args(argv=None):
-    """Command line, then config file; only then the environment's threads.
-    The file's values become defaults of the chosen command and the command
-    line is parsed again, so each option given on it wins, abbreviated or
-    not."""
+    """Command line, then config file.  The file's values become defaults
+    of the chosen command and the command line is parsed again, so each
+    option given on it wins, abbreviated or not."""
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
         _apply_config_file(commands[args.command], args.config)
         args = parser.parse_args(argv)
-    if args.threads is None:
-        args.threads = default_threads()
     return args
 
 

@@ -78,6 +78,13 @@ RIGID_COND = 1e12
 SAMPLE_POINTS = 16384
 
 
+def member_slices(count, points):
+    """The members 0 .. count - 1, of `points` sample points each, in
+    slices of at most SAMPLE_POINTS points (at least one member)."""
+    per = max(1, SAMPLE_POINTS // points)
+    return [slice(start, start + per) for start in range(0, count, per)]
+
+
 class LocalSolverError(MHMError):
     pass
 
@@ -463,8 +470,7 @@ def element_load(op, maps, f=None, g=None):
     rm_g = (w[..., None] * op.rigid_modes.evaluate(pts)).reshape(3, -1).T
     rm_f = (op.tab.wdet[..., None]
             * op.rigid_modes.evaluate(op.tab.points)).reshape(3, -1).T
-    per = max(1, SAMPLE_POINTS // (ng * op.tab.points[..., 0].size))
-    for c in (slice(s, s + per) for s in range(0, S, per)):
+    for c in member_slices(S, ng * op.tab.points[..., 0].size):
         if g is not None and len(w):
             gq = _at_members(g, pts, maps[:, c])
             F = np.einsum("eq,gseqc,eqb->gsebc", w, gq, vals)
@@ -657,10 +663,8 @@ def _material_groups(material, points, maps):
     G and eps of each group's first member.  The members are sampled
     SAMPLE_POINTS points at a time."""
     groups, firsts = {}, []
-    per = max(1, SAMPLE_POINTS // points[..., 0].size)
-    for start in range(0, len(maps), per):
-        samples = material.samples(asm.map_points(maps[start:start + per],
-                                                  points))
+    for c in member_slices(len(maps), points[..., 0].size):
+        samples = material.samples(asm.map_points(maps[c], points))
         keys = [np.round(np.log(q) / CONGRUENCE_RTOL).astype(np.int64)
                 for q in samples]
         for i, key in enumerate(zip(*keys)):
@@ -668,7 +672,7 @@ def _material_groups(material, points, maps):
                                         [])
             if not members:
                 firsts.append([q[i] for q in samples])
-            members.append(start + i)
+            members.append(c.start + i)
     Gq, epsq = map(np.array, zip(*firsts))
     return [np.array(members) for members in groups.values()], Gq, epsq
 

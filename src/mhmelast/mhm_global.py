@@ -20,8 +20,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from . import _assembly as asm, local_solver
+from . import _assembly as asm
 from .fem_core import MHMError
+from .local_solver import member_slices
 
 __all__ = [
     "SaddleSystem",
@@ -308,9 +309,7 @@ class MHMSolution:
         SAMPLE_POINTS // (nt * nq) members, views of `members[dofh]`."""
         for dofh, (ids, U, P, maps) in self.members.items():
             tab = tabulate(dofh)
-            per = max(1, local_solver.SAMPLE_POINTS // tab.points[..., 0].size)
-            for start in range(0, len(ids), per):
-                rows = slice(start, start + per)
+            for rows in member_slices(len(ids), tab.points[..., 0].size):
                 yield (tab, dofh.loc2glob, ids[rows], U[rows],
                        None if P is None else P[rows], maps[rows])
 
@@ -331,8 +330,8 @@ def postprocess_solution(caches, skeleton, lam, rho, threads=1):
     member's coefficients rho taken through the rigid signs of its map
     (`_assembly.rigid_signs`), and the sign s of the map takes the sum back
     to the member's coefficients.  The records of one local mesh are joined
-    into its member arrays.  `threads` is the thread count of the solve,
-    which the solution's evaluations reuse."""
+    into its member arrays.  `threads` is the thread count of the
+    solution's evaluations."""
     parts = {}
     for cache in caches:
         m, ng = len(cache.element_ids), len(cache.pairing)

@@ -1,32 +1,19 @@
 """End-to-end driver for the two-level solver: configuration, mesh setup,
-parallel local solves, global solve, and reconstruction.
+local solves, global solve, and reconstruction.
 """
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
-from .fem_core import K_MAX, MHMError, inverse_constant
+from .fem_core import K_MAX, MHMError
 from .local_solver import MaterialField, build_class_caches, congruence_classes
 from .mesh import (build_matching_local_mesh, build_structured_triangulation,
                    check_refinement_conditions, refine_skeleton)
-from .mhm_global import (assemble_global_saddle, ordered_map,
-                         postprocess_solution, solve_global)
+from .mhm_global import (assemble_global_saddle, postprocess_solution,
+                         solve_global)
 
 __all__ = ["MHMConfig", "RunData", "default_depth", "solve_mhm"]
-
-THREADS_ENV = "MHMELAST_THREADS"
-
-
-def default_threads():
-    """Threads of the local-solve pool: $MHMELAST_THREADS, default 1."""
-    value = os.environ.get(THREADS_ENV, "1")
-    if not value.isdecimal() or int(value) < 1:
-        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got "
-                         f"{value!r}")
-    return int(value)
-
 
 def default_depth(k, level, ell=1):
     """Local refinement depth giving fine edges of length 2^(k-3) times the
@@ -52,14 +39,14 @@ class MHMConfig:
     theta: float = 0.5           # stabilization safety fraction
     kind: str = "gals"           # local solver: "gals" | "galerkin"
     depth: int = None            # local refinement depth; None = automatic
-    threads: int = None
+    threads: int = 1             # threads of the error evaluation
     override_wellposedness: bool = False
     boundary_tag: object = None
 
     def __post_init__(self):
         for name, low, optional in (("n", 1, False), ("level", 0, False),
                                     ("k", 1, False), ("ell", 1, False),
-                                    ("depth", 0, True), ("threads", 1, True)):
+                                    ("threads", 1, False), ("depth", 0, True)):
             value = getattr(self, name)
             if optional and value is None:
                 continue
@@ -123,25 +110,15 @@ def solve_mhm(config, problem, g=None):
             "local meshes fail the refinement conditions for well-posedness "
             f"(set override_wellposedness to force): {bad}")
 
-    def one_class(mesh_and_members):
-        local_mesh, members = mesh_and_members
-        return build_class_caches(part, local_mesh, members, skeleton,
-                                  material, config.k, kind=config.kind,
-                                  theta=config.theta, f=problem.f, g=g)
-
-    threads = config.threads or default_threads()
-    # a thread per class at most: a lone class (the structured grid) runs
-    # on this thread; on a pool thread it measured slower, and so did the
-    # global solve that reads its records on this one
-    pool = min(threads, len(classes))
-    if pool > 1 and config.kind == "gals":
-        # estimate once, not in each thread that finds the cache cold
-        inverse_constant(config.k)
-    records = ordered_map(pool, one_class, zip(local_meshes, classes))
-    caches = [c for class_records in records for c in class_records]
+    caches = []
+    for local_mesh, members in zip(local_meshes, classes):
+        caches += build_class_caches(part, local_mesh, members, skeleton,
+                                     material, config.k, kind=config.kind,
+                                     theta=config.theta, f=problem.f, g=g)
 
     system = assemble_global_saddle(caches, skeleton, u_dirichlet=problem.u)
     lam, rho = solve_global(system)
-    solution = postprocess_solution(caches, skeleton, lam, rho, threads)
+    solution = postprocess_solution(caches, skeleton, lam, rho,
+                                    config.threads)
     data = RunData(part, skeleton, local_meshes, caches, system, report, config)
     return solution, data

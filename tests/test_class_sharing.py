@@ -24,6 +24,8 @@ from mhmelast import _assembly as asm, local_solver, pipeline
 from mhmelast.local_solver import LocalSolverError
 from mhmelast.mesh import GEOM_TOL, GlobalPartition, read_partition
 
+from conftest import _side_tag
+
 NU = 0.49
 THETA = 0.25
 
@@ -459,10 +461,6 @@ def test_error_evaluation_tabulates_once_per_class(monkeypatch, G, groups):
     assert len(built) == 1
 
 
-def _side_tag(mid):
-    return "neumann" if mid[0] > 1 - 1e-12 or mid[1] < 1e-12 else "dirichlet"
-
-
 @pytest.mark.parametrize("k, ell, depth", [(1, 1, None), (1, 1, 0),
                                            (2, 1, 0), (1, 2, 2), (3, 2, 1)])
 def test_class_verdicts_match_per_element_check(k, ell, depth):
@@ -691,13 +689,11 @@ def test_acceptance_grid_factors_once(monkeypatch, k):
     assert [len(c.element_ids) for c in data.caches] == [32]
 
 
-@pytest.mark.parametrize("boundary_tag, on_caller", [(None, True),
-                                                     (_side_tag, False)])
-def test_a_lone_class_runs_on_the_calling_thread(monkeypatch, boundary_tag,
-                                                 on_caller):
-    # at threads = 2 the classes run on the calling thread and one helper
-    # thread, but the lone class of the structured grid runs on the calling
-    # thread alone
+@pytest.mark.parametrize("boundary_tag", [None, _side_tag])
+def test_every_class_runs_on_the_calling_thread(monkeypatch, boundary_tag):
+    # threads = 2 is the thread count of the error evaluation: the local
+    # phase runs on the calling thread, for the structured grid's lone class
+    # and for each of the 4 classes of the grid with Neumann faces
     where = []
     build = pipeline.build_class_caches
 
@@ -709,11 +705,9 @@ def test_a_lone_class_runs_on_the_calling_thread(monkeypatch, boundary_tag,
     _, data = solve_mhm(MHMConfig(n=4, level=0, k=1, nu=NU, threads=2,
                                   boundary_tag=boundary_tag),
                         BrennerProblem(NU))
-    assert len(where) == len(data.local_meshes) > 0
-    assert len(where) > 1 or on_caller
-    helpers = {t for t in where if t is not threading.main_thread()}
-    assert len(helpers) <= (0 if on_caller else 1)
-    assert all(t.name.startswith("mhmelast") for t in helpers)
+    assert len(where) == len(data.local_meshes) == (1 if boundary_tag is None
+                                                    else 4)
+    assert set(where) == {threading.current_thread()}
 
 
 def test_members_must_be_congruent_to_the_class_mesh():

@@ -17,7 +17,8 @@ from mhmelast import (BrennerProblem, InverseConstant, MHMConfig,
                       solve_local_basis, solve_mhm)
 from mhmelast import _assembly as asm, local_solver
 from mhmelast.fem_core import reference_element
-from mhmelast.local_solver import LocalSolverError, _constraint_rows
+from mhmelast.local_solver import (LocalSolverError, _constraint_rows,
+                                   member_slices)
 
 
 def _element_setup(n=2, element=0, level=0, ell=1, depth=2):
@@ -527,3 +528,11 @@ def test_pins_hold_the_rigid_modes():
             == np.linalg.norm(coords - coords[a], axis=1).max())
     assert np.linalg.cond(op.Z[op.pins]) < 1e3
     assert np.abs(op.Z[2 * op.dofh.n_dofs:]).max(initial=0.0) == 0.0
+
+
+def test_member_slices_cover_the_members_in_order():
+    # SAMPLE_POINTS = 16384 points hold 3 members of 5000 points, and a
+    # member of more points is a slice of its own
+    assert member_slices(7, 5000) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+    assert member_slices(2, 20000) == [slice(0, 1), slice(1, 2)]
+    assert member_slices(0, 10) == []

@@ -2,7 +2,6 @@
 
 import json
 import os
-import time
 
 import numpy as np
 import pytest
@@ -21,9 +20,8 @@ from mhmelast import cli, local_solver
 from mhmelast.local_solver import LocalSolverError
 from mhmelast.mhm_global import GlobalSolverError
 from mhmelast.cli import _parse_args, _parse_levels, _read_config_file, main
-from mhmelast.pipeline import THREADS_ENV, default_threads
 
-from conftest import saddle_system
+from conftest import _side_tag, saddle_system
 
 
 PATCH = LinearProblem([[0.3, 0.1], [-0.2, 0.4]], [0.05, -0.02], nu=0.3)
@@ -113,12 +111,11 @@ def test_config_validation():
                 {"theta": 0.0}, {"theta": 1.0}, {"G": 0.0}, {"G": -1.0},
                 {"nu": 0.0}, {"level": 1.5}, {"k": 1.5}, {"ell": 1.5},
                 {"depth": 1.5}, {"threads": 0}, {"threads": -2},
-                {"threads": 1.5}):
+                {"threads": 1.5}, {"threads": None}):
         with pytest.raises(ValueError):
             MHMConfig(**bad)
     MHMConfig(n=np.int64(3), depth=None, G=lambda x: 1.0 + x[..., 0])
     MHMConfig(level=np.int64(1), k=2, ell=np.int32(1), depth=3, threads=2)
-    MHMConfig(threads=None)
 
 
 def test_config_caps_the_degree_at_k_max():
@@ -177,7 +174,7 @@ def test_config_names_a_non_numeric_or_non_callable_field(bad, match):
     ({"k": True}, "k must be an integer >= 1, got True"),
     ({"ell": True}, "ell must be an integer >= 1, got True"),
     ({"depth": False}, "depth must be an integer >= 0 or None, got False"),
-    ({"threads": True}, "threads must be an integer >= 1 or None, got True"),
+    ({"threads": True}, "threads must be an integer >= 1, got True"),
     ({"theta": True}, "theta must be a number in \\(0, 1\\), got True"),
     ({"G": True}, "shear modulus G must be a number in \\(0, inf\\) or a "
                   "callable, got True"),
@@ -188,17 +185,6 @@ def test_config_rejects_booleans(bad, match):
     # bool is an Integral and a Real, but True is no grid size or modulus
     with pytest.raises(ValueError, match=f"^{match}$"):
         MHMConfig(**bad)
-
-
-def test_threads_environment_variable(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv(THREADS_ENV, "3")
-    assert default_threads() == 3
-    for bad in ("abc", "-4", "0", "1.5", ""):
-        monkeypatch.setenv(THREADS_ENV, bad)
-        with pytest.raises(ValueError, match=f"MHMELAST_THREADS .*{bad!r}"):
-            default_threads()
 
 
 def test_solver_failures_are_mhm_errors(monkeypatch):
@@ -263,36 +249,31 @@ def test_run_data_contents():
 
 
 def test_thread_count_does_not_change_result():
-    base = None
-    for threads in (1, 4):
-        cfg = MHMConfig(n=2, level=0, k=1, ell=1, nu=0.3, threads=threads)
-        sol, _ = solve_mhm(cfg, PATCH)
-        if base is None:
-            base = sol.lam
-        else:
-            assert np.abs(sol.lam - base).max() < 1e-12
+    # the structured grid is one class; the Neumann faces give four
+    for n, boundary_tag in ((2, None), (4, _side_tag)):
+        sols = [solve_mhm(MHMConfig(n=n, level=0, k=1, ell=1, nu=0.3,
+                                    threads=threads,
+                                    boundary_tag=boundary_tag), PATCH)[0]
+                for threads in (1, 4)]
+        assert sols[0].lam.tobytes() == sols[1].lam.tobytes()
+        assert sols[0].rho.tobytes() == sols[1].rho.tobytes()
 
 
-def test_solution_records_the_thread_count(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "3")
-    for threads, want in ((2, 2), (1, 1), (None, 3)):
+def test_solution_records_the_thread_count():
+    for threads in (2, 1):
         cfg = MHMConfig(n=2, level=0, k=1, ell=1, nu=0.3, threads=threads)
         sol, _ = solve_mhm(cfg, PATCH)
-        assert sol.threads == want
-    monkeypatch.delenv(THREADS_ENV)
+        assert sol.threads == threads
     sol, _ = solve_mhm(MHMConfig(n=2, level=0, k=1, ell=1, nu=0.3), PATCH)
     assert sol.threads == 1
 
 
 def test_threads_estimate_inverse_constant_once(monkeypatch):
-    # the pool's threads share one estimate; the pause keeps the first
-    # estimate running while the other thread reaches the cold cache
     calls = []
     estimate = fem_core.estimate_inverse_constant
 
     def counting(*args, **kwargs):
         calls.append(args)
-        time.sleep(0.2)
         return estimate(*args, **kwargs)
 
     monkeypatch.setattr(fem_core, "estimate_inverse_constant", counting)
@@ -392,13 +373,26 @@ def test_failed_solve_leaves_no_output_directory(command, tmp_path):
 def test_config_file_rejects_bad_choice_and_value(tmp_path, capsys):
     for text, match in (("method = typo", "config key method: invalid "
                          "choice 'typo'"),
-                        ("n = x", "config key n: invalid literal")):
+                        ("n = x", "config key n: invalid literal"),
+                        ("override-wellposedness = ture",
+                         "config key override_wellposedness: expected "
+                         "1/true/yes/on or 0/false/no/off, got 'ture'")):
         path = tmp_path / "run.cfg"
         path.write_text(text + "\n")
         with pytest.raises(SystemExit) as exc:
             main(["convergence", "--config", str(path)])
         assert exc.value.code == 2
         assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+    ("0", False), ("False", False), ("NO", False), ("off", False)])
+def test_config_file_switch_values(tmp_path, text, want):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"override-wellposedness = {text}\n")
+    args = _parse_args(["diagnose", "--config", str(path)])
+    assert args.override_wellposedness is want
 
 
 def test_config_file_fills_defaults_only(tmp_path):
@@ -426,24 +420,7 @@ def test_command_line_beats_config_file_even_abbreviated(tmp_path, option):
     assert args.threads == 2 and args.level == 3
 
 
-def test_malformed_threads_variable_needs_no_threads_default(
-        tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(THREADS_ENV, "abc")
-    # an explicit --threads never reads the variable
-    rc = main(["patch-test", "--n", "2", "--threads", "1", "--out",
-               str(tmp_path / "patch")])
-    assert rc == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["patch-test", "--help"])
-    assert exc.value.code == 0
-    assert "--threads" in capsys.readouterr().out
-    # without --threads, the malformed variable is reported by name
-    with pytest.raises(ValueError, match="MHMELAST_THREADS .*'abc'"):
-        _parse_args(["diagnose"])
-
-
-def test_config_file_values_take_each_option_type(tmp_path, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "abc")
+def test_config_file_values_take_each_option_type(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("threads = 2\nnu = 0.4\nlevels = 0:2\n"
                     "override-wellposedness = yes\n")
