@@ -140,6 +140,21 @@ def map_points(maps, x):
     return y
 
 
+def sampled(fn, x, name):
+    """The vector field `fn` (a load, traction or boundary displacement) at
+    the points `x` (..., 2), as floats of the points' shape.  Values of
+    another shape or not finite raise a ValueError that names `name`."""
+    values = np.asarray(fn(x), dtype=float)
+    if values.shape != x.shape:
+        raise ValueError(f"{name} must return one 2-vector per point, "
+                         f"shape {x.shape}, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        at = tuple(np.argwhere(~np.isfinite(values))[0])
+        raise ValueError(f"{name} must return finite values, got "
+                         f"{values[at]} at the point {x[at[:-1]].tolist()}")
+    return values
+
+
 def map_signs(maps):
     """The sign s (m,) of each member map of `maps` (m, 2, 3), whose linear
     part is J = s I, s = +1 or -1: a translate or a point reflection.  The
@@ -443,6 +458,65 @@ def stress(G, grad_u, p):
     s[..., 1, 1] = 2 * G * g[..., 1, 1] - p
     s[..., 0, 1] = s[..., 1, 0] = G * (g[..., 0, 1] + g[..., 1, 0])
     return s
+
+
+# the most elements in a part of the bisection of `dissection_order`
+DISSECTION_LEAF = 4
+
+
+def _bisection_leaves(centroids):
+    """The leaf (nt,) of each element, of centroid `centroids[e]`, in a
+    recursive bisection, and the depth d of the leaves.  The elements are
+    bisected level by level, each part cut at the median of its centroids
+    along the longer side of their bounding box, until no part holds more
+    than DISSECTION_LEAF.  The parts of a level differ in size by at most
+    one, so every leaf lies at depth d, and the d bits of its index spell
+    its path from the root: bit d - 1 - l is 1 in the upper half of the cut
+    at level l."""
+    c = np.asarray(centroids, dtype=float)
+    nt = len(c)
+    d = 0
+    while -(-nt >> d) > DISSECTION_LEAF:        # ceil(nt / 2^d)
+        d += 1
+    perm = np.arange(nt)
+    for level in range(d + 1):
+        bounds = (np.arange(2 ** level + 1) * nt) >> level
+        part = np.repeat(np.arange(2 ** level), np.diff(bounds))
+        if level == d:
+            break
+        x = c[perm]
+        extent = (np.maximum.reduceat(x, bounds[:-1])
+                  - np.minimum.reduceat(x, bounds[:-1]))
+        axis = (extent[:, 1] > extent[:, 0]).astype(np.intp)
+        perm = perm[np.lexsort((x[np.arange(nt), axis[part]], part))]
+    leaf = np.empty(nt, dtype=np.int64)
+    leaf[perm] = part
+    return leaf, d
+
+
+def dissection_order(centroids, incidence, n):
+    """The rank (n,) of each of `n` unknown groups in a nested-dissection
+    order of a mesh (George, SIAM J. Numer. Anal. 10, 1973): element e, of
+    centroid `centroids[e]`, holds the groups `incidence[e]`.
+
+    A group belongs to the lowest common ancestor, in the bisection of
+    `_bisection_leaves`, of the leaves of its elements: the common binary
+    prefix of its smallest and largest leaf.  Groups inside one half of a
+    cut then share no element with those inside the other, and the groups
+    of the cut itself rank after both halves (post-order, ties by id)."""
+    leaf, d = _bisection_leaves(centroids)
+    incidence = np.asarray(incidence)
+    held = np.repeat(leaf, incidence.shape[1])
+    lo, hi = np.full(n, 2 ** d - 1), np.zeros(n, dtype=np.int64)
+    np.minimum.at(lo, incidence.ravel(), held)
+    np.maximum.at(hi, incidence.ravel(), held)
+    # the ancestor s levels above the leaves lo and hi, and the last leaf of
+    # its subtree: post-order sorts by that leaf, then from deep to high
+    s = np.frexp((lo ^ hi).astype(float))[1]
+    order = np.lexsort((np.arange(n), s, lo | ((1 << s) - 1)))
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    return rank
 
 
 def abs_row_sums(M):

@@ -438,12 +438,12 @@ def assemble_local_galerkin(partition, local_mesh, skeleton, material, k):
     return _one_group(geo, material, 0.0, None)
 
 
-def _at_members(fn, x, maps):
+def _at_members(fn, x, maps, name):
     """`fn` at the points `x` mapped onto the members `maps` (ng, S, 2, 3),
     times each member's sign: the load of the pulled-back problems,
-    (ng, S) + its value shape."""
+    (ng, S) + the points' shape (`_assembly.sampled`, naming `name`)."""
     flat = maps.reshape(-1, 2, 3)
-    values = np.asarray(fn(asm.map_points(flat, x)), dtype=float)
+    values = asm.sampled(fn, asm.map_points(flat, x), name)
     values = values * asm.map_signs(flat).reshape(
         (-1,) + (1,) * (values.ndim - 1))
     return values.reshape(maps.shape[:2] + values.shape[1:])
@@ -472,13 +472,13 @@ def element_load(op, maps, f=None, g=None):
             * op.rigid_modes.evaluate(op.tab.points)).reshape(3, -1).T
     for c in member_slices(S, ng * op.tab.points[..., 0].size):
         if g is not None and len(w):
-            gq = _at_members(g, pts, maps[:, c])
+            gq = _at_members(g, pts, maps[:, c], "the traction g")
             F = np.einsum("eq,gseqc,eqb->gsebc", w, gq, vals)
             rhs[:, c] += asm.scatter_vector(F.reshape(F.shape[:3] + (-1,)),
                                             dofs, n)
             d_rm[:, c] += gq.reshape(gq.shape[:2] + (-1,)) @ rm_g
         if f is not None:
-            fq = _at_members(f, op.tab.points, maps[:, c])
+            fq = _at_members(f, op.tab.points, maps[:, c], "the load f")
             Dall = None if op.Dall is None else op.Dall[:, None]
             F_el = asm.load_vector(op.tab, fq, Dall=Dall,
                                    alpha=op.alpha[:, None])

@@ -11,6 +11,7 @@ partition's elements (n_el, 3) and `Faces`, the skeleton's `Segments`, and
 a local mesh's `BoundaryEdges`.
 """
 
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -199,8 +200,8 @@ class GlobalPartition:
 def build_structured_triangulation(n, boundary_tag=None):
     """n x n grid of squares on [0, 1]^2, each split along the same diagonal
     (lower-left to upper-right) into two CCW triangles."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])

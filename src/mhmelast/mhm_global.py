@@ -87,7 +87,7 @@ def _dirichlet_data_vector(skeleton, u_dirichlet, exactness):
     faces = skeleton.partition.faces
     sid = np.flatnonzero(faces.tag[skeleton.segments.face] == "dirichlet")
     pts, w, mu = skeleton.segment_quadrature(sid, exactness)
-    ud = np.asarray(u_dirichlet(pts), dtype=float)
+    ud = asm.sampled(u_dirichlet, pts, "the Dirichlet data u_dirichlet")
     out = np.zeros(skeleton.n_dofs)
     out[skeleton.segment_dofs(sid)] = np.einsum("sq,isqc,sqc->si", w, mu, ud)
     return out

@@ -11,6 +11,8 @@ from mhmelast import TriMesh, unit_square_mesh
 from mhmelast import _assembly as asm
 from mhmelast.fem_core import reference_element
 
+from conftest import _jittered_mesh
+
 
 def _sheared_mesh():
     """Four counterclockwise triangles, sheared and stretched differently,
@@ -168,17 +170,6 @@ def test_field_values_match_einsum(k):
         assert _close(got[1], guh)
         assert _close(got[2], ph)
         assert _close(got[3], gph)
-
-
-def _jittered_mesh(n, seed):
-    """The n x n unit-square mesh with every interior vertex moved by up to
-    0.3 / n in each direction, so that no two triangles share a map."""
-    mesh = unit_square_mesh(n)
-    v = mesh.vertices.copy()
-    inner = np.all((v > 1e-12) & (v < 1 - 1e-12), axis=1)
-    v[inner] += np.random.default_rng(seed).uniform(-0.3 / n, 0.3 / n,
-                                                    (inner.sum(), 2))
-    return TriMesh(v, mesh.triangles)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

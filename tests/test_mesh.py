@@ -2,6 +2,7 @@
 advisory refinement conditions."""
 
 import io
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,6 +56,16 @@ def test_structured_elements_match_loop_oracle(n):
 def test_structured_rejects_bad_n():
     with pytest.raises(ValueError):
         build_structured_triangulation(0)
+
+
+@pytest.mark.parametrize("n", [0, 2.5, True, "2"])
+def test_grid_size_must_be_a_positive_integer(n):
+    # a float or a string is named, not met by numpy's TypeError
+    message = f"^n must be an integer >= 1, got {re.escape(repr(n))}$"
+    with pytest.raises(ValueError, match=message):
+        build_structured_triangulation(n)
+    with pytest.raises(ValueError, match=message):
+        unit_square_mesh(n)
 
 
 def test_all_boundary_faces_dirichlet_by_default():

@@ -2,6 +2,7 @@
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -218,6 +219,35 @@ def test_solver_failures_are_mhm_errors(monkeypatch):
     assert issubclass(LocalSolverError, MHMError)
     assert issubclass(GlobalSolverError, MHMError)
     assert issubclass(MHMError, RuntimeError)
+
+
+def _nan_above(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x[..., 1:] > 0.9, np.nan, 0.1) * np.ones(x.shape)
+
+
+@pytest.mark.parametrize("f, u, g, message", [
+    (lambda x: x[..., 0], PATCH.u, None,
+     r"the load f must return one 2-vector per point, shape \([\d, ]+, 2\), "
+     r"got shape \([\d, ]+\)$"),
+    (_nan_above, PATCH.u, None,
+     "the load f must return finite values, got nan at the point "),
+    (PATCH.f, _nan_above, None,
+     "the Dirichlet data u_dirichlet must return finite values, got nan at "
+     "the point "),
+    (PATCH.f, PATCH.u, lambda x: np.zeros(np.shape(x)[:-1]),
+     r"the traction g must return one 2-vector per point, shape "
+     r"\([\d, ]+, 2\), got shape \([\d, ]+\)$"),
+    (PATCH.f, PATCH.u, _nan_above,
+     "the traction g must return finite values, got nan at the point ")],
+    ids=["f shape", "f nan", "u nan", "g shape", "g nan"])
+def test_two_level_loads_and_boundary_data_are_checked(f, u, g, message):
+    # named where they are sampled, not blamed on the refinement conditions
+    # by a failed local residual
+    problem = SimpleNamespace(f=f, u=u)
+    config = MHMConfig(n=2, nu=0.3, boundary_tag=_side_tag)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        solve_mhm(config, problem, g=g)
 
 
 def test_callable_nu_runs():

@@ -1,6 +1,8 @@
 """Single-level reference discretizations on a global mesh."""
 
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,8 @@ from mhmelast import (BrennerProblem, LinearProblem, MaterialField, MHMError,
 import mhmelast
 from mhmelast import _assembly as asm, local_solver, singlelevel
 from mhmelast.fem_core import inverse_constant, reference_element
+
+from conftest import _jittered_mesh
 
 
 def _zero(x):
@@ -202,8 +206,8 @@ def _reduced_systems(monkeypatch):
     seen = []
     solve = singlelevel.spsolve
 
-    def recording(K, b):
-        x = solve(K, b)
+    def recording(K, b, *rest):
+        x = solve(K, b, *rest)
         seen.append((K, b, x))
         return x
 
@@ -236,9 +240,11 @@ def test_reduced_gals_matrix_is_quasi_definite(monkeypatch, nu, theta):
     (K, b, x), = seen
     K = K.toarray()
     assert np.abs(K - K.T).max() <= 1e-14 * np.abs(K).max()
-    m = K.shape[0] - sol.dofh.n_dofs          # displacement unknowns
-    assert np.linalg.eigvalsh(K[:m, :m])[0] > 0
-    assert np.linalg.eigvalsh(K[m:, m:])[-1] < 0
+    assert K.shape[0] == 3 * sol.dofh.n_dofs
+    # each node's unknowns together, [u_x, u_y, p]
+    u, p = np.flatnonzero(np.arange(len(K)) % 3 != 2), np.arange(2, len(K), 3)
+    assert np.linalg.eigvalsh(K[np.ix_(u, u)])[0] > 0
+    assert np.linalg.eigvalsh(K[np.ix_(p, p)])[-1] < 0
     # near nu = 1/2 the conditioning leaves only the residual to compare
     ref = np.abs(b).max() + np.abs(K).sum(axis=1).max() * np.abs(x).max()
     assert np.abs(K @ x - b).max() <= 1e-12 * ref
@@ -262,8 +268,8 @@ def test_single_level_residual_is_checked(monkeypatch):
 
 
 def test_reduced_factor_uses_symmetric_order(monkeypatch):
-    # a minimum-degree order of K + K^T with diagonal pivots holds less
-    # fill than COLAMD's column order with the same pivots
+    # the nested-dissection numbering with diagonal pivots holds less fill
+    # than COLAMD's column order with the same pivots
     factors = []
     splu = singlelevel.splu
 
@@ -286,7 +292,7 @@ def test_reduced_factor_uses_symmetric_order(monkeypatch):
 
 def test_node_order_cuts_the_fill_of_the_dof_handler_order(monkeypatch):
     # the same systems factored in the DofHandler numbering (an identity
-    # `_node_order`) fill more, and solve to the same fields
+    # `dissection_order`) fill more, and solve to the same fields
     fills, solutions = {}, {}
     splu = singlelevel.splu
 
@@ -297,17 +303,17 @@ def test_node_order_cuts_the_fill_of_the_dof_handler_order(monkeypatch):
 
     monkeypatch.setattr(singlelevel, "splu", recording)
     problem = BrennerProblem(0.49999)
-    for order in ("reverse Cuthill-McKee", "DofHandler"):
+    for order in ("nested dissection", "DofHandler"):
         if order == "DofHandler":
-            monkeypatch.setattr(singlelevel, "_node_order",
-                                lambda dofh, fixed: np.arange(dofh.n_dofs))
+            monkeypatch.setattr(asm, "dissection_order",
+                                lambda centroids, incidence, n: np.arange(n))
         fills[order] = []
         solutions[order] = [
             solver(unit_square_mesh(16), problem.material, 2, problem.f,
                    u_dirichlet=problem.u)
             for solver in (solve_gals_dirichlet, solve_galerkin_dirichlet)]
-    for rcm, dofh in zip(fills["reverse Cuthill-McKee"], fills["DofHandler"]):
-        assert rcm < dofh
+    for nd, dofh in zip(fills["nested dissection"], fills["DofHandler"]):
+        assert nd < dofh
     for got, want in zip(*solutions.values()):
         assert np.abs(got.u - want.u).max() <= 1e-10 * np.abs(want.u).max()
         if want.p is not None:
@@ -315,26 +321,101 @@ def test_node_order_cuts_the_fill_of_the_dof_handler_order(monkeypatch):
                     <= 1e-8 * np.abs(want.p).max())
 
 
-def test_node_order_is_a_banded_permutation_with_fixed_dofs_last():
-    # a permutation of the scalar dofs with the fixed dofs last; each
-    # triangle's free dofs lie within a band far narrower than the system
-    mesh = unit_square_mesh(8)
+@pytest.mark.parametrize("mesh", [unit_square_mesh(8), _jittered_mesh(7, 3)],
+                         ids=["structured", "jittered"])
+def test_dissection_order_separates_the_halves_of_every_cut(mesh):
+    # a permutation of the nodes; every cut of the bisection is at the
+    # median along the longer side of its part, no triangle holds nodes
+    # inside both halves, the nodes of the cut rank after both halves, and
+    # the nodes inside a part rank together
     dofh = asm.DofHandler(mesh, reference_element(2))
-    fixed = dofh.boundary_scalar_dofs()
-    position = singlelevel._node_order(dofh, fixed)
-    n = dofh.n_dofs
-    assert np.array_equal(np.sort(position), np.arange(n))
-    assert np.array_equal(np.sort(position[fixed]),
-                          np.arange(n - len(fixed), n))
-    at = np.where(np.isin(dofh.loc2glob, fixed), np.nan,
-                  position[dofh.loc2glob])
-    band = np.nanmax(at, axis=1) - np.nanmin(at, axis=1)
-    assert band.max() < n // 4
+    l2g, n = dofh.loc2glob, dofh.n_dofs
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    rank = asm.dissection_order(centroids, l2g, n)
+    assert np.array_equal(np.sort(rank), np.arange(n))
+    leaf, d = asm._bisection_leaves(centroids)
+    assert np.bincount(leaf).max() <= asm.DISSECTION_LEAF
+    for level in range(d):
+        for prefix in range(2 ** level):
+            part = leaf >> (d - level) == prefix
+            upper = (leaf >> (d - level - 1)) & 1 == 1
+            halves = [part & ~upper, part & upper]
+            assert abs(halves[0].sum() - halves[1].sum()) <= 1
+            c = centroids[part]
+            axis = np.argmax(c.max(axis=0) - c.min(axis=0))
+            assert (centroids[halves[0], axis].max()
+                    <= centroids[halves[1], axis].min())
+            # the nodes all of whose triangles lie in a set of triangles
+            outside = [np.zeros(n, dtype=bool) for _ in range(3)]
+            for out, inside in zip(outside, halves + [part]):
+                out[l2g[~inside]] = True
+            lower, higher = ~outside[0], ~outside[1]
+            cut = ~outside[2] & ~lower & ~higher
+            assert not np.any(lower[l2g].any(axis=1)
+                              & higher[l2g].any(axis=1))
+            if cut.any():
+                assert rank[cut].min() > rank[lower | higher].max()
+            # post-order: the nodes inside a part take consecutive ranks
+            inside = rank[~outside[2]]
+            assert inside.max() - inside.min() + 1 == len(inside)
+
+
+@pytest.mark.parametrize("mesh", [unit_square_mesh(1), unit_square_mesh(3),
+                                  _jittered_mesh(5, 0)],
+                         ids=["2 triangles", "18 triangles", "jittered"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dissection_order_solves_as_the_minimum_degree_order(monkeypatch,
+                                                             mesh, k):
+    # the factor in the dissection numbering and one in SuperLU's minimum
+    # degree order of the same pinned systems solve to the same fields
+    problem = BrennerProblem(0.49)
+    mat = MaterialField(lambda x: 1.0 + 0.5 * x[..., 0] * x[..., 1], 0.49)
+    solutions = {}
+    splu = singlelevel.splu
+    for order in ("NATURAL", "MMD_AT_PLUS_A"):
+        monkeypatch.setattr(
+            singlelevel, "splu",
+            lambda K, permc_spec, **options: splu(K, permc_spec=order,
+                                                  **options))
+        solutions[order] = [
+            solver(mesh, mat, k, problem.f, u_dirichlet=problem.u)
+            for solver in (solve_gals_dirichlet, solve_galerkin_dirichlet)]
+    for got, want in zip(*solutions.values()):
+        for a, b in ((got.u, want.u), (got.p, want.p)):
+            if b is not None:
+                assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+
+def test_single_level_solve_logs_one_debug_record(caplog):
+    problem = BrennerProblem(0.3)
+    mesh = unit_square_mesh(4)
+    with caplog.at_level(logging.DEBUG, logger="mhmelast"):
+        for solver in (solve_gals_dirichlet, solve_galerkin_dirichlet):
+            solver(mesh, problem.material, 2, problem.f,
+                   u_dirichlet=problem.u)
+    records = [r for r in caplog.records if r.name == "mhmelast"]
+    assert len(records) == 2
+    for record, per in zip(records, (3, 2)):
+        assert record.levelno == logging.DEBUG
+        assert re.fullmatch(
+            rf"single-level solve: {per * 81} unknowns, K\.nnz \d+, LU fill "
+            r"\d+, order \d+\.\d{3} s, factor \d+\.\d{3} s",
+            record.getMessage())
+
+
+def test_single_level_solve_builds_no_record_when_disabled(monkeypatch):
+    # the record is formatted only for an enabled logger
+    logger = logging.getLogger("mhmelast")
+    monkeypatch.setattr(logger, "debug", lambda *a: pytest.fail("logged"))
+    monkeypatch.setattr(logger, "isEnabledFor", lambda level: False)
+    problem = BrennerProblem(0.3)
+    solve_gals_dirichlet(unit_square_mesh(2), problem.material, 1, problem.f,
+                         u_dirichlet=problem.u)
 
 
 def test_package_import_leaves_csgraph_unloaded():
-    # the reverse Cuthill-McKee order imports scipy.sparse.csgraph when a
-    # single-level system is solved, not with the package
+    # the package needs no scipy.sparse.csgraph: its import costs time and
+    # memory
     code = ("import sys, mhmelast; "
             "print('scipy.sparse.csgraph' in sys.modules)")
     src = Path(mhmelast.__file__).resolve().parents[1]
@@ -359,3 +440,45 @@ def test_gals_rejects_inadmissible_theta(theta):
                                          f"got {theta!r}"):
         solve_gals_dirichlet(mesh, MaterialField(1.0, 0.3), 1, _zero,
                              theta=theta)
+
+
+@pytest.mark.parametrize("k", [0, 1.5, 99, True, "2"])
+@pytest.mark.parametrize("solver", [solve_galerkin_dirichlet,
+                                    solve_gals_dirichlet])
+def test_degrees_outside_the_table_are_rejected(solver, k):
+    with pytest.raises(ValueError, match=re.escape(
+            f"k must be an integer in 1 .. K_MAX = {mhmelast.K_MAX}, got "
+            f"{k!r}")):
+        solver(unit_square_mesh(2), MaterialField(1.0, 0.3), k, _zero)
+
+
+def _nan_at_right(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x[..., :1] > 0.99, np.nan, 1.0) * np.ones(x.shape)
+
+
+@pytest.mark.parametrize("f, u_dirichlet, message", [
+    (lambda x: x[..., 0], None,
+     r"the load f must return one 2-vector per point, shape \(32, \d+, 2\), "
+     r"got shape \(32, \d+\)$"),
+    (lambda x: np.array([0.0, -1.0]), None,
+     r"the load f must return one 2-vector per point, shape \(32, \d+, 2\), "
+     r"got shape \(2,\)$"),
+    (_nan_at_right, None,
+     r"the load f must return finite values, got nan at the point \[0\.99"),
+    (_zero, _nan_at_right,
+     r"the Dirichlet data u_dirichlet must return finite values, got nan at "
+     r"the point \[1\.0, 0\.0\]$"),
+    (_zero, lambda x: np.zeros(len(x)),
+     r"the Dirichlet data u_dirichlet must return one 2-vector per point, "
+     r"shape \(16, 2\), got shape \(16,\)$")],
+    ids=["f scalar", "f constant", "f nan", "u nan", "u scalar"])
+@pytest.mark.parametrize("solver", [solve_galerkin_dirichlet,
+                                    solve_gals_dirichlet])
+def test_loads_and_boundary_data_are_checked(solver, f, u_dirichlet, message):
+    # a load or boundary value of the wrong shape or not finite is named
+    # where it is sampled, not by numpy's broadcasting or the solve
+    with pytest.raises(ValueError, match=f"^{message}"):
+        solver(unit_square_mesh(4), MaterialField(1.0, 0.3), 1, f,
+               u_dirichlet=u_dirichlet)
+
