@@ -6,11 +6,15 @@ block-diagonal CSC matrices, pinned dofs and the checked sparse solve.
 """
 
 import copy
+import logging
+import time
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fem_core import quad_rule
+
+_log = logging.getLogger("mhmelast")
 
 
 class Geometry:
@@ -460,8 +464,11 @@ def stress(G, grad_u, p):
     return s
 
 
-# the most elements in a part of the bisection of `dissection_order`
-DISSECTION_LEAF = 4
+# the most elements in a part of the bisection of `dissection_order`, for
+# the single-level systems and the global one alike: one element holds the
+# least fill of the global factor, and the single-level factors fill alike
+# at 1, 2 and 4
+DISSECTION_LEAF = 1
 
 
 def _bisection_leaves(centroids):
@@ -570,6 +577,31 @@ def checked_solve(factor, M, B, error, what, hint, blocks=1,
                     f"{RESIDUAL_RTOL:.0e}) exceeds tolerance; "
                     f"{hint if residual_hint is None else residual_hint()}")
     return X
+
+
+def logged_solve(factor, M, b, error, what, hint, order_s):
+    """`checked_solve` of M x = b with the SuperLU factorization `factor()`
+    of one system.  With the logger enabled, one debug record gives the
+    unknowns, M's nonzeros, the fill of the factors and the seconds of the
+    order (`order_s`, taken by the caller) and of the factorization.  The
+    factor is not held past its solve: the residual check reuses its
+    memory."""
+    if not _log.isEnabledFor(logging.DEBUG):
+        return checked_solve(factor, M, b, error, what, hint)
+    seconds, fill = [], []
+
+    def timed():
+        start = time.perf_counter()
+        lu = factor()
+        seconds.append(time.perf_counter() - start)
+        fill.append(lu.L.nnz + lu.U.nnz)        # L and U are copies
+        return lu
+
+    x = checked_solve(timed, M, b, error, what, hint)
+    _log.debug("%s solve: %d unknowns, nnz %d, LU fill %d, order %.3f s, "
+               "factor %.3f s", what, M.shape[0], M.nnz, fill[0], order_s,
+               seconds[0])
+    return x
 
 
 def block_triplets(matrices, loc2glob):

@@ -3,14 +3,16 @@ coupling the trace (traction) unknowns with the per-element rigid-body
 modes, its solution, and the reconstruction of the element-wise fields.
 
 The system is stored as the one matrix that is factored: the saddle matrix
-in a symmetric order of its faces in which every element's rigid modes
-follow their trace dofs, so that the factorization needs no row exchanges
-(`solve_global`).  It is built by a single COO to CSC conversion of the
-pairing triplets and of B and its transpose, with every index taken to its
-position in that order; the blocks A and B are derived from it on demand.
+in a symmetric order in which the faces take the nested-dissection order of
+the partition's elements and every element's rigid modes follow their trace
+dofs, so that the factorization needs no row exchanges (`solve_global`).
+It is built by a single COO to CSC conversion of the pairing triplets and
+of B and its transpose, with every index taken to its position in that
+order; the blocks A and B are derived from it on demand.
 """
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -51,13 +53,15 @@ class SaddleSystem:
 
     The matrix is stored once, as `matrix`, the CSC matrix that
     `solve_global` factors: its unknown i is the unknown order[i] of
-    [lambda; rho] (`_face_order`).  A, B and the matrix in the natural order
-    (`full_matrix`) are derived from it on demand.
+    [lambda; rho], in the nested-dissection order of the faces
+    (`_face_order`), which took `order_s` seconds.  A, B and the matrix in
+    the natural order (`full_matrix`) are derived from it on demand.
     """
     matrix: sp.csc_matrix
     order: np.ndarray
     rhs_lambda: np.ndarray
     rhs_rm: np.ndarray
+    order_s: float = 0.0
 
     @property
     def n_lambda(self):
@@ -100,50 +104,44 @@ def assemble_global_saddle(caches, skeleton, u_dirichlet=None):
     contributes its group's pairing through its dof signs, and element K
     owns rigid-mode unknowns 3K to 3K + 2, which B pairs through the rigid
     signs of its map (`_assembly.rigid_signs`).  On Dirichlet faces the
-    continuity equation is driven by the boundary displacement data.  B is
-    built first, as CSR, for `_face_order`; the blocks of A, B and B' are
-    then gathered as COO triplets at their positions in that order (int32),
-    and become the matrix in one COO to CSC conversion (duplicates sum).
+    continuity equation is driven by the boundary displacement data.  The
+    order is taken from the skeleton (`_face_order`), and the blocks of A,
+    B and B' are gathered record by record as COO triplets at their
+    positions in it (int32), which become the matrix in one COO to CSC
+    conversion (duplicates sum).
     """
     n_lambda = skeleton.n_dofs
-    n_rm = 3 * sum(len(c.element_ids) for c in caches)
-    b = []                              # COO triplets of B
+    start = time.perf_counter()
+    order = _face_order(skeleton)
+    order_s = time.perf_counter() - start
+    position = np.empty(len(order), dtype=np.int32)
+    position[order] = np.arange(len(order), dtype=np.int32)
+    triplets = []
     c = np.zeros(n_lambda)
-    d = np.zeros(n_rm)
+    d = np.zeros(len(order) - n_lambda)
     for cache in caches:
         idx, s = cache.trace_dofs, cache.dof_signs       # (m, ntr) each
         rm = 3 * cache.element_ids[:, None] + np.arange(3)
-        b.append((np.repeat(idx, 3, axis=1).ravel(),
-                  np.tile(rm, cache.n_trace).ravel(),
-                  (s[:, :, None] * cache.rm_pairing
-                   * asm.rigid_signs(cache.maps)[:, None]).ravel()))
+        blocks = np.repeat(_symmetric(cache.pairing),        # (m, ntr, ntr)
+                           len(s) // len(cache.pairing), axis=0)
+        blocks *= s[:, :, None]
+        blocks *= s[:, None, :]
+        triplets.append(asm.block_triplets(blocks, position[idx]))
+        r = np.repeat(position[idx], 3, axis=1).ravel()
+        t = np.tile(position[n_lambda + rm], cache.n_trace).ravel()
+        b = (s[:, :, None] * cache.rm_pairing
+             * asm.rigid_signs(cache.maps)[:, None]).ravel()
+        triplets += [(r, t, b), (t, r, b)]
         np.add.at(c, idx.ravel(), -(s * cache.load_pairing).ravel())
         d[rm] = -cache.rm_load
     if u_dirichlet is not None:
         deg = max(cache.dofh.ref.degree for cache in caches)
         c += _dirichlet_data_vector(skeleton, u_dirichlet,
                                     deg + skeleton.degree + 2)
-    rows, cols, vals = map(np.concatenate, zip(*b))
-    B = sp.csr_matrix((vals, (rows, cols)), shape=(n_lambda, n_rm))
-    del b, rows, cols, vals
-    order = _face_order(B)
-    position = np.empty(len(order), dtype=np.int32)
-    position[order] = np.arange(len(order), dtype=np.int32)
-    triplets = []
-    for cache in caches:
-        s = cache.dof_signs
-        blocks = np.repeat(_symmetric(cache.pairing),        # (m, ntr, ntr)
-                           len(s) // len(cache.pairing), axis=0)
-        blocks *= s[:, :, None]
-        blocks *= s[:, None, :]
-        triplets.append(asm.block_triplets(blocks, position[cache.trace_dofs]))
-    B = B.tocoo()
-    r, t = position[B.row], position[n_lambda + B.col]
-    triplets += [(r, t, B.data), (t, r, B.data)]
     rows, cols, vals = map(np.concatenate, zip(*triplets))
-    del triplets, blocks, B, r, t       # release them before the conversion
+    del triplets, blocks, r, t, b   # release them before the conversion
     matrix = sp.csc_matrix((vals, (rows, cols)), shape=(len(order),) * 2)
-    return SaddleSystem(matrix, order, c, d)
+    return SaddleSystem(matrix, order, c, d, order_s)
 
 
 def _symmetric(pairing):
@@ -160,43 +158,21 @@ def _symmetric(pairing):
     return pairing
 
 
-def _face_order(B):
-    """The saddle unknowns [lambda; rho] of the trace/rigid-mode block B in
-    an elimination order that needs no pivoting (`solve_global`).  The trace
-    dofs of one face share their pattern of B, the rigid modes of the face's
-    one or two elements (element K owns columns 3K..3K+2), and are kept
-    together; the faces are taken in a minimum-degree order of the graph of
-    faces sharing an element, and each element's rigid modes follow its
-    last face.  The rigid modes of an element with no trace dof come last."""
-    n, m = B.shape
-    ne = -(-m // 3)
-    B = B.tocsr()
-    elements = B.indices // 3
-    lo, hi = np.full((2, n), -1)
-    on = np.diff(B.indptr) > 0
-    starts = B.indptr[:-1][on]
-    if len(starts):
-        lo[on] = np.minimum.reduceat(elements, starts)
-        hi[on] = np.maximum.reduceat(elements, starts)
-    keys, face = np.unique((lo + 1) * (ne + 1) + hi + 1, return_inverse=True)
-    lo_f, hi_f = np.array(np.divmod(keys, ne + 1)) - 1
-    nf = len(keys)
-    # scipy has no ordering-only call: take the column order of a factor of
-    # the face graph's proxy inc^T inc + I, positive definite
-    coupled = lo_f >= 0
-    inc = sp.csr_matrix((np.ones(2 * coupled.sum()),
-                         (np.concatenate([lo_f[coupled], hi_f[coupled]]),
-                          np.tile(np.flatnonzero(coupled), 2))),
-                        shape=(ne, nf))
-    proxy = (inc.T @ inc + sp.identity(nf, format="csr")).tocsc()
-    position = splu(proxy, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True}).perm_c
-    last = np.full(ne, -1)
-    np.maximum.at(last, lo_f[coupled], position[coupled])
-    np.maximum.at(last, hi_f[coupled], position[coupled])
-    last[last < 0] = nf
-    key = 2 * np.concatenate([position[face], last[np.arange(m) // 3]])
-    key[n:] += 1
+def _face_order(skeleton):
+    """The saddle unknowns [lambda; rho] in an elimination order that needs
+    no pivoting (`solve_global`): the faces of the partition are ranked in
+    the nested-dissection order of its elements
+    (`_assembly.dissection_order`), the trace dofs of each face are kept
+    together in that rank, and each element's rigid modes follow its
+    highest-ranked face that carries trace dofs (not a Neumann face)."""
+    part = skeleton.partition
+    faces = part.elem_face_ids
+    rank = asm.dissection_order(part.vertices[part.elements].mean(axis=1),
+                                faces, len(part.faces))
+    dof_face = np.repeat(skeleton.segments.face, skeleton.dofs_per_segment)
+    last = np.where(skeleton.face_segments[faces, 0] >= 0, rank[faces], -1)
+    key = np.concatenate([2 * rank[dof_face],
+                          2 * np.repeat(last.max(axis=1), 3) + 1])
     return np.argsort(key, kind="stable")
 
 
@@ -204,22 +180,24 @@ def solve_global(system):
     """Solve the saddle-point system with one sparse LU factorization
     (SuperLU) of its stored matrix, whose symmetric order puts each
     element's rigid modes after its trace dofs (`_face_order`), and verify
-    the residual.
+    the residual, with one debug record when the logger is enabled
+    (`_assembly.logged_solve`).
 
     With A positive definite, every trace pivot of that order is positive
     and every rigid-mode pivot -b^T S^-1 b negative, so the factorization
-    needs no row exchanges (Benzi, Golub & Liesen, Acta Numerica 14, 2005),
-    and the minimum-degree order of the faces holds about half of COLAMD's
-    fill.  The pivot threshold is 0.1, not 0: an under-refined local mesh
-    makes A singular, and diagonal pivots then fail the residual check."""
+    needs no row exchanges (Benzi, Golub & Liesen, Acta Numerica 14, 2005)
+    whichever order the faces take; the nested-dissection order of the
+    faces bounds the fill.  The pivot threshold is 0.1, not 0: an
+    under-refined local mesh makes A singular, and diagonal pivots then
+    fail the residual check."""
     M, order = system.matrix, system.order
     x = np.empty(len(order))
-    x[order] = asm.checked_solve(
+    x[order] = asm.logged_solve(
         lambda: splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.1,
                      options={"SymmetricMode": True}),
         M, system.full_rhs()[order], GlobalSolverError, "global",
         "the local meshes may be too coarse for the trace space (see "
-        "check_refinement_conditions)")
+        "check_refinement_conditions)", system.order_s)
     n = system.n_lambda
     return x[:n], x[n:].reshape(-1, 3)
 

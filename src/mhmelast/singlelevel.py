@@ -5,7 +5,6 @@ counterpart, both with strong Dirichlet conditions.  They share the local
 operators' assembly path in `_assembly`: the same forms on another mesh.
 """
 
-import logging
 import numbers
 import time
 from dataclasses import dataclass
@@ -22,8 +21,6 @@ __all__ = [
     "solve_galerkin_dirichlet",
     "solve_gals_dirichlet",
 ]
-
-_log = logging.getLogger("mhmelast")
 
 
 @dataclass
@@ -46,10 +43,8 @@ def _dirichlet_values(dofh, bdofs, u_dirichlet):
 def spsolve(K, b, order_s=0.0):
     """Solve a single-level system, its Dirichlet dofs pinned, with one
     SuperLU factorization in the order of its numbering that pivots on the
-    diagonal, and verify the residual (`checked_solve`).  With the logger
-    enabled, one debug record gives the unknowns, K's nonzeros, the fill of
-    the factors and the seconds of the order (`order_s`, taken by the
-    caller) and of the factorization.
+    diagonal, and verify the residual, with one debug record when the
+    logger is enabled (`_assembly.logged_solve`).
 
     Both systems are symmetric: the displacement one is positive definite
     and the stabilized one quasi-definite for an admissible alpha, and so
@@ -57,25 +52,12 @@ def spsolve(K, b, order_s=0.0):
     symmetric permutation of them factors without pivoting (Vanderbei,
     SIAM J. Optim. 5, 1995).  Row exchanges would only add fill, and
     `_solve_single` numbers the system in a nested-dissection order."""
-    lu = factor_s = None
-
-    def factor():
-        nonlocal lu, factor_s
-        start = time.perf_counter()
-        lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-        factor_s = time.perf_counter() - start
-        return lu
-
-    x = asm.checked_solve(
-        factor, K, b, MHMError, "single-level",
+    return asm.logged_solve(
+        lambda: splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True}),
+        K, b, MHMError, "single-level",
         "check the mesh and the Dirichlet boundary; diagonal pivots need a "
-        "definite, well-conditioned system")
-    if _log.isEnabledFor(logging.DEBUG):     # lu.L and lu.U are copies
-        _log.debug("single-level solve: %d unknowns, K.nnz %d, LU fill %d, "
-                   "order %.3f s, factor %.3f s", K.shape[0], K.nnz,
-                   lu.L.nnz + lu.U.nnz, order_s, factor_s)
-    return x
+        "definite, well-conditioned system", order_s)
 
 
 def _solve_single(mesh, material, k, f, u_dirichlet, theta=None):

@@ -37,6 +37,32 @@ __all__ = [
 ]
 
 
+def _constant_material(G, nu):
+    """The material, G, nu and compressibility coefficient epsilon of a
+    closed-form problem of constant moduli `G` and `nu`: a modulus that is
+    not a real number in its range is rejected with a ValueError that
+    names it (`MaterialField`)."""
+    material = MaterialField(G, nu)
+    for what, value in (("shear modulus G", G), ("Poisson ratio nu", nu)):
+        if callable(value):
+            raise ValueError(f"{what} of a closed-form problem must be a "
+                             f"number, got {value!r}")
+    return (material, float(G), float(nu),
+            float(material.eps_at(np.zeros(2))))
+
+
+def _finite_array(value, shape, name):
+    """`value` as a float array, which must be finite and of `shape`."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != shape or not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be a finite array of shape {shape}, "
+                         f"got {value!r}")
+    return a
+
+
 class BrennerProblem:
     """Trigonometric benchmark for the nearly incompressible unit square
     (shear modulus G = 1, displacement clamped on the whole boundary).
@@ -51,10 +77,8 @@ class BrennerProblem:
     """
 
     def __init__(self, nu, G=1.0):
-        self.nu = float(nu)
-        self.G = float(G)
-        self.material = MaterialField(self.G, self.nu)
-        self.epsilon = float(self.material.eps_at(np.zeros(2)))
+        self.material, self.G, self.nu, self.epsilon = _constant_material(
+            G, nu)
 
     def _half_angles(self, x):
         """sin and cos of pi x and pi y, the only transcendental calls of
@@ -141,12 +165,10 @@ class LinearProblem:
     the stress is constant and the load vanishes (patch-test problem)."""
 
     def __init__(self, A, b, nu, G=1.0):
-        self.A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self.nu = float(nu)
-        self.G = float(G)
-        self.material = MaterialField(self.G, self.nu)
-        self.epsilon = float(self.material.eps_at(np.zeros(2)))
+        self.A = _finite_array(A, (2, 2), "A")
+        self.b = _finite_array(b, (2,), "b")
+        self.material, self.G, self.nu, self.epsilon = _constant_material(
+            G, nu)
 
     def u(self, x):
         return np.asarray(x, dtype=float) @ self.A.T + self.b
@@ -364,7 +386,8 @@ def spectral_diagnostics(system, skeleton=None, threshold=1e-12):
         raise ValueError(
             f"spectral_diagnostics densifies the saddle system: {n} global "
             f"unknowns exceed the limit of {SPECTRAL_MAX_UNKNOWNS}")
-    A, B = system.A.toarray(), system.B.toarray()
+    M, n = system.full_matrix(), system.n_lambda
+    A, B = M[:n, :n].toarray(), M[:n, n:].toarray()
     norm_A = float(np.linalg.norm(A, 2))
     Z = null_space(B.T)
     lam_min = _projected_min_eig(A, Z)

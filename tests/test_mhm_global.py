@@ -1,5 +1,7 @@
 """Global saddle-point assembly, solve, and field reconstruction."""
 
+import logging
+import re
 import sys
 import threading
 import time
@@ -15,10 +17,11 @@ from mhmelast import (BrennerProblem, LinearProblem, MHMConfig, MaterialField,
                       build_matching_local_mesh, build_structured_triangulation,
                       compute_errors, postprocess_solution, refine_skeleton,
                       solve_global, solve_mhm, spectral_diagnostics)
+from mhmelast import _assembly as asm
 from mhmelast import mhm_global, verify
 from mhmelast.mhm_global import GlobalSolverError, _dirichlet_data_vector
 
-from conftest import saddle_system
+from conftest import _side_tag, saddle_system
 
 
 def _caches(n=2, level=0, ell=1, k=1, depth=2, nu=0.3, f=None, g=None,
@@ -134,7 +137,7 @@ def test_global_solve_residual_is_checked(monkeypatch):
         def __init__(self, matrix, **options):
             self.lu = splu(matrix, **options)
 
-        def __getattr__(self, name):        # the face order's perm_c
+        def __getattr__(self, name):        # L and U of the debug record
             return getattr(self.lu, name)
 
         def solve(self, rhs):
@@ -165,7 +168,7 @@ def test_face_order_puts_rigid_modes_after_their_traces(kind, level, k):
     system = assemble_global_saddle(caches, sk, u_dirichlet=problem.u)
     w = np.linalg.eigvalsh(system.A.toarray())
     assert w.min() > 1e-8 * w.max()
-    order = mhm_global._face_order(system.B)
+    order = system.order
     n = sk.n_dofs
     assert np.array_equal(np.sort(order), np.arange(n + 3 * part.n_elements))
     position = np.argsort(order)
@@ -182,6 +185,71 @@ def test_face_order_puts_rigid_modes_after_their_traces(kind, level, k):
     got = np.concatenate([lam, rho.ravel()])
     assert np.abs(x).max() > 0
     assert np.abs(got - x).max() <= 1e-10 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("boundary_tag", [None, _side_tag],
+                         ids=["dirichlet", "neumann"])
+def test_face_order_ranks_every_cut_after_both_halves(boundary_tag):
+    # for every cut of the bisection of the element centroids, the trace
+    # dofs of the faces with an element on each side follow those of every
+    # face inside either half, and each element's rigid modes follow its
+    # last trace dof, with only rigid modes between
+    part, sk, caches = _caches(n=4, boundary_tag=boundary_tag)
+    system = assemble_global_saddle(caches, sk)
+    n, order = sk.n_dofs, system.order
+    position = np.argsort(order)
+    carried = sk.face_segments[:, 0] >= 0
+    dofs = [position[sk.segment_dofs(segments).ravel()]
+            for segments in sk.face_segments]
+    leaf, d = asm._bisection_leaves(part.vertices[part.elements].mean(axis=1))
+    assert d >= 3
+    elements, cuts = part.faces.elements, 0
+    for level in range(d):
+        for prefix in range(2 ** level):
+            inside = leaf >> (d - level) == prefix
+            upper = (leaf >> (d - level - 1)) & 1 == 1
+            # each half, False at index -1, a boundary face's other side
+            halves = [np.append(h, False) for h in (inside & ~upper,
+                                                    inside & upper)]
+            within = [np.all(h[elements] | (elements < 0), axis=1) & carried
+                      for h in halves]
+            cut = halves[0][elements].any(axis=1) \
+                & halves[1][elements].any(axis=1)
+            inner = [dofs[f] for f in np.flatnonzero(within[0] | within[1])]
+            if cut.any() and inner:
+                cuts += 1
+                assert (min(dofs[f].min() for f in np.flatnonzero(cut))
+                        > np.concatenate(inner).max())
+    assert cuts >= 2 ** (d - 1)
+    for c in caches:
+        for eid, trace in zip(c.element_ids, c.trace_dofs):
+            first, last = position[n + 3 * eid], position[trace].max()
+            assert np.array_equal(position[n + 3 * eid + np.arange(3)],
+                                  first + np.arange(3))
+            assert first > last and np.all(order[last + 1:first] >= n)
+
+
+def test_global_solve_logs_one_debug_record(caplog):
+    problem = BrennerProblem(0.3)
+    part, sk, caches = _caches(f=problem.f)
+    system = assemble_global_saddle(caches, sk, u_dirichlet=problem.u)
+    with caplog.at_level(logging.DEBUG, logger="mhmelast"):
+        solve_global(system)
+    records = [r for r in caplog.records if r.name == "mhmelast"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    assert re.fullmatch(
+        rf"global solve: {len(system.order)} unknowns, nnz "
+        rf"{system.matrix.nnz}, LU fill \d+, order \d+\.\d{{3}} s, factor "
+        r"\d+\.\d{3} s", records[0].getMessage())
+
+
+def test_global_solve_builds_no_record_when_disabled(monkeypatch):
+    # the record is formatted only for an enabled logger
+    logger = logging.getLogger("mhmelast")
+    monkeypatch.setattr(logger, "debug", lambda *a: pytest.fail("logged"))
+    monkeypatch.setattr(logger, "isEnabledFor", lambda level: False)
+    part, sk, caches = _caches()
+    solve_global(assemble_global_saddle(caches, sk))
 
 
 def test_untraced_solve_never_derives_the_blocks(monkeypatch):

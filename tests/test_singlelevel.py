@@ -343,8 +343,8 @@ def test_dissection_order_separates_the_halves_of_every_cut(mesh):
             assert abs(halves[0].sum() - halves[1].sum()) <= 1
             c = centroids[part]
             axis = np.argmax(c.max(axis=0) - c.min(axis=0))
-            assert (centroids[halves[0], axis].max()
-                    <= centroids[halves[1], axis].min())
+            assert (centroids[halves[0], axis].max(initial=-np.inf)
+                    <= centroids[halves[1], axis].min(initial=np.inf))
             # the nodes all of whose triangles lie in a set of triangles
             outside = [np.zeros(n, dtype=bool) for _ in range(3)]
             for out, inside in zip(outside, halves + [part]):
@@ -354,10 +354,12 @@ def test_dissection_order_separates_the_halves_of_every_cut(mesh):
             assert not np.any(lower[l2g].any(axis=1)
                               & higher[l2g].any(axis=1))
             if cut.any():
-                assert rank[cut].min() > rank[lower | higher].max()
+                assert (rank[cut].min()
+                        > rank[lower | higher].max(initial=-1))
             # post-order: the nodes inside a part take consecutive ranks
             inside = rank[~outside[2]]
-            assert inside.max() - inside.min() + 1 == len(inside)
+            assert (len(inside) == 0
+                    or inside.max() - inside.min() + 1 == len(inside))
 
 
 @pytest.mark.parametrize("mesh", [unit_square_mesh(1), unit_square_mesh(3),
@@ -398,7 +400,7 @@ def test_single_level_solve_logs_one_debug_record(caplog):
     for record, per in zip(records, (3, 2)):
         assert record.levelno == logging.DEBUG
         assert re.fullmatch(
-            rf"single-level solve: {per * 81} unknowns, K\.nnz \d+, LU fill "
+            rf"single-level solve: {per * 81} unknowns, nnz \d+, LU fill "
             r"\d+, order \d+\.\d{3} s, factor \d+\.\d{3} s",
             record.getMessage())
 

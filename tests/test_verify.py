@@ -1,5 +1,6 @@
 """Benchmark problems, error norms, convergence orders, and diagnostics."""
 
+import re
 import threading
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 import scipy.sparse as sp
 
 from mhmelast import (BrennerProblem, LinearProblem, MaterialField,
-                      MHMConfig, compressibility_residual, compute_errors,
-                      convergence_orders, quad_rule,
+                      MHMConfig, SaddleSystem, compressibility_residual,
+                      compute_errors, convergence_orders, quad_rule,
                       solve_galerkin_dirichlet, solve_gals_dirichlet,
                       solve_mhm, spectral_diagnostics, unit_square_mesh)
 from mhmelast import _assembly as asm, local_solver, verify
@@ -218,6 +219,37 @@ def test_problems_reject_unbounded_moduli(make, nu, G, message):
     # an infinite G would give eps = 0, a subnormal nu an infinite eps
     with pytest.raises(ValueError, match=f"^{message}$"):
         make(nu, G)
+
+
+@pytest.mark.parametrize("nu, G, message", [
+    (None, 1.0, "Poisson ratio nu must be a number or a callable, got None"),
+    ("0.3", 1.0, "Poisson ratio nu must be a number .*, got '0.3'"),
+    (0.3, True, "shear modulus G must be a number .*, got True"),
+    (0.3, None, "shear modulus G must be a number .*, got None"),
+    (lambda x: 0.3, 1.0, "Poisson ratio nu of a closed-form problem must be "
+                         "a number, got <function"),
+    (0.3, lambda x: 1.0, "shear modulus G of a closed-form problem must be "
+                         "a number, got <function")])
+@pytest.mark.parametrize("make", [
+    lambda nu, G: BrennerProblem(nu, G=G),
+    lambda nu, G: LinearProblem(np.eye(2), np.zeros(2), nu, G=G)],
+    ids=["brenner", "linear"])
+def test_problems_reject_moduli_that_are_not_numbers(make, nu, G, message):
+    # neither float() nor a boolean read as 1 gets the modulus
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make(nu, G)
+
+
+@pytest.mark.parametrize("A, b, name", [
+    (np.ones(3), np.zeros(2), "A"), (np.ones((2, 3)), np.zeros(2), "A"),
+    ([[1.0, np.nan], [0.0, 1.0]], np.zeros(2), "A"), ("x", np.zeros(2), "A"),
+    (np.eye(2), np.zeros(3), "b"), (np.eye(2), [0.0, np.inf], "b"),
+    (np.eye(2), np.zeros((2, 1)), "b"), (np.eye(2), None, "b")])
+def test_linear_problem_rejects_bad_A_and_b(A, b, name):
+    shape = "(2,)" if name == "b" else "(2, 2)"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be a finite array of shape {shape}, got ")):
+        LinearProblem(A, b, 0.3)
 
 
 @pytest.mark.parametrize("nu, G", [(0.3, 1.0), (0.4999, 2.5), (0.49999, 1.0)])
@@ -646,6 +678,21 @@ def test_spectral_diagnostics_empty_system():
                           np.zeros(0))
     rep = spectral_diagnostics(empty)
     assert rep.ok
+
+
+def test_spectral_diagnostics_derives_the_matrix_once(monkeypatch):
+    # A and B are both taken from one natural-order matrix
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((6, 6))
+    system = saddle_system(A @ A.T + 6 * np.eye(6),
+                           rng.standard_normal((6, 3)), np.ones(6),
+                           np.ones(3))
+    calls = []
+    full_matrix = SaddleSystem.full_matrix
+    monkeypatch.setattr(SaddleSystem, "full_matrix",
+                        lambda self: calls.append(1) or full_matrix(self))
+    assert spectral_diagnostics(system).lambda_min > 0
+    assert len(calls) == 1
 
 
 def test_spectral_diagnostics_refuses_large_system():
