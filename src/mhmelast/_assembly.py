@@ -2,10 +2,12 @@
 the single-level methods and the inverse-constant estimate: continuous P_k
 dof handling, affine-map geometry, the element kernels of the
 displacement-pressure and displacement forms, their scatter into
-block-diagonal CSC matrices, pinned dofs and the checked sparse solve.
+block-diagonal CSC matrices, pinned dofs, and the checked sparse solve,
+with the freed heap released before a global or single-level factorization.
 """
 
 import copy
+import ctypes
 import logging
 import time
 
@@ -579,13 +581,38 @@ def checked_solve(factor, M, B, error, what, hint, blocks=1,
     return X
 
 
+def _malloc_trim():
+    """glibc's `malloc_trim`, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _malloc_trim()
+
+
+def release_free_heap():
+    """Return the free pages of every malloc arena to the OS
+    (`malloc_trim(0)`); without glibc, nothing.  Freed blocks below glibc's
+    dynamic mmap threshold stay in its heap otherwise, and a large
+    factorization then maps new pages beside them."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 def logged_solve(factor, M, b, error, what, hint, order_s):
     """`checked_solve` of M x = b with the SuperLU factorization `factor()`
-    of one system.  With the logger enabled, one debug record gives the
-    unknowns, M's nonzeros, the fill of the factors and the seconds of the
-    order (`order_s`, taken by the caller) and of the factorization.  The
-    factor is not held past its solve: the residual check reuses its
-    memory."""
+    of one system, the freed heap released first (`release_free_heap`):
+    the callers have dropped their assembly arrays by then.  With the
+    logger enabled, one debug record gives the unknowns, M's nonzeros, the
+    fill of the factors (SuperLU's `nnz`, supernode padding included) and
+    the seconds of the order (`order_s`, taken by the caller) and of the
+    factorization.  The factor is not held past its solve: the residual
+    check reuses its memory."""
+    release_free_heap()
     if not _log.isEnabledFor(logging.DEBUG):
         return checked_solve(factor, M, b, error, what, hint)
     seconds, fill = [], []
@@ -594,7 +621,7 @@ def logged_solve(factor, M, b, error, what, hint, order_s):
         start = time.perf_counter()
         lu = factor()
         seconds.append(time.perf_counter() - start)
-        fill.append(lu.L.nnz + lu.U.nnz)        # L and U are copies
+        fill.append(lu.nnz)
         return lu
 
     x = checked_solve(timed, M, b, error, what, hint)

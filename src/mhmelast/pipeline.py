@@ -75,6 +75,9 @@ class MHMConfig:
                              f"{self.boundary_tag!r}")
         if self.kind not in ("gals", "galerkin"):
             raise ValueError(f"unknown solver kind {self.kind!r}")
+        if not isinstance(self.override_wellposedness, bool):
+            raise ValueError(f"override_wellposedness must be a bool, got "
+                             f"{self.override_wellposedness!r}")
 
 
 @dataclass

@@ -2,6 +2,8 @@
 from the definitions, one triangle and one quadrature point at a time, and
 the acceptance policy of its checked sparse solve."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -509,3 +511,38 @@ def test_checked_solve_names_a_singular_system():
     M = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(ValueError, match="^singular test system; a hint$"):
         _solve(M, np.ones(2))
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_logged_solve_releases_the_heap_once_before_each_factor(
+        monkeypatch, caplog, debug):
+    events = []
+    monkeypatch.setattr(asm, "release_free_heap",
+                        lambda: events.append("release"))
+    M, B = _two_scale_stack()
+
+    def factor():
+        events.append("factor")
+        return splu(M)
+
+    with caplog.at_level(logging.DEBUG if debug else logging.INFO,
+                         logger="mhmelast"):
+        for _ in range(2):
+            asm.logged_solve(factor, M, B, ValueError, "test", "a hint", 0.0)
+    assert events == ["release", "factor"] * 2
+    assert len(caplog.records) == (2 if debug else 0)
+
+
+def test_release_free_heap_is_a_no_op_without_malloc_trim(monkeypatch):
+    # a C library without the symbol (not glibc) yields no trim, and the
+    # solve runs unchanged
+    monkeypatch.setattr(asm.ctypes, "CDLL", lambda name: object())
+    assert asm._malloc_trim() is None
+    M, B = _two_scale_stack()
+    want = asm.logged_solve(lambda: splu(M), M, B, ValueError, "test", "",
+                            0.0)
+    monkeypatch.setattr(asm, "_MALLOC_TRIM", None)
+    asm.release_free_heap()
+    got = asm.logged_solve(lambda: splu(M), M, B, ValueError, "test", "",
+                           0.0)
+    assert np.array_equal(got, want)

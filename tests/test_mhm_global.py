@@ -11,14 +11,16 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from mhmelast import (BrennerProblem, LinearProblem, MHMConfig, MaterialField,
                       SaddleSystem, assemble_global_saddle, build_local_cache,
                       build_matching_local_mesh, build_structured_triangulation,
                       compute_errors, postprocess_solution, refine_skeleton,
-                      solve_global, solve_mhm, spectral_diagnostics)
+                      solve_global, solve_gals_dirichlet, solve_mhm,
+                      spectral_diagnostics, unit_square_mesh)
 from mhmelast import _assembly as asm
-from mhmelast import mhm_global, verify
+from mhmelast import mhm_global, singlelevel, verify
 from mhmelast.mhm_global import GlobalSolverError, _dirichlet_data_vector
 
 from conftest import _side_tag, saddle_system
@@ -241,6 +243,44 @@ def test_global_solve_logs_one_debug_record(caplog):
         rf"global solve: {len(system.order)} unknowns, nnz "
         rf"{system.matrix.nnz}, LU fill \d+, order \d+\.\d{{3}} s, factor "
         r"\d+\.\d{3} s", records[0].getMessage())
+
+
+class _WithoutFactorCopies:
+    """A SuperLU factor whose `L` and `U`, full CSC copies of the factors,
+    may not be read."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def __getattr__(self, name):
+        if name in ("L", "U"):
+            raise AssertionError(f"the factor copy {name} was read")
+        return getattr(self.lu, name)
+
+
+def test_debug_records_read_the_fill_without_copying_the_factors(
+        monkeypatch, caplog):
+    fills = []
+
+    def recorded_splu(M, **options):
+        lu = splu(M, **options)
+        fills.append(lu.nnz)
+        return _WithoutFactorCopies(lu)
+
+    monkeypatch.setattr(mhm_global, "splu", recorded_splu)
+    monkeypatch.setattr(singlelevel, "splu", recorded_splu)
+    problem = BrennerProblem(0.3)
+    part, sk, caches = _caches(f=problem.f)
+    system = assemble_global_saddle(caches, sk, u_dirichlet=problem.u)
+    with caplog.at_level(logging.DEBUG, logger="mhmelast"):
+        solve_global(system)
+        solve_gals_dirichlet(unit_square_mesh(4), problem.material, 2,
+                             problem.f, u_dirichlet=problem.u)
+    records = [r for r in caplog.records if r.name == "mhmelast"]
+    assert len(records) == len(fills) == 2
+    for record, what, fill in zip(records, ("global", "single-level"), fills):
+        assert re.match(rf"{what} solve: .*, LU fill {fill}, ",
+                        record.getMessage())
 
 
 def test_global_solve_builds_no_record_when_disabled(monkeypatch):

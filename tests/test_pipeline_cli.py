@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,9 +16,10 @@ from mhmelast import (K_MAX, BrennerProblem, LinearProblem, MHMConfig,
                       check_refinement_conditions, compute_errors,
                       congruence_classes, convergence_orders, default_depth,
                       estimate_inverse_constant, fem_core, inverse_constant,
-                      refine_skeleton, solve_global, solve_mhm,
+                      refine_skeleton, solve_galerkin_dirichlet,
+                      solve_gals_dirichlet, solve_global, solve_mhm,
                       unit_square_mesh)
-from mhmelast import cli, local_solver
+from mhmelast import _assembly as asm, cli, local_solver
 from mhmelast.local_solver import LocalSolverError
 from mhmelast.mhm_global import GlobalSolverError
 from mhmelast.cli import _parse_args, _parse_levels, _read_config_file, main
@@ -186,6 +188,40 @@ def test_config_rejects_booleans(bad, match):
     # bool is an Integral and a Real, but True is no grid size or modulus
     with pytest.raises(ValueError, match=f"^{match}$"):
         MHMConfig(**bad)
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_config_override_wellposedness_takes_only_a_bool(value):
+    # a truthy "no" would skip the well-posedness gate without a word
+    with pytest.raises(ValueError, match=re.escape(
+            f"override_wellposedness must be a bool, got {value!r}")):
+        MHMConfig(override_wellposedness=value)
+    assert MHMConfig(override_wellposedness=True).override_wellposedness
+
+
+def test_releasing_the_heap_changes_no_result(monkeypatch):
+    # the release before each global and single-level factorization moves
+    # no arithmetic: every coefficient is bitwise that of a run without it
+    problem = BrennerProblem(0.3)
+    mesh = unit_square_mesh(4)
+
+    def coefficients():
+        sol, _ = solve_mhm(MHMConfig(n=2, level=1, k=2, nu=0.3), problem)
+        got = [sol.lam, sol.rho]
+        for f in sol.fields.values():
+            got += [f.u, f.p]
+        for solver in (solve_galerkin_dirichlet, solve_gals_dirichlet):
+            single = solver(mesh, problem.material, 2, problem.f,
+                            u_dirichlet=problem.u)
+            got += [single.u, single.p]
+        return got
+
+    want = coefficients()
+    monkeypatch.setattr(asm, "release_free_heap", lambda: None)
+    got = coefficients()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_solver_failures_are_mhm_errors(monkeypatch):
